@@ -219,6 +219,20 @@ bool want_int(const JsonValue& v, const std::string& key, std::int64_t* out,
   return true;
 }
 
+// Unsigned fields refuse negatives instead of wrapping them to ~2^64.
+template <typename Unsigned>
+bool want_uint(const JsonValue& v, const std::string& key, Unsigned* out,
+               std::string* error) {
+  std::int64_t i = 0;
+  if (!want_int(v, key, &i, error)) return false;
+  if (i < 0) {
+    *error = "field '" + key + "' must be >= 0";
+    return false;
+  }
+  *out = static_cast<Unsigned>(i);
+  return true;
+}
+
 bool want_double(const JsonValue& v, const std::string& key, double* out,
                  std::string* error) {
   if (!v.is_number()) {
@@ -309,14 +323,12 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
       if (!want_int(v, key, &i, error)) return false;
       cfg.dwell_slots = i;
     } else if (key == "schedule_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.schedule_seed = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.schedule_seed, error)) return false;
     } else if (key == "max_short_hops") {
       if (!want_int(v, key, &i, error)) return false;
       cfg.max_short_hops = static_cast<int>(i);
     } else if (key == "bulk_cutoff_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.bulk_cutoff_bytes = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.bulk_cutoff_bytes, error)) return false;
     } else if (key == "orn_dims") {
       if (!want_int(v, key, &i, error)) return false;
       cfg.orn_dims = static_cast<int>(i);
@@ -338,14 +350,11 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
     } else if (key == "propagation_ns") {
       if (!want_int(v, key, &cfg.propagation_ns, error)) return false;
     } else if (key == "cell_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.cell_bytes = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.cell_bytes, error)) return false;
     } else if (key == "max_queue_cells") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.max_queue_cells = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.max_queue_cells, error)) return false;
     } else if (key == "seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.seed = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.seed, error)) return false;
     } else if (key == "threads") {
       if (!want_int(v, key, &i, error)) return false;
       cfg.threads = static_cast<int>(i);
@@ -386,11 +395,9 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
         return false;
       }
     } else if (key == "fixed_flow_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.fixed_flow_bytes = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.fixed_flow_bytes, error)) return false;
     } else if (key == "flow_size_cap") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.flow_size_cap = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.flow_size_cap, error)) return false;
     } else if (key == "classify") {
       if (!want_string(v, key, &s, error)) return false;
       if (!parse_classify_kind(s, &cfg.classify)) {
@@ -398,24 +405,20 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
         return false;
       }
     } else if (key == "arrival_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.arrival_seed = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.arrival_seed, error)) return false;
     } else if (key == "workload_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.workload_seed = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.workload_seed, error)) return false;
     } else if (key == "incast_fanin") {
       if (!want_int(v, key, &i, error)) return false;
       cfg.incast_fanin = static_cast<NodeId>(i);
     } else if (key == "incast_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.incast_bytes = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.incast_bytes, error)) return false;
     } else if (key == "incast_period_slots") {
       if (!want_int(v, key, &cfg.incast_period_slots, error)) return false;
     } else if (key == "collective_kind") {
       if (!want_string(v, key, &cfg.collective_kind, error)) return false;
     } else if (key == "collective_bytes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.collective_bytes = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.collective_bytes, error)) return false;
     } else if (key == "collective_phase_gap_slots") {
       if (!want_int(v, key, &cfg.collective_phase_gap_slots, error))
         return false;
@@ -426,14 +429,11 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
     } else if (key == "transport") {
       if (!want_string(v, key, &cfg.transport, error)) return false;
     } else if (key == "ecn_threshold_cells") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.ecn_threshold_cells = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.ecn_threshold_cells, error)) return false;
     } else if (key == "init_cwnd_cells") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.init_cwnd_cells = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.init_cwnd_cells, error)) return false;
     } else if (key == "max_cwnd_cells") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.max_cwnd_cells = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.max_cwnd_cells, error)) return false;
     } else if (key == "dctcp_gain") {
       if (!want_double(v, key, &cfg.dctcp_gain, error)) return false;
     } else if (key == "trace") {
@@ -462,8 +462,7 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
     } else if (key == "circuit_mttr") {
       if (!want_double(v, key, &cfg.circuit_mttr_slots, error)) return false;
     } else if (key == "fault_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.fault_seed = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.fault_seed, error)) return false;
     } else if (key == "epoch_slots") {
       if (!want_int(v, key, &cfg.epoch_slots, error)) return false;
     } else if (key == "update_delay_slots") {
@@ -485,8 +484,7 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
       if (!want_double(v, key, &cfg.controller_mttr_slots, error))
         return false;
     } else if (key == "control_fault_seed") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.control_fault_seed = static_cast<std::uint64_t>(i);
+      if (!want_uint(v, key, &cfg.control_fault_seed, error)) return false;
     } else if (key == "replan_apply_delay") {
       if (!want_int(v, key, &cfg.replan_apply_delay, error)) return false;
     } else if (key == "estimate_stale_epochs") {
@@ -500,8 +498,7 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
     } else if (key == "retransmit_timeout") {
       if (!want_int(v, key, &cfg.retransmit_timeout, error)) return false;
     } else if (key == "retransmit_max_attempts") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.retransmit_max_attempts = static_cast<std::uint32_t>(i);
+      if (!want_uint(v, key, &cfg.retransmit_max_attempts, error)) return false;
     } else if (key == "retransmit_jitter") {
       if (!want_double(v, key, &cfg.retransmit_jitter, error)) return false;
     } else {
@@ -545,6 +542,9 @@ bool ScenarioConfig::validate(std::string* error) const {
   if (threads < 0) return fail("threads must be >= 0");
   if (slot_ns <= 0) return fail("slot_ns must be positive");
   if (propagation_ns < 0) return fail("propagation_ns must be >= 0");
+  if (cell_bytes < 1) return fail("cell_bytes must be >= 1");
+  if (flow_size == FlowSizeKind::kFixed && fixed_flow_bytes < 1)
+    return fail("fixed_flow_bytes must be >= 1");
   if (locality_x < 0.0 || locality_x > 1.0)
     return fail("locality must be in [0, 1]");
   if (q_num < 0 || q_den <= 0) return fail("q must be a nonnegative rational");

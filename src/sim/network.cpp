@@ -25,6 +25,9 @@ SlottedNetwork::SlottedNetwork(const CircuitSchedule* schedule,
               "network needs a schedule and a router");
   SORN_ASSERT(config_.lanes >= 1, "need at least one uplink lane");
   SORN_ASSERT(config_.cell_bytes >= 1, "cells must carry at least one byte");
+  SORN_ASSERT(config_.slot_duration >= 1, "slots must last at least 1 ps");
+  prop_slots_ = (config_.propagation_per_hop + config_.slot_duration - 1) /
+                config_.slot_duration;
 }
 
 void SlottedNetwork::inject_flow(FlowId flow, NodeId src, NodeId dst,
@@ -32,40 +35,20 @@ void SlottedNetwork::inject_flow(FlowId flow, NodeId src, NodeId dst,
   inject_flow_with(*router_, flow, src, dst, bytes, flow_class);
 }
 
-void SlottedNetwork::inject_flow_with(const Router& router, FlowId flow,
-                                      NodeId src, NodeId dst,
-                                      std::uint64_t bytes, int flow_class) {
-  SORN_ASSERT(src != dst, "flow endpoints must differ");
+Cell SlottedNetwork::make_cell(const Router& router, FlowId flow,
+                               std::uint32_t seq, NodeId src, NodeId dst,
+                               Slot route_slot) {
+  SORN_ASSERT(src != dst, "cell endpoints must differ");
   // Routing draws from rng_; a draw inside the parallel sweep would make
   // the stream depend on thread scheduling (see DESIGN.md).
   SORN_ASSERT(!in_parallel_sweep_, "inject during parallel sweep");
-  const std::uint64_t cells =
-      (bytes + config_.cell_bytes - 1) / config_.cell_bytes;
-  // Remember which path class injected the flow: stalled cells must be
-  // retransmitted through the same router (a bulk flow re-routed onto the
-  // short-flow path class would jump queues and skew both path classes).
-  const bool bulk = bulk_router_ != nullptr && &router == bulk_router_;
-  if (telemetry_ != nullptr)
-    telemetry_->on_flow_inject(now_, flow, src, dst, bytes, flow_class);
-  if (checker_ != nullptr) checker_->on_flow_inject(flow, cells);
-  for (std::uint64_t c = 0; c < cells; ++c) {
-    Cell cell;
-    cell.flow = flow;
-    cell.seq = static_cast<std::uint32_t>(c);
-    // Stagger the routing reference slot across the flow's cells: cell c
-    // will leave the source no earlier than c/lanes slots from now, and
-    // "first available link" load balancing must be evaluated at each
-    // cell's own departure opportunity (otherwise a whole flow convoys
-    // onto one queue; cf. the paper's footnote on long flows spreading
-    // across all intra-clique links).
-    cell.path = router.route(
-        src, dst, now_ + static_cast<Slot>(c) / config_.lanes, rng_);
-    cell.hop = 0;
-    cell.inject_slot = now_;
-    cell.ready_slot = now_;
-    metrics_.on_inject(cell, cells, bytes, flow_class, bulk);
-    enqueue_or_drop(cell);
-  }
+  Cell cell;
+  cell.flow = flow;
+  cell.seq = seq;
+  cell.path = router.route(src, dst, route_slot, rng_);
+  cell.inject_slot = now_;
+  cell.ready_slot = now_;
+  return cell;
 }
 
 void SlottedNetwork::inject_flow_segment(const Router& router, FlowId flow,
@@ -74,11 +57,12 @@ void SlottedNetwork::inject_flow_segment(const Router& router, FlowId flow,
                                          std::uint64_t first_cell,
                                          std::uint64_t cell_count,
                                          int flow_class) {
-  SORN_ASSERT(src != dst, "flow endpoints must differ");
-  SORN_ASSERT(!in_parallel_sweep_, "inject during parallel sweep");
   const std::uint64_t cells =
       (bytes + config_.cell_bytes - 1) / config_.cell_bytes;
   SORN_ASSERT(first_cell + cell_count <= cells, "segment past end of flow");
+  // Remember which path class injected the flow: stalled cells must be
+  // retransmitted through the same router (a bulk flow re-routed onto the
+  // short-flow path class would jump queues and skew both path classes).
   const bool bulk = bulk_router_ != nullptr && &router == bulk_router_;
   // Flow-level events fire once, with the first segment; the flow record
   // (created by the first on_inject with the full totals) completes when
@@ -89,84 +73,92 @@ void SlottedNetwork::inject_flow_segment(const Router& router, FlowId flow,
     if (checker_ != nullptr) checker_->on_flow_inject(flow, cells);
   }
   for (std::uint64_t c = 0; c < cell_count; ++c) {
-    Cell cell;
-    cell.flow = flow;
-    cell.seq = static_cast<std::uint32_t>(first_cell + c);
-    // Stagger routing by each cell's departure opportunity within this
-    // segment, same as inject_flow_with does across a whole flow.
-    cell.path = router.route(
-        src, dst, now_ + static_cast<Slot>(c) / config_.lanes, rng_);
-    cell.hop = 0;
-    cell.inject_slot = now_;
-    cell.ready_slot = now_;
+    // Stagger the routing reference slot across the segment's cells: cell
+    // c will leave the source no earlier than c/lanes slots from now, and
+    // "first available link" load balancing must be evaluated at each
+    // cell's own departure opportunity (otherwise a whole flow convoys
+    // onto one queue; cf. the paper's footnote on long flows spreading
+    // across all intra-clique links).
+    Cell cell = make_cell(router, flow,
+                          static_cast<std::uint32_t>(first_cell + c), src, dst,
+                          now_ + static_cast<Slot>(c) / config_.lanes);
     metrics_.on_inject(cell, cells, bytes, flow_class, bulk);
     enqueue_or_drop(cell);
   }
 }
 
 void SlottedNetwork::inject_cell(NodeId src, NodeId dst) {
-  SORN_ASSERT(src != dst, "cell endpoints must differ");
-  SORN_ASSERT(!in_parallel_sweep_, "inject during parallel sweep");
-  Cell cell;
-  cell.flow = kNoFlow;
-  cell.path = router_->route(src, dst, now_, rng_);
-  cell.hop = 0;
-  cell.inject_slot = now_;
-  cell.ready_slot = now_;
+  Cell cell = make_cell(*router_, kNoFlow, 0, src, dst, now_);
   metrics_.on_inject(cell, 1, config_.cell_bytes);
   enqueue_or_drop(cell);
 }
 
-void SlottedNetwork::drop(const Cell& cell) {
-  metrics_.on_drop();
-  if (telemetry_ != nullptr)
-    telemetry_->on_cell_drop(now_, cell.current(), cell.next_hop(), cell.flow);
-}
-
-void SlottedNetwork::enqueue_or_drop(Cell& cell) {
-  if (config_.ecn_threshold_cells == 0) {
-    // ECN off: the capacity check lives inside try_push (the pre-ECN hot
-    // path, one queue lookup).
-    if (!voqs_.try_push(cell, config_.max_queue_cells)) drop(cell);
-    return;
-  }
-  const std::uint64_t size = voqs_.size_of(cell.current(), cell.next_hop());
-  if (config_.max_queue_cells > 0 && size >= config_.max_queue_cells) {
-    drop(cell);
-    return;
-  }
-  if (size >= config_.ecn_threshold_cells) {
-    cell.ecn = true;
-    metrics_.on_ecn_mark();
-    if (telemetry_ != nullptr) telemetry_->on_ecn_mark();
+void SlottedNetwork::enqueue_or_drop(Cell& cell,
+                                     std::uint64_t queued_ahead) {
+  const std::uint64_t cap = config_.max_queue_cells;
+  const std::uint64_t mark_at = config_.ecn_threshold_cells;
+  if (cap > 0 || mark_at > 0) {
+    const std::uint64_t size =
+        voqs_.size_of(cell.current(), cell.next_hop()) + queued_ahead;
+    if (cap > 0 && size >= cap) {
+      metrics_.on_drop();
+      if (telemetry_ != nullptr) {
+        telemetry_->on_cell_drop(now_, cell.current(), cell.next_hop(),
+                                 cell.flow);
+      }
+      return;
+    }
+    if (mark_at > 0 && size >= mark_at) {
+      cell.ecn = true;
+      metrics_.on_ecn_mark();
+      if (telemetry_ != nullptr) telemetry_->on_ecn_mark();
+    }
   }
   voqs_.push(cell);
 }
 
-void SlottedNetwork::deliver(const Cell& cell) {
-  if (checker_ != nullptr) checker_->on_deliver(now_, cell);
-  // The cell arrives at the end of the slot; only first copies that
-  // advanced an open flow are echoed to the transport as acks.
-  const bool first_copy = metrics_.on_deliver(cell, now_ + 1);
-  if (transport_ != nullptr && first_copy) transport_->on_ack(cell, now_ + 1);
-}
-
-void SlottedNetwork::transmit(NodeId node, NodeId peer) {
-  if (failures_.any_failures() && !failures_.usable(node, peer)) return;
+// take() and apply() are inlined into both sweeps: as calls, once per node
+// per lane, they cost 5-12% of slots/s at N = 4096 with 16 lanes and two
+// threads (4-vCPU x86 host).
+[[gnu::always_inline]] inline std::optional<SlottedNetwork::StagedEvent>
+SlottedNetwork::take(NodeId node, NodeId peer) {
+  if (failures_.any_failures() && !failures_.usable(node, peer))
+    return std::nullopt;
+  // Gray decisions are stateless seeded hashes (no shared Rng), so shards
+  // can evaluate them; apply() replays the outcome in node order.
   const GrayCircuit* gray = nullptr;
   if (gray_.any()) {
     gray = gray_.find(node, peer);
     // A throttled circuit's inactive slot behaves like a one-slot outage:
     // the head cell stays queued and retries next opportunity.
     if (gray != nullptr && !gray_.slot_active(now_, node, peer, *gray))
-      return;
+      return std::nullopt;
   }
   const Cell* head = voqs_.peek(node, peer, now_);
-  if (head == nullptr) return;
-  Cell cell = *head;
+  if (head == nullptr) return std::nullopt;
+  std::optional<StagedEvent> ev(std::in_place, *head);
   voqs_.pop(node, peer);
+  ev->gray_drop =
+      gray != nullptr && gray_.cell_lost(now_, node, peer, *gray, ev->cell);
+  if (!ev->gray_drop) {
+    ++ev->cell.hop;
+    // Turnaround at a relay: receivable next slot at the earliest, plus
+    // the propagation delay in whole slots.
+    if (!ev->cell.at_destination())
+      ev->cell.ready_slot = now_ + 1 + prop_slots_;
+  }
+  return ev;
+}
+
+[[gnu::always_inline]] inline void SlottedNetwork::apply(
+    StagedEvent& ev, std::uint64_t queued_ahead) {
+  Cell& cell = ev.cell;
+  // A lost cell was not advanced: its hop is still the circuit it left on.
+  const int sent = ev.gray_drop ? cell.hop : cell.hop - 1;
+  const NodeId node = cell.path.at(sent);
+  const NodeId peer = cell.path.at(sent + 1);
   if (checker_ != nullptr) checker_->on_transmit(now_, node, peer);
-  if (gray != nullptr && gray_.cell_lost(now_, node, peer, *gray, cell)) {
+  if (ev.gray_drop) {
     // Transmitted but lost in flight; the end-host retransmission policy
     // recovers the flow, duplicates are dedupped at the receiver.
     metrics_.on_gray_drop();
@@ -174,54 +166,35 @@ void SlottedNetwork::transmit(NodeId node, NodeId peer) {
       telemetry_->on_gray_drop(now_, node, peer, cell.flow);
     return;
   }
-  ++cell.hop;
-  if (cell.at_destination()) {
-    deliver(cell);
+  if (!cell.at_destination()) {
+    metrics_.on_forward();
+    enqueue_or_drop(cell, queued_ahead);
     return;
   }
-  metrics_.on_forward();
-  // Turnaround at the relay: receivable next slot at the earliest; the
-  // propagation delay is modelled in readiness as whole slots (rounded up)
-  // and in wall-clock latency exactly (metrics).
-  const Slot prop_slots =
-      (config_.propagation_per_hop + config_.slot_duration - 1) /
-      config_.slot_duration;
-  cell.ready_slot = now_ + 1 + prop_slots;
-  enqueue_or_drop(cell);
-}
-
-void SlottedNetwork::step_lane_sequential(const Matching& m) {
-  for (NodeId i = 0; i < n_; ++i) {
-    const NodeId peer = m.dst_of(i);
-    if (peer != i) transmit(i, peer);
-  }
+  if (checker_ != nullptr) checker_->on_deliver(now_, cell);
+  // The cell arrives at the end of the slot; only first copies that
+  // advanced an open flow are echoed to the transport as acks.
+  const bool first_copy = metrics_.on_deliver(cell, now_ + 1);
+  if (transport_ != nullptr && first_copy) transport_->on_ack(cell, now_ + 1);
 }
 
 // One lane's sweep, sharded across the pool. Phase 1 (parallel): each
-// shard scans its contiguous node range in order, popping transmittable
-// heads — node i only ever pops its own queues, so pops are disjoint
-// across shards — and staging the advanced cells. Phase 2 (sequential):
-// stages are merged in shard order, which is node order, so every side
-// effect with observable ordering (metrics, trace events, pushes, drops)
-// replays in exactly the sequence the sequential sweep would produce.
+// shard runs take() over its contiguous node range in order — node i only
+// ever pops its own queues, so pops are disjoint across shards — and
+// stages the outcomes. Phase 2 (sequential): stages are merged in shard
+// order, which is node order, so apply() replays every side effect with
+// observable ordering (metrics, trace events, pushes, drops) in exactly
+// the sequence the sequential sweep produces.
 //
 // The one way deferred pushes could diverge from the interleaved
-// sequential sweep is the bounded-queue capacity check: sequentially,
-// node i pushes into its peer's queue *before* nodes j > i pop, and a
-// pushed cell is never transmittable in the same slot (ready_slot > now),
-// so only queue *sizes* can differ, never heads. The merge reconstructs
-// the sequential-order size from the popped_ marks below.
+// sequential sweep is the queue size seen by the capacity check and the
+// ECN mark: sequentially, node i pushes into its peer's queue *before*
+// nodes j > i pop, and a pushed cell is never transmittable in the same
+// slot (ready_slot > now), so only queue *sizes* can differ, never heads.
+// The merge reconstructs the sequential-order size from the popped_ marks.
 void SlottedNetwork::step_lane_parallel(const Matching& m,
                                         PhaseProfiler* prof) {
-  const bool capped = config_.max_queue_cells > 0;
-  const bool ecn_on = config_.ecn_threshold_cells > 0;
-  // Both the capacity check and the ECN mark decision need the
-  // sequential-order queue size, reconstructed from the popped_ marks.
-  const bool sized = capped || ecn_on;
-  if (sized) std::fill(popped_.begin(), popped_.end(), std::uint8_t{0});
-  const Slot prop_slots =
-      (config_.propagation_per_hop + config_.slot_duration - 1) /
-      config_.slot_duration;
+  std::fill(popped_.begin(), popped_.end(), std::uint8_t{0});
   in_parallel_sweep_ = true;
   try {
     ScopedPhase sweep(prof, ProfPhase::kLaneSweep);
@@ -234,35 +207,11 @@ void SlottedNetwork::step_lane_parallel(const Matching& m,
           for (NodeId i = range.begin; i < range.end; ++i) {
             const NodeId peer = m.dst_of(i);
             if (peer == i) continue;
-            if (failures_.any_failures() && !failures_.usable(i, peer))
-              continue;
-            // Gray decisions are stateless seeded hashes (no shared Rng),
-            // so shards can evaluate them; the merge replays the outcome
-            // in node order like every other side effect.
-            const GrayCircuit* gray = nullptr;
-            if (gray_.any()) {
-              gray = gray_.find(i, peer);
-              if (gray != nullptr &&
-                  !gray_.slot_active(now_, i, peer, *gray))
-                continue;
-            }
-            const Cell* head = voqs_.peek(i, peer, now_);
-            if (head == nullptr) continue;
-            StagedEvent ev;
-            ev.cell = *head;
-            voqs_.pop_sharded(i, peer);
+            std::optional<StagedEvent> ev = take(i, peer);
+            if (!ev) continue;
             ++stage.pops;
-            if (sized) popped_[static_cast<std::size_t>(i)] = 1;
-            if (gray != nullptr &&
-                gray_.cell_lost(now_, i, peer, *gray, ev.cell)) {
-              ev.gray_drop = true;
-              stage.events.push_back(ev);
-              continue;
-            }
-            ++ev.cell.hop;
-            ev.deliver = ev.cell.at_destination();
-            if (!ev.deliver) ev.cell.ready_slot = now_ + 1 + prop_slots;
-            stage.events.push_back(ev);
+            popped_[static_cast<std::size_t>(i)] = 1;
+            stage.events.push_back(std::move(*ev));
           }
         });
   } catch (...) {
@@ -285,53 +234,18 @@ void SlottedNetwork::step_lane_parallel(const Matching& m,
   for (ShardStage& stage : stages_) {
     pops += stage.pops;
     for (StagedEvent& ev : stage.events) {
-      if (ev.gray_drop) {
-        // hop was not advanced for a lost cell: current()/next_hop() are
-        // still the circuit it was popped from.
-        if (checker_ != nullptr)
-          checker_->on_transmit(now_, ev.cell.current(), ev.cell.next_hop());
-        metrics_.on_gray_drop();
-        if (telemetry_ != nullptr)
-          telemetry_->on_gray_drop(now_, ev.cell.current(),
-                                   ev.cell.next_hop(), ev.cell.flow);
-        continue;
-      }
-      if (checker_ != nullptr)
-        checker_->on_transmit(now_, ev.cell.path.at(ev.cell.hop - 1),
-                              ev.cell.current());
-      if (ev.deliver) {
-        deliver(ev.cell);
-        continue;
-      }
-      metrics_.on_forward();
-      if (sized) {
-        const NodeId src = ev.cell.path.at(ev.cell.hop - 1);
-        const NodeId at = ev.cell.current();
-        const NodeId next = ev.cell.next_hop();
-        // Sequentially, node `at`'s own pop this lane happens after the
-        // push from src when at > src; the parallel phase already popped,
-        // so add that cell back when sizing the capacity check. (`at` is
-        // the only node popping queue (at, next), and src the only node
-        // pushing into it this lane — the matching is a permutation.)
-        const std::uint64_t adj =
-            (at > src && popped_[static_cast<std::size_t>(at)] &&
-             m.dst_of(at) == next)
-                ? 1
-                : 0;
-        const std::uint64_t size = voqs_.size_of(at, next) + adj;
-        if (capped && size >= config_.max_queue_cells) {
-          drop(ev.cell);
-          continue;
-        }
-        // Same reconstructed size as the capacity check, so the mark is
-        // byte-identical to the one the sequential sweep would set.
-        if (ecn_on && size >= config_.ecn_threshold_cells) {
-          ev.cell.ecn = true;
-          metrics_.on_ecn_mark();
-          if (telemetry_ != nullptr) telemetry_->on_ecn_mark();
-        }
-      }
-      voqs_.push(ev.cell);
+      // Sequentially, a relay's own pop this lane happens after the push
+      // into it when the relay sits later in the sweep; the parallel phase
+      // already popped, so count that cell back. (The relay is the only
+      // node popping its queue toward the next hop, and the sender the
+      // only node pushing into it this lane — the matching is a
+      // permutation.)
+      const Cell& c = ev.cell;
+      const bool ahead = !ev.gray_drop && !c.at_destination() &&
+                         c.current() > c.path.at(c.hop - 1) &&
+                         popped_[static_cast<std::size_t>(c.current())] &&
+                         m.dst_of(c.current()) == c.next_hop();
+      apply(ev, ahead ? 1 : 0);
     }
   }
   merge.reset();
@@ -354,10 +268,20 @@ void SlottedNetwork::step() {
     }
     if (pool_ != nullptr) {
       step_lane_parallel(*m, prof);
-    } else {
-      ScopedPhase sweep(prof, ProfPhase::kLaneSweep);
-      step_lane_sequential(*m);
+      continue;
     }
+    // The one-shard case: each outcome is applied as soon as it is taken.
+    ScopedPhase sweep(prof, ProfPhase::kLaneSweep);
+    std::uint64_t pops = 0;
+    for (NodeId i = 0; i < n_; ++i) {
+      const NodeId peer = m->dst_of(i);
+      if (peer == i) continue;
+      std::optional<StagedEvent> ev = take(i, peer);
+      if (!ev) continue;
+      ++pops;
+      apply(*ev, 0);
+    }
+    voqs_.settle_total(pops);
   }
   metrics_.on_slot(voqs_.total_queued());
   if (checker_ != nullptr) {
@@ -554,13 +478,8 @@ std::uint64_t SlottedNetwork::retransmit_stalled(
     const Router& router =
         sf.bulk && bulk_router_ != nullptr ? *bulk_router_ : *router_;
     for (const std::uint32_t seq : sf.missing) {
-      Cell cell;
-      cell.flow = sf.flow;
-      cell.seq = seq;
-      cell.path = router.route(sf.src, sf.dst, now_, rng_);
-      cell.hop = 0;
-      cell.inject_slot = now_;  // copy latency; FCT uses the flow record
-      cell.ready_slot = now_;
+      // The copy's inject_slot is now: copy latency; FCT uses the record.
+      Cell cell = make_cell(router, sf.flow, seq, sf.src, sf.dst, now_);
       metrics_.on_retransmit_cell();
       ++cells;
       enqueue_or_drop(cell);

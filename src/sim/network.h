@@ -6,10 +6,18 @@
 // cells become available at the next node after a fixed turnaround
 // (1 slot + propagation). This is the htsim-style substrate all ORN papers
 // evaluate on (see DESIGN.md).
+//
+// Each rule is coded once. take() decides one node's transmit (failure,
+// gray, head, pop) and apply() performs its ordered side effects; the
+// sequential sweep applies each outcome at once, and the parallel sweep is
+// the same pair split across shards (take) and a node-order merge (apply).
+// Every enqueue — injection, relay, merge — goes through enqueue_or_drop,
+// and every injected cell is built by make_cell.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "obs/prof/profiler.h"
 #include "obs/telemetry.h"
@@ -73,7 +81,11 @@ class SlottedNetwork {
   // by designs that route flow classes differently (Opera: short flows on
   // expander paths, bulk on the direct rotation circuit).
   void inject_flow_with(const Router& router, FlowId flow, NodeId src,
-                        NodeId dst, std::uint64_t bytes, int flow_class = 0);
+                        NodeId dst, std::uint64_t bytes, int flow_class = 0) {
+    inject_flow_segment(router, flow, src, dst, bytes, 0,
+                        (bytes + config_.cell_bytes - 1) / config_.cell_bytes,
+                        flow_class);
+  }
 
   // Inject a contiguous window segment [first_cell, first_cell +
   // cell_count) of a flow whose full size is `bytes` — the closed-loop
@@ -240,14 +252,14 @@ class SlottedNetwork {
   const Router* router() const { return router_; }
 
  private:
-  // Staged outcome of one transmit, produced by the parallel sweep and
-  // replayed in node order by the merge phase. The cell is already
-  // advanced (hop incremented, ready_slot set for forwards).
+  // Outcome of one node's transmit, decided by take(). The cell is
+  // already advanced (hop incremented, ready_slot set for forwards) unless
+  // it was lost to a gray circuit.
   struct StagedEvent {
+    explicit StagedEvent(const Cell& popped) : cell(popped) {}
     Cell cell;
-    bool deliver = false;
     // Lost to a gray (lossy) circuit: the pop happened but the cell is
-    // discarded at merge instead of delivered/forwarded.
+    // discarded instead of delivered/forwarded.
     bool gray_drop = false;
   };
   struct ShardStage {
@@ -255,19 +267,24 @@ class SlottedNetwork {
     std::uint64_t pops = 0;           // settled into VoqSet::total_ at merge
   };
 
-  void transmit(NodeId node, NodeId peer);
-  void step_lane_sequential(const Matching& m);
+  // Node `node`'s transmit toward `peer` this lane: failure and gray
+  // checks, then pop the transmittable head and advance it. Touches only
+  // `node`'s own queues (safe inside a shard); the caller settles the pop
+  // into VoqSet's total. nullopt when nothing is sent.
+  std::optional<StagedEvent> take(NodeId node, NodeId peer);
+  // Every ordered side effect of a taken event: invariant hook, gray
+  // drop, delivery (metrics + transport ack) or forward + enqueue. Runs on
+  // the coordinating thread, in node order.
+  void apply(StagedEvent& ev, std::uint64_t queued_ahead);
   void step_lane_parallel(const Matching& m, PhaseProfiler* prof);
-  // Tail-drop accounting + telemetry for a cell that failed to enqueue.
-  void drop(const Cell& cell);
-  // Enqueue with the capacity check and ECN marking evaluated against the
-  // same queue size, in sequential-site order. Used by every push site
-  // except the parallel merge, which reconstructs the sequential-order
-  // size from popped_ first (see step_lane_parallel).
-  void enqueue_or_drop(Cell& cell);
-  // Delivery bookkeeping shared by both engines: invariant hook, metrics,
-  // and the transport ack echo for first copies.
-  void deliver(const Cell& cell);
+  // Enqueue with the capacity check and ECN marking evaluated against one
+  // queue size: the FIFO's depth plus `queued_ahead`, the cells the
+  // sequential sweep would still hold there (the parallel merge's popped_
+  // reconstruction; 0 everywhere else). Tail-drops are counted and traced.
+  void enqueue_or_drop(Cell& cell, std::uint64_t queued_ahead = 0);
+  // A fresh cell at `src`, routed by `router` as of `route_slot`.
+  Cell make_cell(const Router& router, FlowId flow, std::uint32_t seq,
+                 NodeId src, NodeId dst, Slot route_slot);
 
   const CircuitSchedule* schedule_;
   const Router* router_;
@@ -276,11 +293,13 @@ class SlottedNetwork {
   const Router* bulk_router_ = nullptr;
   NetworkConfig config_;
   NodeId n_;
+  // Whole slots a relayed cell waits past the turnaround slot (the
+  // propagation delay, rounded up; metrics keep it exact).
+  Slot prop_slots_ = 0;
   Slot now_ = 0;
   VoqSet voqs_;
   SimMetrics metrics_;
   Rng rng_;
-  FlowId next_anonymous_flow_ = 1ULL << 62;
   FailureView failures_;
   GrayFailureView gray_;
   Telemetry* telemetry_ = nullptr;

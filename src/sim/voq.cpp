@@ -28,13 +28,6 @@ void VoqSet::push(const Cell& cell) {
   ++total_;
 }
 
-bool VoqSet::try_push(const Cell& cell, std::uint64_t cap) {
-  if (cap > 0 && size_of(cell.current(), cell.next_hop()) >= cap)
-    return false;
-  push(cell);
-  return true;
-}
-
 const VoqSet::CellFifo* VoqSet::find(NodeId node, NodeId next_hop) const {
   const NodeQueues& nq = nodes_[static_cast<std::size_t>(node)];
   const auto it = std::lower_bound(
@@ -55,7 +48,7 @@ std::uint64_t VoqSet::size_of(NodeId node, NodeId next_hop) const {
   return q == nullptr ? 0 : q->size();
 }
 
-void VoqSet::pop_impl(NodeId node, NodeId next_hop) {
+void VoqSet::pop(NodeId node, NodeId next_hop) {
   NodeQueues& nq = nodes_[static_cast<std::size_t>(node)];
   const auto it = std::lower_bound(
       nq.occupied.begin(), nq.occupied.end(), next_hop,
@@ -65,15 +58,6 @@ void VoqSet::pop_impl(NodeId node, NodeId next_hop) {
   it->fifo.pop_front(nq.pool);
   if (it->fifo.empty()) nq.occupied.erase(it);
   --nq.count;
-}
-
-void VoqSet::pop(NodeId node, NodeId next_hop) {
-  pop_impl(node, next_hop);
-  --total_;
-}
-
-void VoqSet::pop_sharded(NodeId node, NodeId next_hop) {
-  pop_impl(node, next_hop);
 }
 
 std::uint64_t VoqSet::max_queue_depth() const {

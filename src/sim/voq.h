@@ -20,11 +20,11 @@
 // burst's storage is reused by the next one.
 //
 // Thread contract (sim/parallel.h): shards of the parallel sweep own
-// disjoint node ranges and only peek()/pop_sharded() their own nodes.
-// All state a pop touches — the node's queue index, its cell count, and
-// its chunk pool — is per-node, so sharded pops stay race-free; the one
-// global, total_, is deliberately NOT updated by pop_sharded and is
-// settled once per lane by the coordinating thread (settle_total).
+// disjoint node ranges and only peek()/pop() their own nodes. All state a
+// pop touches — the node's queue index, its cell count, and its chunk
+// pool — is per-node, so sharded pops stay race-free; the one global,
+// total_, is deliberately NOT updated by pop() and is settled once per
+// lane by the coordinating thread (settle_total), in both sweeps.
 #pragma once
 
 #include <cstdint>
@@ -44,24 +44,17 @@ class VoqSet {
 
   void push(const Cell& cell);
 
-  // Push unless the target FIFO already holds `cap` cells (cap 0 means
-  // unbounded). Returns false on a (tail-)drop.
-  bool try_push(const Cell& cell, std::uint64_t cap);
-
   // Head cell queued at `node` for `next_hop` if transmittable at `now`,
   // else nullptr. Does not pop. The pointer is valid until the next
   // mutation of this (node, next_hop) queue.
   const Cell* peek(NodeId node, NodeId next_hop, Slot now) const;
+  // Remove the head cell. Per-node state only: total_queued() still
+  // counts the cell until the caller settles its pops (settle_total), so
+  // shards may pop their own nodes' queues concurrently.
   void pop(NodeId node, NodeId next_hop);
-
-  // ---- Parallel-shard variants (sim/parallel.h) ----
-  // Pop without touching the global total. Shards pop only their own
-  // nodes' queues — disjoint state — but total_ is shared, so each shard
-  // counts its pops locally and the engine settles once per lane.
-  void pop_sharded(NodeId node, NodeId next_hop);
   void settle_total(std::uint64_t pops) { total_ -= pops; }
-  // Raw FIFO depth, for the merge phase's sequential-order capacity check.
-  // 0 when the queue is not materialized.
+  // Raw FIFO depth, for the capacity check and the ECN mark. 0 when the
+  // queue is not materialized.
   std::uint64_t size_of(NodeId node, NodeId next_hop) const;
 
   std::uint64_t queued_at(NodeId node) const {
@@ -102,8 +95,6 @@ class VoqSet {
 
   // Sorted-index lookup; nullptr when (node, next_hop) is unoccupied.
   const CellFifo* find(NodeId node, NodeId next_hop) const;
-  // Shared pop path: FIFO head removal, erase-on-empty, per-node count.
-  void pop_impl(NodeId node, NodeId next_hop);
 
   NodeId n_;
   std::vector<NodeQueues> nodes_;

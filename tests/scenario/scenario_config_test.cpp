@@ -7,6 +7,7 @@
 #include <string>
 
 #include "scenario/scenario_config.h"
+#include "scenario/scenario_runner.h"
 
 namespace sorn {
 namespace {
@@ -161,6 +162,15 @@ TEST(ScenarioConfigTest, TypeMismatchIsAnError) {
   EXPECT_FALSE(
       ScenarioConfig::from_json(R"({"nodes": "many"})", &back, &error));
   EXPECT_FALSE(error.empty());
+
+  // Unsigned fields refuse negatives rather than wrapping to 2^64 - 1.
+  for (const char* key : {"cell_bytes", "max_queue_cells", "fixed_flow_bytes",
+                          "ecn_threshold_cells", "seed"}) {
+    error.clear();
+    const std::string doc = std::string(R"({")") + key + R"(": -1})";
+    EXPECT_FALSE(ScenarioConfig::from_json(doc, &back, &error)) << key;
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
 }
 
 TEST(ScenarioConfigTest, BadEnumValueIsAnError) {
@@ -206,6 +216,27 @@ TEST(ScenarioConfigTest, ValidateRejectsBadRanges) {
   cfg.fault_script = "fail node 0 @ 1";
   cfg.fault_script_path = "script.txt";
   EXPECT_FALSE(cfg.validate(&error));
+
+  cfg = ScenarioConfig{};
+  cfg.cell_bytes = 0;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("cell_bytes"), std::string::npos) << error;
+  // The runner reports the same error instead of aborting in the engine.
+  error.clear();
+  EXPECT_EQ(ScenarioRunner::create(cfg, &error), nullptr);
+  EXPECT_NE(error.find("cell_bytes"), std::string::npos) << error;
+
+  cfg = ScenarioConfig{};
+  cfg.flow_size = FlowSizeKind::kFixed;
+  cfg.fixed_flow_bytes = 0;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("fixed_flow_bytes"), std::string::npos) << error;
+  error.clear();
+  EXPECT_EQ(ScenarioRunner::create(cfg, &error), nullptr);
+  EXPECT_NE(error.find("fixed_flow_bytes"), std::string::npos) << error;
+  // Only the fixed distribution reads fixed_flow_bytes.
+  cfg.flow_size = FlowSizeKind::kPfabricWebSearch;
+  EXPECT_TRUE(cfg.validate(&error)) << error;
 
   cfg = ScenarioConfig{};
   EXPECT_TRUE(cfg.validate(&error)) << error;

@@ -1,10 +1,10 @@
-// Thread-count byte-equivalence for the closed-loop transport (satellite
-// of the transport PR): DCTCP windows + ECN marking + stall
-// retransmission under a gray-failure blast must produce byte-identical
-// artifacts at 1, 4 and 7 engine threads. This puts the ECN mark's
-// sequential-order queue-size reconstruction (the merge phase's
-// popped_/adj bookkeeping) on the line together with the ack echo, which
-// must happen on the coordinating thread only.
+// Thread-count byte-equivalence for the closed-loop transport: DCTCP
+// windows + ECN marking + stall retransmission under a gray-failure blast
+// must produce byte-identical artifacts at 1, 4 and 7 engine threads.
+// This puts the queue-size reconstruction behind the capacity check and
+// the ECN mark (the merge phase's popped_ bookkeeping) on the line
+// together with the ack echo, which must happen on the coordinating
+// thread only. Each sizing mode runs: cap + ECN, ECN alone, cap alone.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -26,15 +26,18 @@ struct Artifacts {
   std::vector<std::string> trace_lines;
   std::uint64_t delivered = 0;
   std::uint64_t dropped = 0;
+  std::uint64_t tail_dropped = 0;
   std::uint64_t ecn_marked = 0;
   std::uint64_t acked = 0;
   std::uint64_t in_flight = 0;
 };
 
-// Incast waves through DCTCP on a SORN fabric, with bounded queues, a
-// tiny ECN threshold, stall retransmission, and a mid-run gray-failure
-// blast (lossy + throttled circuits) that heals before the drain.
-Artifacts run_gray_blast(int threads) {
+// Incast waves through DCTCP on a SORN fabric, with the given queue cap
+// and ECN threshold (0 disables either), stall retransmission, and a
+// mid-run gray-failure blast (lossy + throttled circuits) that heals
+// before the drain.
+Artifacts run_gray_blast(int threads, std::uint64_t max_queue_cells,
+                         std::uint64_t ecn_threshold_cells) {
   SornConfig cfg;
   cfg.nodes = 32;
   cfg.cliques = 8;
@@ -43,8 +46,8 @@ Artifacts run_gray_blast(int threads) {
   const SornNetwork net = SornNetwork::build(cfg);
   NetworkConfig net_cfg;
   net_cfg.propagation_per_hop = 0;
-  net_cfg.max_queue_cells = 24;
-  net_cfg.ecn_threshold_cells = 6;
+  net_cfg.max_queue_cells = max_queue_cells;
+  net_cfg.ecn_threshold_cells = ecn_threshold_cells;
   SlottedNetwork sim(&net.schedule(), &net.router(), net_cfg);
   sim.set_threads(threads);
 
@@ -85,19 +88,23 @@ Artifacts run_gray_blast(int threads) {
   out.trace_lines = sink.lines();
   out.delivered = sim.metrics().delivered_cells();
   out.dropped = sim.metrics().dropped_cells();
+  out.tail_dropped =
+      out.dropped - sim.metrics().gray_dropped_cells();
   out.ecn_marked = sim.metrics().ecn_marked_cells();
   out.acked = tstats.acked_cells;
   out.in_flight = sim.cells_in_flight();
   return out;
 }
 
-TEST(TransportEquivalenceTest, GrayBlastArtifactsAreByteIdentical) {
-  const Artifacts base = run_gray_blast(1);
-  ASSERT_GT(base.delivered, 0u);
-  ASSERT_GT(base.ecn_marked, 0u) << "the blast must actually mark cells";
-  ASSERT_GT(base.acked, 0u);
+// The 1-thread artifacts, after checking that 4 and 7 threads reproduce
+// them byte for byte.
+Artifacts expect_identical_across_threads(std::uint64_t max_queue_cells,
+                                          std::uint64_t ecn_threshold_cells) {
+  const Artifacts base = run_gray_blast(1, max_queue_cells,
+                                        ecn_threshold_cells);
   for (const int threads : {4, 7}) {
-    const Artifacts other = run_gray_blast(threads);
+    const Artifacts other =
+        run_gray_blast(threads, max_queue_cells, ecn_threshold_cells);
     EXPECT_EQ(base.metrics_json, other.metrics_json) << "threads=" << threads;
     EXPECT_EQ(base.trace_lines, other.trace_lines) << "threads=" << threads;
     EXPECT_EQ(base.delivered, other.delivered) << "threads=" << threads;
@@ -106,6 +113,28 @@ TEST(TransportEquivalenceTest, GrayBlastArtifactsAreByteIdentical) {
     EXPECT_EQ(base.acked, other.acked) << "threads=" << threads;
     EXPECT_EQ(base.in_flight, other.in_flight) << "threads=" << threads;
   }
+  return base;
+}
+
+TEST(TransportEquivalenceTest, GrayBlastArtifactsAreByteIdentical) {
+  const Artifacts base = expect_identical_across_threads(24, 6);
+  EXPECT_GT(base.delivered, 0u);
+  EXPECT_GT(base.ecn_marked, 0u) << "the blast must actually mark cells";
+  EXPECT_GT(base.acked, 0u);
+}
+
+TEST(TransportEquivalenceTest, EcnWithoutCapIsByteIdentical) {
+  const Artifacts base = expect_identical_across_threads(0, 6);
+  EXPECT_GT(base.ecn_marked, 0u) << "the blast must actually mark cells";
+  EXPECT_EQ(base.tail_dropped, 0u) << "unbounded queues never tail-drop";
+  EXPECT_GT(base.acked, 0u);
+}
+
+TEST(TransportEquivalenceTest, CapWithoutEcnIsByteIdentical) {
+  const Artifacts base = expect_identical_across_threads(4, 0);
+  EXPECT_EQ(base.ecn_marked, 0u);
+  EXPECT_GT(base.tail_dropped, 0u) << "the cap must actually drop cells";
+  EXPECT_GT(base.acked, 0u);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 //
 // The scenario deliberately exercises every VoqSet entry point: two
 // lanes (phase-shifted sweeps), bounded queues under overload
-// (try_push refusals + the parallel merge's size_of reconstruction),
+// (size_of capacity refusals, with the parallel merge's reconstruction),
 // multi-hop relaying (push after pop), and decimated telemetry
 // sampling (max_queue_depth).
 #include <gtest/gtest.h>

@@ -24,6 +24,8 @@ TEST(VoqTest, PushPeekPop) {
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(head->next_hop(), 1);
   voqs.pop(0, 1);
+  EXPECT_EQ(voqs.total_queued(), 1u) << "pops defer the total";
+  voqs.settle_total(1);
   EXPECT_EQ(voqs.total_queued(), 0u);
   EXPECT_EQ(voqs.peek(0, 1, 0), nullptr);
 }
@@ -79,8 +81,9 @@ TEST(VoqTest, MaxQueueDepthTracksPushPopDropSequence) {
   for (int i = 0; i < 6; ++i) voqs.push(make_cell(2, 3, 1, 0));
   EXPECT_EQ(voqs.max_queue_depth(), 6u);
 
-  // A refused push (tail-drop) must not move the gauge.
-  EXPECT_FALSE(voqs.try_push(make_cell(2, 3, 1, 0), /*cap=*/6));
+  // A refused push (tail-drop at a cap of 6: the network checks size_of
+  // and never pushes) must not move the gauge.
+  EXPECT_EQ(voqs.size_of(2, 3), 6u);
   EXPECT_EQ(voqs.max_queue_depth(), 6u);
 
   // Draining the deep queue hands the max back to the shallow one.
@@ -90,6 +93,7 @@ TEST(VoqTest, MaxQueueDepthTracksPushPopDropSequence) {
   // Draining everything returns the gauge to zero.
   for (int i = 0; i < 3; ++i) voqs.pop(0, 1);
   EXPECT_EQ(voqs.max_queue_depth(), 0u);
+  voqs.settle_total(9);
   EXPECT_EQ(voqs.total_queued(), 0u);
 }
 
@@ -124,15 +128,15 @@ TEST(VoqTest, OccupiedQueuesTracksLiveFanOut) {
 }
 
 TEST(VoqTest, ShardedPopsSettleIntoTotal) {
-  // The parallel engine's contract: pop_sharded leaves total_queued
-  // untouched (shards may not write shared state) and the coordinator
-  // settles the sum once per lane.
+  // The engine's contract: pop leaves total_queued untouched (shards may
+  // not write shared state) and the coordinator settles the sum once per
+  // lane, in the sequential sweep as in the sharded one.
   VoqSet voqs(4);
   voqs.push(make_cell(0, 1, 2, 0));
   voqs.push(make_cell(2, 3, 1, 0));
-  voqs.pop_sharded(0, 1);
-  voqs.pop_sharded(2, 3);
-  EXPECT_EQ(voqs.total_queued(), 2u) << "sharded pops defer the total";
+  voqs.pop(0, 1);
+  voqs.pop(2, 3);
+  EXPECT_EQ(voqs.total_queued(), 2u) << "pops defer the total";
   EXPECT_EQ(voqs.queued_at(0), 0u) << "per-node state settles immediately";
   EXPECT_EQ(voqs.queued_at(2), 0u);
   voqs.settle_total(2);
