@@ -1,10 +1,11 @@
 // Engine microbenchmarks (google-benchmark): schedule construction and
-// lookup, route selection, and simulator slot throughput.
+// lookup, route selection, VOQ push/pop, and simulator slot throughput.
 #include <benchmark/benchmark.h>
 
 #include "core/sorn.h"
 #include "routing/vlb.h"
 #include "sim/saturation.h"
+#include "sim/voq.h"
 #include "topo/schedule_builder.h"
 #include "traffic/patterns.h"
 
@@ -98,6 +99,32 @@ void BM_NetworkSlot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_NetworkSlot)->Arg(64)->Arg(128)->Arg(256);
+
+// One push/peek/pop cycle per iteration against a node holding `depth`
+// cells in each of `fanout` next-hop queues: fanout = one cell toward each
+// of 256 next hops (the saturated-node shape), deep = one 1024-cell queue.
+void BM_VoqPushPop(benchmark::State& state, NodeId fanout, int depth) {
+  VoqSet voqs(fanout + 1);
+  auto cell_to = [](NodeId hop) {
+    Cell c;
+    c.flow = 1;
+    c.path = Path::of({0, hop, 0});
+    return c;
+  };
+  for (NodeId hop = 1; hop <= fanout; ++hop)
+    for (int i = 0; i < depth; ++i) voqs.push(cell_to(hop));
+  NodeId hop = 1;
+  for (auto _ : state) {
+    voqs.push(cell_to(hop));
+    benchmark::DoNotOptimize(voqs.peek(0, hop, 0));
+    voqs.pop(0, hop);
+    voqs.settle_total(1);
+    hop = hop == fanout ? 1 : hop + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_VoqPushPop, fanout, 256, 1);
+BENCHMARK_CAPTURE(BM_VoqPushPop, deep, 1, 1024);
 
 }  // namespace
 

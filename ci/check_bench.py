@@ -126,10 +126,14 @@ def check_metric(name, current, baseline, bound_override):
 
 def compare(current_doc, baseline_doc, overrides):
     errors = []
+    base_metrics = baseline_doc.get("metrics", {})
+    cur_metrics = current_doc.get("metrics", {})
     # Config keys must agree: comparing against a baseline recorded at a
-    # different scale would pass or fail for the wrong reason.
+    # different scale would pass or fail for the wrong reason. A top-level
+    # key that is also a metric (bench_large_n's peak_rss_mb) is a
+    # measurement, gated below under its metric tolerance.
     for key, base_val in baseline_doc.items():
-        if key in ("metrics", "rows"):
+        if key in ("metrics", "rows") or key in base_metrics:
             continue
         if not isinstance(base_val, (str, int, float, bool)):
             continue
@@ -138,8 +142,6 @@ def compare(current_doc, baseline_doc, overrides):
         elif current_doc[key] != base_val:
             errors.append(f"config mismatch: {key} = "
                           f"{current_doc[key]!r}, baseline {base_val!r}")
-    base_metrics = baseline_doc.get("metrics", {})
-    cur_metrics = current_doc.get("metrics", {})
     if not base_metrics:
         errors.append("baseline has no \"metrics\" object")
     for name, base_val in sorted(base_metrics.items()):
@@ -375,6 +377,20 @@ def cmd_self_test():
         print("[SELF-TEST FAILURE] config mismatch must fail")
     else:
         print("[ok] config mismatch fails")
+
+    # bench_large_n also writes peak_rss_mb at the top level: it must be
+    # gated as the metric (ceiling), not matched exactly as config.
+    top_rss = json.loads(json.dumps(baseline))
+    top_rss["peak_rss_mb"] = 800.0
+    for rss, want in ((900.0, 0), (2000.0, 1)):
+        run = clone(peak_rss_mb=rss)
+        run["peak_rss_mb"] = rss
+        got = 1 if compare(run, top_rss, {}) else 0
+        status = "ok" if got == want else "SELF-TEST FAILURE"
+        if got != want:
+            failures += 1
+        print(f"[{status}] top-level peak_rss_mb {rss:g} vs baseline 800 "
+              f"{'fails' if want else 'passes'} under the metric ceiling")
 
     profile = {
         "schema": PROFILE_SCHEMA, "slots": 10,

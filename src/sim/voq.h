@@ -14,24 +14,27 @@
 // and max_queue_depth() scans only occupied queues (O(active)), so
 // telemetry sampling no longer pays an O(N^2) sweep per sample.
 //
-// Cell storage is arena-allocated (util/arena.h): each FIFO is a chain of
-// fixed-size chunks drawn from a per-node ChunkPool, so steady-state push/
-// pop traffic recycles chunks instead of hitting the heap, and a drained
-// burst's storage is reused by the next one.
+// Cells live in one slab per node: a vector of Cell slots plus a parallel
+// vector of next links. Each queue is a linked FIFO through those links
+// ({head, tail, size} in the index entry), and freed slots go on a LIFO
+// free list threaded through the same links, so a slot is reused before
+// the slab grows and steady-state push/pop traffic allocates nothing.
+// A queued cell costs its slot plus a 4-byte link, a queue adds only its
+// 16-byte index entry, and the slab keeps the node's high-water mark of
+// queued cells.
 //
 // Thread contract (sim/parallel.h): shards of the parallel sweep own
 // disjoint node ranges and only peek()/pop() their own nodes. All state a
-// pop touches — the node's queue index, its cell count, and its chunk
-// pool — is per-node, so sharded pops stay race-free; the one global,
-// total_, is deliberately NOT updated by pop() and is settled once per
-// lane by the coordinating thread (settle_total), in both sweeps.
+// pop touches — the node's queue index, its slab and free list, and its
+// cell count — is per-node, so sharded pops stay race-free; the one
+// global, total_, is deliberately NOT updated by pop() and is settled
+// once per lane by the coordinating thread (settle_total), in both sweeps.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/cell.h"
-#include "util/arena.h"
 #include "util/types.h"
 
 namespace sorn {
@@ -45,8 +48,8 @@ class VoqSet {
   void push(const Cell& cell);
 
   // Head cell queued at `node` for `next_hop` if transmittable at `now`,
-  // else nullptr. Does not pop. The pointer is valid until the next
-  // mutation of this (node, next_hop) queue.
+  // else nullptr. Does not pop. The pointer is valid until the next push
+  // to `node` (the slab may grow) or the next pop of this queue.
   const Cell* peek(NodeId node, NodeId next_hop, Slot now) const;
   // Remove the head cell. Per-node state only: total_queued() still
   // counts the cell until the caller settles its pops (settle_total), so
@@ -66,37 +69,35 @@ class VoqSet {
   // Number of occupied (node, next-hop) queues right now; O(nodes).
   std::uint64_t occupied_queues() const;
 
-  // Bytes of queue storage: the per-node index plus every pool chunk
-  // (live and recyclable — allocator truth). O(nodes + occupied); a
-  // profiler gauge (obs/prof), sampled, not a hot-path call.
+  // Bytes of queue storage: the per-node index, slab and link capacity
+  // (live and free-listed slots — allocator truth). O(nodes); a profiler
+  // gauge (obs/prof), sampled, not a hot-path call.
   std::uint64_t memory_bytes() const;
 
  private:
-  // Cells per pool chunk: sized so a chunk is a few cache lines (~600 B
-  // at Cell's inline-path size) — shallow queues stay one-chunk, deep
-  // bursts chain without large-block allocation.
-  static constexpr std::size_t kChunkCells = 8;
-  using CellFifo = PooledFifo<Cell, kChunkCells>;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  // One occupied queue of a node. The index stays sorted by next_hop and
-  // holds only non-empty FIFOs (entries are erased when drained), so a
-  // node's memory tracks its live fan-out, not the full N next hops.
+  // One occupied queue of a node: a FIFO linked through the node's slab.
+  // The index stays sorted by next_hop and holds only non-empty queues
+  // (entries are erased when drained), so a node's memory tracks its live
+  // fan-out, not the full N next hops.
   struct Voq {
     NodeId next_hop = 0;
-    CellFifo fifo;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t size = 0;
   };
   struct NodeQueues {
-    std::vector<Voq> occupied;  // sorted by next_hop; every fifo non-empty
-    std::uint64_t count = 0;    // cells queued at this node
-    // Chunk storage for every FIFO of this node. Per-node so the shard
-    // contract above covers allocator state too.
-    ChunkPool<Cell, kChunkCells> pool;
+    std::vector<Voq> occupied;       // sorted by next_hop; every size > 0
+    std::vector<Cell> slab;          // cell slots, live and free
+    std::vector<std::uint32_t> next; // per slot: next in its FIFO or free list
+    std::uint32_t free = kNil;       // head of the LIFO free list
+    std::uint64_t count = 0;         // cells queued at this node
   };
 
   // Sorted-index lookup; nullptr when (node, next_hop) is unoccupied.
-  const CellFifo* find(NodeId node, NodeId next_hop) const;
+  const Voq* find(NodeId node, NodeId next_hop) const;
 
-  NodeId n_;
   std::vector<NodeQueues> nodes_;
   std::uint64_t total_ = 0;
 };

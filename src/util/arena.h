@@ -1,172 +1,29 @@
-// Slab/arena allocators for per-slot churn (DESIGN.md §11).
+// Slot arena for per-flow churn (DESIGN.md §11).
 //
 // The simulator's steady state allocates and frees the same small objects
-// millions of times per run: queued cells enter and leave VOQ FIFOs every
-// slot, and flow records live for one flow's duration. General-purpose
-// heap allocation pays malloc metadata, lock traffic, and fragmentation
-// for every one of them. These allocators recycle storage instead:
+// millions of times per run; flow records live for one flow's duration.
+// General-purpose heap allocation pays malloc metadata, lock traffic, and
+// fragmentation for every one of them. SlotArena<T> recycles storage
+// instead: a stable-index arena with a free list. allocate() returns a
+// reusable slot index whose T object is *recycled, not reconstructed* — a
+// released FlowRecord keeps its delivered-bitmap capacity, so the next
+// flow's bitmap assign() is heap-free once the arena is warm. Indices stay
+// valid until release(); references are stable across allocate() (deque
+// storage).
 //
-//  - ChunkPool<T, kChunk>: a pool of fixed-size chunks (arrays of kChunk
-//    T slots). Freed chunks go on an intrusive free list and are reused;
-//    storage is only returned to the OS when the pool is destroyed, so
-//    steady-state operation performs no heap traffic at all.
-//  - PooledFifo<T, kChunk>: a FIFO queue backed by a chain of pool
-//    chunks. Drop-in for the std::deque<Cell> per-VOQ storage; chunks
-//    return to the pool as the head drains, so a burst's storage is
-//    recycled by the next burst. The FIFO does not own chunk storage —
-//    destroying a non-empty FIFO leaks nothing because the pool owns and
-//    frees every chunk it ever allocated.
-//  - SlotArena<T>: a stable-index arena with a free list. allocate()
-//    returns a reusable slot index whose T object is *recycled, not
-//    reconstructed* — a released FlowRecord keeps its delivered-bitmap
-//    capacity, so the next flow's bitmap assign() is heap-free once the
-//    arena is warm. Indices stay valid until release(); references are
-//    stable across allocate() (deque storage).
+// Queued cells do not use this arena: VoqSet (sim/voq.h) keeps one cell
+// slab per node so the parallel sweep's shards never share allocator
+// state, and its slots may move when the slab grows.
 //
-// Thread contract: none of these are thread-safe. VoqSet keeps one
-// ChunkPool per node so the parallel sweep's shard ownership (disjoint
-// node ranges, sim/parallel.h) extends to the allocator: a node's pool is
-// only touched by the shard that owns the node (pops during the sweep)
-// or by the coordinating thread (pushes during the merge), never both at
-// once.
+// Thread contract: not thread-safe.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "util/assert.h"
-
 namespace sorn {
-
-template <typename T, std::size_t kChunk>
-class ChunkPool {
- public:
-  struct Chunk {
-    T items[kChunk];
-    Chunk* next = nullptr;
-  };
-
-  ChunkPool() = default;
-  ChunkPool(ChunkPool&&) noexcept = default;
-  ChunkPool& operator=(ChunkPool&&) noexcept = default;
-
-  Chunk* acquire() {
-    if (free_ != nullptr) {
-      Chunk* c = free_;
-      free_ = c->next;
-      c->next = nullptr;
-      return c;
-    }
-    owned_.push_back(std::make_unique<Chunk>());
-    return owned_.back().get();
-  }
-
-  void release(Chunk* c) {
-    c->next = free_;
-    free_ = c;
-  }
-
-  // Chunks ever allocated (live + free-listed); the pool's footprint.
-  std::uint64_t chunks_allocated() const { return owned_.size(); }
-  std::uint64_t free_chunks() const {
-    std::uint64_t n = 0;
-    for (const Chunk* c = free_; c != nullptr; c = c->next) ++n;
-    return n;
-  }
-  std::uint64_t memory_bytes() const {
-    return owned_.size() * sizeof(Chunk) +
-           owned_.capacity() * sizeof(std::unique_ptr<Chunk>);
-  }
-
- private:
-  std::vector<std::unique_ptr<Chunk>> owned_;
-  Chunk* free_ = nullptr;
-};
-
-template <typename T, std::size_t kChunk>
-class PooledFifo {
- public:
-  using Pool = ChunkPool<T, kChunk>;
-  using Chunk = typename Pool::Chunk;
-
-  PooledFifo() = default;
-  PooledFifo(PooledFifo&& o) noexcept
-      : head_(std::exchange(o.head_, nullptr)),
-        tail_(std::exchange(o.tail_, nullptr)),
-        head_idx_(std::exchange(o.head_idx_, 0)),
-        tail_idx_(std::exchange(o.tail_idx_, 0)),
-        size_(std::exchange(o.size_, 0)) {}
-  PooledFifo& operator=(PooledFifo&& o) noexcept {
-    head_ = std::exchange(o.head_, nullptr);
-    tail_ = std::exchange(o.tail_, nullptr);
-    head_idx_ = std::exchange(o.head_idx_, 0);
-    tail_idx_ = std::exchange(o.tail_idx_, 0);
-    size_ = std::exchange(o.size_, 0);
-    return *this;
-  }
-  // No destructor work: chunk storage belongs to the pool.
-
-  void push_back(Pool& pool, const T& v) {
-    if (tail_ == nullptr) {
-      head_ = tail_ = pool.acquire();
-      head_idx_ = tail_idx_ = 0;
-    } else if (tail_idx_ == kChunk) {
-      Chunk* c = pool.acquire();
-      tail_->next = c;
-      tail_ = c;
-      tail_idx_ = 0;
-    }
-    tail_->items[tail_idx_++] = v;
-    ++size_;
-  }
-
-  const T& front() const { return head_->items[head_idx_]; }
-  T& front() { return head_->items[head_idx_]; }
-
-  void pop_front(Pool& pool) {
-    SORN_ASSERT(size_ > 0, "pop from empty PooledFifo");
-    ++head_idx_;
-    --size_;
-    if (size_ == 0) {
-      // Fully drained: all earlier chunks were already released, so the
-      // head chunk is the tail chunk.
-      pool.release(head_);
-      head_ = tail_ = nullptr;
-      head_idx_ = tail_idx_ = 0;
-    } else if (head_idx_ == kChunk) {
-      Chunk* c = head_;
-      head_ = head_->next;
-      head_idx_ = 0;
-      pool.release(c);
-    }
-  }
-
-  // Return every chunk to the pool and empty the FIFO.
-  void clear(Pool& pool) {
-    for (Chunk* c = head_; c != nullptr;) {
-      Chunk* next = c->next;
-      pool.release(c);
-      c = next;
-    }
-    head_ = tail_ = nullptr;
-    head_idx_ = tail_idx_ = 0;
-    size_ = 0;
-  }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
- private:
-  Chunk* head_ = nullptr;
-  Chunk* tail_ = nullptr;
-  std::size_t head_idx_ = 0;
-  std::size_t tail_idx_ = 0;
-  std::size_t size_ = 0;
-};
 
 template <typename T>
 class SlotArena {

@@ -1,13 +1,9 @@
-// Adversarial PooledFifo/ChunkPool interleaves (satellite of the
-// transport PR): push/pop sequences engineered to land exactly on chunk
-// boundaries, drain-to-empty mid-chunk, interleave many FIFOs over one
-// shared pool, and recycle chunks across FIFOs — the access patterns the
-// VOQ merge phase produces when windowed transports trickle cells in
-// while shards drain them.
+// Adversarial SlotArena churn: a seeded allocate/release interleave, the
+// access pattern flow records see as flows open and complete. (The VOQ's
+// cell storage has its own adversarial cases in voq_test.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "util/arena.h"
@@ -15,119 +11,6 @@
 
 namespace sorn {
 namespace {
-
-// Tiny chunks make boundary crossings constant, not rare.
-constexpr std::size_t kChunk = 4;
-using Pool = ChunkPool<std::uint64_t, kChunk>;
-using Fifo = PooledFifo<std::uint64_t, kChunk>;
-
-TEST(ArenaAdversarialTest, BoundaryExactPushPopCycles) {
-  Pool pool;
-  Fifo fifo;
-  // Repeatedly fill exactly one chunk, then drain exactly one chunk: the
-  // FIFO walks the boundary on both ends every cycle.
-  std::uint64_t next_push = 0, next_pop = 0;
-  for (int cycle = 0; cycle < 100; ++cycle) {
-    for (std::size_t i = 0; i < kChunk; ++i)
-      fifo.push_back(pool, next_push++);
-    for (std::size_t i = 0; i < kChunk; ++i) {
-      ASSERT_EQ(fifo.front(), next_pop++);
-      fifo.pop_front(pool);
-    }
-    ASSERT_TRUE(fifo.empty());
-  }
-  // Boundary-exact cycles touch at most two chunks at a time; the pool
-  // must recycle instead of growing per cycle.
-  EXPECT_LE(pool.chunks_allocated(), 2u);
-}
-
-TEST(ArenaAdversarialTest, DrainToEmptyMidChunkReleasesTheLastChunk) {
-  Pool pool;
-  Fifo fifo;
-  // Leave the head mid-chunk when the FIFO empties: the release path must
-  // hand the (single, head == tail) chunk back exactly once.
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + static_cast<std::size_t>(round) % (2 * kChunk);
-    for (std::size_t i = 0; i < n; ++i)
-      fifo.push_back(pool, static_cast<std::uint64_t>(i));
-    for (std::size_t i = 0; i < n; ++i) fifo.pop_front(pool);
-    ASSERT_TRUE(fifo.empty());
-    ASSERT_EQ(pool.free_chunks(), pool.chunks_allocated())
-        << "an empty FIFO must hold no chunks (round " << round << ")";
-  }
-}
-
-TEST(ArenaAdversarialTest, ManyFifosInterleavedOverOneSharedPool) {
-  // The VoqSet shape: many queues, one pool, pushes and pops interleaved
-  // across queues in a seeded adversarial order, checked against
-  // std::deque references at every step.
-  Pool pool;
-  constexpr int kFifos = 17;
-  std::vector<Fifo> fifos(kFifos);
-  std::vector<std::deque<std::uint64_t>> model(kFifos);
-  Rng rng(1234);
-  std::uint64_t stamp = 0;
-  for (int step = 0; step < 20000; ++step) {
-    const int q = static_cast<int>(rng.next_below(kFifos));
-    const bool push = model[q].empty() || rng.next_below(100) < 55;
-    if (push) {
-      fifos[q].push_back(pool, stamp);
-      model[q].push_back(stamp);
-      ++stamp;
-    } else {
-      ASSERT_EQ(fifos[q].front(), model[q].front()) << "step " << step;
-      fifos[q].pop_front(pool);
-      model[q].pop_front();
-    }
-    ASSERT_EQ(fifos[q].size(), model[q].size());
-  }
-  // Drain everything; order must survive the churn.
-  for (int q = 0; q < kFifos; ++q) {
-    while (!model[q].empty()) {
-      ASSERT_EQ(fifos[q].front(), model[q].front());
-      fifos[q].pop_front(pool);
-      model[q].pop_front();
-    }
-    EXPECT_TRUE(fifos[q].empty());
-  }
-  EXPECT_EQ(pool.free_chunks(), pool.chunks_allocated())
-      << "every chunk returns to the pool once all FIFOs drain";
-}
-
-TEST(ArenaAdversarialTest, ChunksRecycleAcrossFifos) {
-  Pool pool;
-  // FIFO a grows a long chain, drains, and FIFO b must reuse a's chunks
-  // rather than allocating new ones.
-  {
-    Fifo a;
-    for (std::uint64_t i = 0; i < 10 * kChunk; ++i) a.push_back(pool, i);
-    while (!a.empty()) a.pop_front(pool);
-  }
-  const std::uint64_t after_a = pool.chunks_allocated();
-  {
-    Fifo b;
-    for (std::uint64_t i = 0; i < 10 * kChunk; ++i) b.push_back(pool, i);
-    EXPECT_EQ(pool.chunks_allocated(), after_a)
-        << "b's chain must come from the free list";
-    b.clear(pool);
-  }
-  EXPECT_EQ(pool.free_chunks(), after_a);
-}
-
-TEST(ArenaAdversarialTest, ClearReleasesWholeChainAndFifoIsReusable) {
-  Pool pool;
-  Fifo fifo;
-  for (std::uint64_t i = 0; i < 7 * kChunk + 3; ++i) fifo.push_back(pool, i);
-  fifo.clear(pool);
-  EXPECT_TRUE(fifo.empty());
-  EXPECT_EQ(pool.free_chunks(), pool.chunks_allocated());
-  // The cleared FIFO starts over cleanly.
-  for (std::uint64_t i = 0; i < 2 * kChunk; ++i) fifo.push_back(pool, 100 + i);
-  for (std::uint64_t i = 0; i < 2 * kChunk; ++i) {
-    ASSERT_EQ(fifo.front(), 100 + i);
-    fifo.pop_front(pool);
-  }
-}
 
 TEST(ArenaAdversarialTest, SlotArenaRecyclesIndicesUnderChurn) {
   // FlowRecord-style churn: allocate/release in a seeded order; released

@@ -1,5 +1,5 @@
-// Arena allocators (util/arena.h): chunk reuse, FIFO semantics across
-// chunk boundaries, and slot recycling that keeps grown capacity.
+// SlotArena (util/arena.h): slot recycling that keeps grown capacity and
+// references that survive growth.
 #include "util/arena.h"
 
 #include <gtest/gtest.h>
@@ -9,102 +9,6 @@
 
 namespace sorn {
 namespace {
-
-TEST(ChunkPoolTest, ReleasedChunksAreReused) {
-  ChunkPool<int, 4> pool;
-  auto* a = pool.acquire();
-  auto* b = pool.acquire();
-  EXPECT_EQ(pool.chunks_allocated(), 2u);
-  pool.release(a);
-  pool.release(b);
-  EXPECT_EQ(pool.free_chunks(), 2u);
-  // LIFO free list: the most recently released chunk comes back first,
-  // and no new storage is allocated.
-  EXPECT_EQ(pool.acquire(), b);
-  EXPECT_EQ(pool.acquire(), a);
-  EXPECT_EQ(pool.chunks_allocated(), 2u);
-  EXPECT_EQ(pool.free_chunks(), 0u);
-}
-
-TEST(PooledFifoTest, FifoOrderAcrossChunkBoundaries) {
-  ChunkPool<int, 4> pool;
-  PooledFifo<int, 4> fifo;
-  for (int i = 0; i < 11; ++i) fifo.push_back(pool, i);
-  EXPECT_EQ(fifo.size(), 11u);
-  EXPECT_EQ(pool.chunks_allocated(), 3u);
-  for (int i = 0; i < 11; ++i) {
-    ASSERT_FALSE(fifo.empty());
-    EXPECT_EQ(fifo.front(), i);
-    fifo.pop_front(pool);
-  }
-  EXPECT_TRUE(fifo.empty());
-  // Every chunk went back to the pool as the head drained.
-  EXPECT_EQ(pool.free_chunks(), 3u);
-}
-
-TEST(PooledFifoTest, SteadyStateChurnAllocatesNothingNew) {
-  ChunkPool<int, 4> pool;
-  PooledFifo<int, 4> fifo;
-  for (int i = 0; i < 8; ++i) fifo.push_back(pool, i);
-  // Warm up: the rolling chain needs one chunk beyond the initial fill
-  // (a partially-drained head plus a partially-filled tail).
-  for (int round = 0; round < 8; ++round) {
-    fifo.push_back(pool, round);
-    fifo.pop_front(pool);
-  }
-  const std::uint64_t warm = pool.chunks_allocated();
-  // Bounded-depth churn: every push is matched by a pop, so the chunk
-  // chain rolls forward through recycled chunks only.
-  for (int round = 0; round < 1000; ++round) {
-    fifo.push_back(pool, round);
-    fifo.pop_front(pool);
-  }
-  EXPECT_EQ(pool.chunks_allocated(), warm)
-      << "steady-state churn must not grow the pool";
-  EXPECT_EQ(fifo.size(), 8u);
-}
-
-TEST(PooledFifoTest, InterleavedQueuesShareOnePool) {
-  ChunkPool<int, 4> pool;
-  PooledFifo<int, 4> a;
-  PooledFifo<int, 4> b;
-  for (int i = 0; i < 6; ++i) {
-    a.push_back(pool, i);
-    b.push_back(pool, 100 + i);
-  }
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(a.front(), i);
-    EXPECT_EQ(b.front(), 100 + i);
-    a.pop_front(pool);
-    b.pop_front(pool);
-  }
-  EXPECT_TRUE(a.empty());
-  EXPECT_TRUE(b.empty());
-  EXPECT_EQ(pool.free_chunks(), pool.chunks_allocated());
-}
-
-TEST(PooledFifoTest, ClearReturnsEveryChunk) {
-  ChunkPool<int, 4> pool;
-  PooledFifo<int, 4> fifo;
-  for (int i = 0; i < 10; ++i) fifo.push_back(pool, i);
-  fifo.clear(pool);
-  EXPECT_TRUE(fifo.empty());
-  EXPECT_EQ(pool.free_chunks(), pool.chunks_allocated());
-  // The cleared FIFO is reusable.
-  fifo.push_back(pool, 42);
-  EXPECT_EQ(fifo.front(), 42);
-}
-
-TEST(PooledFifoTest, MoveTransfersOwnership) {
-  ChunkPool<int, 4> pool;
-  PooledFifo<int, 4> fifo;
-  for (int i = 0; i < 5; ++i) fifo.push_back(pool, i);
-  PooledFifo<int, 4> moved = std::move(fifo);
-  EXPECT_TRUE(fifo.empty());  // NOLINT(bugprone-use-after-move): pinned
-  EXPECT_EQ(moved.size(), 5u);
-  EXPECT_EQ(moved.front(), 0);
-  moved.clear(pool);
-}
 
 TEST(SlotArenaTest, ReleasedSlotsAreRecycled) {
   SlotArena<int> arena;
