@@ -1,17 +1,31 @@
 // Engine microbenchmarks (google-benchmark): schedule construction and
-// lookup, route selection, VOQ push/pop, and simulator slot throughput.
+// lookup, the optimizer's replan, route selection, VOQ push/pop, and
+// simulator slot throughput.
 #include <benchmark/benchmark.h>
 
+#include "control/optimizer.h"
 #include "core/sorn.h"
 #include "routing/vlb.h"
 #include "sim/saturation.h"
 #include "sim/voq.h"
 #include "topo/schedule_builder.h"
 #include "traffic/patterns.h"
+#include "traffic/sparse_demand.h"
 
 namespace {
 
 using namespace sorn;
+
+// n nodes in nc equal cliques with the members scattered across the id
+// space, as a clusterer returns them.
+CliqueAssignment shuffled_cliques(NodeId n, CliqueId nc) {
+  std::vector<CliqueId> of(static_cast<std::size_t>(n));
+  for (NodeId i = 0; i < n; ++i)
+    of[static_cast<std::size_t>(i)] = i / (n / nc);
+  Rng rng(7);
+  rng.shuffle(of);
+  return CliqueAssignment(std::move(of));
+}
 
 void BM_BuildRoundRobin(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
@@ -22,15 +36,50 @@ void BM_BuildRoundRobin(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildRoundRobin)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_BuildSornSchedule(benchmark::State& state) {
+// Args: nodes, cliques. The contiguous block layout builds O(1) shift
+// matchings; a clustered (shuffled) assignment is the replan path, which
+// builds explicit ones.
+void BM_BuildSornSchedule(benchmark::State& state, bool clustered) {
   const auto n = static_cast<NodeId>(state.range(0));
-  const auto cliques = CliqueAssignment::contiguous(n, 8);
+  const auto nc = static_cast<CliqueId>(state.range(1));
+  const CliqueAssignment cliques = clustered
+                                       ? shuffled_cliques(n, nc)
+                                       : CliqueAssignment::contiguous(n, nc);
   for (auto _ : state) {
     CircuitSchedule s = ScheduleBuilder::sorn(cliques, Rational{9, 2});
     benchmark::DoNotOptimize(s.period());
   }
 }
-BENCHMARK(BM_BuildSornSchedule)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(BM_BuildSornSchedule, contiguous, false)
+    ->Args({64, 8})
+    ->Args({128, 8})
+    ->Args({256, 8});
+BENCHMARK_CAPTURE(BM_BuildSornSchedule, clustered, true)
+    ->Args({96, 8})
+    ->Args({384, 16})
+    ->Unit(benchmark::kMillisecond);
+
+// One SornOptimizer::plan (cluster at every candidate Nc, pick the best)
+// on a noisy estimate: locality 0.6 over 16 scattered cliques, each
+// nonzero scaled by a seeded factor in [0.5, 1.5], normalized to unit
+// peak node load like the estimator's output.
+void BM_SornPlan(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  const TrafficMatrix base =
+      patterns::locality_mix(shuffled_cliques(n, 16), 0.6);
+  Rng rng(11);
+  SparseDemand::Builder builder(n);
+  base.for_each_nonzero([&](NodeId i, NodeId j, double d) {
+    builder.set(i, j, d * (1.0 + 0.5 * (2.0 * rng.next_double() - 1.0)));
+  });
+  const auto estimate = builder.build(true);
+  const SornOptimizer optimizer;
+  for (auto _ : state) {
+    SornPlan plan = optimizer.plan(*estimate);
+    benchmark::DoNotOptimize(plan.locality_x);
+  }
+}
+BENCHMARK(BM_SornPlan)->Arg(384)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_ScheduleLookup(benchmark::State& state) {
   const CircuitSchedule s = ScheduleBuilder::round_robin(1024);

@@ -1,6 +1,7 @@
 #include "control/clustering.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "util/assert.h"
@@ -51,37 +52,47 @@ CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
 
   // Greedy growth: seed each clique with the heaviest unassigned node,
   // then repeatedly add the unassigned node with the highest affinity to
-  // the clique's current members.
+  // the clique's current members. A node's row weight never changes, so
+  // it is summed once; its gain toward the growing clique is extended by
+  // one term as each member joins, which is the same sum over members in
+  // join order that re-summing it from scratch would compute.
+  std::vector<double> row_weight(static_cast<std::size_t>(n), 0.0);
+  for (NodeId i = 0; i < n; ++i) {
+    double w = 0.0;
+    for (NodeId j = 0; j < n; ++j) w += aff_at(i, j);
+    row_weight[static_cast<std::size_t>(i)] = w;
+  }
+  std::vector<double> gain(static_cast<std::size_t>(n), 0.0);
+  auto join = [&](NodeId node, CliqueId c) {
+    taken[static_cast<std::size_t>(node)] = true;
+    assign[static_cast<std::size_t>(node)] = c;
+    for (NodeId i = 0; i < n; ++i)
+      if (!taken[static_cast<std::size_t>(i)])
+        gain[static_cast<std::size_t>(i)] += aff_at(i, node);
+  };
   for (CliqueId c = 0; c < nc; ++c) {
     NodeId seed = kNoNode;
     double best_weight = -1.0;
     for (NodeId i = 0; i < n; ++i) {
       if (taken[static_cast<std::size_t>(i)]) continue;
-      double w = 0.0;
-      for (NodeId j = 0; j < n; ++j) w += aff_at(i, j);
-      if (w > best_weight) {
-        best_weight = w;
+      if (row_weight[static_cast<std::size_t>(i)] > best_weight) {
+        best_weight = row_weight[static_cast<std::size_t>(i)];
         seed = i;
       }
     }
-    std::vector<NodeId> members{seed};
-    taken[static_cast<std::size_t>(seed)] = true;
-    assign[static_cast<std::size_t>(seed)] = c;
-    while (static_cast<NodeId>(members.size()) < size) {
+    std::fill(gain.begin(), gain.end(), 0.0);
+    join(seed, c);
+    for (NodeId joined = 1; joined < size; ++joined) {
       NodeId best = kNoNode;
       double best_gain = -1.0;
       for (NodeId i = 0; i < n; ++i) {
         if (taken[static_cast<std::size_t>(i)]) continue;
-        double gain = 0.0;
-        for (const NodeId m : members) gain += aff_at(i, m);
-        if (gain > best_gain) {
-          best_gain = gain;
+        if (gain[static_cast<std::size_t>(i)] > best_gain) {
+          best_gain = gain[static_cast<std::size_t>(i)];
           best = i;
         }
       }
-      members.push_back(best);
-      taken[static_cast<std::size_t>(best)] = true;
-      assign[static_cast<std::size_t>(best)] = c;
+      join(best, c);
     }
   }
 
@@ -93,11 +104,27 @@ CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
   for (NodeId i = 0; i < n; ++i)
     members[static_cast<std::size_t>(assign[static_cast<std::size_t>(i)])]
         .push_back(i);
+  // clique_affinity(i, c) depends only on i and clique c's member list, so
+  // it is cached per (i, c) and re-summed only after a swap has rewritten
+  // that list (bumping the clique's version). A re-sum walks the list in
+  // the same order as before, so every cached value is bit-identical to a
+  // fresh one.
+  const auto cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(nc);
+  std::vector<double> cached(cells, 0.0);
+  std::vector<std::uint32_t> cached_version(cells, 0);
+  std::vector<std::uint32_t> version(static_cast<std::size_t>(nc), 1);
   auto clique_affinity = [&](NodeId i, CliqueId c) {
-    double w = 0.0;
-    for (const NodeId m : members[static_cast<std::size_t>(c)])
-      if (m != i) w += aff_at(i, m);
-    return w;
+    const std::size_t cell =
+        static_cast<std::size_t>(i) * static_cast<std::size_t>(nc) +
+        static_cast<std::size_t>(c);
+    if (cached_version[cell] != version[static_cast<std::size_t>(c)]) {
+      double w = 0.0;
+      for (const NodeId m : members[static_cast<std::size_t>(c)])
+        if (m != i) w += aff_at(i, m);
+      cached[cell] = w;
+      cached_version[cell] = version[static_cast<std::size_t>(c)];
+    }
+    return cached[cell];
   };
   for (int pass = 0; pass < options_.refine_passes; ++pass) {
     bool improved = false;
@@ -114,6 +141,8 @@ CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
           auto& mj = members[static_cast<std::size_t>(cj)];
           *std::find(mi.begin(), mi.end(), i) = j;
           *std::find(mj.begin(), mj.end(), j) = i;
+          ++version[static_cast<std::size_t>(ci)];
+          ++version[static_cast<std::size_t>(cj)];
           std::swap(assign[static_cast<std::size_t>(i)],
                     assign[static_cast<std::size_t>(j)]);
           improved = true;

@@ -10,6 +10,15 @@ ControlPlane::ControlPlane(NodeId nodes, Options options)
       optimizer_(options.optimizer),
       reconfig_(options.reconfig) {}
 
+void ControlPlane::set_profiler(Profiler* profiler) {
+  profiler_ = profiler;
+  if (profiler == nullptr) return;
+  profiler->memory().register_provider("control_state", [this] {
+    return static_cast<std::uint64_t>(estimator_.memory_bytes()) +
+           reconfig_.standby_memory_bytes();
+  });
+}
+
 bool ControlPlane::on_epoch(const DemandModel& observed, Slot now) {
   ScopedPhase scope(profiler_ != nullptr ? &profiler_->phases() : nullptr,
                     ProfPhase::kControlTick);

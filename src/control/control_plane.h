@@ -86,8 +86,11 @@ class ControlPlane {
   }
 
   // Borrowed profiler: tick() and on_epoch() time themselves under the
-  // control_tick phase. nullptr detaches (one null check per tick).
-  void set_profiler(Profiler* profiler) { profiler_ = profiler; }
+  // control_tick phase, and the control_state gauge counts the estimator's
+  // matrices plus the reconfiguration manager's previous and pending
+  // generations. nullptr detaches (one null check per tick); as with the
+  // network's gauges, the profiler must not be sampled after this dies.
+  void set_profiler(Profiler* profiler);
 
  private:
   Options options_;

@@ -14,6 +14,11 @@ void ReconfigManager::set_failure_view(const FailureView* view) {
     pending_->router->set_failure_view(view);
 }
 
+std::uint64_t ReconfigManager::standby_memory_bytes() const {
+  return previous_.memory_bytes() +
+         (pending_ != nullptr ? pending_->memory_bytes() : 0);
+}
+
 void ReconfigManager::request_swap(SornPlan plan, Slot now) {
   auto gen = std::make_unique<Generation>();
   gen->cliques = std::make_unique<CliqueAssignment>(std::move(plan.cliques));

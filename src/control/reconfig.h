@@ -76,11 +76,21 @@ class ReconfigManager {
   const Router* router() const { return current_.router.get(); }
   const CliqueAssignment* cliques() const { return current_.cliques.get(); }
 
+  // Heap bytes of the previous and pending generations' schedules and
+  // clique assignments (profiler gauge). The current generation's
+  // schedule is the one the network runs, gauged as schedule_matchings.
+  std::uint64_t standby_memory_bytes() const;
+
  private:
   struct Generation {
     std::unique_ptr<CliqueAssignment> cliques;
     std::unique_ptr<CircuitSchedule> schedule;
     std::unique_ptr<Router> router;
+
+    std::uint64_t memory_bytes() const {
+      return (cliques != nullptr ? cliques->memory_bytes() : 0) +
+             (schedule != nullptr ? schedule->memory_bytes() : 0);
+    }
   };
 
   Options options_;

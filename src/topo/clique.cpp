@@ -34,6 +34,14 @@ CliqueAssignment::CliqueAssignment(std::vector<CliqueId> clique_of)
   }
 }
 
+std::uint64_t CliqueAssignment::memory_bytes() const {
+  std::uint64_t bytes = (clique_of_.capacity() + index_in_clique_.capacity()) *
+                            sizeof(NodeId) +
+                        members_.capacity() * sizeof(std::vector<NodeId>);
+  for (const auto& m : members_) bytes += m.capacity() * sizeof(NodeId);
+  return bytes;
+}
+
 CliqueAssignment CliqueAssignment::contiguous(NodeId n, CliqueId nc) {
   SORN_ASSERT(nc > 0 && n > 0, "need positive node and clique counts");
   SORN_ASSERT(n % nc == 0, "contiguous() requires n divisible by nc");

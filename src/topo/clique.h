@@ -5,6 +5,7 @@
 // and predicts aggregate demand.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "util/types.h"
@@ -84,6 +85,9 @@ class CliqueAssignment {
   bool operator==(const CliqueAssignment& other) const {
     return clique_of_ == other.clique_of_;
   }
+
+  // Estimated heap bytes of the node and member maps (profiler gauge).
+  std::uint64_t memory_bytes() const;
 
  private:
   std::vector<CliqueId> clique_of_;

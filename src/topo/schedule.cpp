@@ -1,13 +1,21 @@
 #include "topo/schedule.h"
 
+#include <limits>
+#include <numeric>
+
 #include "util/assert.h"
 
 namespace sorn {
 
 CircuitSchedule::CircuitSchedule(std::vector<Matching> matchings,
-                                 std::vector<SlotKind> kinds)
-    : matchings_(std::move(matchings)), kinds_(std::move(kinds)) {
+                                 std::vector<SlotKind> kinds,
+                                 std::vector<std::uint32_t> order)
+    : matchings_(std::move(matchings)),
+      kinds_(std::move(kinds)),
+      order_(std::move(order)) {
   SORN_ASSERT(!matchings_.empty(), "schedule must have at least one slot");
+  SORN_ASSERT(matchings_.size() <= std::numeric_limits<std::uint32_t>::max(),
+              "too many distinct matchings for a uint32 slot order");
   n_ = matchings_.front().size();
   for (const auto& m : matchings_)
     SORN_ASSERT(m.size() == n_, "all slots must cover the same node count");
@@ -16,6 +24,18 @@ CircuitSchedule::CircuitSchedule(std::vector<Matching> matchings,
   }
   SORN_ASSERT(kinds_.size() == matchings_.size(),
               "one slot kind per matching required");
+  if (order_.empty()) {
+    order_.resize(matchings_.size());
+    std::iota(order_.begin(), order_.end(), std::uint32_t{0});
+    return;
+  }
+  std::vector<bool> used(matchings_.size(), false);
+  for (const std::uint32_t i : order_) {
+    SORN_ASSERT(i < matchings_.size(), "slot order entry out of range");
+    used[i] = true;
+  }
+  for (const bool u : used)
+    SORN_ASSERT(u, "every distinct matching must appear in the slot order");
 }
 
 Slot CircuitSchedule::next_slot_connecting(NodeId src, NodeId dst,
@@ -38,14 +58,15 @@ double CircuitSchedule::edge_fraction(NodeId src, NodeId dst) const {
 
 double CircuitSchedule::kind_fraction(SlotKind k) const {
   Slot hits = 0;
-  for (const SlotKind kind : kinds_)
-    if (kind == k) ++hits;
+  for (const std::uint32_t i : order_)
+    if (kinds_[i] == k) ++hits;
   return static_cast<double>(hits) / static_cast<double>(period());
 }
 
 std::uint64_t CircuitSchedule::memory_bytes() const {
   std::uint64_t bytes = matchings_.capacity() * sizeof(Matching) +
-                        kinds_.capacity() * sizeof(SlotKind);
+                        kinds_.capacity() * sizeof(SlotKind) +
+                        order_.capacity() * sizeof(std::uint32_t);
   for (const Matching& m : matchings_) bytes += m.memory_bytes();
   return bytes;
 }
@@ -61,14 +82,16 @@ bool CircuitSchedule::kinds_consistent(
     const std::vector<CliqueId>& clique_of) const {
   SORN_ASSERT(clique_of.size() == static_cast<std::size_t>(n_),
               "clique map size mismatch");
-  for (Slot t = 0; t < period(); ++t) {
-    const Matching& m = matching_at(t);
+  // Every distinct matching appears in the order, so checking each once
+  // checks every slot.
+  for (std::size_t k = 0; k < matchings_.size(); ++k) {
+    const Matching& m = matchings_[k];
     for (NodeId i = 0; i < n_; ++i) {
       if (m.is_idle(i)) continue;
       const bool same = clique_of[static_cast<std::size_t>(i)] ==
                         clique_of[static_cast<std::size_t>(m.dst_of(i))];
-      if (kind_at(t) == SlotKind::kIntra && !same) return false;
-      if (kind_at(t) == SlotKind::kInter && same) return false;
+      if (kinds_[k] == SlotKind::kIntra && !same) return false;
+      if (kinds_[k] == SlotKind::kInter && same) return false;
     }
   }
   return true;

@@ -4,8 +4,15 @@
 // slot t applies matching slot(t mod period). A circuit that appears in a
 // fraction l of the slots realizes a virtual edge of bandwidth b*l (Sec. 4).
 //
-// Each slot is tagged with its role so that routing can ask for e.g. the
-// "first available intra-clique link" without re-deriving the clique
+// Storage is a walk over a small set of matchings: each distinct matching
+// is stored once, and a uint32 slot order says which one slot t applies
+// (matchings[order[t mod period]]). A SORN period interleaves far more
+// slots than its streams have steps, so this costs O(distinct * N +
+// period) bytes instead of O(period * N) when matchings are explicit
+// (DESIGN.md §11).
+//
+// Each matching is tagged with its role so that routing can ask for e.g.
+// the "first available intra-clique link" without re-deriving the clique
 // structure from the matching.
 #pragma once
 
@@ -28,20 +35,27 @@ enum class SlotKind : std::uint8_t {
 
 class CircuitSchedule {
  public:
-  // Aborts if matchings is empty or node counts disagree. kinds must be
-  // empty (all slots kUniform) or have one entry per matching.
+  // Slot t applies matchings[order[t mod period]], and the period is
+  // order.size(). An empty order means one matching per slot, in sequence.
+  // kinds must be empty (all kUniform) or have one entry per matching.
+  // Aborts if matchings is empty, node counts disagree, an order entry is
+  // out of range, or a matching is never used.
   explicit CircuitSchedule(std::vector<Matching> matchings,
-                           std::vector<SlotKind> kinds = {});
+                           std::vector<SlotKind> kinds = {},
+                           std::vector<std::uint32_t> order = {});
 
   NodeId node_count() const { return n_; }
-  Slot period() const { return static_cast<Slot>(matchings_.size()); }
+  Slot period() const { return static_cast<Slot>(order_.size()); }
 
   const Matching& matching_at(Slot t) const {
-    return matchings_[static_cast<std::size_t>(wrap(t))];
+    return matchings_[order_[static_cast<std::size_t>(wrap(t))]];
   }
   SlotKind kind_at(Slot t) const {
-    return kinds_[static_cast<std::size_t>(wrap(t))];
+    return kinds_[order_[static_cast<std::size_t>(wrap(t))]];
   }
+
+  // Number of distinct matchings the slot order walks.
+  std::size_t distinct_count() const { return matchings_.size(); }
 
   // Whom node transmits to in slot t (== node when idle).
   NodeId dst_of(NodeId node, Slot t) const {
@@ -76,11 +90,12 @@ class CircuitSchedule {
   // lasers provide; see tests/topo/realizability_test.cpp).
   bool realizable_with(const MatchingSet& available) const;
 
-  // Estimated bytes of stored schedule state (matchings + slot kinds).
-  // O(period); sampled by the profiler's MemoryAccountant, not hot-path.
+  // Estimated bytes of stored schedule state (distinct matchings, their
+  // kinds and the slot order). O(distinct); sampled by the profiler's
+  // MemoryAccountant, not hot-path.
   std::uint64_t memory_bytes() const;
 
-  // Invariant checks (O(period * n)):
+  // Invariant checks (O(distinct * n)):
   //   - every slot is a valid permutation (checked at construction of
   //     Matching);
   //   - kinds tags are consistent with no matching crossing its tag.
@@ -93,7 +108,8 @@ class CircuitSchedule {
 
   NodeId n_ = 0;
   std::vector<Matching> matchings_;
-  std::vector<SlotKind> kinds_;
+  std::vector<SlotKind> kinds_;       // one per distinct matching
+  std::vector<std::uint32_t> order_;  // one index per slot
 };
 
 // Phase offset of uplink `lane` out of `lanes` for a schedule of the given

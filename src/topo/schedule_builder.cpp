@@ -79,6 +79,22 @@ Matching inter_matching(const CliqueAssignment& cliques, std::int64_t t) {
   return Matching(std::move(dst));
 }
 
+// The matchings of one full stream cycle, built once each: a schedule
+// that interleaves streams stores these and walks them with its slot
+// order, so building it costs O(cycle) matchings instead of O(period).
+// Appends to matchings/kinds and returns the index of the first one.
+std::uint32_t append_cycle(std::vector<Matching>& matchings,
+                           std::vector<SlotKind>& kinds, std::int64_t cycle,
+                           const std::function<Matching(std::int64_t)>& at,
+                           SlotKind kind) {
+  const auto base = static_cast<std::uint32_t>(matchings.size());
+  for (std::int64_t t = 0; t < cycle; ++t) {
+    matchings.push_back(at(t));
+    kinds.push_back(kind);
+  }
+  return base;
+}
+
 // Bresenham interleave of an intra stream (cycle length intra_cycle,
 // generator intra_at) and an inter stream (cycle length inter_cycle,
 // generator inter_at) in the exact ratio q. Shared by sorn() and
@@ -96,28 +112,36 @@ CircuitSchedule interleave_streams(
               "SORN schedule period too large; coarsen q with "
               "Rational::approximate");
 
-  std::vector<Matching> slots;
+  std::vector<Matching> matchings;
   std::vector<SlotKind> kinds;
-  slots.reserve(static_cast<std::size_t>(period));
-  kinds.reserve(static_cast<std::size_t>(period));
+  matchings.reserve(static_cast<std::size_t>(intra_cycle + inter_cycle));
+  kinds.reserve(static_cast<std::size_t>(intra_cycle + inter_cycle));
+  const std::uint32_t intra_base = append_cycle(
+      matchings, kinds, intra_cycle, intra_at, SlotKind::kIntra);
+  const std::uint32_t inter_base = append_cycle(
+      matchings, kinds, inter_cycle, inter_at, SlotKind::kInter);
+
+  std::vector<std::uint32_t> order;
+  order.reserve(static_cast<std::size_t>(period));
   std::int64_t emitted_intra = 0;
   std::int64_t emitted_inter = 0;
   for (std::int64_t t = 0; t < period; ++t) {
     const bool pick_intra =
         (emitted_intra + 1) * inter_slots <= (emitted_inter + 1) * intra_slots;
     if (pick_intra && emitted_intra < intra_slots) {
-      slots.push_back(intra_at(emitted_intra % intra_cycle));
-      kinds.push_back(SlotKind::kIntra);
+      order.push_back(intra_base + static_cast<std::uint32_t>(
+                                       emitted_intra % intra_cycle));
       ++emitted_intra;
     } else {
-      slots.push_back(inter_at(emitted_inter % inter_cycle));
-      kinds.push_back(SlotKind::kInter);
+      order.push_back(inter_base + static_cast<std::uint32_t>(
+                                       emitted_inter % inter_cycle));
       ++emitted_inter;
     }
   }
   SORN_ASSERT(emitted_intra == intra_slots && emitted_inter == inter_slots,
               "interleave accounting error");
-  return CircuitSchedule(std::move(slots), std::move(kinds));
+  return CircuitSchedule(std::move(matchings), std::move(kinds),
+                         std::move(order));
 }
 
 // Generalized largest-remainder interleave of k periodic streams with
@@ -135,26 +159,35 @@ CircuitSchedule interleave_multi(std::vector<Stream> streams,
   // completing every active stream's cycle.
   std::int64_t m = 1;
   std::int64_t share_sum = 0;
+  std::int64_t distinct = 0;
   for (const Stream& s : streams) {
     if (s.share == 0) continue;
     SORN_ASSERT(s.cycle > 0, "active stream must have a cycle");
     m = std::lcm(m, closure_multiplier(s.share, s.cycle));
     share_sum += s.share;
+    distinct += s.cycle;
   }
   SORN_ASSERT(share_sum > 0, "at least one stream must be active");
   std::int64_t period = share_sum * m;
   SORN_ASSERT(period <= max_period,
               "schedule period too large; coarsen the shares");
 
+  std::vector<Matching> matchings;
+  std::vector<SlotKind> kinds;
+  matchings.reserve(static_cast<std::size_t>(distinct));
+  kinds.reserve(static_cast<std::size_t>(distinct));
+  std::vector<std::uint32_t> base(streams.size(), 0);
   std::vector<std::int64_t> target(streams.size(), 0);
   std::vector<std::int64_t> emitted(streams.size(), 0);
-  for (std::size_t i = 0; i < streams.size(); ++i)
+  for (std::size_t i = 0; i < streams.size(); ++i) {
     target[i] = streams[i].share * m;
+    if (streams[i].share > 0)
+      base[i] = append_cycle(matchings, kinds, streams[i].cycle,
+                             streams[i].at, streams[i].kind);
+  }
 
-  std::vector<Matching> slots;
-  std::vector<SlotKind> kinds;
-  slots.reserve(static_cast<std::size_t>(period));
-  kinds.reserve(static_cast<std::size_t>(period));
+  std::vector<std::uint32_t> order;
+  order.reserve(static_cast<std::size_t>(period));
   for (std::int64_t t = 0; t < period; ++t) {
     // Emit the stream furthest behind its proportional target.
     std::size_t best = streams.size();
@@ -169,11 +202,22 @@ CircuitSchedule interleave_multi(std::vector<Stream> streams,
       }
     }
     SORN_ASSERT(best < streams.size(), "interleave ran out of streams");
-    slots.push_back(streams[best].at(emitted[best] % streams[best].cycle));
-    kinds.push_back(streams[best].kind);
+    order.push_back(base[best] + static_cast<std::uint32_t>(
+                                     emitted[best] % streams[best].cycle));
     ++emitted[best];
   }
-  return CircuitSchedule(std::move(slots), std::move(kinds));
+  return CircuitSchedule(std::move(matchings), std::move(kinds),
+                         std::move(order));
+}
+
+// Each of `rounds` matchings held for `dwell` consecutive slots.
+std::vector<std::uint32_t> dwell_order(std::size_t rounds, Slot dwell) {
+  std::vector<std::uint32_t> order;
+  order.reserve(rounds * static_cast<std::size_t>(dwell));
+  for (std::size_t r = 0; r < rounds; ++r)
+    order.insert(order.end(), static_cast<std::size_t>(dwell),
+                 static_cast<std::uint32_t>(r));
+  return order;
 }
 
 }  // namespace
@@ -213,14 +257,11 @@ CircuitSchedule ScheduleBuilder::round_robin(NodeId n) {
 CircuitSchedule ScheduleBuilder::rotor(NodeId n, Slot dwell) {
   SORN_ASSERT(n >= 2, "rotor needs at least two nodes");
   SORN_ASSERT(dwell >= 1, "dwell must be at least one slot");
-  std::vector<Matching> slots;
-  slots.reserve(static_cast<std::size_t>(n - 1) *
-                static_cast<std::size_t>(dwell));
-  for (NodeId k = 1; k < n; ++k) {
-    const Matching m = Matching::cyclic_shift(n, k);
-    for (Slot d = 0; d < dwell; ++d) slots.push_back(m);
-  }
-  return CircuitSchedule(std::move(slots));
+  std::vector<Matching> rounds;
+  rounds.reserve(static_cast<std::size_t>(n - 1));
+  for (NodeId k = 1; k < n; ++k) rounds.push_back(Matching::cyclic_shift(n, k));
+  std::vector<std::uint32_t> order = dwell_order(rounds.size(), dwell);
+  return CircuitSchedule(std::move(rounds), {}, std::move(order));
 }
 
 CircuitSchedule ScheduleBuilder::rotor_random(NodeId n, Slot dwell,
@@ -237,9 +278,8 @@ CircuitSchedule ScheduleBuilder::rotor_random(NodeId n, Slot dwell,
   for (NodeId r = 0; r < n - 1; ++r) rounds[static_cast<std::size_t>(r)] = r;
   rng.shuffle(rounds);
 
-  std::vector<Matching> slots;
-  slots.reserve(static_cast<std::size_t>(n - 1) *
-                static_cast<std::size_t>(dwell));
+  std::vector<Matching> matchings;
+  matchings.reserve(rounds.size());
   for (const NodeId r : rounds) {
     // Circle method, round r: hub (n-1) pairs with r; (r+i) with (r-i).
     std::vector<NodeId> dst(static_cast<std::size_t>(n));
@@ -255,10 +295,10 @@ CircuitSchedule ScheduleBuilder::rotor_random(NodeId n, Slot dwell,
       const auto b = static_cast<NodeId>((r - i + (n - 1)) % (n - 1));
       pair_up(a, b);
     }
-    const Matching m{std::move(dst)};
-    for (Slot d = 0; d < dwell; ++d) slots.push_back(m);
+    matchings.emplace_back(std::move(dst));
   }
-  return CircuitSchedule(std::move(slots));
+  std::vector<std::uint32_t> order = dwell_order(matchings.size(), dwell);
+  return CircuitSchedule(std::move(matchings), {}, std::move(order));
 }
 
 CircuitSchedule ScheduleBuilder::orn_hd(NodeId n, int h) {

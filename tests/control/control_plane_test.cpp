@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/json_parse.h"
 #include "routing/vlb.h"
+#include "scenario/scenario_runner.h"
 #include "topo/schedule_builder.h"
 #include "traffic/trace.h"
 
@@ -81,6 +83,80 @@ TEST(ControlPlaneTest, EndToEndSwapIntoNetwork) {
   net.inject_cell(0, 31);
   net.run(200);
   EXPECT_EQ(net.metrics().delivered_cells(), 1u);
+}
+
+std::uint64_t gauge_bytes(Profiler& profiler, const std::string& name) {
+  profiler.memory().sample();
+  for (const auto& g : profiler.memory().snapshot())
+    if (g.name == name) return g.bytes;
+  ADD_FAILURE() << "no gauge named " << name;
+  return 0;
+}
+
+TEST(ControlPlaneTest, ControlStateGaugeCountsStandbyGenerations) {
+  SyntheticTrace::Config cfg;
+  cfg.nodes = 32;
+  cfg.group_size = 8;
+  SyntheticTrace trace(cfg);
+  const CircuitSchedule initial = ScheduleBuilder::round_robin(32);
+  const VlbRouter vlb(&initial, LbMode::kRandom);
+  NetworkConfig netcfg;
+  netcfg.propagation_per_hop = 0;
+  SlottedNetwork net(&initial, &vlb, netcfg);
+
+  ControlPlane cp(32, test_options());
+  cp.set_failure_view(&net.failure_view());
+  Profiler profiler;
+  cp.set_profiler(&profiler);
+  EXPECT_EQ(gauge_bytes(profiler, "control_state"),
+            cp.estimator().memory_bytes());
+
+  // A staged swap holds the pending generation.
+  cp.on_epoch(trace.epoch_matrix(), 0);
+  const std::uint64_t estimator = cp.estimator().memory_bytes();
+  EXPECT_GT(estimator, 0u);
+  EXPECT_GT(gauge_bytes(profiler, "control_state"), estimator);
+  // Once applied it is the current generation, counted by the network's
+  // schedule_matchings gauge; the previous one was empty.
+  ASSERT_TRUE(cp.tick(net, 0));
+  EXPECT_EQ(gauge_bytes(profiler, "control_state"), estimator);
+  // A failure forces a second swap, which keeps the first generation
+  // alive as the previous one.
+  net.fail_node(3);
+  ASSERT_TRUE(cp.on_epoch(trace.epoch_matrix(), 1));
+  ASSERT_TRUE(cp.tick(net, 1));
+  EXPECT_GT(gauge_bytes(profiler, "control_state"),
+            cp.estimator().memory_bytes() +
+                cp.reconfig().schedule()->memory_bytes() / 2);
+}
+
+TEST(ControlPlaneTest, ControlStateGaugeIsInProfileJson) {
+  ScenarioConfig cfg;
+  cfg.design = "sorn";
+  cfg.nodes = 32;
+  cfg.cliques = 8;
+  cfg.locality_x = 0.6;
+  cfg.load = 0.2;
+  cfg.epoch_slots = 100;
+  cfg.slots = 400;
+  cfg.drain_slots = 100;
+  cfg.profile = true;
+  std::string error;
+  auto runner = ScenarioRunner::create(cfg, &error);
+  ASSERT_NE(runner, nullptr) << error;
+  ASSERT_TRUE(runner->run(&error)) << error;
+  ASSERT_GE(runner->control()->reconfig().swaps_applied(), 1u);
+
+  JsonValue doc;
+  ASSERT_TRUE(json_parse(runner->profile_json(), &doc, &error)) << error;
+  const JsonValue* gauges = doc.find("memory")->find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  const JsonValue* control_state = nullptr;
+  for (const JsonValue& g : gauges->items())
+    if (g.find("name")->as_string() == "control_state") control_state = &g;
+  ASSERT_NE(control_state, nullptr);
+  EXPECT_GT(control_state->find("bytes")->as_int(), 0);
+  EXPECT_GT(control_state->find("peak_bytes")->as_int(), 0);
 }
 
 }  // namespace

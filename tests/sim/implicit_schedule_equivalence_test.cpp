@@ -12,11 +12,16 @@
 // with a fault blast, and a large-N (1024) run with bounded queues,
 // drops, and a mid-run reconfigure onto a different compact family
 // (orn-hd digit shifts).
+//
+// The same pin covers the slot order: a SORN schedule over a clustered
+// (non-contiguous) assignment stores each distinct explicit matching once
+// and walks them; its per-slot copy must drive identical artifacts.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "control/clustering.h"
 #include "obs/export.h"
 #include "routing/sorn_routing.h"
 #include "routing/vlb.h"
@@ -24,15 +29,19 @@
 #include "topo/clique.h"
 #include "topo/schedule.h"
 #include "topo/schedule_builder.h"
+#include "traffic/patterns.h"
+#include "traffic/sparse_demand.h"
 #include "util/rng.h"
 
 namespace sorn {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 4, 7};
+constexpr NodeId kBlastNodes = 64;
 
 // An explicit-storage copy of a schedule: every slot's matching is
-// materialized into a full destination vector, kinds preserved.
+// materialized into a full destination vector of its own (one matching
+// per slot, no slot order), kinds preserved.
 CircuitSchedule materialize(const CircuitSchedule& s) {
   std::vector<Matching> matchings;
   std::vector<SlotKind> kinds;
@@ -77,9 +86,9 @@ void expect_identical(const Artifacts& base, const Artifacts& other,
 // nodes/circuits make transmit eligibility depend on exactly which
 // circuit each slot realizes, so a compact slot computing even one wrong
 // dst would shift deliveries, drops, and the trace.
-Artifacts run_sorn_blast(const CircuitSchedule& schedule, int threads) {
-  constexpr NodeId kNodes = 64;
-  const CliqueAssignment cliques = CliqueAssignment::contiguous(kNodes, 8);
+Artifacts run_sorn_blast(const CircuitSchedule& schedule,
+                         const CliqueAssignment& cliques, int threads) {
+  constexpr NodeId kNodes = kBlastNodes;
   const SornRouter router(&schedule, &cliques, LbMode::kRandom);
   NetworkConfig config;
   config.lanes = 2;
@@ -175,22 +184,62 @@ Artifacts run_large_reconfigure(const CircuitSchedule& rr,
 }
 
 TEST(ImplicitScheduleEquivalenceTest, SornFaultBlastArtifactsMatch) {
-  const CircuitSchedule compact = ScheduleBuilder::sorn(
-      CliqueAssignment::contiguous(64, 8), Rational{2, 1}, 1 << 18);
+  const CliqueAssignment cliques =
+      CliqueAssignment::contiguous(kBlastNodes, 8);
+  const CircuitSchedule compact =
+      ScheduleBuilder::sorn(cliques, Rational{2, 1}, 1 << 18);
   expect_all_compact(compact);
   const CircuitSchedule explicit_copy = materialize(compact);
   ASSERT_EQ(explicit_copy.period(), compact.period());
 
-  const Artifacts base = run_sorn_blast(compact, 1);
+  const Artifacts base = run_sorn_blast(compact, cliques, 1);
   ASSERT_GT(base.delivered, 0u);
   ASSERT_GT(base.forwarded, 0u);
   ASSERT_FALSE(base.trace_lines.empty());
   for (const int threads : kThreadCounts) {
-    expect_identical(base, run_sorn_blast(explicit_copy, threads),
+    expect_identical(base, run_sorn_blast(explicit_copy, cliques, threads),
                      "explicit threads=" + std::to_string(threads));
     if (threads != 1)
-      expect_identical(base, run_sorn_blast(compact, threads),
+      expect_identical(base, run_sorn_blast(compact, cliques, threads),
                        "compact threads=" + std::to_string(threads));
+  }
+}
+
+TEST(ImplicitScheduleEquivalenceTest, FailureMaskedReplanArtifactsMatch) {
+  // The replan path: cluster a locality estimate over a shuffled grouping
+  // with the blast's failed nodes (5 and 42) masked out, as
+  // ControlPlane::on_epoch does, and build SORN over the result.
+  std::vector<CliqueId> hidden(kBlastNodes);
+  for (NodeId i = 0; i < kBlastNodes; ++i)
+    hidden[static_cast<std::size_t>(i)] = i % 8;
+  const TrafficMatrix demand =
+      patterns::locality_mix(CliqueAssignment(hidden), 0.7);
+  SparseDemand::Builder masked(kBlastNodes);
+  demand.for_each_nonzero([&masked](NodeId i, NodeId j, double d) {
+    if (i != 5 && i != 42 && j != 5 && j != 42) masked.set(i, j, d);
+  });
+  const CliqueAssignment cliques =
+      CliqueClusterer().cluster(*masked.build(false), 8);
+  ASSERT_FALSE(cliques.contiguous_equal_blocks());
+
+  const CircuitSchedule walked =
+      ScheduleBuilder::sorn(cliques, Rational{2, 1}, 1 << 18);
+  const CircuitSchedule per_slot = materialize(walked);
+  ASSERT_EQ(per_slot.period(), walked.period());
+  ASSERT_EQ(per_slot.distinct_count(),
+            static_cast<std::size_t>(walked.period()));
+  ASSERT_LT(walked.distinct_count(), per_slot.distinct_count());
+
+  const Artifacts base = run_sorn_blast(walked, cliques, 1);
+  ASSERT_GT(base.delivered, 0u);
+  ASSERT_GT(base.forwarded, 0u);
+  ASSERT_FALSE(base.trace_lines.empty());
+  for (const int threads : kThreadCounts) {
+    expect_identical(base, run_sorn_blast(per_slot, cliques, threads),
+                     "per-slot threads=" + std::to_string(threads));
+    if (threads != 1)
+      expect_identical(base, run_sorn_blast(walked, cliques, threads),
+                       "walked threads=" + std::to_string(threads));
   }
 }
 
