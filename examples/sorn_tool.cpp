@@ -30,13 +30,14 @@
 //       racks). --transport dctcp swaps open-loop injection for the
 //       windowed end-host transport with ECN marking at --ecn-threshold
 //       VOQ cells. --scenario loads a full ScenarioConfig
-//       JSON first; explicit flags then override individual fields, and
+//       JSON first; explicit flags then override individual fields (each
+//       flag accepts exactly what its JSON key accepts), and
 //       --save-scenario writes the effective config back out (the
 //       reproducible artifact). --threads shards the slot engine across
-//       N workers (default: hardware threads) with byte-identical output
-//       at any N. The telemetry flags additionally write a JSONL event
-//       trace, a full-run JSON summary, and/or a per-slot time-series CSV
-//       (decimated to every k-th slot). The fault flags inject a scripted
+//       N workers (0, the default: hardware threads) with byte-identical
+//       output at any N. The telemetry flags additionally write a JSONL
+//       event trace, a full-run JSON summary, and/or a per-slot
+//       time-series CSV (decimated to every k-th slot). The fault flags inject a scripted
 //       and/or stochastic (MTBF/MTTR, in slots) failure timeline; with
 //       --retransmit-timeout, stalled flows re-admit their missing cells
 //       with exponential backoff. Fault RNG lives on the coordinating
@@ -58,6 +59,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -205,37 +207,26 @@ int cmd_designs(ArgParser& args) {
   return 0;
 }
 
-// Scenario fields the simulate/compare flags can set, applied on top of
-// whatever --scenario loaded (a flag's fallback is the loaded value, so
-// absent flags change nothing).
-void apply_fabric_flags(ArgParser& args, ScenarioConfig& cfg) {
-  cfg.design = args.get_string("--design", cfg.design);
-  cfg.nodes = static_cast<NodeId>(
-      args.get_long("--nodes", cfg.nodes, 2));
-  cfg.cliques = static_cast<CliqueId>(
-      args.get_long("--cliques", cfg.cliques, 1));
-  cfg.locality_x = args.get_double("--locality", cfg.locality_x, 0.0, 1.0);
-  const std::string backend = args.get_string(
-      "--traffic-backend", demand_backend_name(cfg.traffic_backend));
-  if (!parse_demand_backend(backend, &cfg.traffic_backend)) {
-    std::fprintf(stderr,
-                 "--traffic-backend: unknown backend '%s' "
-                 "(dense|sparse|procedural)\n",
-                 backend.c_str());
+// Applies the scenario flags given on the command line on top of `cfg`
+// (whatever --scenario loaded): every simulate flag, or with fabric_only
+// the seven compare takes. A malformed or out-of-range value exits 2
+// naming the flag.
+void apply_scenario_flags(ArgParser& args, bool fabric_only,
+                          ScenarioConfig& cfg) {
+  const auto given = [&args](const char* flag, bool takes_value) {
+    if (takes_value) return args.get_optional(flag);
+    return args.get_flag(flag) ? std::optional<std::string>("")
+                               : std::nullopt;
+  };
+  std::string error;
+  if (!cfg.apply_flags(fabric_only, given, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     std::exit(2);
   }
-  cfg.seed =
-      static_cast<std::uint64_t>(args.get_long("--seed", cfg.seed, 0));
-  cfg.threads =
-      static_cast<int>(args.get_long("--threads", cfg.threads, 1));
 }
 
 int cmd_simulate(ArgParser& args) {
   ScenarioConfig cfg;
-  // The open-loop default the tool has always run; a --scenario file can
-  // reconfigure everything, including the workload kind.
-  cfg.max_q_denominator = 6;
-  cfg.propagation_ns = 0;
   const std::string scenario_path = args.get_string("--scenario", "");
   if (!scenario_path.empty()) {
     std::string error;
@@ -244,101 +235,7 @@ int cmd_simulate(ArgParser& args) {
       return 1;
     }
   }
-  apply_fabric_flags(args, cfg);
-  const std::string workload = args.get_string(
-      "--workload", workload_kind_name(cfg.workload));
-  if (!parse_workload_kind(workload, &cfg.workload)) {
-    std::fprintf(stderr,
-                 "--workload: unknown workload '%s' (flows|saturation|"
-                 "flow-saturation|incast|collective|oversub-rack)\n",
-                 workload.c_str());
-    return 2;
-  }
-  cfg.load = args.get_double("--load", cfg.load, 0.0);
-  cfg.slots = args.get_long("--slots", cfg.slots, 1);
-  // Burst workloads.
-  cfg.incast_fanin = static_cast<NodeId>(
-      args.get_long("--incast-fanin", cfg.incast_fanin, 1));
-  cfg.incast_bytes = static_cast<std::uint64_t>(
-      args.get_long("--incast-bytes", cfg.incast_bytes, 1));
-  cfg.incast_period_slots =
-      args.get_long("--incast-period", cfg.incast_period_slots, 1);
-  cfg.collective_kind = args.get_string("--collective", cfg.collective_kind);
-  cfg.collective_bytes = static_cast<std::uint64_t>(
-      args.get_long("--collective-bytes", cfg.collective_bytes, 1));
-  cfg.collective_phase_gap_slots = args.get_long(
-      "--collective-gap", cfg.collective_phase_gap_slots, 1);
-  cfg.rack_local_frac =
-      args.get_double("--rack-local-frac", cfg.rack_local_frac, 0.0, 1.0);
-  cfg.oversub_factor =
-      args.get_double("--oversub-factor", cfg.oversub_factor, 1.0);
-  // Closed-loop transport.
-  cfg.transport = args.get_string("--transport", cfg.transport);
-  cfg.ecn_threshold_cells = static_cast<std::uint64_t>(
-      args.get_long("--ecn-threshold", cfg.ecn_threshold_cells, 0));
-  cfg.init_cwnd_cells = static_cast<std::uint64_t>(
-      args.get_long("--init-cwnd", cfg.init_cwnd_cells, 1));
-  cfg.max_cwnd_cells = static_cast<std::uint64_t>(
-      args.get_long("--max-cwnd", cfg.max_cwnd_cells, 1));
-  cfg.dctcp_gain = args.get_double("--dctcp-gain", cfg.dctcp_gain, 0.0, 1.0);
-  cfg.trace_path = args.get_string("--trace", cfg.trace_path);
-  cfg.metrics_json_path =
-      args.get_string("--metrics-json", cfg.metrics_json_path);
-  cfg.timeseries_csv_path =
-      args.get_string("--timeseries-csv", cfg.timeseries_csv_path);
-  cfg.sample_every = args.get_long("--sample-every", cfg.sample_every, 1);
-  if (args.get_flag("--profile")) cfg.profile = true;
-  cfg.profile_json_path =
-      args.get_string("--profile-json", cfg.profile_json_path);
-  cfg.fault_script_path =
-      args.get_string("--fault-script", cfg.fault_script_path);
-  cfg.node_mtbf_slots = args.get_double("--mtbf", cfg.node_mtbf_slots, 0.0);
-  cfg.node_mttr_slots = args.get_double("--mttr", cfg.node_mttr_slots, 0.0);
-  cfg.circuit_mtbf_slots =
-      args.get_double("--circuit-mtbf", cfg.circuit_mtbf_slots, 0.0);
-  cfg.circuit_mttr_slots =
-      args.get_double("--circuit-mttr", cfg.circuit_mttr_slots, 0.0);
-  cfg.fault_seed = static_cast<std::uint64_t>(
-      args.get_long("--fault-seed", cfg.fault_seed, 0));
-  cfg.retransmit_timeout =
-      args.get_long("--retransmit-timeout", cfg.retransmit_timeout, 0);
-  cfg.retransmit_max_attempts = static_cast<std::uint32_t>(
-      args.get_long("--retransmit-max-attempts", cfg.retransmit_max_attempts,
-                    1));
-  cfg.retransmit_jitter =
-      args.get_double("--retransmit-jitter", cfg.retransmit_jitter, 0.0, 1.0);
-  // Closed-loop control plane and its fault model.
-  cfg.epoch_slots = args.get_long("--epoch-slots", cfg.epoch_slots, 0);
-  cfg.update_delay_slots =
-      args.get_long("--update-delay", cfg.update_delay_slots, 0);
-  const std::string outages_csv = args.get_string("--control-outages", "");
-  if (!outages_csv.empty()) {
-    cfg.control_outages.clear();
-    std::size_t pos = 0;
-    while (pos < outages_csv.size()) {
-      std::size_t comma = outages_csv.find(',', pos);
-      if (comma == std::string::npos) comma = outages_csv.size();
-      if (comma > pos) {
-        cfg.control_outages.push_back(
-            std::atoll(outages_csv.substr(pos, comma - pos).c_str()));
-      }
-      pos = comma + 1;
-    }
-  }
-  cfg.controller_mtbf_slots =
-      args.get_double("--controller-mtbf", cfg.controller_mtbf_slots, 0.0);
-  cfg.controller_mttr_slots =
-      args.get_double("--controller-mttr", cfg.controller_mttr_slots, 0.0);
-  cfg.control_fault_seed = static_cast<std::uint64_t>(
-      args.get_long("--control-fault-seed", cfg.control_fault_seed, 0));
-  cfg.replan_apply_delay =
-      args.get_long("--replan-apply-delay", cfg.replan_apply_delay, 0);
-  cfg.estimate_stale_epochs =
-      args.get_long("--estimate-stale-epochs", cfg.estimate_stale_epochs, 0);
-  cfg.estimate_noise =
-      args.get_double("--estimate-noise", cfg.estimate_noise, 0.0, 1.0);
-  cfg.safe_mode = args.get_string("--safe-mode", cfg.safe_mode);
-  if (args.get_flag("--check-invariants")) cfg.check_invariants = true;
+  apply_scenario_flags(args, false, cfg);
   const std::string save_path = args.get_string("--save-scenario", "");
   args.finish();
 
@@ -501,8 +398,6 @@ int cmd_simulate(ArgParser& args) {
 
 int cmd_compare(ArgParser& args) {
   ScenarioConfig base;
-  base.max_q_denominator = 6;
-  base.propagation_ns = 0;
   base.lb_first_available = true;  // the paper's latency semantics
   const std::string scenario_path = args.get_string("--scenario", "");
   if (!scenario_path.empty()) {
@@ -512,7 +407,7 @@ int cmd_compare(ArgParser& args) {
       return 1;
     }
   }
-  apply_fabric_flags(args, base);
+  apply_scenario_flags(args, true, base);
   std::string design_csv;
   for (const std::string& name : DesignRegistry::instance().names()) {
     if (!design_csv.empty()) design_csv += ",";
@@ -642,8 +537,8 @@ int usage() {
       "                     [--ecn-threshold 8] [--init-cwnd 8]\n"
       "                     [--max-cwnd 256] [--dctcp-gain 0.0625]\n"
       "                     [--load 0.3] [--slots 30000] [--seed 42]\n"
-      "                     [--threads N]  (default: hardware threads;\n"
-      "                      same seed => same bytes at any N)\n"
+      "                     [--threads N]  (0, the default: all hardware\n"
+      "                      threads; same seed => same bytes at any N)\n"
       "                     [--trace run.jsonl] [--metrics-json run.json]\n"
       "                     [--timeseries-csv run.csv] [--sample-every 10]\n"
       "                     [--profile] [--profile-json profile.json]\n"

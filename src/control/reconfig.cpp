@@ -23,12 +23,9 @@ void ReconfigManager::request_swap(SornPlan plan, Slot now) {
   auto gen = std::make_unique<Generation>();
   gen->cliques = std::make_unique<CliqueAssignment>(std::move(plan.cliques));
   gen->schedule = std::make_unique<CircuitSchedule>(
-      plan.inter_weights.empty()
-          ? ScheduleBuilder::sorn(*gen->cliques, plan.q, options_.max_period)
-          : ScheduleBuilder::sorn_weighted(*gen->cliques, plan.q,
-                                           plan.inter_weights,
-                                           options_.weighted,
-                                           options_.max_period));
+      ScheduleBuilder::sorn_weighted(*gen->cliques, plan.q,
+                                     plan.inter_weights, options_.weighted,
+                                     options_.max_period));
   gen->router = std::make_unique<SornRouter>(gen->schedule.get(),
                                              gen->cliques.get(),
                                              options_.lb_mode);

@@ -23,14 +23,16 @@ SornNetwork::SornNetwork(SornConfig config, CliqueAssignment assignment,
                          Rational q)
     : config_(std::move(config)), q_(q) {
   cliques_ = std::make_unique<CliqueAssignment>(std::move(assignment));
-  schedule_ = std::make_unique<CircuitSchedule>(
-      config_.inter_clique_weights.empty()
-          ? ScheduleBuilder::sorn(*cliques_, q_, config_.max_period)
-          : ScheduleBuilder::sorn_weighted(
-                *cliques_, q_, config_.inter_clique_weights,
-                config_.weighted_options, config_.max_period));
+  build_fabric();
+}
+
+void SornNetwork::build_fabric() {
+  schedule_ = std::make_unique<CircuitSchedule>(ScheduleBuilder::sorn_weighted(
+      *cliques_, q_, config_.inter_clique_weights, config_.weighted_options,
+      config_.max_period));
   router_ = std::make_unique<SornRouter>(schedule_.get(), cliques_.get(),
                                          config_.lb_mode);
+  router_->set_failure_view(failure_view_);
 }
 
 SornNetwork SornNetwork::build(const SornConfig& config) {
@@ -58,15 +60,7 @@ void SornNetwork::adapt(CliqueAssignment new_assignment, Rational new_q,
   q_ = new_q;
   config_.inter_clique_weights = std::move(inter_clique_weights);
   cliques_ = std::make_unique<CliqueAssignment>(std::move(new_assignment));
-  schedule_ = std::make_unique<CircuitSchedule>(
-      config_.inter_clique_weights.empty()
-          ? ScheduleBuilder::sorn(*cliques_, q_, config_.max_period)
-          : ScheduleBuilder::sorn_weighted(
-                *cliques_, q_, config_.inter_clique_weights,
-                config_.weighted_options, config_.max_period));
-  router_ = std::make_unique<SornRouter>(schedule_.get(), cliques_.get(),
-                                         config_.lb_mode);
-  router_->set_failure_view(failure_view_);
+  build_fabric();
   config_.cliques = cliques_->clique_count();
 }
 

@@ -112,6 +112,9 @@ class SornNetwork {
 
  private:
   SornNetwork(SornConfig config, CliqueAssignment assignment, Rational q);
+  // (Re)build the schedule and router from cliques_, q_ and the config's
+  // inter-clique weights.
+  void build_fabric();
 
   SornConfig config_;
   Rational q_;

@@ -165,9 +165,11 @@ std::string timeseries_to_csv(const TimeSeriesSampler& sampler) {
 bool write_text_file(const std::string& path, std::string_view content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
+  const bool wrote =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  // fclose flushes the buffer, so a full disk often surfaces only here.
+  const bool closed = std::fclose(f) == 0;
+  return wrote && closed;
 }
 
 }  // namespace sorn

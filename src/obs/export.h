@@ -44,8 +44,8 @@ std::string run_to_json(const SimMetrics& metrics, const Telemetry* telemetry,
 // The sampled time series as CSV (header + one row per sample).
 std::string timeseries_to_csv(const TimeSeriesSampler& sampler);
 
-// Write `content` to `path`; false (with no partial file guarantee) on
-// open failure.
+// Write `content` to `path`; false (with no partial file guarantee) when
+// the file cannot be opened, written or closed.
 bool write_text_file(const std::string& path, std::string_view content);
 
 }  // namespace sorn

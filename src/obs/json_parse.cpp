@@ -1,6 +1,7 @@
 #include "obs/json_parse.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace sorn {
@@ -27,12 +28,18 @@ JsonValue JsonValue::number(double v) {
   return j;
 }
 
-JsonValue JsonValue::integer(std::int64_t v) {
-  JsonValue j;
-  j.kind_ = Kind::kNumber;
-  j.number_ = static_cast<double>(v);
-  j.int_ = v;
+JsonValue JsonValue::integer(double v, std::int64_t exact) {
+  JsonValue j = number(v);
   j.has_int_ = true;
+  j.int_negative_ = exact < 0;
+  j.int_bits_ = static_cast<std::uint64_t>(exact);
+  return j;
+}
+
+JsonValue JsonValue::integer(double v, std::uint64_t exact) {
+  JsonValue j = number(v);
+  j.has_int_ = true;
+  j.int_bits_ = exact;
   return j;
 }
 
@@ -243,18 +250,22 @@ class Parser {
                  static_cast<unsigned char>(text_[pos_]))) ++pos_;
     }
     const std::string token(text_.substr(start, pos_ - start));
-    if (integral) {
-      char* end = nullptr;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (end != nullptr && *end == '\0') {
-        *out = JsonValue::integer(v);
-        return true;
-      }
-    }
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') return fail("malformed number");
     *out = JsonValue::number(d);
+    // An integer literal beyond [-2^63, 2^64 - 1] (ERANGE) stays a plain
+    // number, so integer fields reject it instead of reading a clamp.
+    if (integral) {
+      errno = 0;
+      if (token[0] == '-') {
+        const long long v = std::strtoll(token.c_str(), nullptr, 10);
+        if (errno == 0) *out = JsonValue::integer(d, static_cast<std::int64_t>(v));
+      } else {
+        const unsigned long long v = std::strtoull(token.c_str(), nullptr, 10);
+        if (errno == 0) *out = JsonValue::integer(d, static_cast<std::uint64_t>(v));
+      }
+    }
     return true;
   }
 

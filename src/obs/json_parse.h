@@ -3,9 +3,9 @@
 // Hand-rolled for the same reasons the writer is: no third-party
 // dependency, and a small surface tailored to what the scenario layer
 // needs — parse a config document into a tree of JsonValue nodes and look
-// fields up by name. Numbers are kept as doubles (plus an exact int64
-// when the literal was integral), objects preserve insertion order so
-// error messages and round-trip diagnostics stay stable.
+// fields up by name. Numbers are kept as doubles (plus the exact value of
+// an integer literal in [-2^63, 2^64 - 1]), objects preserve insertion
+// order so error messages and round-trip diagnostics stay stable.
 #pragma once
 
 #include <cstdint>
@@ -30,13 +30,27 @@ class JsonValue {
   bool is_object() const { return kind_ == Kind::kObject; }
 
   bool as_bool() const { return bool_; }
+  // A number's value; an integer literal too large for a double rounds.
   double as_double() const { return number_; }
-  // The integer value when the literal had no fraction/exponent; falls
-  // back to a cast of the double otherwise.
-  std::int64_t as_int() const {
-    return has_int_ ? int_ : static_cast<std::int64_t>(number_);
-  }
+  // True for an integer literal (no fraction or exponent) in
+  // [-2^63, 2^64 - 1]: its exact value is kept. Any other number is not
+  // an integer.
   bool is_integer() const { return has_int_; }
+  // Sets *out to the exact integer and returns true when is_integer() and
+  // the value fits T; returns false otherwise.
+  template <typename T>
+  bool get_integer(T* out) const {
+    if (!has_int_) return false;
+    if (int_negative_) {
+      const auto v = static_cast<std::int64_t>(int_bits_);
+      if (!std::in_range<T>(v)) return false;
+      *out = static_cast<T>(v);
+    } else {
+      if (!std::in_range<T>(int_bits_)) return false;
+      *out = static_cast<T>(int_bits_);
+    }
+    return true;
+  }
   const std::string& as_string() const { return string_; }
 
   const std::vector<JsonValue>& items() const { return items_; }
@@ -50,7 +64,10 @@ class JsonValue {
   static JsonValue null();
   static JsonValue boolean(bool v);
   static JsonValue number(double v);
-  static JsonValue integer(std::int64_t v);
+  // An integer literal: `v` is its value as a double (so "-0" keeps its
+  // sign), `exact` its exact value.
+  static JsonValue integer(double v, std::int64_t exact);
+  static JsonValue integer(double v, std::uint64_t exact);
   static JsonValue string(std::string v);
   static JsonValue array(std::vector<JsonValue> items);
   static JsonValue object(std::vector<std::pair<std::string, JsonValue>> f);
@@ -59,8 +76,9 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
-  std::int64_t int_ = 0;
   bool has_int_ = false;
+  bool int_negative_ = false;
+  std::uint64_t int_bits_ = 0;  // two's complement when int_negative_
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> fields_;

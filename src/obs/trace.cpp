@@ -7,8 +7,15 @@ namespace sorn {
 FileTraceSink::FileTraceSink(const std::string& path)
     : f_(std::fopen(path.c_str(), "w")) {}
 
-FileTraceSink::~FileTraceSink() {
-  if (f_ != nullptr) std::fclose(f_);
+FileTraceSink::~FileTraceSink() { close(); }
+
+bool FileTraceSink::close() {
+  if (f_ == nullptr) return false;
+  // The stream's error flag records any failed write since it opened.
+  const bool wrote = std::ferror(f_) == 0;
+  const bool closed = std::fclose(f_) == 0;
+  f_ = nullptr;
+  return wrote && closed;
 }
 
 void FileTraceSink::write(std::string_view record) {

@@ -60,6 +60,9 @@ class FileTraceSink final : public TraceSink {
 
   bool ok() const { return f_ != nullptr; }
   void write(std::string_view record) override;
+  // Flush and close the file. False when it never opened or any write,
+  // the flush or the close failed; later writes are dropped.
+  bool close();
 
  private:
   std::FILE* f_ = nullptr;

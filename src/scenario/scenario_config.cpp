@@ -1,269 +1,315 @@
 #include "scenario/scenario_config.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <limits>
+#include <span>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "obs/json.h"
 #include "obs/json_parse.h"
 
 namespace sorn {
 
-namespace {
-
-struct EnumEntry {
-  const char* name;
-  int value;
-};
-
-constexpr EnumEntry kWorkloads[] = {
-    {"flows", static_cast<int>(WorkloadKind::kFlows)},
-    {"saturation", static_cast<int>(WorkloadKind::kSaturation)},
-    {"flow-saturation", static_cast<int>(WorkloadKind::kFlowSaturation)},
-    {"incast", static_cast<int>(WorkloadKind::kIncast)},
-    {"collective", static_cast<int>(WorkloadKind::kCollective)},
-    {"oversub-rack", static_cast<int>(WorkloadKind::kOversubRack)},
-};
-constexpr EnumEntry kTraffics[] = {
-    {"locality", static_cast<int>(TrafficKind::kLocality)},
-    {"uniform", static_cast<int>(TrafficKind::kUniform)},
-    {"ring", static_cast<int>(TrafficKind::kRing)},
-    {"hier-locality", static_cast<int>(TrafficKind::kHierLocality)},
-};
-constexpr EnumEntry kFlowSizes[] = {
-    {"pfabric-web-search", static_cast<int>(FlowSizeKind::kPfabricWebSearch)},
-    {"pfabric-data-mining",
-     static_cast<int>(FlowSizeKind::kPfabricDataMining)},
-    {"fixed", static_cast<int>(FlowSizeKind::kFixed)},
-};
-constexpr EnumEntry kClassifies[] = {
-    {"none", static_cast<int>(ClassifyKind::kNone)},
-    {"clique", static_cast<int>(ClassifyKind::kClique)},
-    {"size", static_cast<int>(ClassifyKind::kSize)},
-};
-
-template <std::size_t N>
-const char* enum_name(const EnumEntry (&table)[N], int value) {
-  for (const EnumEntry& e : table)
-    if (e.value == value) return e.name;
-  return "?";
-}
-
-template <std::size_t N>
-bool enum_parse(const EnumEntry (&table)[N], std::string_view name,
-                int* out) {
-  for (const EnumEntry& e : table) {
-    if (name == e.name) {
-      *out = e.value;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-const char* workload_kind_name(WorkloadKind k) {
-  return enum_name(kWorkloads, static_cast<int>(k));
-}
-
 bool workload_uses_flow_driver(WorkloadKind k) {
   return k == WorkloadKind::kFlows || k == WorkloadKind::kIncast ||
          k == WorkloadKind::kCollective || k == WorkloadKind::kOversubRack;
 }
-const char* traffic_kind_name(TrafficKind k) {
-  return enum_name(kTraffics, static_cast<int>(k));
+
+namespace {
+
+using C = ScenarioConfig;
+
+// The names an enum field writes and reads.
+template <typename E>
+struct EnumName {
+  const char* name;
+  E value;
+};
+
+constexpr EnumName<WorkloadKind> kWorkloads[] = {
+    {"flows", WorkloadKind::kFlows},
+    {"saturation", WorkloadKind::kSaturation},
+    {"flow-saturation", WorkloadKind::kFlowSaturation},
+    {"incast", WorkloadKind::kIncast},
+    {"collective", WorkloadKind::kCollective},
+    {"oversub-rack", WorkloadKind::kOversubRack},
+};
+constexpr EnumName<TrafficKind> kTraffics[] = {
+    {"locality", TrafficKind::kLocality},
+    {"uniform", TrafficKind::kUniform},
+    {"ring", TrafficKind::kRing},
+    {"hier-locality", TrafficKind::kHierLocality},
+};
+constexpr EnumName<FlowSizeKind> kFlowSizes[] = {
+    {"pfabric-web-search", FlowSizeKind::kPfabricWebSearch},
+    {"pfabric-data-mining", FlowSizeKind::kPfabricDataMining},
+    {"fixed", FlowSizeKind::kFixed},
+};
+constexpr EnumName<ClassifyKind> kClassifies[] = {
+    {"none", ClassifyKind::kNone},
+    {"clique", ClassifyKind::kClique},
+    {"size", ClassifyKind::kSize},
+};
+
+std::span<const EnumName<WorkloadKind>> names_of(WorkloadKind) {
+  return kWorkloads;
 }
-const char* flow_size_kind_name(FlowSizeKind k) {
-  return enum_name(kFlowSizes, static_cast<int>(k));
+std::span<const EnumName<TrafficKind>> names_of(TrafficKind) {
+  return kTraffics;
 }
-const char* classify_kind_name(ClassifyKind k) {
-  return enum_name(kClassifies, static_cast<int>(k));
+std::span<const EnumName<FlowSizeKind>> names_of(FlowSizeKind) {
+  return kFlowSizes;
+}
+std::span<const EnumName<ClassifyKind>> names_of(ClassifyKind) {
+  return kClassifies;
+}
+std::span<const EnumName<DemandBackend>> names_of(DemandBackend) {
+  static const EnumName<DemandBackend> kBackends[] = {
+      {demand_backend_name(DemandBackend::kDense), DemandBackend::kDense},
+      {demand_backend_name(DemandBackend::kSparse), DemandBackend::kSparse},
+      {demand_backend_name(DemandBackend::kProcedural),
+       DemandBackend::kProcedural},
+  };
+  return kBackends;
 }
 
-bool parse_workload_kind(std::string_view name, WorkloadKind* out) {
-  int v = 0;
-  if (!enum_parse(kWorkloads, name, &v)) return false;
-  *out = static_cast<WorkloadKind>(v);
-  return true;
+// A pointer to a member of any type a scenario field has.
+using Member = std::variant<
+    bool C::*, std::int32_t C::*, std::int64_t C::*, std::uint32_t C::*,
+    std::uint64_t C::*, double C::*, std::string C::*, TrafficKind C::*,
+    DemandBackend C::*, WorkloadKind C::*, FlowSizeKind C::*,
+    ClassifyKind C::*, std::vector<double> C::*, std::vector<NodeId> C::*,
+    std::vector<Slot> C::*>;
+
+constexpr bool kFabric = true;
+
+struct Field {
+  const char* key;  // JSON key
+  Member member;
+  const char* flag = nullptr;  // sorn_tool simulate flag, if any
+  bool fabric = false;         // a fabric flag, which compare takes too
+};
+
+// The field list, in to_json's key order (reordering it changes the bytes
+// of every saved scenario). The writer, the reader and the flag applier
+// below all walk it and dispatch on the member's type, so a new field is
+// its declaration in the struct plus one line here.
+constexpr Field kFields[] = {
+    {"design", &C::design, "--design", kFabric},
+    {"nodes", &C::nodes, "--nodes", kFabric},
+    {"cliques", &C::cliques, "--cliques", kFabric},
+    {"locality", &C::locality_x, "--locality", kFabric},
+    {"q_num", &C::q_num},
+    {"q_den", &C::q_den},
+    {"max_q_denominator", &C::max_q_denominator},
+    {"lb_first_available", &C::lb_first_available},
+    {"inter_clique_weights", &C::inter_clique_weights},
+    {"weighted_alpha", &C::weighted_alpha},
+    {"clusters", &C::clusters},
+    {"pods_per_cluster", &C::pods_per_cluster},
+    {"pod_locality_x1", &C::pod_locality_x1},
+    {"cluster_locality_x2", &C::cluster_locality_x2},
+    {"dwell_slots", &C::dwell_slots},
+    {"schedule_seed", &C::schedule_seed},
+    {"max_short_hops", &C::max_short_hops},
+    {"bulk_cutoff_bytes", &C::bulk_cutoff_bytes},
+    {"orn_dims", &C::orn_dims},
+    {"radices", &C::radices},
+    {"lanes", &C::lanes},
+    {"slot_ns", &C::slot_ns},
+    {"propagation_ns", &C::propagation_ns},
+    {"cell_bytes", &C::cell_bytes},
+    {"max_queue_cells", &C::max_queue_cells},
+    {"seed", &C::seed, "--seed", kFabric},
+    {"threads", &C::threads, "--threads", kFabric},
+    {"traffic", &C::traffic},
+    {"ring_heavy_share", &C::ring_heavy_share},
+    {"traffic_backend", &C::traffic_backend, "--traffic-backend", kFabric},
+    {"workload", &C::workload, "--workload"},
+    {"load", &C::load, "--load"},
+    {"slots", &C::slots, "--slots"},
+    {"drain_slots", &C::drain_slots},
+    {"warmup_slots", &C::warmup_slots},
+    {"measure_slots", &C::measure_slots},
+    {"flow_size", &C::flow_size},
+    {"fixed_flow_bytes", &C::fixed_flow_bytes},
+    {"flow_size_cap", &C::flow_size_cap},
+    {"classify", &C::classify},
+    {"arrival_seed", &C::arrival_seed},
+    {"workload_seed", &C::workload_seed},
+    {"incast_fanin", &C::incast_fanin, "--incast-fanin"},
+    {"incast_bytes", &C::incast_bytes, "--incast-bytes"},
+    {"incast_period_slots", &C::incast_period_slots, "--incast-period"},
+    {"collective_kind", &C::collective_kind, "--collective"},
+    {"collective_bytes", &C::collective_bytes, "--collective-bytes"},
+    {"collective_phase_gap_slots", &C::collective_phase_gap_slots,
+     "--collective-gap"},
+    {"rack_local_frac", &C::rack_local_frac, "--rack-local-frac"},
+    {"oversub_factor", &C::oversub_factor, "--oversub-factor"},
+    {"transport", &C::transport, "--transport"},
+    {"ecn_threshold_cells", &C::ecn_threshold_cells, "--ecn-threshold"},
+    {"init_cwnd_cells", &C::init_cwnd_cells, "--init-cwnd"},
+    {"max_cwnd_cells", &C::max_cwnd_cells, "--max-cwnd"},
+    {"dctcp_gain", &C::dctcp_gain, "--dctcp-gain"},
+    {"trace", &C::trace_path, "--trace"},
+    {"metrics_json", &C::metrics_json_path, "--metrics-json"},
+    {"timeseries_csv", &C::timeseries_csv_path, "--timeseries-csv"},
+    {"sample_every", &C::sample_every, "--sample-every"},
+    {"profile", &C::profile, "--profile"},
+    {"profile_json", &C::profile_json_path, "--profile-json"},
+    {"fault_script", &C::fault_script},
+    {"fault_script_path", &C::fault_script_path, "--fault-script"},
+    {"mtbf", &C::node_mtbf_slots, "--mtbf"},
+    {"mttr", &C::node_mttr_slots, "--mttr"},
+    {"circuit_mtbf", &C::circuit_mtbf_slots, "--circuit-mtbf"},
+    {"circuit_mttr", &C::circuit_mttr_slots, "--circuit-mttr"},
+    {"fault_seed", &C::fault_seed, "--fault-seed"},
+    {"epoch_slots", &C::epoch_slots, "--epoch-slots"},
+    {"update_delay_slots", &C::update_delay_slots, "--update-delay"},
+    {"control_outages", &C::control_outages, "--control-outages"},
+    {"controller_mtbf", &C::controller_mtbf_slots, "--controller-mtbf"},
+    {"controller_mttr", &C::controller_mttr_slots, "--controller-mttr"},
+    {"control_fault_seed", &C::control_fault_seed, "--control-fault-seed"},
+    {"replan_apply_delay", &C::replan_apply_delay, "--replan-apply-delay"},
+    {"estimate_stale_epochs", &C::estimate_stale_epochs,
+     "--estimate-stale-epochs"},
+    {"estimate_noise", &C::estimate_noise, "--estimate-noise"},
+    {"safe_mode", &C::safe_mode, "--safe-mode"},
+    {"check_invariants", &C::check_invariants, "--check-invariants"},
+    {"retransmit_timeout", &C::retransmit_timeout, "--retransmit-timeout"},
+    {"retransmit_max_attempts", &C::retransmit_max_attempts,
+     "--retransmit-max-attempts"},
+    {"retransmit_jitter", &C::retransmit_jitter, "--retransmit-jitter"},
+};
+
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+template <typename T>
+void write(JsonWriter& w, const T& v) {
+  if constexpr (IsVector<T>::value) {
+    w.begin_array();
+    for (const auto& item : v) write(w, item);
+    w.end_array();
+  } else if constexpr (std::is_enum_v<T>) {
+    const char* name = "?";
+    for (const auto& e : names_of(v))
+      if (e.value == v) name = e.name;
+    w.value(name);
+  } else if constexpr (std::is_same_v<T, bool> || !std::is_integral_v<T>) {
+    w.value(v);  // bool, double, string
+  } else if constexpr (std::is_signed_v<T>) {
+    w.value(static_cast<std::int64_t>(v));
+  } else {
+    w.value(static_cast<std::uint64_t>(v));
+  }
 }
-bool parse_traffic_kind(std::string_view name, TrafficKind* out) {
-  int v = 0;
-  if (!enum_parse(kTraffics, name, &v)) return false;
-  *out = static_cast<TrafficKind>(v);
-  return true;
+
+// Sets *out when `v` is a value of T; false otherwise.
+template <typename T>
+bool read(const JsonValue& v, T* out) {
+  if constexpr (IsVector<T>::value) {
+    if (!v.is_array()) return false;
+    T items(v.items().size());
+    for (std::size_t i = 0; i < items.size(); ++i)
+      if (!read(v.items()[i], &items[i])) return false;
+    *out = std::move(items);
+    return true;
+  } else if constexpr (std::is_enum_v<T>) {
+    if (!v.is_string()) return false;
+    for (const auto& e : names_of(T{})) {
+      if (v.as_string() == e.name) {
+        *out = e.value;
+        return true;
+      }
+    }
+    return false;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) return false;
+    *out = v.as_bool();
+    return true;
+  } else if constexpr (std::is_integral_v<T>) {
+    return v.get_integer(out);
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!v.is_number() || !std::isfinite(v.as_double())) return false;
+    *out = v.as_double();
+    return true;
+  } else {
+    if (!v.is_string()) return false;
+    *out = v.as_string();
+    return true;
+  }
 }
-bool parse_flow_size_kind(std::string_view name, FlowSizeKind* out) {
-  int v = 0;
-  if (!enum_parse(kFlowSizes, name, &v)) return false;
-  *out = static_cast<FlowSizeKind>(v);
-  return true;
+
+// What read<T> accepts, for error messages.
+template <typename T>
+std::string expected() {
+  if constexpr (IsVector<T>::value) {
+    return "a list, each item " + expected<typename T::value_type>();
+  } else if constexpr (std::is_enum_v<T>) {
+    std::string names;
+    for (const auto& e : names_of(T{}))
+      names += (names.empty() ? "" : "|") + std::string(e.name);
+    return "one of " + names;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return "true or false";
+  } else if constexpr (std::is_integral_v<T>) {
+    return "an integer in [" +
+           std::to_string(std::numeric_limits<T>::min()) + ", " +
+           std::to_string(std::numeric_limits<T>::max()) + "]";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return "a finite number";
+  } else {
+    return "a string";
+  }
 }
-bool parse_classify_kind(std::string_view name, ClassifyKind* out) {
-  int v = 0;
-  if (!enum_parse(kClassifies, name, &v)) return false;
-  *out = static_cast<ClassifyKind>(v);
-  return true;
+
+// The JSON value a flag's text stands for.
+template <typename T>
+bool flag_value(const std::string& text, JsonValue* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    *out = JsonValue::boolean(true);
+    return true;
+  } else if constexpr (std::is_same_v<T, std::string> || std::is_enum_v<T>) {
+    *out = JsonValue::string(text);
+    return true;
+  } else if constexpr (IsVector<T>::value) {
+    std::vector<JsonValue> items;
+    for (std::size_t pos = 0; !text.empty() && pos <= text.size();) {
+      std::size_t comma = text.find(',', pos);
+      if (comma == std::string::npos) comma = text.size();
+      items.emplace_back();
+      if (!json_parse(std::string_view(text).substr(pos, comma - pos),
+                      &items.back(), nullptr))
+        return false;
+      pos = comma + 1;
+    }
+    *out = JsonValue::array(std::move(items));
+    return true;
+  } else {
+    return json_parse(text, out, nullptr);
+  }
 }
+
+}  // namespace
 
 std::string ScenarioConfig::to_json() const {
   JsonWriter w;
   w.begin_object();
-  w.field("design", design);
-  w.field("nodes", static_cast<std::int64_t>(nodes));
-  w.field("cliques", static_cast<std::int64_t>(cliques));
-  w.field("locality", locality_x);
-  w.field("q_num", q_num);
-  w.field("q_den", q_den);
-  w.field("max_q_denominator", max_q_denominator);
-  w.field("lb_first_available", lb_first_available);
-  w.key("inter_clique_weights").begin_array();
-  for (const double v : inter_clique_weights) w.value(v);
-  w.end_array();
-  w.field("weighted_alpha", weighted_alpha);
-  w.field("clusters", static_cast<std::int64_t>(clusters));
-  w.field("pods_per_cluster", static_cast<std::int64_t>(pods_per_cluster));
-  w.field("pod_locality_x1", pod_locality_x1);
-  w.field("cluster_locality_x2", cluster_locality_x2);
-  w.field("dwell_slots", static_cast<std::int64_t>(dwell_slots));
-  w.field("schedule_seed", schedule_seed);
-  w.field("max_short_hops", static_cast<std::int64_t>(max_short_hops));
-  w.field("bulk_cutoff_bytes", bulk_cutoff_bytes);
-  w.field("orn_dims", static_cast<std::int64_t>(orn_dims));
-  w.key("radices").begin_array();
-  for (const NodeId r : radices) w.value(static_cast<std::int64_t>(r));
-  w.end_array();
-  w.field("lanes", static_cast<std::int64_t>(lanes));
-  w.field("slot_ns", slot_ns);
-  w.field("propagation_ns", propagation_ns);
-  w.field("cell_bytes", cell_bytes);
-  w.field("max_queue_cells", max_queue_cells);
-  w.field("seed", seed);
-  w.field("threads", static_cast<std::int64_t>(threads));
-  w.field("traffic", traffic_kind_name(traffic));
-  w.field("ring_heavy_share", ring_heavy_share);
-  w.field("traffic_backend", demand_backend_name(traffic_backend));
-  w.field("workload", workload_kind_name(workload));
-  w.field("load", load);
-  w.field("slots", static_cast<std::int64_t>(slots));
-  w.field("drain_slots", static_cast<std::int64_t>(drain_slots));
-  w.field("warmup_slots", static_cast<std::int64_t>(warmup_slots));
-  w.field("measure_slots", static_cast<std::int64_t>(measure_slots));
-  w.field("flow_size", flow_size_kind_name(flow_size));
-  w.field("fixed_flow_bytes", fixed_flow_bytes);
-  w.field("flow_size_cap", flow_size_cap);
-  w.field("classify", classify_kind_name(classify));
-  w.field("arrival_seed", arrival_seed);
-  w.field("workload_seed", workload_seed);
-  w.field("incast_fanin", static_cast<std::int64_t>(incast_fanin));
-  w.field("incast_bytes", incast_bytes);
-  w.field("incast_period_slots",
-          static_cast<std::int64_t>(incast_period_slots));
-  w.field("collective_kind", collective_kind);
-  w.field("collective_bytes", collective_bytes);
-  w.field("collective_phase_gap_slots",
-          static_cast<std::int64_t>(collective_phase_gap_slots));
-  w.field("rack_local_frac", rack_local_frac);
-  w.field("oversub_factor", oversub_factor);
-  w.field("transport", transport);
-  w.field("ecn_threshold_cells", ecn_threshold_cells);
-  w.field("init_cwnd_cells", init_cwnd_cells);
-  w.field("max_cwnd_cells", max_cwnd_cells);
-  w.field("dctcp_gain", dctcp_gain);
-  w.field("trace", trace_path);
-  w.field("metrics_json", metrics_json_path);
-  w.field("timeseries_csv", timeseries_csv_path);
-  w.field("sample_every", static_cast<std::int64_t>(sample_every));
-  w.field("profile", profile);
-  w.field("profile_json", profile_json_path);
-  w.field("fault_script", fault_script);
-  w.field("fault_script_path", fault_script_path);
-  w.field("mtbf", node_mtbf_slots);
-  w.field("mttr", node_mttr_slots);
-  w.field("circuit_mtbf", circuit_mtbf_slots);
-  w.field("circuit_mttr", circuit_mttr_slots);
-  w.field("fault_seed", fault_seed);
-  w.field("epoch_slots", static_cast<std::int64_t>(epoch_slots));
-  w.field("update_delay_slots", static_cast<std::int64_t>(update_delay_slots));
-  w.key("control_outages").begin_array();
-  for (const Slot s : control_outages) w.value(static_cast<std::int64_t>(s));
-  w.end_array();
-  w.field("controller_mtbf", controller_mtbf_slots);
-  w.field("controller_mttr", controller_mttr_slots);
-  w.field("control_fault_seed", control_fault_seed);
-  w.field("replan_apply_delay",
-          static_cast<std::int64_t>(replan_apply_delay));
-  w.field("estimate_stale_epochs", estimate_stale_epochs);
-  w.field("estimate_noise", estimate_noise);
-  w.field("safe_mode", safe_mode);
-  w.field("check_invariants", check_invariants);
-  w.field("retransmit_timeout", static_cast<std::int64_t>(retransmit_timeout));
-  w.field("retransmit_max_attempts",
-          static_cast<std::int64_t>(retransmit_max_attempts));
-  w.field("retransmit_jitter", retransmit_jitter);
+  for (const Field& f : kFields) {
+    w.key(f.key);
+    std::visit([&](auto member) { write(w, this->*member); }, f.member);
+  }
   w.end_object();
-  std::string out = w.take();
-  out += "\n";
-  return out;
+  return w.take() + "\n";
 }
-
-namespace {
-
-// Field decoding helpers: each checks the JSON type and reports the key
-// on mismatch.
-bool want_int(const JsonValue& v, const std::string& key, std::int64_t* out,
-              std::string* error) {
-  if (!v.is_number() || !v.is_integer()) {
-    *error = "field '" + key + "' must be an integer";
-    return false;
-  }
-  *out = v.as_int();
-  return true;
-}
-
-// Unsigned fields refuse negatives instead of wrapping them to ~2^64.
-template <typename Unsigned>
-bool want_uint(const JsonValue& v, const std::string& key, Unsigned* out,
-               std::string* error) {
-  std::int64_t i = 0;
-  if (!want_int(v, key, &i, error)) return false;
-  if (i < 0) {
-    *error = "field '" + key + "' must be >= 0";
-    return false;
-  }
-  *out = static_cast<Unsigned>(i);
-  return true;
-}
-
-bool want_double(const JsonValue& v, const std::string& key, double* out,
-                 std::string* error) {
-  if (!v.is_number()) {
-    *error = "field '" + key + "' must be a number";
-    return false;
-  }
-  *out = v.as_double();
-  return true;
-}
-
-bool want_string(const JsonValue& v, const std::string& key,
-                 std::string* out, std::string* error) {
-  if (!v.is_string()) {
-    *error = "field '" + key + "' must be a string";
-    return false;
-  }
-  *out = v.as_string();
-  return true;
-}
-
-bool want_bool(const JsonValue& v, const std::string& key, bool* out,
-               std::string* error) {
-  if (!v.is_bool()) {
-    *error = "field '" + key + "' must be true or false";
-    return false;
-  }
-  *out = v.as_bool();
-  return true;
-}
-
-}  // namespace
 
 bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
                                std::string* error) {
@@ -275,240 +321,58 @@ bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
   }
 
   ScenarioConfig cfg;  // defaults; *out untouched until full success
+  bool seen[std::size(kFields)] = {};
   for (const auto& [key, v] : doc.fields()) {
-    std::int64_t i = 0;
-    double d = 0.0;
-    std::string s;
-    if (key == "design") {
-      if (!want_string(v, key, &cfg.design, error)) return false;
-    } else if (key == "nodes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.nodes = static_cast<NodeId>(i);
-    } else if (key == "cliques") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.cliques = static_cast<CliqueId>(i);
-    } else if (key == "locality") {
-      if (!want_double(v, key, &cfg.locality_x, error)) return false;
-    } else if (key == "q_num") {
-      if (!want_int(v, key, &cfg.q_num, error)) return false;
-    } else if (key == "q_den") {
-      if (!want_int(v, key, &cfg.q_den, error)) return false;
-    } else if (key == "max_q_denominator") {
-      if (!want_int(v, key, &cfg.max_q_denominator, error)) return false;
-    } else if (key == "lb_first_available") {
-      if (!want_bool(v, key, &cfg.lb_first_available, error)) return false;
-    } else if (key == "inter_clique_weights") {
-      if (!v.is_array()) {
-        *error = "field 'inter_clique_weights' must be an array";
-        return false;
-      }
-      cfg.inter_clique_weights.clear();
-      for (const JsonValue& item : v.items()) {
-        if (!want_double(item, key, &d, error)) return false;
-        cfg.inter_clique_weights.push_back(d);
-      }
-    } else if (key == "weighted_alpha") {
-      if (!want_double(v, key, &cfg.weighted_alpha, error)) return false;
-    } else if (key == "clusters") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.clusters = static_cast<CliqueId>(i);
-    } else if (key == "pods_per_cluster") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.pods_per_cluster = static_cast<CliqueId>(i);
-    } else if (key == "pod_locality_x1") {
-      if (!want_double(v, key, &cfg.pod_locality_x1, error)) return false;
-    } else if (key == "cluster_locality_x2") {
-      if (!want_double(v, key, &cfg.cluster_locality_x2, error)) return false;
-    } else if (key == "dwell_slots") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.dwell_slots = i;
-    } else if (key == "schedule_seed") {
-      if (!want_uint(v, key, &cfg.schedule_seed, error)) return false;
-    } else if (key == "max_short_hops") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.max_short_hops = static_cast<int>(i);
-    } else if (key == "bulk_cutoff_bytes") {
-      if (!want_uint(v, key, &cfg.bulk_cutoff_bytes, error)) return false;
-    } else if (key == "orn_dims") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.orn_dims = static_cast<int>(i);
-    } else if (key == "radices") {
-      if (!v.is_array()) {
-        *error = "field 'radices' must be an array";
-        return false;
-      }
-      cfg.radices.clear();
-      for (const JsonValue& item : v.items()) {
-        if (!want_int(item, key, &i, error)) return false;
-        cfg.radices.push_back(static_cast<NodeId>(i));
-      }
-    } else if (key == "lanes") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.lanes = static_cast<int>(i);
-    } else if (key == "slot_ns") {
-      if (!want_int(v, key, &cfg.slot_ns, error)) return false;
-    } else if (key == "propagation_ns") {
-      if (!want_int(v, key, &cfg.propagation_ns, error)) return false;
-    } else if (key == "cell_bytes") {
-      if (!want_uint(v, key, &cfg.cell_bytes, error)) return false;
-    } else if (key == "max_queue_cells") {
-      if (!want_uint(v, key, &cfg.max_queue_cells, error)) return false;
-    } else if (key == "seed") {
-      if (!want_uint(v, key, &cfg.seed, error)) return false;
-    } else if (key == "threads") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.threads = static_cast<int>(i);
-    } else if (key == "traffic") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_traffic_kind(s, &cfg.traffic)) {
-        *error = "unknown traffic pattern '" + s + "'";
-        return false;
-      }
-    } else if (key == "ring_heavy_share") {
-      if (!want_double(v, key, &cfg.ring_heavy_share, error)) return false;
-    } else if (key == "traffic_backend") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_demand_backend(s, &cfg.traffic_backend)) {
-        *error = "unknown traffic backend '" + s + "'";
-        return false;
-      }
-    } else if (key == "workload") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_workload_kind(s, &cfg.workload)) {
-        *error = "unknown workload kind '" + s + "'";
-        return false;
-      }
-    } else if (key == "load") {
-      if (!want_double(v, key, &cfg.load, error)) return false;
-    } else if (key == "slots") {
-      if (!want_int(v, key, &cfg.slots, error)) return false;
-    } else if (key == "drain_slots") {
-      if (!want_int(v, key, &cfg.drain_slots, error)) return false;
-    } else if (key == "warmup_slots") {
-      if (!want_int(v, key, &cfg.warmup_slots, error)) return false;
-    } else if (key == "measure_slots") {
-      if (!want_int(v, key, &cfg.measure_slots, error)) return false;
-    } else if (key == "flow_size") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_flow_size_kind(s, &cfg.flow_size)) {
-        *error = "unknown flow size distribution '" + s + "'";
-        return false;
-      }
-    } else if (key == "fixed_flow_bytes") {
-      if (!want_uint(v, key, &cfg.fixed_flow_bytes, error)) return false;
-    } else if (key == "flow_size_cap") {
-      if (!want_uint(v, key, &cfg.flow_size_cap, error)) return false;
-    } else if (key == "classify") {
-      if (!want_string(v, key, &s, error)) return false;
-      if (!parse_classify_kind(s, &cfg.classify)) {
-        *error = "unknown classifier '" + s + "'";
-        return false;
-      }
-    } else if (key == "arrival_seed") {
-      if (!want_uint(v, key, &cfg.arrival_seed, error)) return false;
-    } else if (key == "workload_seed") {
-      if (!want_uint(v, key, &cfg.workload_seed, error)) return false;
-    } else if (key == "incast_fanin") {
-      if (!want_int(v, key, &i, error)) return false;
-      cfg.incast_fanin = static_cast<NodeId>(i);
-    } else if (key == "incast_bytes") {
-      if (!want_uint(v, key, &cfg.incast_bytes, error)) return false;
-    } else if (key == "incast_period_slots") {
-      if (!want_int(v, key, &cfg.incast_period_slots, error)) return false;
-    } else if (key == "collective_kind") {
-      if (!want_string(v, key, &cfg.collective_kind, error)) return false;
-    } else if (key == "collective_bytes") {
-      if (!want_uint(v, key, &cfg.collective_bytes, error)) return false;
-    } else if (key == "collective_phase_gap_slots") {
-      if (!want_int(v, key, &cfg.collective_phase_gap_slots, error))
-        return false;
-    } else if (key == "rack_local_frac") {
-      if (!want_double(v, key, &cfg.rack_local_frac, error)) return false;
-    } else if (key == "oversub_factor") {
-      if (!want_double(v, key, &cfg.oversub_factor, error)) return false;
-    } else if (key == "transport") {
-      if (!want_string(v, key, &cfg.transport, error)) return false;
-    } else if (key == "ecn_threshold_cells") {
-      if (!want_uint(v, key, &cfg.ecn_threshold_cells, error)) return false;
-    } else if (key == "init_cwnd_cells") {
-      if (!want_uint(v, key, &cfg.init_cwnd_cells, error)) return false;
-    } else if (key == "max_cwnd_cells") {
-      if (!want_uint(v, key, &cfg.max_cwnd_cells, error)) return false;
-    } else if (key == "dctcp_gain") {
-      if (!want_double(v, key, &cfg.dctcp_gain, error)) return false;
-    } else if (key == "trace") {
-      if (!want_string(v, key, &cfg.trace_path, error)) return false;
-    } else if (key == "metrics_json") {
-      if (!want_string(v, key, &cfg.metrics_json_path, error)) return false;
-    } else if (key == "timeseries_csv") {
-      if (!want_string(v, key, &cfg.timeseries_csv_path, error))
-        return false;
-    } else if (key == "sample_every") {
-      if (!want_int(v, key, &cfg.sample_every, error)) return false;
-    } else if (key == "profile") {
-      if (!want_bool(v, key, &cfg.profile, error)) return false;
-    } else if (key == "profile_json") {
-      if (!want_string(v, key, &cfg.profile_json_path, error)) return false;
-    } else if (key == "fault_script") {
-      if (!want_string(v, key, &cfg.fault_script, error)) return false;
-    } else if (key == "fault_script_path") {
-      if (!want_string(v, key, &cfg.fault_script_path, error)) return false;
-    } else if (key == "mtbf") {
-      if (!want_double(v, key, &cfg.node_mtbf_slots, error)) return false;
-    } else if (key == "mttr") {
-      if (!want_double(v, key, &cfg.node_mttr_slots, error)) return false;
-    } else if (key == "circuit_mtbf") {
-      if (!want_double(v, key, &cfg.circuit_mtbf_slots, error)) return false;
-    } else if (key == "circuit_mttr") {
-      if (!want_double(v, key, &cfg.circuit_mttr_slots, error)) return false;
-    } else if (key == "fault_seed") {
-      if (!want_uint(v, key, &cfg.fault_seed, error)) return false;
-    } else if (key == "epoch_slots") {
-      if (!want_int(v, key, &cfg.epoch_slots, error)) return false;
-    } else if (key == "update_delay_slots") {
-      if (!want_int(v, key, &cfg.update_delay_slots, error)) return false;
-    } else if (key == "control_outages") {
-      if (!v.is_array()) {
-        *error = "field 'control_outages' must be an array";
-        return false;
-      }
-      cfg.control_outages.clear();
-      for (const JsonValue& item : v.items()) {
-        if (!want_int(item, key, &i, error)) return false;
-        cfg.control_outages.push_back(i);
-      }
-    } else if (key == "controller_mtbf") {
-      if (!want_double(v, key, &cfg.controller_mtbf_slots, error))
-        return false;
-    } else if (key == "controller_mttr") {
-      if (!want_double(v, key, &cfg.controller_mttr_slots, error))
-        return false;
-    } else if (key == "control_fault_seed") {
-      if (!want_uint(v, key, &cfg.control_fault_seed, error)) return false;
-    } else if (key == "replan_apply_delay") {
-      if (!want_int(v, key, &cfg.replan_apply_delay, error)) return false;
-    } else if (key == "estimate_stale_epochs") {
-      if (!want_int(v, key, &cfg.estimate_stale_epochs, error)) return false;
-    } else if (key == "estimate_noise") {
-      if (!want_double(v, key, &cfg.estimate_noise, error)) return false;
-    } else if (key == "safe_mode") {
-      if (!want_string(v, key, &cfg.safe_mode, error)) return false;
-    } else if (key == "check_invariants") {
-      if (!want_bool(v, key, &cfg.check_invariants, error)) return false;
-    } else if (key == "retransmit_timeout") {
-      if (!want_int(v, key, &cfg.retransmit_timeout, error)) return false;
-    } else if (key == "retransmit_max_attempts") {
-      if (!want_uint(v, key, &cfg.retransmit_max_attempts, error)) return false;
-    } else if (key == "retransmit_jitter") {
-      if (!want_double(v, key, &cfg.retransmit_jitter, error)) return false;
-    } else {
+    const Field* f =
+        std::find_if(std::begin(kFields), std::end(kFields),
+                     [&](const Field& field) { return key == field.key; });
+    if (f == std::end(kFields)) {
       *error = "unknown scenario field '" + key + "'";
       return false;
     }
+    const std::string label = "field '" + key + "'";
+    if (std::exchange(seen[f - kFields], true)) {
+      *error = label + " is given twice";
+      return false;
+    }
+    const bool ok = std::visit(
+        [&](auto member) {
+          using T = std::remove_reference_t<decltype(cfg.*member)>;
+          if (read(v, &(cfg.*member))) return true;
+          *error = label + " must be " + expected<T>();
+          return false;
+        },
+        f->member);
+    if (!ok) return false;
   }
 
   if (!cfg.validate(error)) return false;
   *out = std::move(cfg);
+  return true;
+}
+
+bool ScenarioConfig::apply_flags(bool fabric_only, const FlagLookup& given,
+                                 std::string* error) {
+  ScenarioConfig cfg = *this;
+  for (const Field& f : kFields) {
+    if (f.flag == nullptr || (fabric_only && !f.fabric)) continue;
+    const bool ok = std::visit(
+        [&](auto member) {
+          using T = std::remove_reference_t<decltype(cfg.*member)>;
+          const std::optional<std::string> text =
+              given(f.flag, !std::is_same_v<T, bool>);
+          if (!text.has_value()) return true;
+          JsonValue v;
+          if (flag_value<T>(*text, &v) && read(v, &(cfg.*member)))
+            return true;
+          *error = std::string(f.flag) + " must be " + expected<T>() +
+                   " (got '" + *text + "')";
+          return false;
+        },
+        f.member);
+    if (!ok) return false;
+  }
+  *this = std::move(cfg);
   return true;
 }
 
@@ -555,6 +419,9 @@ bool ScenarioConfig::validate(std::string* error) const {
   if (measure_slots < 1) return fail("measure_slots must be >= 1");
   if (sample_every < 1) return fail("sample_every must be >= 1");
   if (retransmit_timeout < 0) return fail("retransmit_timeout must be >= 0");
+  if (node_mtbf_slots < 0.0 || node_mttr_slots < 0.0 ||
+      circuit_mtbf_slots < 0.0 || circuit_mttr_slots < 0.0)
+    return fail("mtbf, mttr, circuit_mtbf and circuit_mttr must be >= 0");
   if ((node_mtbf_slots > 0.0 && node_mttr_slots <= 0.0) ||
       (circuit_mtbf_slots > 0.0 && circuit_mttr_slots <= 0.0))
     return fail("an MTBF needs a matching positive MTTR");
@@ -587,13 +454,15 @@ bool ScenarioConfig::validate(std::string* error) const {
                               estimate_noise > 0.0;
   if (control_faults && epoch_slots <= 0)
     return fail("control-plane faults require epoch_slots > 0");
+  if (retransmit_max_attempts < 1)
+    return fail("retransmit_max_attempts must be >= 1");
   if (retransmit_jitter < 0.0 || retransmit_jitter > 1.0)
     return fail("retransmit_jitter must be in [0, 1]");
-  // Fan-in is bounded by the node count, so only enforce it when the
-  // incast workload is actually selected (the default fanin must not
+  // Fan-in is bounded by the node count, so only enforce that bound when
+  // the incast workload is actually selected (the default fanin must not
   // invalidate small-N configs of other workloads).
-  if (workload == WorkloadKind::kIncast &&
-      (incast_fanin < 1 || incast_fanin > nodes - 1))
+  if (incast_fanin < 1 ||
+      (workload == WorkloadKind::kIncast && incast_fanin > nodes - 1))
     return fail("incast_fanin must be in [1, nodes - 1]");
   if (incast_bytes < 1) return fail("incast_bytes must be >= 1");
   if (incast_period_slots < 1)

@@ -9,7 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "topo/clique.h"
@@ -247,30 +250,39 @@ struct ScenarioConfig {
   // Every serializable field, in a fixed order, with enum fields as
   // strings; byte-deterministic (obs/json.h writer).
   std::string to_json() const;
-  // Parse a JSON object; unknown keys and type mismatches are errors
-  // (a typo must not silently fall back to a default). Fields absent
-  // from the document keep their defaults. On failure returns false and
-  // sets *error; *out is untouched.
+  // Parse a JSON object. Each of these is an error naming the key (a typo
+  // must not silently fall back to a default, nor a bad value run a
+  // different experiment): an unknown key, a key given twice, a wrong
+  // JSON type, an unknown enum name, a value outside the member's type
+  // range (a negative count, "nodes" beyond int32, a seed beyond uint64).
+  // Fields absent from the document keep their defaults. On failure
+  // returns false and sets *error; *out is untouched.
   static bool from_json(std::string_view text, ScenarioConfig* out,
                         std::string* error);
   // Same, reading the file at `path`.
   static bool load_file(const std::string& path, ScenarioConfig* out,
                         std::string* error);
 
+  // ---- command-line flags (sorn_tool simulate and compare) ----
+  // Some fields also have a flag, e.g. "--nodes" for "nodes". Apply the
+  // flags given on the command line on top of this config: every
+  // simulate flag, or with fabric_only the seven that compare takes.
+  // `given(flag, takes_value)` returns the flag's text when it is on the
+  // command line (any text for a presence flag) and nullopt otherwise.
+  // The text is read exactly like the field's JSON value: a string or
+  // enum field takes it verbatim, a list field takes comma-separated JSON
+  // items, and a bool field's flag is a presence flag that sets it true.
+  // On a bad value returns false, sets *error naming the flag, and leaves
+  // *this untouched.
+  using FlagLookup = std::function<std::optional<std::string>(
+      const char* flag, bool takes_value)>;
+  bool apply_flags(bool fabric_only, const FlagLookup& given,
+                   std::string* error);
+
   // Basic cross-field validation shared by every entry point (positive
   // counts, mtbf/mttr pairing, known design name not checked here — the
   // registry owns that). Returns false and sets *error on problems.
   bool validate(std::string* error) const;
 };
-
-// Enum <-> string helpers (shared by the JSON codec and CLI flags).
-const char* workload_kind_name(WorkloadKind k);
-const char* traffic_kind_name(TrafficKind k);
-const char* flow_size_kind_name(FlowSizeKind k);
-const char* classify_kind_name(ClassifyKind k);
-bool parse_workload_kind(std::string_view name, WorkloadKind* out);
-bool parse_traffic_kind(std::string_view name, TrafficKind* out);
-bool parse_flow_size_kind(std::string_view name, FlowSizeKind* out);
-bool parse_classify_kind(std::string_view name, ClassifyKind* out);
 
 }  // namespace sorn

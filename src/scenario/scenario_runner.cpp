@@ -420,7 +420,9 @@ bool ScenarioRunner::run(std::string* error) {
   // JSONL file is complete as soon as run() returns.
   if (trace_sink_ != nullptr) {
     telemetry_->set_trace_sink(nullptr);
+    const bool wrote = trace_sink_->close();
     trace_sink_.reset();
+    if (!wrote) return fail(error, "cannot write " + config_.trace_path);
   }
   if (!config_.metrics_json_path.empty() &&
       !write_text_file(config_.metrics_json_path, metrics_json())) {

@@ -408,6 +408,7 @@ CircuitSchedule ScheduleBuilder::sorn_weighted(
     const CliqueAssignment& cliques, Rational q,
     const std::vector<double>& clique_weights, const WeightedOptions& options,
     Slot max_period) {
+  if (clique_weights.empty()) return sorn(cliques, q, max_period);
   SORN_ASSERT(q.num >= 1 && q.den >= 1 && q.num >= q.den,
               "q must be a rational >= 1");
   const CliqueId nc = cliques.clique_count();

@@ -87,7 +87,8 @@ class ScheduleBuilder {
   // `clique_weights` (an Nc x Nc demand aggregate; diagonal ignored) via a
   // Birkhoff-von-Neumann decomposition, instead of the uniform clique-level
   // round robin of sorn(). Encodes gravity models and other non-uniform
-  // aggregate patterns.
+  // aggregate patterns. Empty `clique_weights` builds sorn() itself, so
+  // callers holding optional weights need no branch of their own.
   struct WeightedOptions {
     // Demand share of the mix; the remaining (1 - alpha) is a uniform
     // floor that keeps every clique pair connected (required for 3-hop

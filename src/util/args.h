@@ -22,7 +22,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sorn {
@@ -37,11 +39,16 @@ class ArgParser {
     used_.assign(args_.size(), false);
   }
 
+  // `--flag value`, or nullopt when the flag is absent.
+  std::optional<std::string> get_optional(const char* flag) {
+    const int i = find(flag);
+    if (i < 0) return std::nullopt;
+    return value_of(i);
+  }
+
   // `--flag value`; empty-string fallback means "not given" by convention.
   std::string get_string(const char* flag, std::string fallback) {
-    const int i = find(flag);
-    if (i < 0) return fallback;
-    return value_of(i);
+    return get_optional(flag).value_or(std::move(fallback));
   }
 
   // Valueless boolean flag: present -> true.

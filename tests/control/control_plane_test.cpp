@@ -155,8 +155,8 @@ TEST(ControlPlaneTest, ControlStateGaugeIsInProfileJson) {
   for (const JsonValue& g : gauges->items())
     if (g.find("name")->as_string() == "control_state") control_state = &g;
   ASSERT_NE(control_state, nullptr);
-  EXPECT_GT(control_state->find("bytes")->as_int(), 0);
-  EXPECT_GT(control_state->find("peak_bytes")->as_int(), 0);
+  EXPECT_GT(control_state->find("bytes")->as_double(), 0.0);
+  EXPECT_GT(control_state->find("peak_bytes")->as_double(), 0.0);
 }
 
 }  // namespace

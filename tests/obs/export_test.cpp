@@ -112,5 +112,11 @@ TEST(ExportTest, WriteTextFileFailsOnBadPath) {
   EXPECT_FALSE(write_text_file("/nonexistent-dir-xyz/out.json", "x"));
 }
 
+// /dev/full opens fine and fails on write or flush, like a full disk.
+TEST(ExportTest, WriteTextFileFailsOnAFullDevice) {
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(write_text_file("/dev/full", "x"));
+}
+
 }  // namespace
 }  // namespace sorn

@@ -114,5 +114,19 @@ TEST(FileTraceSinkTest, WritesJsonlFraming) {
   std::remove(path.c_str());
 }
 
+TEST(FileTraceSinkTest, CloseReportsAFailedWrite) {
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  FileTraceSink sink("/dev/full");
+  ASSERT_TRUE(sink.ok());
+  Tracer(&sink).reconfigure(3);
+  EXPECT_FALSE(sink.close());
+
+  const std::string path = testing::TempDir() + "/sorn_trace_close.jsonl";
+  FileTraceSink good(path);
+  Tracer(&good).reconfigure(3);
+  EXPECT_TRUE(good.close());
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace sorn

@@ -1,13 +1,23 @@
 // ScenarioConfig JSON codec: round-trip fidelity, strict unknown-key
 // handling (a typo must be an error, not a silently-defaulted field),
-// and cross-field validation.
+// range checks by member type, the sorn_tool flags that share the
+// reader, and cross-field validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "scenario/chaos.h"
 #include "scenario/scenario_config.h"
 #include "scenario/scenario_runner.h"
+#include "util/rng.h"
 
 namespace sorn {
 namespace {
@@ -96,6 +106,83 @@ ScenarioConfig non_default_config() {
   return cfg;
 }
 
+constexpr const char* kDefaultJson =
+    R"({"design":"sorn","nodes":64,"cliques":8,)"
+    R"("locality":0.56000000000000005,"q_num":0,"q_den":1,)"
+    R"("max_q_denominator":6,"lb_first_available":false,)"
+    R"("inter_clique_weights":[],"weighted_alpha":0.69999999999999996,)"
+    R"("clusters":4,"pods_per_cluster":4,"pod_locality_x1":0.5,)"
+    R"("cluster_locality_x2":0.29999999999999999,"dwell_slots":900,)"
+    R"("schedule_seed":17,"max_short_hops":6,"bulk_cutoff_bytes":0,)"
+    R"("orn_dims":2,"radices":[],"lanes":1,"slot_ns":100,)"
+    R"("propagation_ns":0,"cell_bytes":256,"max_queue_cells":0,)"
+    R"("seed":42,"threads":0,"traffic":"locality",)"
+    R"("ring_heavy_share":0.84999999999999998,)"
+    R"("traffic_backend":"dense","workload":"flows",)"
+    R"("load":0.29999999999999999,"slots":30000,"drain_slots":200000,)"
+    R"("warmup_slots":4000,"measure_slots":8000,)"
+    R"("flow_size":"pfabric-web-search","fixed_flow_bytes":2560,)"
+    R"("flow_size_cap":0,"classify":"none","arrival_seed":1,)"
+    R"("workload_seed":7,"incast_fanin":32,"incast_bytes":16384,)"
+    R"("incast_period_slots":512,"collective_kind":"ring",)"
+    R"("collective_bytes":262144,"collective_phase_gap_slots":256,)"
+    R"("rack_local_frac":0.59999999999999998,"oversub_factor":4,)"
+    R"("transport":"open-loop","ecn_threshold_cells":0,)"
+    R"("init_cwnd_cells":8,"max_cwnd_cells":256,"dctcp_gain":0.0625,)"
+    R"("trace":"","metrics_json":"","timeseries_csv":"",)"
+    R"("sample_every":1,"profile":false,"profile_json":"",)"
+    R"("fault_script":"","fault_script_path":"","mtbf":0,"mttr":0,)"
+    R"("circuit_mtbf":0,"circuit_mttr":0,"fault_seed":1,)"
+    R"("epoch_slots":0,"update_delay_slots":0,"control_outages":[],)"
+    R"("controller_mtbf":0,"controller_mttr":0,"control_fault_seed":1,)"
+    R"("replan_apply_delay":0,"estimate_stale_epochs":0,)"
+    R"("estimate_noise":0,"safe_mode":"hold","check_invariants":false,)"
+    R"("retransmit_timeout":0,"retransmit_max_attempts":8,)"
+    R"("retransmit_jitter":0})" "\n";
+constexpr const char* kNonDefaultJson =
+    R"({"design":"opera","nodes":96,"cliques":12,)"
+    R"("locality":0.70999999999999996,"q_num":3,"q_den":2,)"
+    R"("max_q_denominator":8,"lb_first_available":true,)"
+    R"("inter_clique_weights":[0,2,2,0],)"
+    R"("weighted_alpha":0.90000000000000002,"clusters":3,)"
+    R"("pods_per_cluster":2,"pod_locality_x1":0.45000000000000001,)"
+    R"("cluster_locality_x2":0.25,"dwell_slots":64,"schedule_seed":99,)"
+    R"("max_short_hops":4,"bulk_cutoff_bytes":1048576,"orn_dims":3,)"
+    R"("radices":[4,6],"lanes":2,"slot_ns":200,"propagation_ns":500,)"
+    R"("cell_bytes":512,"max_queue_cells":64,"seed":1234,"threads":4,)"
+    R"("traffic":"ring","ring_heavy_share":0.75,)"
+    R"("traffic_backend":"procedural","workload":"incast",)"
+    R"("load":0.55000000000000004,"slots":12345,"drain_slots":42,)"
+    R"("warmup_slots":11,"measure_slots":22,"flow_size":"fixed",)"
+    R"("fixed_flow_bytes":4096,"flow_size_cap":65536,)"
+    R"("classify":"size","arrival_seed":5,"workload_seed":6,)"
+    R"("incast_fanin":12,"incast_bytes":32768,)"
+    R"("incast_period_slots":128,"collective_kind":"tree",)"
+    R"("collective_bytes":524288,"collective_phase_gap_slots":96,)"
+    R"("rack_local_frac":0.80000000000000004,"oversub_factor":2.5,)"
+    R"("transport":"dctcp","ecn_threshold_cells":8,)"
+    R"("init_cwnd_cells":16,"max_cwnd_cells":128,"dctcp_gain":0.125,)"
+    R"("trace":"out.jsonl","metrics_json":"out.json",)"
+    R"("timeseries_csv":"out.csv","sample_every":10,"profile":false,)"
+    R"("profile_json":"","fault_script":"fail node 3 @ 100",)"
+    R"("fault_script_path":"","mtbf":5000,"mttr":400,)"
+    R"("circuit_mtbf":9000,"circuit_mttr":300,"fault_seed":77,)"
+    R"("epoch_slots":400,"update_delay_slots":24,)"
+    R"("control_outages":[100,300,900,1100],"controller_mtbf":7000,)"
+    R"("controller_mttr":600,"control_fault_seed":21,)"
+    R"("replan_apply_delay":16,"estimate_stale_epochs":2,)"
+    R"("estimate_noise":0.14999999999999999,"safe_mode":"vlb",)"
+    R"("check_invariants":true,"retransmit_timeout":256,)"
+    R"("retransmit_max_attempts":4,)"
+    R"("retransmit_jitter":0.29999999999999999})" "\n";
+
+// The bytes to_json wrote before the field list replaced its hand-written
+// body; a valid scenario must keep serializing to exactly these.
+TEST(ScenarioConfigTest, ToJsonBytesArePinned) {
+  EXPECT_EQ(ScenarioConfig{}.to_json(), kDefaultJson);
+  EXPECT_EQ(non_default_config().to_json(), kNonDefaultJson);
+}
+
 TEST(ScenarioConfigTest, DefaultsRoundTrip) {
   const ScenarioConfig cfg;
   ScenarioConfig back;
@@ -173,6 +260,228 @@ TEST(ScenarioConfigTest, TypeMismatchIsAnError) {
   }
 }
 
+// Chaos configs carry full-range uint64 seeds (fault_seed,
+// control_fault_seed), which once reloaded clamped to 2^63 - 1.
+TEST(ScenarioConfigTest, ChaosConfigsRoundTrip) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::string doc = make_chaos_config(seed, ChaosKnobs{}).to_json();
+    ScenarioConfig back;
+    std::string error;
+    ASSERT_TRUE(ScenarioConfig::from_json(doc, &back, &error))
+        << "seed " << seed << ": " << error;
+    EXPECT_EQ(back.to_json(), doc) << "seed " << seed;
+  }
+}
+
+TEST(ScenarioConfigTest, SeedsSpanTheFullUint64Range) {
+  ScenarioConfig back;
+  std::string error;
+  ASSERT_TRUE(ScenarioConfig::from_json(
+      R"({"seed": 18446744073709551615})", &back, &error))
+      << error;
+  EXPECT_EQ(back.seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_NE(back.to_json().find(R"("seed":18446744073709551615,)"),
+            std::string::npos);
+
+  EXPECT_FALSE(ScenarioConfig::from_json(
+      R"({"seed": 18446744073709551616})", &back, &error));
+  EXPECT_NE(error.find("'seed'"), std::string::npos) << error;
+  EXPECT_EQ(back.seed, std::numeric_limits<std::uint64_t>::max());
+}
+
+// A value outside the member's own type range, or a key given twice, is an
+// error naming the key, never a wrapped, clamped or overwritten value that
+// runs a different experiment.
+TEST(ScenarioConfigTest, BadValuesAreErrorsNamingTheKey) {
+  const std::vector<std::pair<std::string, std::string>> docs = {
+      {"nodes", R"({"nodes": 4294967328})"},
+      {"cliques", R"({"cliques": -2147483649})"},
+      {"lanes", R"({"lanes": 2147483648})"},
+      {"retransmit_max_attempts",
+       R"({"retransmit_max_attempts": 4294967297})"},
+      {"slots", R"({"slots": 9223372036854775808})"},
+      {"seed", R"({"seed": 99999999999999999999})"},
+      {"control_outages", R"({"control_outages": [10, 1e3]})"},
+      {"radices", R"({"radices": [4, 4294967296]})"},
+      {"load", R"({"load": 1e999})"},
+      {"nodes", R"({"nodes": 16, "load": 0.5, "nodes": 32})"},
+  };
+  for (const auto& [key, doc] : docs) {
+    ScenarioConfig back;
+    back.design = "sentinel";
+    std::string error;
+    EXPECT_FALSE(ScenarioConfig::from_json(doc, &back, &error)) << doc;
+    EXPECT_NE(error.find("'" + key + "'"), std::string::npos) << error;
+    EXPECT_EQ(back.design, "sentinel");
+  }
+}
+
+// Seeded mutants of a full scenario document. Each must either fail with
+// an error and leave *out untouched, or parse into a config whose JSON
+// reads back to the same bytes.
+TEST(ScenarioConfigTest, MutantsFailCleanlyOrRoundTrip) {
+  const std::string doc = non_default_config().to_json();
+  std::vector<std::size_t> digits;
+  for (std::size_t i = 0; i < doc.size(); ++i)
+    if (doc[i] >= '0' && doc[i] <= '9') digits.push_back(i);
+  ScenarioConfig sentinel;
+  sentinel.design = "sentinel";
+  const std::string sentinel_json = sentinel.to_json();
+
+  Rng rng(0x5eed);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  int parsed = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string m = doc;
+    switch (rng.next_below(5)) {
+      case 0:  // byte flip
+        m[below(m.size())] ^= static_cast<char>(1 + below(255));
+        break;
+      case 1:  // delete
+        m.erase(below(m.size()), 1 + below(8));
+        break;
+      case 2:  // insert
+        m.insert(below(m.size() + 1), 1, static_cast<char>(below(256)));
+        break;
+      case 3: {  // duplicate a span
+        const std::string span = m.substr(below(m.size()), 1 + below(24));
+        m.insert(below(m.size() + 1), span);
+        break;
+      }
+      default: {  // a long digit run, extending a number
+        std::string run(10 + below(400), '0');
+        for (char& c : run) c = static_cast<char>('0' + below(10));
+        m.insert(digits[below(digits.size())] + 1, run);
+        break;
+      }
+    }
+    ScenarioConfig out = sentinel;
+    std::string error;
+    if (!ScenarioConfig::from_json(m, &out, &error)) {
+      EXPECT_FALSE(error.empty()) << m;
+      EXPECT_EQ(out.to_json(), sentinel_json) << m;
+      continue;
+    }
+    ++parsed;
+    const std::string once = out.to_json();
+    ScenarioConfig again;
+    ASSERT_TRUE(ScenarioConfig::from_json(once, &again, &error))
+        << error << "\nmutant: " << m;
+    EXPECT_EQ(again.to_json(), once) << "mutant: " << m;
+  }
+  // Some mutants must reach the field readers, not only the parser.
+  EXPECT_GT(parsed, 100);
+}
+
+// Flag values as a command line would give them; records every flag the
+// config asks about.
+struct FakeCommandLine {
+  std::map<std::string, std::string> given;
+  std::vector<std::string> asked;
+
+  ScenarioConfig::FlagLookup lookup() {
+    return [this](const char* flag,
+                  bool) -> std::optional<std::string> {
+      asked.emplace_back(flag);
+      const auto it = given.find(flag);
+      if (it == given.end()) return std::nullopt;
+      return it->second;
+    };
+  }
+};
+
+// simulate's 49 field flags and compare's 7, name for name.
+TEST(ScenarioConfigTest, FlagSetsMatchTheCli) {
+  FakeCommandLine cli;
+  ScenarioConfig cfg;
+  std::string error;
+  ASSERT_TRUE(cfg.apply_flags(true, cli.lookup(), &error)) << error;
+  EXPECT_EQ(cli.asked,
+            (std::vector<std::string>{"--design", "--nodes", "--cliques",
+                                      "--locality", "--seed", "--threads",
+                                      "--traffic-backend"}));
+  cli.asked.clear();
+  ASSERT_TRUE(cfg.apply_flags(false, cli.lookup(), &error)) << error;
+  EXPECT_EQ(
+      cli.asked,
+      (std::vector<std::string>{
+          "--design", "--nodes", "--cliques", "--locality", "--seed",
+          "--threads", "--traffic-backend", "--workload", "--load", "--slots",
+          "--incast-fanin", "--incast-bytes", "--incast-period",
+          "--collective", "--collective-bytes", "--collective-gap",
+          "--rack-local-frac", "--oversub-factor", "--transport",
+          "--ecn-threshold", "--init-cwnd", "--max-cwnd", "--dctcp-gain",
+          "--trace", "--metrics-json", "--timeseries-csv", "--sample-every",
+          "--profile", "--profile-json", "--fault-script", "--mtbf",
+          "--mttr", "--circuit-mtbf", "--circuit-mttr", "--fault-seed",
+          "--epoch-slots", "--update-delay", "--control-outages",
+          "--controller-mtbf", "--controller-mttr", "--control-fault-seed",
+          "--replan-apply-delay", "--estimate-stale-epochs",
+          "--estimate-noise", "--safe-mode", "--check-invariants",
+          "--retransmit-timeout", "--retransmit-max-attempts",
+          "--retransmit-jitter"}));
+  EXPECT_EQ(cfg.to_json(), ScenarioConfig{}.to_json());  // none were given
+}
+
+TEST(ScenarioConfigTest, FlagsReadLikeTheirJsonKeys) {
+  FakeCommandLine cli;
+  cli.given = {{"--nodes", "96"},
+               {"--locality", "0.71"},
+               {"--seed", "18446744073709551615"},
+               {"--threads", "0"},
+               {"--workload", "incast"},
+               {"--trace", "run.jsonl"},
+               {"--fault-script", "faults.txt"},
+               {"--control-outages", "100,300,900,1100"},
+               {"--profile", ""}};
+  ScenarioConfig cfg;
+  std::string error;
+  ASSERT_TRUE(cfg.apply_flags(false, cli.lookup(), &error)) << error;
+  EXPECT_EQ(cfg.nodes, 96);
+  EXPECT_DOUBLE_EQ(cfg.locality_x, 0.71);
+  EXPECT_EQ(cfg.seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(cfg.threads, 0);
+  EXPECT_EQ(cfg.workload, WorkloadKind::kIncast);
+  EXPECT_EQ(cfg.trace_path, "run.jsonl");
+  EXPECT_EQ(cfg.fault_script_path, "faults.txt");
+  EXPECT_EQ(cfg.control_outages, (std::vector<Slot>{100, 300, 900, 1100}));
+  EXPECT_TRUE(cfg.profile);
+
+  // compare's fabric-only walk leaves every other field alone.
+  ScenarioConfig fabric;
+  ASSERT_TRUE(fabric.apply_flags(true, cli.lookup(), &error)) << error;
+  EXPECT_EQ(fabric.nodes, 96);
+  EXPECT_EQ(fabric.workload, ScenarioConfig{}.workload);
+  EXPECT_FALSE(fabric.profile);
+}
+
+TEST(ScenarioConfigTest, BadFlagValuesAreErrorsNamingTheFlag) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--nodes", "4294967328"},
+      {"--nodes", "12abc"},
+      {"--retransmit-max-attempts", "4294967297"},
+      {"--seed", "18446744073709551616"},
+      {"--seed", "-1"},
+      {"--control-outages", "10,20,abc,40"},
+      {"--control-outages", "10,,20"},
+      {"--load", "nan"},
+      {"--workload", "turbo"},
+      {"--traffic-backend", "hologram"},
+  };
+  for (const auto& [flag, text] : bad) {
+    FakeCommandLine cli;
+    cli.given = {{"--slots", "77"}, {flag, text}};
+    ScenarioConfig cfg;
+    std::string error;
+    EXPECT_FALSE(cfg.apply_flags(false, cli.lookup(), &error))
+        << flag << " " << text;
+    EXPECT_EQ(error.rfind(flag, 0), 0u) << error;
+    EXPECT_EQ(cfg.slots, ScenarioConfig{}.slots);  // untouched on failure
+  }
+}
+
 TEST(ScenarioConfigTest, BadEnumValueIsAnError) {
   ScenarioConfig back;
   std::string error;
@@ -237,6 +546,24 @@ TEST(ScenarioConfigTest, ValidateRejectsBadRanges) {
   // Only the fixed distribution reads fixed_flow_bytes.
   cfg.flow_size = FlowSizeKind::kPfabricWebSearch;
   EXPECT_TRUE(cfg.validate(&error)) << error;
+
+  // Bounds the sorn_tool flags once checked on their own now hold for
+  // JSON too.
+  cfg = ScenarioConfig{};
+  cfg.circuit_mttr_slots = -1.0;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("circuit_mttr"), std::string::npos) << error;
+
+  cfg = ScenarioConfig{};
+  cfg.retransmit_max_attempts = 0;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("retransmit_max_attempts"), std::string::npos)
+      << error;
+
+  cfg = ScenarioConfig{};
+  cfg.incast_fanin = 0;  // not the incast workload, still no fan-in
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("incast_fanin"), std::string::npos) << error;
 
   cfg = ScenarioConfig{};
   EXPECT_TRUE(cfg.validate(&error)) << error;
@@ -366,6 +693,27 @@ TEST(ScenarioConfigTest, LoadFileRoundTrips) {
   EXPECT_FALSE(
       ScenarioConfig::load_file("/nonexistent/scenario.json", &back, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// A full disk fails the run naming the artifact, for every sink.
+TEST(ScenarioConfigTest, RunFailsWhenAnArtifactCannotBeWritten) {
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  for (std::string ScenarioConfig::*sink :
+       {&ScenarioConfig::trace_path, &ScenarioConfig::metrics_json_path,
+        &ScenarioConfig::timeseries_csv_path,
+        &ScenarioConfig::profile_json_path}) {
+    ScenarioConfig cfg;
+    cfg.nodes = 16;
+    cfg.cliques = 4;
+    cfg.slots = 300;
+    cfg.threads = 1;
+    cfg.*sink = "/dev/full";
+    std::string error;
+    auto runner = ScenarioRunner::create(cfg, &error);
+    ASSERT_NE(runner, nullptr) << error;
+    EXPECT_FALSE(runner->run(&error));
+    EXPECT_EQ(error, "cannot write /dev/full");
+  }
 }
 
 }  // namespace
