@@ -124,18 +124,25 @@ void BM_VlbRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_VlbRoute);
 
+// One saturated slot at N nodes with u uplink lanes (args: N, u). The
+// 16-lane case is Table 1's uplink count, where the take pass serves every
+// lane of a node back to back.
 void BM_NetworkSlot(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
+  const auto lanes = static_cast<int>(state.range(1));
   SornConfig cfg;
   cfg.nodes = n;
   cfg.cliques = 8;
   cfg.locality_x = 0.56;
   cfg.q = Rational{9, 2};  // near q*(0.56) with a short schedule period
+  cfg.uplinks = lanes;
   cfg.propagation_per_hop = 0;
   const SornNetwork net = SornNetwork::build(cfg);
   SlottedNetwork sim = net.make_network();
   const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.56);
-  SaturationSource source(&tm, SaturationConfig{});
+  SaturationConfig scfg;
+  scfg.cells_per_node_per_slot = 2 * lanes;  // outrun delivery on u lanes
+  SaturationSource source(&tm, scfg);
   // Pre-fill queues so every slot does real work.
   for (int i = 0; i < 200; ++i) {
     source.pump(sim);
@@ -147,7 +154,11 @@ void BM_NetworkSlot(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_NetworkSlot)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_NetworkSlot)
+    ->Args({64, 1})
+    ->Args({128, 1})
+    ->Args({256, 1})
+    ->Args({1024, 16});
 
 // One push/peek/pop cycle per iteration against a node holding `depth`
 // cells in each of `fanout` next-hop queues: fanout = one cell toward each

@@ -29,9 +29,9 @@ namespace sorn {
 // Phases of one simulated slot, in fixed export order. Keep
 // prof_phase_name() and kProfPhaseCount in sync when extending.
 enum class ProfPhase : int {
-  kScheduleAdvance = 0,  // matching lookup per lane
-  kLaneSweep,            // node sweep (sequential) or sharded stage phase
-  kMergeReplay,          // merge of staged shard events (parallel engine)
+  kScheduleAdvance = 0,  // the slot's matching per lane
+  kLaneSweep,            // take pass: every lane of every node, sharded
+  kMergeReplay,          // apply pass: staged events replayed lane-major
   kVoqSettle,            // settling the global queued-cell total
   kRetransmit,           // end-host stall scan + re-admission
   kControlTick,          // control-plane tick (ControlPlane::tick)

@@ -20,11 +20,14 @@ struct PoolUtilization {
   int threads = 1;
   std::uint64_t batches = 0;        // dispatches while profiling was on
   std::uint64_t shards = 0;         // total shard executions (all workers)
-  std::uint64_t owner_wait_ns = 0;  // coordinating thread inside wait()
+  // Coordinating thread blocked in wait() after it ran out of shards to
+  // claim (its own shard time is worker 0's busy_ns).
+  std::uint64_t owner_wait_ns = 0;
   // Wall-clock span from enable_profiling(true) to the snapshot; per-worker
   // idle time is window_ns - busy_ns (computed at export, clamped at 0).
   std::uint64_t window_ns = 0;
-  std::vector<PoolWorkerStats> workers;  // one entry per worker thread
+  // One entry per thread; entry 0 is the coordinating thread.
+  std::vector<PoolWorkerStats> workers;
 };
 
 }  // namespace sorn

@@ -9,12 +9,12 @@
 // tracer, so attaching a Telemetry with no sink still yields counts.
 //
 // Threading contract: Telemetry is not thread-safe and does not need to
-// be. The parallel slot engine never calls hooks from worker threads —
-// shards stage their results in per-shard buffers, and the coordinating
-// thread invokes every hook during the merge phase, replaying events in
-// the exact order the sequential sweep would have produced them. That is
-// what keeps traces and time series byte-identical across thread counts
-// (see src/sim/network.cpp, step_lane_parallel).
+// be. The slot engine never calls hooks from worker threads — shards
+// stage their results in per-shard buffers, and the coordinating thread
+// invokes every hook during the apply pass, replaying events in the same
+// lane-major order at any thread count. That is what keeps traces and
+// time series byte-identical across thread counts (see
+// src/sim/network.cpp, SlottedNetwork::step).
 #pragma once
 
 #include <memory>

@@ -25,10 +25,9 @@
 //     is independent of SimMetrics, so a dedup bug there is caught here.
 //
 // Threading contract: every hook is invoked from the coordinating thread
-// only — the sequential sweep calls them inline and the parallel engine
-// calls them during its ordered merge replay — so the checker needs no
-// synchronization and, like Telemetry, results are byte-identical at any
-// thread count.
+// only — the slot engine calls them during its ordered apply pass — so
+// the checker needs no synchronization and, like Telemetry, results are
+// byte-identical at any thread count.
 #pragma once
 
 #include <cstdint>

@@ -28,6 +28,11 @@ SlottedNetwork::SlottedNetwork(const CircuitSchedule* schedule,
   SORN_ASSERT(config_.slot_duration >= 1, "slots must last at least 1 ps");
   prop_slots_ = (config_.propagation_per_hop + config_.slot_duration - 1) /
                 config_.slot_duration;
+  lane_matchings_.assign(static_cast<std::size_t>(config_.lanes), nullptr);
+  popped_.assign(static_cast<std::size_t>(n_) *
+                     static_cast<std::size_t>(config_.lanes),
+                 kNoPop);
+  set_threads(1);
 }
 
 void SlottedNetwork::inject_flow(FlowId flow, NodeId src, NodeId dst,
@@ -39,7 +44,7 @@ Cell SlottedNetwork::make_cell(const Router& router, FlowId flow,
                                std::uint32_t seq, NodeId src, NodeId dst,
                                Slot route_slot) {
   SORN_ASSERT(src != dst, "cell endpoints must differ");
-  // Routing draws from rng_; a draw inside the parallel sweep would make
+  // Routing draws from rng_; a draw inside a pooled take pass would make
   // the stream depend on thread scheduling (see DESIGN.md).
   SORN_ASSERT(!in_parallel_sweep_, "inject during parallel sweep");
   Cell cell;
@@ -93,13 +98,31 @@ void SlottedNetwork::inject_cell(NodeId src, NodeId dst) {
   enqueue_or_drop(cell);
 }
 
-void SlottedNetwork::enqueue_or_drop(Cell& cell,
-                                     std::uint64_t queued_ahead) {
+std::uint64_t SlottedNetwork::queued_ahead(const Cell& cell,
+                                           int lane) const {
+  // The lane-major order runs lane l's transmits in node order, and only
+  // the relay pops its own queue, so the relay's pops still ahead are: on
+  // `lane` when it sweeps after the sender, and on every later lane. Two
+  // lanes can match the relay to the same next hop in one slot.
+  const NodeId relay = cell.current();
+  const NodeId hop = cell.next_hop();
+  const NodeId sender = cell.path.at(cell.hop - 1);
+  const NodeId* popped =
+      popped_.data() + static_cast<std::size_t>(relay) *
+                           static_cast<std::size_t>(config_.lanes);
+  std::uint64_t ahead = relay > sender && popped[lane] == hop ? 1 : 0;
+  for (int l = lane + 1; l < config_.lanes; ++l)
+    ahead += popped[l] == hop ? 1 : 0;
+  return ahead;
+}
+
+void SlottedNetwork::enqueue_or_drop(Cell& cell, int sent_lane) {
   const std::uint64_t cap = config_.max_queue_cells;
   const std::uint64_t mark_at = config_.ecn_threshold_cells;
   if (cap > 0 || mark_at > 0) {
     const std::uint64_t size =
-        voqs_.size_of(cell.current(), cell.next_hop()) + queued_ahead;
+        voqs_.size_of(cell.current(), cell.next_hop()) +
+        (sent_lane >= 0 ? queued_ahead(cell, sent_lane) : 0);
     if (cap > 0 && size >= cap) {
       metrics_.on_drop();
       if (telemetry_ != nullptr) {
@@ -117,15 +140,15 @@ void SlottedNetwork::enqueue_or_drop(Cell& cell,
   voqs_.push(cell);
 }
 
-// take() and apply() are inlined into both sweeps: as calls, once per node
-// per lane, they cost 5-12% of slots/s at N = 4096 with 16 lanes and two
-// threads (4-vCPU x86 host).
+// take() and apply() are inlined into the two passes: as calls, once per
+// node per lane, they cost 5-12% of slots/s at N = 4096 with 16 lanes and
+// two threads (4-vCPU x86 host).
 [[gnu::always_inline]] inline std::optional<SlottedNetwork::StagedEvent>
 SlottedNetwork::take(NodeId node, NodeId peer) {
   if (failures_.any_failures() && !failures_.usable(node, peer))
     return std::nullopt;
   // Gray decisions are stateless seeded hashes (no shared Rng), so shards
-  // can evaluate them; apply() replays the outcome in node order.
+  // can evaluate them; apply() replays the outcome in lane-major order.
   const GrayCircuit* gray = nullptr;
   if (gray_.any()) {
     gray = gray_.find(node, peer);
@@ -150,8 +173,8 @@ SlottedNetwork::take(NodeId node, NodeId peer) {
   return ev;
 }
 
-[[gnu::always_inline]] inline void SlottedNetwork::apply(
-    StagedEvent& ev, std::uint64_t queued_ahead) {
+[[gnu::always_inline]] inline void SlottedNetwork::apply(StagedEvent& ev,
+                                                         int lane) {
   Cell& cell = ev.cell;
   // A lost cell was not advanced: its hop is still the circuit it left on.
   const int sent = ev.gray_drop ? cell.hop : cell.hop - 1;
@@ -168,7 +191,7 @@ SlottedNetwork::take(NodeId node, NodeId peer) {
   }
   if (!cell.at_destination()) {
     metrics_.on_forward();
-    enqueue_or_drop(cell, queued_ahead);
+    enqueue_or_drop(cell, lane);
     return;
   }
   if (checker_ != nullptr) checker_->on_deliver(now_, cell);
@@ -178,110 +201,88 @@ SlottedNetwork::take(NodeId node, NodeId peer) {
   if (transport_ != nullptr && first_copy) transport_->on_ack(cell, now_ + 1);
 }
 
-// One lane's sweep, sharded across the pool. Phase 1 (parallel): each
-// shard runs take() over its contiguous node range in order — node i only
-// ever pops its own queues, so pops are disjoint across shards — and
-// stages the outcomes. Phase 2 (sequential): stages are merged in shard
-// order, which is node order, so apply() replays every side effect with
-// observable ordering (metrics, trace events, pushes, drops) in exactly
-// the sequence the sequential sweep produces.
-//
-// The one way deferred pushes could diverge from the interleaved
-// sequential sweep is the queue size seen by the capacity check and the
-// ECN mark: sequentially, node i pushes into its peer's queue *before*
-// nodes j > i pop, and a pushed cell is never transmittable in the same
-// slot (ready_slot > now), so only queue *sizes* can differ, never heads.
-// The merge reconstructs the sequential-order size from the popped_ marks.
-void SlottedNetwork::step_lane_parallel(const Matching& m,
-                                        PhaseProfiler* prof) {
-  std::fill(popped_.begin(), popped_.end(), std::uint8_t{0});
-  in_parallel_sweep_ = true;
-  try {
-    ScopedPhase sweep(prof, ProfPhase::kLaneSweep);
-    pool_->run_shards(
-        static_cast<int>(shard_plan_.size()), [&, this](int s) {
-          const ShardRange range = shard_plan_[static_cast<std::size_t>(s)];
-          ShardStage& stage = stages_[static_cast<std::size_t>(s)];
-          stage.events.clear();
-          stage.pops = 0;
-          for (NodeId i = range.begin; i < range.end; ++i) {
-            const NodeId peer = m.dst_of(i);
-            if (peer == i) continue;
-            std::optional<StagedEvent> ev = take(i, peer);
-            if (!ev) continue;
-            ++stage.pops;
-            popped_[static_cast<std::size_t>(i)] = 1;
-            stage.events.push_back(std::move(*ev));
-          }
-        });
-  } catch (...) {
-    // A throwing shard increments stage.pops before the statement that can
-    // throw, so summing the stages restores the VoqSet size invariant even
-    // for the partial sweep. The cells staged this sweep are discarded —
-    // the network stays usable but this slot under-delivers.
-    in_parallel_sweep_ = false;
-    std::uint64_t pops = 0;
-    for (const ShardStage& stage : stages_) pops += stage.pops;
-    voqs_.settle_total(pops);
-    throw;
-  }
-  in_parallel_sweep_ = false;
-  std::uint64_t pops = 0;
-  // optional<> so the merge scope closes before the settle scope opens
-  // without re-nesting the whole replay loop.
-  std::optional<ScopedPhase> merge;
-  if (prof != nullptr) merge.emplace(prof, ProfPhase::kMergeReplay);
-  for (ShardStage& stage : stages_) {
-    pops += stage.pops;
-    for (StagedEvent& ev : stage.events) {
-      // Sequentially, a relay's own pop this lane happens after the push
-      // into it when the relay sits later in the sweep; the parallel phase
-      // already popped, so count that cell back. (The relay is the only
-      // node popping its queue toward the next hop, and the sender the
-      // only node pushing into it this lane — the matching is a
-      // permutation.)
-      const Cell& c = ev.cell;
-      const bool ahead = !ev.gray_drop && !c.at_destination() &&
-                         c.current() > c.path.at(c.hop - 1) &&
-                         popped_[static_cast<std::size_t>(c.current())] &&
-                         m.dst_of(c.current()) == c.next_hop();
-      apply(ev, ahead ? 1 : 0);
-    }
-  }
-  merge.reset();
-  {
-    ScopedPhase settle(prof, ProfPhase::kVoqSettle);
-    voqs_.settle_total(pops);
-  }
-}
-
-void SlottedNetwork::step() {
-  PhaseProfiler* const prof =
-      profiler_ != nullptr ? &profiler_->phases() : nullptr;
-  const Slot period = schedule_->period();
-  for (int lane = 0; lane < config_.lanes; ++lane) {
-    const Slot t = now_ + lane_phase(period, config_.lanes, lane);
-    const Matching* m;
-    {
-      ScopedPhase advance(prof, ProfPhase::kScheduleAdvance);
-      m = &schedule_->matching_at(t);
-    }
-    if (pool_ != nullptr) {
-      step_lane_parallel(*m, prof);
-      continue;
-    }
-    // The one-shard case: each outcome is applied as soon as it is taken.
-    ScopedPhase sweep(prof, ProfPhase::kLaneSweep);
-    std::uint64_t pops = 0;
-    for (NodeId i = 0; i < n_; ++i) {
-      const NodeId peer = m->dst_of(i);
+void SlottedNetwork::take_shard(int s) {
+  ShardStage& stage = stages_[static_cast<std::size_t>(s)];
+  for (std::vector<StagedEvent>& events : stage.lanes) events.clear();
+  stage.pops = 0;
+  const ShardRange range = shard_plan_[static_cast<std::size_t>(s)];
+  const int lanes = config_.lanes;
+  for (NodeId i = range.begin; i < range.end; ++i) {
+    NodeId* popped = popped_.data() + static_cast<std::size_t>(i) *
+                                          static_cast<std::size_t>(lanes);
+    for (int lane = 0; lane < lanes; ++lane) {
+      popped[lane] = kNoPop;
+      const NodeId peer =
+          lane_matchings_[static_cast<std::size_t>(lane)]->dst_of(i);
       if (peer == i) continue;
       std::optional<StagedEvent> ev = take(i, peer);
       if (!ev) continue;
-      ++pops;
-      apply(*ev, 0);
+      // Counted before the push that could throw, so a failed pass still
+      // settles every pop it made.
+      ++stage.pops;
+      popped[lane] = peer;
+      stage.lanes[static_cast<std::size_t>(lane)].push_back(std::move(*ev));
     }
-    voqs_.settle_total(pops);
+  }
+}
+
+// One slot is two passes.
+//
+// Take pass (sharded across the pool): each shard walks its contiguous
+// node range in order and takes every lane of a node back to back, while
+// that node's queue index is still in cache. Node i only ever pops its own
+// queues, so pops are disjoint across shards.
+//
+// Apply pass (coordinating thread): the staged events are replayed lane by
+// lane, and within a lane shard by shard, which is node order. Every side
+// effect — metrics, trace events, pushes, drops, acks — lands in the
+// lane-major order DESIGN §5 specifies. Taking every lane first pops the
+// same heads that order would: a cell pushed this slot has ready_slot >
+// now, so no lane can pop it, and failure and gray state cannot change
+// within a slot. Only queue sizes differ, and queued_ahead() restores the
+// size the capacity check and the ECN mark observe.
+void SlottedNetwork::step() {
+  PhaseProfiler* const prof =
+      profiler_ != nullptr ? &profiler_->phases() : nullptr;
+  {
+    ScopedPhase advance(prof, ProfPhase::kScheduleAdvance);
+    const Slot period = schedule_->period();
+    for (int lane = 0; lane < config_.lanes; ++lane) {
+      lane_matchings_[static_cast<std::size_t>(lane)] =
+          &schedule_->matching_at(now_ +
+                                  lane_phase(period, config_.lanes, lane));
+    }
+  }
+  try {
+    ScopedPhase sweep(prof, ProfPhase::kLaneSweep);
+    if (pool_ == nullptr) {
+      take_shard(0);
+    } else {
+      in_parallel_sweep_ = true;
+      pool_->run_shards(static_cast<int>(stages_.size()),
+                        [this](int s) { take_shard(s); });
+      in_parallel_sweep_ = false;
+    }
+  } catch (...) {
+    // The staged cells are discarded — the network stays usable but this
+    // slot under-delivers — and the pops are settled so the VoqSet size
+    // invariant holds for the partial pass.
+    in_parallel_sweep_ = false;
+    settle_staged_pops();
+    throw;
+  }
+  {
+    ScopedPhase merge(prof, ProfPhase::kMergeReplay);
+    for (int lane = 0; lane < config_.lanes; ++lane) {
+      for (ShardStage& stage : stages_) {
+        for (StagedEvent& ev : stage.lanes[static_cast<std::size_t>(lane)])
+          apply(ev, lane);
+      }
+    }
+  }
+  {
+    ScopedPhase settle(prof, ProfPhase::kVoqSettle);
+    settle_staged_pops();
   }
   metrics_.on_slot(voqs_.total_queued());
   if (checker_ != nullptr) {
@@ -338,20 +339,35 @@ void SlottedNetwork::set_invariant_checker(InvariantChecker* checker) {
 
 void SlottedNetwork::set_threads(int threads) {
   SORN_ASSERT(threads >= 1, "need at least one engine thread");
-  if (threads <= 1) {
-    pool_.reset();
-    shard_plan_.clear();
-    stages_.clear();
-    popped_.clear();
-    return;
+  pool_.reset();
+  if (threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(threads);
+    // A pool created while a profiler is attached starts accounting
+    // immediately (set_threads after set_profiler and vice versa both
+    // work).
+    if (profiler_ != nullptr) pool_->enable_profiling(true);
   }
-  pool_ = std::make_unique<ThreadPool>(threads);
   shard_plan_ = shard_ranges(n_, threads);
   stages_.assign(shard_plan_.size(), ShardStage{});
-  popped_.assign(static_cast<std::size_t>(n_), 0);
-  // A pool created while a profiler is attached starts accounting
-  // immediately (set_threads after set_profiler and vice versa both work).
-  if (profiler_ != nullptr) pool_->enable_profiling(true);
+  for (ShardStage& stage : stages_)
+    stage.lanes.resize(static_cast<std::size_t>(config_.lanes));
+}
+
+void SlottedNetwork::settle_staged_pops() {
+  std::uint64_t pops = 0;
+  for (const ShardStage& stage : stages_) pops += stage.pops;
+  voqs_.settle_total(pops);
+}
+
+std::uint64_t SlottedNetwork::sweep_stage_bytes() const {
+  std::uint64_t bytes = popped_.capacity() * sizeof(NodeId) +
+                        stages_.capacity() * sizeof(ShardStage);
+  for (const ShardStage& stage : stages_) {
+    bytes += stage.lanes.capacity() * sizeof(std::vector<StagedEvent>);
+    for (const std::vector<StagedEvent>& events : stage.lanes)
+      bytes += events.capacity() * sizeof(StagedEvent);
+  }
+  return bytes;
 }
 
 void SlottedNetwork::set_profiler(Profiler* profiler) {
@@ -373,6 +389,7 @@ void SlottedNetwork::set_profiler(Profiler* profiler) {
   mem.register_provider("metrics_distributions", [this] {
     return metrics_.distributions_bytes();
   });
+  mem.register_provider("sweep_stage", [this] { return sweep_stage_bytes(); });
 }
 
 void SlottedNetwork::snapshot_pool_utilization() {
@@ -459,7 +476,7 @@ std::uint64_t SlottedNetwork::heal_all() {
 std::uint64_t SlottedNetwork::retransmit_stalled(
     const RetransmitPolicy& policy) {
   if (policy.timeout_slots <= 0) return 0;
-  // Re-admission routes with rng_; a draw inside the parallel sweep would
+  // Re-admission routes with rng_; a draw inside a pooled take pass would
   // break cross-thread-count determinism (same contract as injection).
   SORN_ASSERT(!in_parallel_sweep_, "retransmit during parallel sweep");
   // Runs between slots; the interval lands in the next slot's breakdown.

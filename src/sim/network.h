@@ -8,11 +8,12 @@
 // evaluate on (see DESIGN.md).
 //
 // Each rule is coded once. take() decides one node's transmit (failure,
-// gray, head, pop) and apply() performs its ordered side effects; the
-// sequential sweep applies each outcome at once, and the parallel sweep is
-// the same pair split across shards (take) and a node-order merge (apply).
-// Every enqueue — injection, relay, merge — goes through enqueue_or_drop,
-// and every injected cell is built by make_cell.
+// gray, head, pop) and apply() performs its ordered side effects. A slot
+// is two passes: the take pass walks each shard's nodes and takes every
+// lane of a node back to back, and the apply pass replays the staged
+// outcomes lane by lane in node order. One thread is the one-shard case.
+// Every enqueue — injection, relay — goes through enqueue_or_drop, and
+// every injected cell is built by make_cell.
 #pragma once
 
 #include <cstdint>
@@ -115,14 +116,14 @@ class SlottedNetwork {
   void run(Slot slots);
 
   // ---- Parallel slot engine ----
-  // Shard each lane's node sweep across `threads` persistent workers.
-  // Results — metrics, traces, time-series rows — are byte-identical to
-  // the sequential engine for the same seed at any thread count: shards
-  // stage their transmit outcomes in node order and the merge replays
-  // every side effect (metrics, pushes, drops, telemetry) in exactly the
-  // sequential sweep's order (see DESIGN.md, "Parallel slot engine").
-  // threads <= 1 tears the pool down and restores the plain sequential
-  // path, which is the default every caller starts with.
+  // Shard each slot's take pass across `threads` threads (the caller and
+  // threads - 1 persistent workers), one pool dispatch per slot. Results
+  // — metrics, traces, time-series rows — are byte-identical at any
+  // thread count: shards stage their transmit outcomes per lane in node
+  // order and the apply pass replays every side effect (metrics, pushes,
+  // drops, telemetry) in lane-major, node order (see DESIGN.md, "Parallel
+  // slot engine"). threads == 1 tears the pool down and takes every node
+  // on the calling thread, the default every caller starts with.
   void set_threads(int threads);
   int threads() const { return pool_ != nullptr ? pool_->thread_count() : 1; }
 
@@ -193,7 +194,7 @@ class SlottedNetwork {
   };
   std::uint64_t retransmit_stalled(const RetransmitPolicy& policy);
 
-  // True while the parallel sweep is running; anything that draws rng_ or
+  // True while a pooled take pass is running; anything that draws rng_ or
   // mutates shared state (injection, fault ticks) must see false.
   bool in_parallel_sweep() const { return in_parallel_sweep_; }
 
@@ -239,9 +240,8 @@ class SlottedNetwork {
   // ---- Closed-loop transport (sim/transport_hook.h) ----
   // Attach a borrowed transport: every first-copy delivery is echoed back
   // through Transport::on_ack, always on the coordinating thread (the
-  // sequential sweep or the parallel merge replay), so the §6 determinism
-  // contract holds with a transport attached. nullptr detaches; detached
-  // sites cost one null check.
+  // apply pass), so the §6 determinism contract holds with a transport
+  // attached. nullptr detaches; detached sites cost one null check.
   void set_transport(Transport* transport) { transport_ = transport; }
   Transport* transport() const { return transport_; }
 
@@ -262,29 +262,44 @@ class SlottedNetwork {
     // discarded instead of delivered/forwarded.
     bool gray_drop = false;
   };
+  // One shard's take pass: per lane, its events in ascending node order.
   struct ShardStage {
-    std::vector<StagedEvent> events;  // in ascending node order
-    std::uint64_t pops = 0;           // settled into VoqSet::total_ at merge
+    std::vector<std::vector<StagedEvent>> lanes;
+    std::uint64_t pops = 0;  // settled into VoqSet::total_ after the slot
   };
+  // popped_ entry of a (node, lane) that popped nothing this slot.
+  static constexpr NodeId kNoPop = -1;
 
-  // Node `node`'s transmit toward `peer` this lane: failure and gray
-  // checks, then pop the transmittable head and advance it. Touches only
-  // `node`'s own queues (safe inside a shard); the caller settles the pop
-  // into VoqSet's total. nullopt when nothing is sent.
+  // Node `node`'s transmit toward `peer`: failure and gray checks, then
+  // pop the transmittable head and advance it. Touches only `node`'s own
+  // queues (safe inside a shard); the caller settles the pop into
+  // VoqSet's total. nullopt when nothing is sent.
   std::optional<StagedEvent> take(NodeId node, NodeId peer);
-  // Every ordered side effect of a taken event: invariant hook, gray
-  // drop, delivery (metrics + transport ack) or forward + enqueue. Runs on
-  // the coordinating thread, in node order.
-  void apply(StagedEvent& ev, std::uint64_t queued_ahead);
-  void step_lane_parallel(const Matching& m, PhaseProfiler* prof);
+  // Every ordered side effect of an event taken on `lane`: invariant
+  // hook, gray drop, delivery (metrics + transport ack) or forward +
+  // enqueue. Runs on the coordinating thread, in lane-major node order.
+  void apply(StagedEvent& ev, int lane);
+  // The take pass over shard `s`'s node range: every lane of a node back
+  // to back, staging events per lane and marking popped_.
+  void take_shard(int s);
+  // Pops of the queue `cell` is about to join that the take pass has made
+  // but the lane-major order has not reached when the cell's transmit on
+  // `lane` is applied: its relay's pop this lane when the relay sweeps
+  // after the sender, and its relay's pops in every later lane.
+  std::uint64_t queued_ahead(const Cell& cell, int lane) const;
   // Enqueue with the capacity check and ECN marking evaluated against one
-  // queue size: the FIFO's depth plus `queued_ahead`, the cells the
-  // sequential sweep would still hold there (the parallel merge's popped_
-  // reconstruction; 0 everywhere else). Tail-drops are counted and traced.
-  void enqueue_or_drop(Cell& cell, std::uint64_t queued_ahead = 0);
+  // queue size: the FIFO's depth, plus queued_ahead() for a cell forwarded
+  // on `sent_lane` this slot (injections pass -1). Tail-drops are counted
+  // and traced.
+  void enqueue_or_drop(Cell& cell, int sent_lane = -1);
   // A fresh cell at `src`, routed by `router` as of `route_slot`.
   Cell make_cell(const Router& router, FlowId flow, std::uint32_t seq,
                  NodeId src, NodeId dst, Slot route_slot);
+  // Settle the take pass's pops into VoqSet's total: once per slot, after
+  // the apply pass, or for a take pass that threw.
+  void settle_staged_pops();
+  // Bytes of the slot's staging: staged events and pop marks (capacity).
+  std::uint64_t sweep_stage_bytes() const;
 
   const CircuitSchedule* schedule_;
   const Router* router_;
@@ -307,16 +322,16 @@ class SlottedNetwork {
   InvariantChecker* checker_ = nullptr;
   Transport* transport_ = nullptr;
 
-  // Parallel engine state. rng_ must never be drawn inside the parallel
-  // sweep (injection — the only RNG consumer — happens between slots);
+  // Slot engine state. rng_ must never be drawn inside a pooled take
+  // pass (injection — the only RNG consumer — happens between slots);
   // in_parallel_sweep_ guards against that ever regressing.
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;  // null at one thread
   std::vector<ShardRange> shard_plan_;
-  std::vector<ShardStage> stages_;
-  // Per-node "popped its VOQ head this lane" marks, used by the merge to
-  // reconstruct the sequential-order queue size for capacity checks and
-  // ECN mark decisions.
-  std::vector<std::uint8_t> popped_;
+  std::vector<ShardStage> stages_;  // one per shard_plan_ range
+  std::vector<const Matching*> lane_matchings_;  // this slot's, per lane
+  // popped_[node * lanes + lane]: the next hop whose queue `node` popped
+  // on `lane` this slot, or kNoPop (read by queued_ahead).
+  std::vector<NodeId> popped_;
   bool in_parallel_sweep_ = false;
 };
 

@@ -60,9 +60,8 @@ ThreadPool::ThreadPool(int threads)
     : threads_(threads),
       worker_counters_(static_cast<std::size_t>(threads)) {
   SORN_ASSERT(threads >= 1, "thread pool needs at least one thread");
-  if (threads_ == 1) return;
-  workers_.reserve(static_cast<std::size_t>(threads_));
-  for (int t = 0; t < threads_; ++t)
+  workers_.reserve(static_cast<std::size_t>(threads_ - 1));
+  for (int t = 1; t < threads_; ++t)
     workers_.emplace_back([this, t] { worker_loop(t); });
 }
 
@@ -91,34 +90,14 @@ int ThreadPool::default_threads() {
 void ThreadPool::begin(int shards, std::function<void(int)> fn) {
   SORN_ASSERT(!batch_active_, "previous batch not waited for");
   SORN_ASSERT(shards >= 0, "negative shard count");
-  batch_active_ = true;
-  errors_.assign(static_cast<std::size_t>(shards), nullptr);
-  const bool prof = profiling_.load(std::memory_order_relaxed);
-  if (prof) ++prof_batches_;
-  if (workers_.empty()) {
-    // Inline pool: run the whole batch here; wait() only rethrows.
-    // Profiled inline batches attribute their time to "worker" 0 — the
-    // calling thread is the only executor a 1-thread pool has.
-    for (int s = 0; s < shards; ++s) {
-      const std::uint64_t t0 = prof ? steady_now_ns() : 0;
-      try {
-        fn(s);
-      } catch (...) {
-        errors_[static_cast<std::size_t>(s)] = std::current_exception();
-      }
-      if (prof) {
-        worker_counters_[0].busy_ns.fetch_add(steady_now_ns() - t0,
-                                              std::memory_order_relaxed);
-        worker_counters_[0].shards.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    return;
-  }
-  // Leave headroom in the shard field: every worker can burn at most one
-  // stray ticket per batch, and the shard bits must never overflow into
-  // the generation tag.
+  // Leave headroom in the shard field: every claimant (the workers and
+  // the waiting caller) can burn at most one stray ticket per batch, and
+  // the shard bits must never overflow into the generation tag.
   SORN_ASSERT(shards < (1 << kShardBits) - threads_ - 1,
               "shard count exceeds ticket space");
+  batch_active_ = true;
+  errors_.assign(static_cast<std::size_t>(shards), nullptr);
+  if (profiling_.load(std::memory_order_relaxed)) ++prof_batches_;
   {
     std::lock_guard<std::mutex> lk(m_);
     fn_ = std::move(fn);
@@ -135,28 +114,30 @@ void ThreadPool::begin(int shards, std::function<void(int)> fn) {
 
 void ThreadPool::wait() {
   if (!batch_active_) return;
+  // The caller is worker 0: it drains the unclaimed shards first (all of
+  // them in a pool without workers), then waits only for shards other
+  // workers are still running.
+  execute_shards(0);
   const bool prof = profiling_.load(std::memory_order_relaxed);
   const std::uint64_t wait_start = prof ? steady_now_ns() : 0;
-  if (!workers_.empty()) {
-    // Poll for completion inside the spin window, then park. remaining_
-    // itself is the predicate: it is reset only by the owner's next
-    // begin(), so unlike a done flag it cannot carry a stale completion
-    // mark from one batch into the next (the finishing worker notifies
-    // under the lock, so the wakeup cannot be lost either).
-    bool done = false;
-    for (int i = 0; i < kSpinIters; ++i) {
-      if (remaining_.load(std::memory_order_acquire) == 0) {
-        done = true;
-        break;
-      }
-      cpu_relax(i);
+  // Poll for completion inside the spin window, then park. remaining_
+  // itself is the predicate: it is reset only by the owner's next begin(),
+  // so unlike a done flag it cannot carry a stale completion mark from one
+  // batch into the next (the finishing worker notifies under the lock, so
+  // the wakeup cannot be lost either).
+  bool done = false;
+  for (int i = 0; i < kSpinIters; ++i) {
+    if (remaining_.load(std::memory_order_acquire) == 0) {
+      done = true;
+      break;
     }
-    if (!done) {
-      std::unique_lock<std::mutex> lk(m_);
-      done_cv_.wait(lk, [this] {
-        return remaining_.load(std::memory_order_acquire) == 0;
-      });
-    }
+    cpu_relax(i);
+  }
+  if (!done) {
+    std::unique_lock<std::mutex> lk(m_);
+    done_cv_.wait(lk, [this] {
+      return remaining_.load(std::memory_order_acquire) == 0;
+    });
   }
   if (prof) owner_wait_ns_ += steady_now_ns() - wait_start;
   batch_active_ = false;

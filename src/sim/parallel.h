@@ -7,9 +7,13 @@
 // results: each shard writes only shard-local staging buffers that the
 // caller merges in fixed shard order afterwards (see network.cpp).
 //
-// Dispatch latency matters more than fairness here — a 128-node lane sweep
-// is only a few microseconds of work — so idle workers spin briefly before
-// parking on a condition variable.
+// A pool of T threads is the calling thread plus T - 1 workers: wait()
+// claims shards like any worker before it waits for the rest, so T
+// threads keep T cores busy, not T + 1.
+//
+// Dispatch latency matters more than fairness here — a 128-node slot
+// sweep is only a few microseconds of work — so idle workers spin briefly
+// before parking on a condition variable.
 #pragma once
 
 #include <atomic>
@@ -39,8 +43,9 @@ std::vector<ShardRange> shard_ranges(NodeId n, int shards);
 
 class ThreadPool {
  public:
-  // threads >= 1. A pool of 1 owns no workers: batches run inline on the
-  // calling thread, so the single-threaded engine pays no synchronization.
+  // threads >= 1: the calling thread is worker 0 and the pool starts
+  // threads - 1 more. A pool of 1 owns no workers, so its batches run
+  // entirely on the calling thread, inside wait().
   explicit ThreadPool(int threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -48,12 +53,13 @@ class ThreadPool {
 
   int thread_count() const { return threads_; }
 
-  // Dispatch a batch without blocking (inline pools run it right here).
-  // A previous batch must have been wait()ed for. fn may be called
-  // concurrently from several workers with distinct shard indices.
+  // Publish a batch to the workers without blocking. A previous batch
+  // must have been wait()ed for. fn may be called concurrently from
+  // several threads with distinct shard indices.
   void begin(int shards, std::function<void(int)> fn);
 
-  // Block until the current batch completes. If any shard threw, rethrows
+  // Run unclaimed shards of the current batch on the calling thread, then
+  // block until the workers finish theirs. If any shard threw, rethrows
   // the exception of the lowest-indexed throwing shard (deterministic
   // regardless of scheduling). No-op when no batch is active.
   void wait();
@@ -68,10 +74,11 @@ class ThreadPool {
   // ---- Utilization accounting (obs/prof) ----
   // When enabled, each worker times its shard bodies (two clock reads per
   // shard, written to its own cache-line-padded counters with relaxed
-  // atomics) and the owner times its wait()s. Disabled — the default —
-  // the hot paths pay one relaxed flag load. Call between batches, from
-  // the owner thread; enabling resets the counters and starts the
-  // utilization window.
+  // atomics; the calling thread's shards count as worker 0's) and the
+  // owner times how long wait() blocks once it has no shard left to
+  // claim. Disabled — the default — the hot paths pay one relaxed flag
+  // load. Call between batches, from the owner thread; enabling resets the
+  // counters and starts the utilization window.
   void enable_profiling(bool on);
   bool profiling_enabled() const {
     return profiling_.load(std::memory_order_relaxed);
@@ -82,12 +89,13 @@ class ThreadPool {
 
  private:
   void worker_loop(int worker);
-  // Claim and run shards of the current batch until none remain.
+  // Claim and run shards of the current batch until none remain; worker
+  // 0 is the thread inside wait().
   void execute_shards(int worker);
   void rethrow_first_error();
 
   const int threads_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // workers 1 .. threads_ - 1
 
   std::mutex m_;
   std::condition_variable work_cv_;

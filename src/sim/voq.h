@@ -23,12 +23,12 @@
 // 16-byte index entry, and the slab keeps the node's high-water mark of
 // queued cells.
 //
-// Thread contract (sim/parallel.h): shards of the parallel sweep own
-// disjoint node ranges and only peek()/pop() their own nodes. All state a
-// pop touches — the node's queue index, its slab and free list, and its
-// cell count — is per-node, so sharded pops stay race-free; the one
-// global, total_, is deliberately NOT updated by pop() and is settled
-// once per lane by the coordinating thread (settle_total), in both sweeps.
+// Thread contract (sim/parallel.h): shards of the take pass own disjoint
+// node ranges and only peek()/pop() their own nodes. All state a pop
+// touches — the node's queue index, its slab and free list, and its cell
+// count — is per-node, so sharded pops stay race-free; the one global,
+// total_, is deliberately NOT updated by pop() and is settled once per
+// slot by the coordinating thread (settle_total), at any thread count.
 #pragma once
 
 #include <cstdint>

@@ -119,7 +119,7 @@ TEST(ProfileDeterminismTest, ProfileReportsEveryExercisedPhase) {
   // Gauges the network registers on attach.
   for (const char* gauge :
        {"voq_cells", "schedule_matchings", "flow_records",
-        "retransmit_state", "metrics_distributions"}) {
+        "retransmit_state", "metrics_distributions", "sweep_stage"}) {
     EXPECT_NE(json.find(std::string("\"name\":\"") + gauge + "\""),
               std::string::npos)
         << gauge;

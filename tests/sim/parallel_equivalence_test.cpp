@@ -3,20 +3,26 @@
 // time-series CSV, JSONL trace — at any thread count, including thread
 // counts that do not divide the node count and exceed the host's cores.
 //
-// Scenarios deliberately cover the paths where parallel execution could
-// diverge from the sequential sweep: multi-hop relaying (deferred pushes),
-// bounded queues with tail drops (the merge's sequential-order capacity
-// reconstruction), multiple lanes, failures, and a full open-loop
-// workload with telemetry attached.
+// Scenarios deliberately cover the paths where a sharded take pass could
+// diverge from one shard: multi-hop relaying (deferred pushes), bounded
+// queues with tail drops (queued_ahead's size reconstruction), multiple
+// lanes, failures, and a full open-loop workload with telemetry attached.
+// One case also pins artifacts captured from the lane-by-lane sweep.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sorn.h"
 #include "fault/fault_injector.h"
 #include "obs/export.h"
 #include "routing/vlb.h"
+#include "scenario/scenario_runner.h"
 #include "sim/workload_driver.h"
 #include "topo/schedule_builder.h"
 #include "traffic/flow_size.h"
@@ -334,6 +340,132 @@ TEST(ParallelEquivalenceTest, FailuresShardIdentically) {
   for (const int threads : kThreadCounts) {
     if (threads == 1) continue;
     expect_identical(base, run_failures(threads), threads);
+  }
+}
+
+// ---- Cross-lane queue sizing, pinned ----
+//
+// One slot takes every lane of a node before it applies any of them, so
+// the queue size the capacity check and the ECN mark see must count the
+// relay's pops on later lanes back in (queued_ahead). These two scenarios
+// make that term decide drops and marks: vlb at N = 8 with 16 lanes has
+// period 7, so lanes 0-2 share a matching and a node pops one queue up to
+// three times a slot; sorn at N = 128 with 3 lanes relays across cliques.
+// Both run 5-cell queues with ECN at 2 under DCTCP, through a node
+// failure, a lossy circuit and a throttled circuit. The digests were
+// captured from the lane-by-lane sweep the two-pass slot replaced.
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// FNV-1a 64 of an artifact, with its length: equal pins stand for equal
+// bytes.
+std::string pin_of(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%zu:%016llx", text.size(),
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+ScenarioConfig cross_lane_config(const std::string& name) {
+  ScenarioConfig cfg;
+  if (name == "vlb-n8-16-lanes") {
+    cfg.design = "vlb";
+    cfg.nodes = 8;
+    cfg.lanes = 16;
+    cfg.traffic = TrafficKind::kUniform;
+    cfg.load = 3.0;
+    cfg.fault_script =
+        "100 fail-node 3\n100 degrade-circuit 1 2 0.3\n"
+        "100 throttle-circuit 5 6 0.4\n300 heal-node 3\n"
+        "300 restore-circuit 1 2\n300 restore-circuit 5 6\n";
+  } else {
+    cfg.design = "sorn";
+    cfg.nodes = 128;
+    cfg.cliques = 8;
+    cfg.locality_x = 0.6;
+    cfg.lanes = 3;
+    cfg.load = 0.6;
+    cfg.fault_script =
+        "100 fail-node 17\n100 degrade-circuit 1 2 0.3\n"
+        "100 throttle-circuit 40 41 0.4\n300 heal-node 17\n"
+        "300 restore-circuit 1 2\n300 restore-circuit 40 41\n";
+  }
+  cfg.flow_size = FlowSizeKind::kFixed;
+  cfg.fixed_flow_bytes = 4096;
+  cfg.slots = 400;
+  cfg.drain_slots = 20000;
+  cfg.max_queue_cells = 5;
+  cfg.ecn_threshold_cells = 2;
+  cfg.transport = "dctcp";
+  cfg.retransmit_timeout = 64;
+  cfg.sample_every = 25;
+  return cfg;
+}
+
+// pin_of() of each artifact a run writes.
+struct Pins {
+  std::string metrics_json;
+  std::string trace_jsonl;
+  std::string timeseries_csv;
+};
+
+Pins run_cross_lane(const std::string& name, int threads) {
+  // PID-unique paths: ctest runs each TEST of this binary as its own
+  // concurrent process.
+  const std::string stem = testing::TempDir() + "cross_lane_" + name + "_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(threads);
+  ScenarioConfig cfg = cross_lane_config(name);
+  cfg.threads = threads;
+  cfg.trace_path = stem + ".jsonl";
+  cfg.metrics_json_path = stem + ".json";
+  cfg.timeseries_csv_path = stem + ".csv";
+  std::string error;
+  auto runner = ScenarioRunner::create(cfg, &error);
+  EXPECT_NE(runner, nullptr) << name << ": " << error;
+  if (runner == nullptr) return {};
+  EXPECT_TRUE(runner->run(&error)) << name << ": " << error;
+  const SimMetrics& m = runner->metrics();
+  EXPECT_GT(m.dropped_cells() - m.gray_dropped_cells(), 0u)
+      << name << ": the cap must tail-drop";
+  EXPECT_GT(m.gray_dropped_cells(), 0u) << name;
+  EXPECT_GT(m.ecn_marked_cells(), 0u) << name;
+  Pins pins{pin_of(slurp(cfg.metrics_json_path)),
+            pin_of(slurp(cfg.trace_path)),
+            pin_of(slurp(cfg.timeseries_csv_path))};
+  for (const std::string& path :
+       {cfg.trace_path, cfg.metrics_json_path, cfg.timeseries_csv_path})
+    std::remove(path.c_str());
+  return pins;
+}
+
+TEST(ParallelEquivalenceTest, CrossLaneQueueSizingMatchesPinnedArtifacts) {
+  const std::pair<const char*, Pins> golden[] = {
+      {"vlb-n8-16-lanes",
+       {"3478:2436a4179d445650", "268845:ed5ee12131ec4857",
+        "1213:a92e2b4aef0d2b0e"}},
+      {"sorn-n128-3-lanes",
+       {"4960:8247f488eaea9e46", "440340:0e32c98893078647",
+        "2557:0c25b0f9424b06b0"}},
+  };
+  for (const auto& [name, pins] : golden) {
+    for (const int threads : {1, 2, 3}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      const Pins run = run_cross_lane(name, threads);
+      EXPECT_EQ(run.metrics_json, pins.metrics_json);
+      EXPECT_EQ(run.trace_jsonl, pins.trace_jsonl);
+      EXPECT_EQ(run.timeseries_csv, pins.timeseries_csv);
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 // ThreadPool and shard-plan unit tests: shard coverage and in-shard
-// ordering, exception propagation, and teardown while idle and mid-batch.
+// ordering, the caller running shards, exception propagation, and
+// teardown while idle and mid-batch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -131,11 +132,38 @@ TEST(ThreadPoolTest, LowestShardExceptionWinsDeterministically) {
   }
 }
 
+// A pool of T threads is the caller plus T - 1 workers. Two shards that
+// each wait for the other to start can only finish if two threads run
+// them at once, and a 2-thread pool has one worker, so the caller must
+// run one of them inside wait().
+TEST(ThreadPoolTest, CallerRunsShardsInsideWait) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::vector<std::thread::id> ran_on(2);
+  pool.run_shards(2, [&](int s) {
+    ran_on[static_cast<std::size_t>(s)] = std::this_thread::get_id();
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  });
+  EXPECT_EQ(started.load(), 2);
+  EXPECT_NE(ran_on[0], ran_on[1]) << "the shards must have overlapped";
+  EXPECT_TRUE(ran_on[0] == caller || ran_on[1] == caller)
+      << "the caller ran no shard";
+}
+
 TEST(ThreadPoolTest, InlinePoolRunsAndPropagatesExceptions) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1);
   std::vector<int> order;
-  pool.run_shards(4, [&](int s) { order.push_back(s); });
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.run_shards(4, [&](int s) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(s);
+  });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_THROW(
       pool.run_shards(2, [](int) { throw std::runtime_error("inline"); }),
