@@ -29,9 +29,9 @@
 #include "control/control_plane.h"
 #include "core/sorn.h"
 #include "obs/export.h"
-#include "obs/telemetry.h"
 #include "scenario/scenario_runner.h"
 #include "sim/saturation.h"
+#include "sim/telemetry.h"
 #include "traffic/patterns.h"
 #include "traffic/trace.h"
 #include "util/table.h"
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   SlottedNetwork& sim = runner->network();
   net.adapt(cp.last_plan().cliques, cp.last_plan().q);
   sim.reconfigure(&net.schedule(), &net.router());
-  sim.set_telemetry(&telemetry);
+  sim.add_observer(&telemetry);
 
   TablePrinter table({"Phase", "locality under plan", "throughput r"});
 

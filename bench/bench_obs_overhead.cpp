@@ -1,16 +1,17 @@
 // Telemetry overhead on the simulator hot path.
 //
-// Acceptance gate for the observability subsystem: with telemetry
-// disabled (no Telemetry attached — the default every existing caller
-// gets), SlottedNetwork::step() must run within 2% of the seed baseline.
-// The instrumentation compiled into the hot path is one null check per
-// event site, so the "detached" mode below *is* the baseline path; the
-// bench quantifies what each successive level of observability costs:
+// Acceptance gate for the observability subsystem: attaching a Telemetry
+// with nothing to write must keep SlottedNetwork::step() within 2% of the
+// detached run. Every event site in the hot path walks the network's
+// observer list (sim/observer.h), empty by default, so the "detached"
+// mode below *is* the baseline path; the bench quantifies what each
+// successive level of observability costs:
 //
-//   detached   — no Telemetry attached (seed-equivalent configuration;
+//   detached   — no observer attached (the default every caller gets;
 //                the profiler's null check per phase site is part of it)
-//   idle       — Telemetry attached, no trace sink, no sampler: every
-//                event site takes its early-out branch
+//   idle       — Telemetry attached, no trace sink, no sampler: each
+//                event is one virtual call, a counter bump or a no-op,
+//                and the tracer's early-out branch
 //   sampled    — time series sampled every 100 slots, still no sink
 //   traced     — NullTraceSink attached (events are formatted to JSON
 //                and discarded) + sampling every 100 slots
@@ -31,8 +32,8 @@
 #include "core/sorn.h"
 #include "obs/export.h"
 #include "obs/prof/profiler.h"
-#include "obs/telemetry.h"
 #include "sim/saturation.h"
+#include "sim/telemetry.h"
 #include "traffic/patterns.h"
 #include "util/table.h"
 
@@ -53,7 +54,7 @@ double run_once(Telemetry* telemetry, Profiler* profiler) {
   cfg.propagation_per_hop = 0;
   const SornNetwork net = SornNetwork::build(cfg);
   SlottedNetwork sim = net.make_network();
-  if (telemetry != nullptr) sim.set_telemetry(telemetry);
+  if (telemetry != nullptr) sim.add_observer(telemetry);
   if (profiler != nullptr) sim.set_profiler(profiler);
   const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.6);
   SaturationSource source(&tm, SaturationConfig{});
@@ -142,9 +143,9 @@ int main(int argc, char** argv) {
       "profiler is an explicit opt-in; detached, its cost is the same\n"
       "null check the gate above already covers).\n"
       "Note: 'detached' is byte-for-byte the configuration every caller\n"
-      "gets unless it opts into telemetry; its only added cost over the\n"
-      "pre-observability simulator is one predictable null check per slot\n"
-      "and per drop/inject event site.\n",
+      "gets unless it attaches an observer; its only added cost over the\n"
+      "pre-observability simulator is one empty-list check per event\n"
+      "site.\n",
       idle_overhead, idle_overhead <= 2.0 ? "PASS" : "FAIL",
       profiled_overhead);
 

@@ -72,10 +72,10 @@
 #include "core/sorn.h"
 #include "fault/fault_injector.h"
 #include "obs/export.h"
-#include "obs/telemetry.h"
 #include "obs/timeseries.h"
 #include "scenario/chaos.h"
 #include "scenario/scenario_runner.h"
+#include "sim/telemetry.h"
 #include "topo/schedule_builder.h"
 #include "traffic/matrix_io.h"
 #include "transport/transport.h"

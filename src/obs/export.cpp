@@ -119,13 +119,11 @@ std::string run_to_json(const SimMetrics& metrics, const Telemetry* telemetry,
   if (telemetry != nullptr) {
     w.key("registry").begin_object();
     w.key("counters").begin_object();
-    for (const auto& [name, v] : telemetry->registry().counters())
+    for (const auto& [name, v] : telemetry->named_counters())
       w.field(name, v);
     w.end_object();
-    w.key("gauges").begin_object();
-    for (const auto& [name, v] : telemetry->registry().gauges())
-      w.field(name, v);
-    w.end_object();
+    // Telemetry keeps no gauges; the empty object keeps the layout.
+    w.key("gauges").begin_object().end_object();
     w.end_object();
 
     if (const TimeSeriesSampler* ts = telemetry->timeseries()) {

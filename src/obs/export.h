@@ -12,8 +12,8 @@
 #include <string_view>
 
 #include "obs/json.h"
-#include "obs/telemetry.h"
 #include "sim/metrics.h"
+#include "sim/telemetry.h"
 #include "sim/transport_hook.h"
 
 namespace sorn {
@@ -36,8 +36,8 @@ void json_histogram(JsonWriter& w, const Histogram& h);
 
 // The full run as one JSON document: counters, throughput, cell-latency
 // percentiles + histogram, FCT percentiles (overall and per class),
-// queue-occupancy stats, plus — when `telemetry` is non-null — the
-// registry counters/gauges and the sampled time series.
+// queue-occupancy stats, plus — when `telemetry` is non-null — its
+// counters (the "registry" block) and the sampled time series.
 std::string run_to_json(const SimMetrics& metrics, const Telemetry* telemetry,
                         const ExportOptions& options = {});
 

@@ -1,9 +1,10 @@
 // The profiling facade: phase timers + memory gauges + pool utilization.
 //
-// Mirrors the Telemetry pattern (obs/telemetry.h): a borrowed Profiler*
-// is attached to the engine (SlottedNetwork::set_profiler) and every
-// instrumentation site is one predictable null check when detached —
-// bench_obs_overhead gates the detached overhead at <= 2%.
+// A borrowed Profiler* is attached to the engine
+// (SlottedNetwork::set_profiler) and every instrumentation site is one
+// predictable null check when detached. It is not a SimObserver
+// (sim/observer.h): it consumes no events, it only times the engine's
+// phases and samples subsystem sizes.
 //
 // The profiler reads clocks and subsystem sizes but never touches RNG,
 // metrics, or queues, so sim artifacts (metrics JSON, trace JSONL,

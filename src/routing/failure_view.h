@@ -13,7 +13,8 @@
 // queued and resume on heal — failures never drop cells by themselves.
 //
 // Mutators are idempotent and return whether the state actually changed,
-// so callers (telemetry, fault injectors) can suppress duplicate events.
+// so callers (the network's fault events, fault injectors) can suppress
+// duplicate events.
 // version() increments on every real change; consumers that cache derived
 // state (the control plane's "have I planned around this failure set yet")
 // compare versions instead of diffing bitmaps.
@@ -33,11 +34,7 @@ class FailureView {
  public:
   FailureView() = default;
   explicit FailureView(NodeId nodes)
-      : n_(nodes),
-        failed_nodes_(static_cast<std::size_t>(nodes), 0),
-        failed_circuits_(static_cast<std::size_t>(nodes) *
-                             static_cast<std::size_t>(nodes),
-                         0) {
+      : n_(nodes), failed_nodes_(static_cast<std::size_t>(nodes), 0) {
     SORN_ASSERT(nodes >= 0, "node count must be nonnegative");
   }
 
@@ -45,30 +42,32 @@ class FailureView {
 
   // ---- Hot-path queries ----
   bool any_failures() const {
-    return failed_node_count_ + failed_circuit_count_ > 0;
+    return failed_node_count_ > 0 || !failed_circuits_.empty();
   }
   bool is_node_failed(NodeId node) const {
     return failed_nodes_[static_cast<std::size_t>(node)] != 0;
   }
   bool is_circuit_failed(NodeId src, NodeId dst) const {
-    return failed_circuits_[edge_index(src, dst)] != 0;
+    return !failed_circuits_.empty() &&
+           std::binary_search(failed_circuits_.begin(), failed_circuits_.end(),
+                              std::pair<NodeId, NodeId>{src, dst});
   }
   // True when a cell can actually cross src -> dst this slot: neither
   // endpoint is down and the directed circuit is up.
   bool usable(NodeId src, NodeId dst) const {
     return failed_nodes_[static_cast<std::size_t>(src)] == 0 &&
            failed_nodes_[static_cast<std::size_t>(dst)] == 0 &&
-           failed_circuits_[edge_index(src, dst)] == 0;
+           !is_circuit_failed(src, dst);
   }
 
   std::uint64_t failed_node_count() const { return failed_node_count_; }
-  std::uint64_t failed_circuit_count() const { return failed_circuit_count_; }
+  std::uint64_t failed_circuit_count() const { return failed_circuits_.size(); }
   // The currently failed directed circuits, sorted by (src, dst). Lets
   // consumers (SlottedNetwork::heal_all, recovery sweeps) iterate exactly
   // the failed set instead of scanning all N^2 pairs with
   // is_circuit_failed — quadratic even when one circuit is down.
   const std::vector<std::pair<NodeId, NodeId>>& failed_circuits() const {
-    return failed_circuit_list_;
+    return failed_circuits_;
   }
   // Monotonic change counter; bumps once per state-changing mutation.
   std::uint64_t version() const { return version_; }
@@ -91,59 +90,32 @@ class FailureView {
     return true;
   }
   bool fail_circuit(NodeId src, NodeId dst) {
-    std::uint8_t& f = failed_circuits_[edge_index(src, dst)];
-    if (f != 0) return false;
-    f = 1;
     const std::pair<NodeId, NodeId> edge{src, dst};
-    failed_circuit_list_.insert(
-        std::lower_bound(failed_circuit_list_.begin(),
-                         failed_circuit_list_.end(), edge),
-        edge);
-    ++failed_circuit_count_;
+    const auto it = std::lower_bound(failed_circuits_.begin(),
+                                     failed_circuits_.end(), edge);
+    if (it != failed_circuits_.end() && *it == edge) return false;
+    failed_circuits_.insert(it, edge);
     ++version_;
     return true;
   }
   bool heal_circuit(NodeId src, NodeId dst) {
-    std::uint8_t& f = failed_circuits_[edge_index(src, dst)];
-    if (f == 0) return false;
-    f = 0;
     const std::pair<NodeId, NodeId> edge{src, dst};
-    failed_circuit_list_.erase(
-        std::lower_bound(failed_circuit_list_.begin(),
-                         failed_circuit_list_.end(), edge));
-    --failed_circuit_count_;
+    const auto it = std::lower_bound(failed_circuits_.begin(),
+                                     failed_circuits_.end(), edge);
+    if (it == failed_circuits_.end() || *it != edge) return false;
+    failed_circuits_.erase(it);
     ++version_;
     return true;
   }
 
-  // Heal everything at once; returns the number of entities healed.
-  std::uint64_t heal_all() {
-    const std::uint64_t healed = failed_node_count_ + failed_circuit_count_;
-    if (healed == 0) return 0;
-    std::fill(failed_nodes_.begin(), failed_nodes_.end(), std::uint8_t{0});
-    std::fill(failed_circuits_.begin(), failed_circuits_.end(),
-              std::uint8_t{0});
-    failed_circuit_list_.clear();
-    failed_node_count_ = 0;
-    failed_circuit_count_ = 0;
-    ++version_;
-    return healed;
-  }
-
  private:
-  std::size_t edge_index(NodeId src, NodeId dst) const {
-    return static_cast<std::size_t>(src) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(dst);
-  }
-
   NodeId n_ = 0;
   std::vector<std::uint8_t> failed_nodes_;
-  std::vector<std::uint8_t> failed_circuits_;
-  // Sorted mirror of failed_circuits_ for O(failed) iteration; failures
-  // are rare, so the O(failed) sorted insert/erase never matters.
-  std::vector<std::pair<NodeId, NodeId>> failed_circuit_list_;
+  // The failed directed circuits, sorted: memory follows the failures,
+  // not N^2. Failures are rare, so the O(failed) sorted insert/erase and
+  // the O(log failed) lookups never matter.
+  std::vector<std::pair<NodeId, NodeId>> failed_circuits_;
   std::uint64_t failed_node_count_ = 0;
-  std::uint64_t failed_circuit_count_ = 0;
   std::uint64_t version_ = 0;
 };
 

@@ -8,9 +8,9 @@
 #include "fault/fault_injector.h"
 #include "obs/export.h"
 #include "obs/prof/profile_export.h"
-#include "obs/telemetry.h"
 #include "sim/parallel.h"
 #include "sim/saturation.h"
+#include "sim/telemetry.h"
 #include "traffic/arrivals.h"
 #include "traffic/flow_size.h"
 #include "traffic/patterns.h"
@@ -161,7 +161,7 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
   // baseline starts from zeroed counters.
   if (config.check_invariants) {
     runner->checker_ = std::make_unique<InvariantChecker>();
-    runner->network_->set_invariant_checker(runner->checker_.get());
+    runner->network_->add_observer(runner->checker_.get());
   }
 
   // Telemetry: any export path attaches the facade; time-series sampling
@@ -181,7 +181,7 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
     runner->telemetry_->set_trace_sink(runner->trace_sink_.get());
   }
   if (want_trace || want_json || want_csv) {
-    runner->network_->set_telemetry(runner->telemetry_.get());
+    runner->network_->add_observer(runner->telemetry_.get());
     runner->telemetry_attached_ = true;
   }
   if (runner->telemetry_attached_) {
@@ -210,16 +210,16 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
   }
 
   // Closed-loop transport: arrivals become open_flow() calls and the
-  // window paces injection; the network echoes ECN-marked deliveries back
-  // as acks on the coordinating thread, so artifacts stay byte-identical
-  // at any thread count.
+  // window paces injection. The flow driver attaches it to the network
+  // for the run, so first-copy deliveries reach it as acks on the
+  // coordinating thread and artifacts stay byte-identical at any thread
+  // count.
   if (config.transport == "dctcp") {
     DctcpTransport::Options topt;
     topt.congestion.init_cwnd_cells = config.init_cwnd_cells;
     topt.congestion.max_cwnd_cells = config.max_cwnd_cells;
     topt.congestion.gain = config.dctcp_gain;
     runner->transport_ = std::make_unique<DctcpTransport>(topt);
-    runner->network_->set_transport(runner->transport_.get());
     if (runner->profiler_ != nullptr) {
       const DctcpTransport* t = runner->transport_.get();
       runner->profiler_->memory().register_provider(

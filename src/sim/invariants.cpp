@@ -2,23 +2,24 @@
 
 #include <cstdio>
 
+#include "sim/network.h"
+
 namespace sorn {
 
-void InvariantChecker::on_attach(const FailureView* failures,
-                                 std::uint64_t injected,
-                                 std::uint64_t delivered, std::uint64_t dropped,
-                                 std::uint64_t in_flight) {
-  failures_ = failures;
-  baseline_ = static_cast<std::int64_t>(delivered + dropped + in_flight) -
-              static_cast<std::int64_t>(injected);
+void InvariantChecker::on_attach(const SlottedNetwork& network) {
+  failures_ = &network.failure_view();
+  const SimMetrics& m = network.metrics();
+  baseline_ = static_cast<std::int64_t>(m.delivered_cells() +
+                                        m.dropped_cells() +
+                                        network.cells_in_flight()) -
+              static_cast<std::int64_t>(m.injected_cells());
 }
 
-void InvariantChecker::on_counter_reset(std::uint64_t in_flight) {
-  // Counters are zero again; the cells still queued become the anchor.
-  baseline_ = static_cast<std::int64_t>(in_flight);
-}
-
-void InvariantChecker::on_flow_inject(FlowId flow, std::uint64_t cells) {
+void InvariantChecker::on_flow_inject(Slot /*slot*/, FlowId flow,
+                                      NodeId /*src*/, NodeId /*dst*/,
+                                      std::uint64_t /*bytes*/,
+                                      std::uint64_t cells,
+                                      int /*flow_class*/) {
   auto [it, inserted] = flows_.try_emplace(flow);
   if (!inserted) return;  // re-injection of an open flow id; keep the first
   it->second.total = cells;
@@ -37,7 +38,8 @@ void InvariantChecker::on_transmit(Slot slot, NodeId src, NodeId dst) {
                       std::to_string(src) + "->" + std::to_string(dst));
 }
 
-void InvariantChecker::on_deliver(Slot slot, const Cell& cell) {
+void InvariantChecker::on_deliver(Slot slot, const Cell& cell,
+                                  bool /*first_copy*/) {
   ++delivers_checked_;
   if (cell.flow == kNoFlow) return;
   const auto it = flows_.find(cell.flow);
@@ -56,11 +58,13 @@ void InvariantChecker::on_deliver(Slot slot, const Cell& cell) {
   if (++track.distinct >= track.total) flows_.erase(it);
 }
 
-void InvariantChecker::on_slot_end(Slot slot, std::uint64_t injected,
-                                   std::uint64_t delivered,
-                                   std::uint64_t dropped,
-                                   std::uint64_t in_flight) {
+void InvariantChecker::on_slot_end(Slot slot, const SlottedNetwork& network) {
   ++slots_checked_;
+  const SimMetrics& m = network.metrics();
+  const std::uint64_t injected = m.injected_cells();
+  const std::uint64_t delivered = m.delivered_cells();
+  const std::uint64_t dropped = m.dropped_cells();
+  const std::uint64_t in_flight = network.cells_in_flight();
   const std::int64_t lhs = static_cast<std::int64_t>(injected) + baseline_;
   const std::int64_t rhs =
       static_cast<std::int64_t>(delivered + dropped + in_flight);

@@ -1,17 +1,16 @@
 // Runtime invariant checking for the slotted simulator.
 //
-// An InvariantChecker is attached to a SlottedNetwork like the Telemetry
-// and Profiler facades (set_invariant_checker): detached, every hook site
-// is one predictable null check; attached, the network re-derives three
-// classes of invariants every slot and records violations instead of
-// trusting its own bookkeeping:
+// An InvariantChecker is a SimObserver (SlottedNetwork::add_observer).
+// From the event stream it re-derives three classes of invariants every
+// slot and records violations instead of trusting the network's own
+// bookkeeping:
 //
 //   conservation — injected = delivered + dropped + in-flight, checked
-//     at every slot end against an attach-time baseline (so attaching
-//     mid-run or calling reset_metrics() re-anchors, not breaks, the
-//     identity). Retransmitted copies count on the injected side and
-//     duplicate deliveries on the delivered side, so the identity is
-//     exact, not approximate.
+//     at every slot end against an attach-time baseline (reset_metrics()
+//     re-sends attach, so attaching mid-run or resetting the counters
+//     re-anchors, not breaks, the identity). Retransmitted copies count
+//     on the injected side and duplicate deliveries on the delivered
+//     side, so the identity is exact, not approximate.
 //
 //   no forwarding through failed elements — every transmitted cell's
 //     (src, dst) hop is checked against the live FailureView; a cell
@@ -24,10 +23,9 @@
 //     retransmission; phantom or out-of-range cells are not). Tracking
 //     is independent of SimMetrics, so a dedup bug there is caught here.
 //
-// Threading contract: every hook is invoked from the coordinating thread
-// only — the slot engine calls them during its ordered apply pass — so
-// the checker needs no synchronization and, like Telemetry, results are
-// byte-identical at any thread count.
+// Threading contract: like every observer, the checker is called on the
+// coordinating thread only, so it needs no synchronization and results
+// are byte-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -36,30 +34,22 @@
 #include <vector>
 
 #include "routing/failure_view.h"
-#include "sim/cell.h"
-#include "util/time.h"
-#include "util/types.h"
+#include "sim/observer.h"
 
 namespace sorn {
 
-class InvariantChecker {
+class InvariantChecker final : public SimObserver {
  public:
-  InvariantChecker() = default;
-
-  // ---- Hooks (called by SlottedNetwork; coordinating thread only) ----
-  // Attachment captures the conservation baseline from the network's
-  // current counters, so mid-run attachment is exact.
-  void on_attach(const FailureView* failures, std::uint64_t injected,
-                 std::uint64_t delivered, std::uint64_t dropped,
-                 std::uint64_t in_flight);
-  // reset_metrics() zeroed the counters but kept queued cells; re-anchor.
-  void on_counter_reset(std::uint64_t in_flight);
-  void on_flow_inject(FlowId flow, std::uint64_t cells);
-  // A cell was popped for transmission across (src, dst) this slot.
-  void on_transmit(Slot slot, NodeId src, NodeId dst);
-  void on_deliver(Slot slot, const Cell& cell);
-  void on_slot_end(Slot slot, std::uint64_t injected, std::uint64_t delivered,
-                   std::uint64_t dropped, std::uint64_t in_flight);
+  // ---- SimObserver ----
+  // Captures the conservation baseline from the network's current
+  // counters and borrows its FailureView.
+  void on_attach(const SlottedNetwork& network) override;
+  void on_flow_inject(Slot slot, FlowId flow, NodeId src, NodeId dst,
+                      std::uint64_t bytes, std::uint64_t cells,
+                      int flow_class) override;
+  void on_transmit(Slot slot, NodeId src, NodeId dst) override;
+  void on_deliver(Slot slot, const Cell& cell, bool first_copy) override;
+  void on_slot_end(Slot slot, const SlottedNetwork& network) override;
 
   // ---- Results ----
   bool ok() const { return violation_count_ == 0; }

@@ -48,7 +48,7 @@ void SimMetrics::on_inject(const Cell& cell, std::uint64_t flow_cells,
   if (cell.seq >= rec.cells_sent) rec.cells_sent = cell.seq + 1;
 }
 
-bool SimMetrics::on_deliver(const Cell& cell, Slot now) {
+SimMetrics::Delivery SimMetrics::on_deliver(const Cell& cell, Slot now) {
   ++delivered_cells_;
   const auto hops = static_cast<std::uint64_t>(cell.path.hop_count());
   delivered_hops_ += hops;
@@ -56,42 +56,43 @@ bool SimMetrics::on_deliver(const Cell& cell, Slot now) {
       (now - cell.inject_slot) * slot_duration_ +
       static_cast<Picoseconds>(hops) * propagation_per_hop_;
   cell_latency_ps_.add(static_cast<double>(latency));
-  if (cell.flow == kNoFlow) return false;
+  Delivery d;
+  if (cell.flow == kNoFlow) return d;
   const auto it = open_flows_.find(cell.flow);
   if (it == open_flows_.end()) {
     // A retransmitted copy arriving after its flow already completed.
     ++duplicate_cells_;
-    return false;
+    return d;
   }
   FlowRecord& rec = flow_arena_[it->second];
   if (cell.seq < rec.delivered.size()) {
     if (rec.delivered[cell.seq]) {
       // The original and a retransmission both made it; keep the first.
       ++duplicate_cells_;
-      return false;
+      return d;
     }
     rec.delivered[cell.seq] = true;
   }
+  d.first_copy = true;
   rec.last_progress_slot = now;
   SORN_ASSERT(rec.cells_remaining > 0, "flow over-delivered");
   if (--rec.cells_remaining == 0) {
-    const Picoseconds fct =
-        (now - rec.inject_slot) * slot_duration_ +
-        static_cast<Picoseconds>(hops) * propagation_per_hop_;
-    fct_ps_.add(static_cast<double>(fct));
-    fct_by_class_[rec.flow_class].add(static_cast<double>(fct));
+    d.completed = true;
+    d.fct_ps = (now - rec.inject_slot) * slot_duration_ +
+               static_cast<Picoseconds>(hops) * propagation_per_hop_;
+    d.flow_class = rec.flow_class;
+    fct_ps_.add(static_cast<double>(d.fct_ps));
+    fct_by_class_[rec.flow_class].add(static_cast<double>(d.fct_ps));
     ++completed_flows_;
     if (rec.stalled) {
       ++recovered_flows_;
       recovery_slots_total_ +=
           static_cast<std::uint64_t>(now - rec.first_stall_slot);
     }
-    if (tracer_ != nullptr)
-      tracer_->flow_complete(now, cell.flow, fct, rec.flow_class);
     flow_arena_.release(it->second);
     open_flows_.erase(it);
   }
-  return true;
+  return d;
 }
 
 namespace {

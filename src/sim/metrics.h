@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/trace.h"
 #include "sim/cell.h"
 #include "util/arena.h"
 #include "util/stats.h"
@@ -65,6 +64,18 @@ class SimMetrics {
     std::vector<std::uint32_t> missing;
   };
 
+  // What one delivery did. first_copy: the cell advanced an open flow
+  // (false for anonymous cells and receiver-dedup duplicates) — the
+  // network reports it with the deliver event, and a transport acks it.
+  // completed: it was the flow's last cell; fct_ps and flow_class
+  // describe the finished flow.
+  struct Delivery {
+    bool first_copy = false;
+    bool completed = false;
+    Picoseconds fct_ps = 0;
+    int flow_class = 0;
+  };
+
   // slot_duration and per-hop propagation convert slot counts to wall time.
   SimMetrics(Picoseconds slot_duration, Picoseconds propagation_per_hop);
 
@@ -74,10 +85,7 @@ class SimMetrics {
                  std::uint64_t flow_bytes, int flow_class = 0,
                  bool bulk = false);
   void on_forward() { ++forwarded_cells_; }
-  // Returns true when the cell was the first copy to advance an open flow
-  // (false for anonymous cells and receiver-dedup duplicates) — the
-  // signal the network echoes to an attached transport as an ack.
-  bool on_deliver(const Cell& cell, Slot now);
+  Delivery on_deliver(const Cell& cell, Slot now);
   void on_drop() { ++dropped_cells_; }
   // A cell was ECN-marked at enqueue (VOQ depth at or above the
   // configured threshold).
@@ -179,11 +187,8 @@ class SimMetrics {
 
   // Zero all counters and distributions but keep the open-flow records:
   // flows in flight across a warmup boundary still complete and count
-  // (their FCT spans the reset). The attached tracer also survives.
+  // (their FCT spans the reset).
   void reset_counters();
-
-  // Borrowed tracer for flow_complete events; nullptr disables.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
   Picoseconds slot_duration_;
@@ -215,7 +220,6 @@ class SimMetrics {
   // only holds arena indices.
   std::unordered_map<FlowId, std::uint32_t> open_flows_;
   SlotArena<FlowRecord> flow_arena_;
-  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace sorn

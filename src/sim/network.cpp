@@ -73,9 +73,8 @@ void SlottedNetwork::inject_flow_segment(const Router& router, FlowId flow,
   // (created by the first on_inject with the full totals) completes when
   // every cell — across all segments — has been delivered.
   if (first_cell == 0) {
-    if (telemetry_ != nullptr)
-      telemetry_->on_flow_inject(now_, flow, src, dst, bytes, flow_class);
-    if (checker_ != nullptr) checker_->on_flow_inject(flow, cells);
+    notify(&SimObserver::on_flow_inject, now_, flow, src, dst, bytes, cells,
+           flow_class);
   }
   for (std::uint64_t c = 0; c < cell_count; ++c) {
     // Stagger the routing reference slot across the segment's cells: cell
@@ -125,16 +124,15 @@ void SlottedNetwork::enqueue_or_drop(Cell& cell, int sent_lane) {
         (sent_lane >= 0 ? queued_ahead(cell, sent_lane) : 0);
     if (cap > 0 && size >= cap) {
       metrics_.on_drop();
-      if (telemetry_ != nullptr) {
-        telemetry_->on_cell_drop(now_, cell.current(), cell.next_hop(),
-                                 cell.flow);
-      }
+      notify(&SimObserver::on_tail_drop, now_, cell.current(),
+             cell.next_hop(), cell.flow);
       return;
     }
     if (mark_at > 0 && size >= mark_at) {
       cell.ecn = true;
       metrics_.on_ecn_mark();
-      if (telemetry_ != nullptr) telemetry_->on_ecn_mark();
+      notify(&SimObserver::on_ecn_mark, now_, cell.current(),
+             cell.next_hop(), cell.flow);
     }
   }
   voqs_.push(cell);
@@ -180,13 +178,12 @@ SlottedNetwork::take(NodeId node, NodeId peer) {
   const int sent = ev.gray_drop ? cell.hop : cell.hop - 1;
   const NodeId node = cell.path.at(sent);
   const NodeId peer = cell.path.at(sent + 1);
-  if (checker_ != nullptr) checker_->on_transmit(now_, node, peer);
+  notify(&SimObserver::on_transmit, now_, node, peer);
   if (ev.gray_drop) {
     // Transmitted but lost in flight; the end-host retransmission policy
     // recovers the flow, duplicates are dedupped at the receiver.
     metrics_.on_gray_drop();
-    if (telemetry_ != nullptr)
-      telemetry_->on_gray_drop(now_, node, peer, cell.flow);
+    notify(&SimObserver::on_gray_drop, now_, node, peer, cell.flow);
     return;
   }
   if (!cell.at_destination()) {
@@ -194,11 +191,13 @@ SlottedNetwork::take(NodeId node, NodeId peer) {
     enqueue_or_drop(cell, lane);
     return;
   }
-  if (checker_ != nullptr) checker_->on_deliver(now_, cell);
-  // The cell arrives at the end of the slot; only first copies that
-  // advanced an open flow are echoed to the transport as acks.
-  const bool first_copy = metrics_.on_deliver(cell, now_ + 1);
-  if (transport_ != nullptr && first_copy) transport_->on_ack(cell, now_ + 1);
+  // The cell arrives at the end of the slot.
+  const SimMetrics::Delivery d = metrics_.on_deliver(cell, now_ + 1);
+  notify(&SimObserver::on_deliver, now_, cell, d.first_copy);
+  if (d.completed) {
+    notify(&SimObserver::on_flow_complete, now_ + 1, cell.flow, d.fct_ps,
+           d.flow_class);
+  }
 }
 
 void SlottedNetwork::take_shard(int s) {
@@ -235,7 +234,7 @@ void SlottedNetwork::take_shard(int s) {
 //
 // Apply pass (coordinating thread): the staged events are replayed lane by
 // lane, and within a lane shard by shard, which is node order. Every side
-// effect — metrics, trace events, pushes, drops, acks — lands in the
+// effect — metrics, observer events, pushes, drops — lands in the
 // lane-major order DESIGN §5 specifies. Taking every lane first pops the
 // same heads that order would: a cell pushed this slot has ready_slot >
 // now, so no lane can pop it, and failure and gray state cannot change
@@ -285,20 +284,8 @@ void SlottedNetwork::step() {
     settle_staged_pops();
   }
   metrics_.on_slot(voqs_.total_queued());
-  if (checker_ != nullptr) {
-    checker_->on_slot_end(now_, metrics_.injected_cells(),
-                          metrics_.delivered_cells(),
-                          metrics_.dropped_cells(), voqs_.total_queued());
-  }
-  // Sample before advancing: the row is stamped with the slot it covers.
-  // The max-VOQ-depth scan is only paid on sampled slots.
-  if (telemetry_ != nullptr && telemetry_->sample_due(now_)) {
-    ScopedPhase flush(prof, ProfPhase::kTelemetryFlush);
-    telemetry_->sample(now_, metrics_.injected_cells(),
-                       metrics_.delivered_cells(), metrics_.dropped_cells(),
-                       metrics_.forwarded_cells(), voqs_.total_queued(),
-                       voqs_.max_queue_depth(), metrics_.open_flows());
-  }
+  // Before advancing: observers stamp what they record with this slot.
+  notify(&SimObserver::on_slot_end, now_, *this);
   if (profiler_ != nullptr) {
     // Gauges read sizes only; metrics/RNG are untouched, so the sampled
     // artifacts cannot diverge between profiled and unprofiled runs.
@@ -320,21 +307,26 @@ void SlottedNetwork::reconfigure(const CircuitSchedule* schedule,
               "reconfiguration must preserve the node count");
   schedule_ = schedule;
   router_ = router;
-  if (telemetry_ != nullptr) telemetry_->on_reconfigure(now_);
+  notify(&SimObserver::on_reconfigure, now_);
 }
 
 void SlottedNetwork::reset_metrics() {
   metrics_.reset_counters();
-  if (checker_ != nullptr) checker_->on_counter_reset(voqs_.total_queued());
+  notify(&SimObserver::on_attach, *this);
 }
 
-void SlottedNetwork::set_invariant_checker(InvariantChecker* checker) {
-  checker_ = checker;
-  if (checker_ != nullptr) {
-    checker_->on_attach(&failures_, metrics_.injected_cells(),
-                        metrics_.delivered_cells(), metrics_.dropped_cells(),
-                        voqs_.total_queued());
-  }
+void SlottedNetwork::add_observer(SimObserver* observer) {
+  SORN_ASSERT(observer != nullptr, "cannot attach a null observer");
+  SORN_ASSERT(std::find(observers_.begin(), observers_.end(), observer) ==
+                  observers_.end(),
+              "observer attached twice");
+  observers_.push_back(observer);
+  observer->on_attach(*this);
+}
+
+void SlottedNetwork::remove_observer(SimObserver* observer) {
+  observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
+                   observers_.end());
 }
 
 void SlottedNetwork::set_threads(int threads) {
@@ -397,59 +389,50 @@ void SlottedNetwork::snapshot_pool_utilization() {
     profiler_->set_pool_utilization(pool_->utilization());
 }
 
-void SlottedNetwork::set_telemetry(Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  metrics_.set_tracer(telemetry != nullptr ? &telemetry->tracer() : nullptr);
-}
-
 bool SlottedNetwork::fail_node(NodeId node) {
   if (!failures_.fail_node(node)) return false;
-  if (telemetry_ != nullptr) telemetry_->on_node_fail(now_, node);
+  notify(&SimObserver::on_node_fail, now_, node);
   return true;
 }
 
 bool SlottedNetwork::heal_node(NodeId node) {
   if (!failures_.heal_node(node)) return false;
-  if (telemetry_ != nullptr) telemetry_->on_node_heal(now_, node);
+  notify(&SimObserver::on_node_heal, now_, node);
   return true;
 }
 
 bool SlottedNetwork::fail_circuit(NodeId src, NodeId dst) {
   if (!failures_.fail_circuit(src, dst)) return false;
-  if (telemetry_ != nullptr) telemetry_->on_circuit_fail(now_, src, dst);
+  notify(&SimObserver::on_circuit_fail, now_, src, dst);
   return true;
 }
 
 bool SlottedNetwork::heal_circuit(NodeId src, NodeId dst) {
   if (!failures_.heal_circuit(src, dst)) return false;
-  if (telemetry_ != nullptr) telemetry_->on_circuit_heal(now_, src, dst);
+  notify(&SimObserver::on_circuit_heal, now_, src, dst);
   return true;
 }
 
 bool SlottedNetwork::degrade_circuit(NodeId src, NodeId dst, double loss_p) {
   if (!gray_.degrade_circuit(src, dst, loss_p)) return false;
-  if (telemetry_ != nullptr) {
-    const GrayCircuit* g = gray_.find(src, dst);
-    telemetry_->on_circuit_degrade(now_, src, dst, loss_p,
-                                   g != nullptr ? g->capacity : 1.0);
-  }
+  const GrayCircuit* g = gray_.find(src, dst);
+  notify(&SimObserver::on_circuit_degrade, now_, src, dst, loss_p,
+         g != nullptr ? g->capacity : 1.0);
   return true;
 }
 
 bool SlottedNetwork::throttle_circuit(NodeId src, NodeId dst,
                                       double capacity) {
   if (!gray_.throttle_circuit(src, dst, capacity)) return false;
-  if (telemetry_ != nullptr) {
-    const GrayCircuit* g = gray_.find(src, dst);
-    telemetry_->on_circuit_degrade(now_, src, dst,
-                                   g != nullptr ? g->loss_p : 0.0, capacity);
-  }
+  const GrayCircuit* g = gray_.find(src, dst);
+  notify(&SimObserver::on_circuit_degrade, now_, src, dst,
+         g != nullptr ? g->loss_p : 0.0, capacity);
   return true;
 }
 
 bool SlottedNetwork::restore_circuit(NodeId src, NodeId dst) {
   if (!gray_.restore_circuit(src, dst)) return false;
-  if (telemetry_ != nullptr) telemetry_->on_circuit_restore(now_, src, dst);
+  notify(&SimObserver::on_circuit_restore, now_, src, dst);
   return true;
 }
 
@@ -465,7 +448,7 @@ std::uint64_t SlottedNetwork::heal_all() {
   for (NodeId i = 0; i < n_; ++i)
     if (failures_.is_node_failed(i)) healed += heal_node(i) ? 1 : 0;
   // Iterate a copy of the failed set (heal_circuit mutates it). The set
-  // is sorted by (src, dst), so telemetry fires in the same order the old
+  // is sorted by (src, dst), so heal events fire in the same order the old
   // all-pairs scan produced — without the O(N^2) sweep.
   const std::vector<std::pair<NodeId, NodeId>> failed =
       failures_.failed_circuits();
@@ -501,10 +484,8 @@ std::uint64_t SlottedNetwork::retransmit_stalled(
       ++cells;
       enqueue_or_drop(cell);
     }
-    if (telemetry_ != nullptr) {
-      telemetry_->on_retransmit(now_, sf.flow, sf.missing.size(),
-                                sf.attempt);
-    }
+    notify(&SimObserver::on_retransmit, now_, sf.flow, sf.missing.size(),
+           sf.attempt);
   }
   return cells;
 }

@@ -13,23 +13,23 @@
 // lane of a node back to back, and the apply pass replays the staged
 // outcomes lane by lane in node order. One thread is the one-shard case.
 // Every enqueue — injection, relay — goes through enqueue_or_drop, and
-// every injected cell is built by make_cell.
+// every injected cell is built by make_cell. Every event leaves through
+// one observer list (sim/observer.h).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "obs/prof/profiler.h"
-#include "obs/telemetry.h"
 #include "routing/failure_view.h"
 #include "routing/router.h"
 #include "sim/cell.h"
 #include "sim/gray_failures.h"
-#include "sim/invariants.h"
 #include "sim/metrics.h"
+#include "sim/observer.h"
 #include "sim/parallel.h"
-#include "sim/transport_hook.h"
 #include "sim/voq.h"
 #include "topo/schedule.h"
 #include "util/rng.h"
@@ -71,6 +71,8 @@ class SlottedNetwork {
   const SimMetrics& metrics() const { return metrics_; }
   SimMetrics& metrics() { return metrics_; }
   std::uint64_t cells_in_flight() const { return voqs_.total_queued(); }
+  // Deepest single VOQ right now (scans the occupied queues).
+  std::uint64_t max_queue_depth() const { return voqs_.max_queue_depth(); }
 
   // Inject one flow: bytes are split into cells, each routed independently
   // (per-cell spraying) and enqueued at the source now. flow_class labels
@@ -92,8 +94,8 @@ class SlottedNetwork {
   // cell_count) of a flow whose full size is `bytes` — the closed-loop
   // transport's release path. The flow record is created with the full
   // totals on the first segment (first_cell == 0), which is also when the
-  // flow-inject telemetry/invariant events fire; the flow completes when
-  // every cell is delivered, exactly like an atomic injection.
+  // flow-inject event fires; the flow completes when every cell is
+  // delivered, exactly like an atomic injection.
   void inject_flow_segment(const Router& router, FlowId flow, NodeId src,
                            NodeId dst, std::uint64_t bytes,
                            std::uint64_t first_cell, std::uint64_t cell_count,
@@ -121,7 +123,7 @@ class SlottedNetwork {
   // — metrics, traces, time-series rows — are byte-identical at any
   // thread count: shards stage their transmit outcomes per lane in node
   // order and the apply pass replays every side effect (metrics, pushes,
-  // drops, telemetry) in lane-major, node order (see DESIGN.md, "Parallel
+  // drops, observer events) in lane-major, node order (see DESIGN.md, "Parallel
   // slot engine"). threads == 1 tears the pool down and takes every node
   // on the calling thread, the default every caller starts with.
   void set_threads(int threads);
@@ -138,13 +140,13 @@ class SlottedNetwork {
   // disables one directed virtual edge. Cells whose next hop is failed
   // stay queued (outage semantics) and resume after heal_*. Mutators are
   // idempotent — repeated fail/heal of the same entity is a no-op and
-  // emits no duplicate telemetry; the return value reports whether the
-  // state actually changed.
+  // emits no duplicate event; the return value reports whether the state
+  // actually changed.
   bool fail_node(NodeId node);
   bool heal_node(NodeId node);
   bool fail_circuit(NodeId src, NodeId dst);
   bool heal_circuit(NodeId src, NodeId dst);
-  // Heal every failed node and circuit (telemetry fires per entity);
+  // Heal every failed node and circuit (one heal event per entity);
   // returns the number of entities healed.
   std::uint64_t heal_all();
   bool is_failed(NodeId node) const {
@@ -200,17 +202,19 @@ class SlottedNetwork {
 
   // Reset counters but keep queued cells and open-flow records (used to
   // exclude warmup; flows straddling the boundary still complete and are
-  // counted, with FCTs measured from their true inject slot).
+  // counted, with FCTs measured from their true inject slot). Every
+  // observer's on_attach runs again afterwards.
   void reset_metrics();
 
-  // ---- Telemetry (src/obs) ----
-  // Attach a borrowed telemetry facade: events (flow inject/complete,
-  // drops, reconfigure, fail/heal) flow to its tracer and counters, and
-  // its sampler — when enabled — records the per-slot time series. Pass
-  // nullptr to detach. With nothing attached every instrumentation site
-  // is one predictable null check (see bench_obs_overhead).
-  void set_telemetry(Telemetry* telemetry);
-  Telemetry* telemetry() const { return telemetry_; }
+  // ---- Observers (sim/observer.h) ----
+  // Attach a borrowed observer: its on_attach runs now, and from then on
+  // it receives every event after the observers attached before it. An
+  // observer is attached at most once; it must outlive the attachment.
+  // With none attached, each event site costs one empty-list check (see
+  // bench_obs_overhead).
+  void add_observer(SimObserver* observer);
+  // Detach; no-op when `observer` is not attached.
+  void remove_observer(SimObserver* observer);
 
   // ---- Profiling (src/obs/prof) ----
   // Attach a borrowed profiler: step() wraps each engine phase in a
@@ -226,24 +230,6 @@ class SlottedNetwork {
   // Copy the pool's utilization counters into the attached profiler
   // (no-op without both a profiler and a pool). Call at end of run.
   void snapshot_pool_utilization();
-
-  // ---- Invariant checking (sim/invariants.h) ----
-  // Attach a borrowed checker: the engine feeds it every transmit,
-  // delivery and slot end (always from the coordinating thread) so it can
-  // independently verify cell conservation, no-forwarding-through-failed-
-  // elements and receiver seq sanity. nullptr detaches; detached sites
-  // cost one null check. Attachment captures the conservation baseline
-  // from the current counters, so mid-run attach is exact.
-  void set_invariant_checker(InvariantChecker* checker);
-  InvariantChecker* invariant_checker() const { return checker_; }
-
-  // ---- Closed-loop transport (sim/transport_hook.h) ----
-  // Attach a borrowed transport: every first-copy delivery is echoed back
-  // through Transport::on_ack, always on the coordinating thread (the
-  // apply pass), so the §6 determinism contract holds with a transport
-  // attached. nullptr detaches; detached sites cost one null check.
-  void set_transport(Transport* transport) { transport_ = transport; }
-  Transport* transport() const { return transport_; }
 
   // The schedule currently driving the network (reconfigure() may have
   // swapped it since construction).
@@ -275,9 +261,10 @@ class SlottedNetwork {
   // queues (safe inside a shard); the caller settles the pop into
   // VoqSet's total. nullopt when nothing is sent.
   std::optional<StagedEvent> take(NodeId node, NodeId peer);
-  // Every ordered side effect of an event taken on `lane`: invariant
-  // hook, gray drop, delivery (metrics + transport ack) or forward +
-  // enqueue. Runs on the coordinating thread, in lane-major node order.
+  // Every ordered side effect of an event taken on `lane`: transmit
+  // event, gray drop, delivery (metrics, deliver and flow-complete
+  // events) or forward + enqueue. Runs on the coordinating thread, in
+  // lane-major node order.
   void apply(StagedEvent& ev, int lane);
   // The take pass over shard `s`'s node range: every lane of a node back
   // to back, staging events per lane and marking popped_.
@@ -289,8 +276,8 @@ class SlottedNetwork {
   std::uint64_t queued_ahead(const Cell& cell, int lane) const;
   // Enqueue with the capacity check and ECN marking evaluated against one
   // queue size: the FIFO's depth, plus queued_ahead() for a cell forwarded
-  // on `sent_lane` this slot (injections pass -1). Tail-drops are counted
-  // and traced.
+  // on `sent_lane` this slot (injections pass -1). Tail drops and marks
+  // are counted and reported to the observers.
   void enqueue_or_drop(Cell& cell, int sent_lane = -1);
   // A fresh cell at `src`, routed by `router` as of `route_slot`.
   Cell make_cell(const Router& router, FlowId flow, std::uint32_t seq,
@@ -300,6 +287,11 @@ class SlottedNetwork {
   void settle_staged_pops();
   // Bytes of the slot's staging: staged events and pop marks (capacity).
   std::uint64_t sweep_stage_bytes() const;
+  // Call `hook` with `args` on every observer, in attach order.
+  template <typename... Params, typename... Args>
+  void notify(void (SimObserver::*hook)(Params...), const Args&... args) {
+    for (SimObserver* observer : observers_) (observer->*hook)(args...);
+  }
 
   const CircuitSchedule* schedule_;
   const Router* router_;
@@ -317,10 +309,8 @@ class SlottedNetwork {
   Rng rng_;
   FailureView failures_;
   GrayFailureView gray_;
-  Telemetry* telemetry_ = nullptr;
   Profiler* profiler_ = nullptr;
-  InvariantChecker* checker_ = nullptr;
-  Transport* transport_ = nullptr;
+  std::vector<SimObserver*> observers_;  // borrowed, in attach order
 
   // Slot engine state. rng_ must never be drawn inside a pooled take
   // pass (injection — the only RNG consumer — happens between slots);

@@ -3,16 +3,16 @@
 // The closed-loop end-host transport (src/transport) sits *above* the
 // simulator: it holds per-flow congestion windows and releases cells into
 // the network as acknowledgements open the window. The simulator must not
-// depend on that library, so the two touch points are abstracted here:
+// depend on that library, so it sees a Transport through this interface:
 //
-//   - SlottedNetwork borrows a Transport* and echoes every first-copy
-//     delivery back through on_ack() (always from the coordinating thread,
-//     during the merge replay — the §6 determinism contract, see
-//     DESIGN.md "Parallel slot engine").
-//   - WorkloadDriver borrows the same Transport* and, when attached,
-//     registers arrivals via open_flow() and calls pump() once per slot
-//     (after that slot's arrivals, before step()) to release windowed
-//     cells.
+//   - WorkloadDriver borrows a Transport*, registers arrivals via
+//     open_flow() and calls pump() once per slot (after that slot's
+//     arrivals, before step()) to release windowed cells.
+//   - For each run_until the driver also attaches the transport to the
+//     network as a SimObserver, so it hears every delivery; a first copy
+//     (on_deliver's first_copy) is its ack. Observers run on the
+//     coordinating thread in the apply pass's order — the §6 determinism
+//     contract (DESIGN.md "Parallel slot engine").
 //
 // TransportStats is the plain snapshot the exporters consume
 // (obs/export.h) without linking the transport library either.
@@ -20,14 +20,12 @@
 
 #include <cstdint>
 
-#include "sim/cell.h"
+#include "sim/observer.h"
 #include "util/stats.h"
-#include "util/time.h"
 
 namespace sorn {
 
 class Router;
-class SlottedNetwork;
 
 // Exporter-facing snapshot of a transport's lifetime counters.
 struct TransportStats {
@@ -36,7 +34,7 @@ struct TransportStats {
   // Cells released into the network by pump() (first transmissions only;
   // network-level retransmissions are counted by SimMetrics).
   std::uint64_t cells_sent = 0;
-  // First-copy deliveries echoed back via on_ack().
+  // First-copy deliveries of the transport's flows (acks).
   std::uint64_t acked_cells = 0;
   // Subset of acked cells that carried an ECN mark.
   std::uint64_t ecn_acked_cells = 0;
@@ -45,10 +43,8 @@ struct TransportStats {
   RunningStats cwnd_cells;
 };
 
-class Transport {
+class Transport : public SimObserver {
  public:
-  virtual ~Transport() = default;
-
   // Register a flow; its cells are released by subsequent pump() calls.
   // bulk_router selects the bulk path class (nullptr = the network's
   // primary router, resolved at each pump so reconfigures are honored).
@@ -60,10 +56,6 @@ class Transport {
   // flow id). Call between slots on the coordinating thread; returns the
   // number of cells injected.
   virtual std::uint64_t pump(SlottedNetwork& network) = 0;
-
-  // A first (non-duplicate) copy of `cell` was delivered at the end of
-  // slot `now`. Called by the network on the coordinating thread only.
-  virtual void on_ack(const Cell& cell, Slot now) = 0;
 
   // True while any registered flow still has unsent or unacked cells —
   // the drain phase waits on this like it waits on open flows.

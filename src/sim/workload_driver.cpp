@@ -6,6 +6,21 @@
 
 namespace sorn {
 
+namespace {
+
+// Keeps an observer attached to a network for one scope, on every exit
+// path; a null observer attaches nothing.
+struct ScopedObserver {
+  ScopedObserver(SlottedNetwork& n, SimObserver* o) : network(n), observer(o) {
+    if (observer != nullptr) network.add_observer(observer);
+  }
+  ~ScopedObserver() { network.remove_observer(observer); }
+  SlottedNetwork& network;
+  SimObserver* observer;
+};
+
+}  // namespace
+
 WorkloadDriver::WorkloadDriver(ArrivalStream* arrivals, Classifier classifier)
     : arrivals_(arrivals), classifier_(std::move(classifier)) {
   SORN_ASSERT(arrivals_ != nullptr, "driver needs an arrival stream");
@@ -36,6 +51,8 @@ void WorkloadDriver::run_until(SlottedNetwork& network, Picoseconds horizon,
   // Register the bulk router so bulk-class injections are flagged and
   // retransmit_stalled re-routes them through the same path class.
   network.set_bulk_router(bulk_router_);
+  // The transport hears its acks only while the driver runs it.
+  const ScopedObserver acks(network, transport_);
   const Picoseconds slot_ps = network.config().slot_duration;
   while (network.now() * slot_ps < horizon) {
     const Picoseconds slot_start = network.now() * slot_ps;

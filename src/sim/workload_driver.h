@@ -50,10 +50,11 @@ class WorkloadDriver {
   // Attach a closed-loop transport (borrowed; must outlive the driver).
   // Arrivals are registered via Transport::open_flow instead of injected
   // directly, and the transport is pumped once per slot — after that
-  // slot's arrivals, before step() — on the coordinating thread. The
-  // caller wires the same transport into the network (set_transport) so
-  // deliveries are acked. The drain phase also waits on the transport's
-  // backlog: a windowed flow can be fully un-injected yet still pending.
+  // slot's arrivals, before step() — on the coordinating thread. Each
+  // run_until attaches it to the network as an observer for the run, so
+  // deliveries are acked; the caller must not attach it as well. The
+  // drain phase also waits on the transport's backlog: a windowed flow can
+  // be fully un-injected yet still pending.
   void set_transport(Transport* transport) { transport_ = transport; }
 
   // Truncate every arrival to at most `cap` bytes before classification

@@ -42,8 +42,9 @@ std::uint64_t DctcpTransport::pump(SlottedNetwork& network) {
   return injected;
 }
 
-void DctcpTransport::on_ack(const Cell& cell, Slot now) {
-  (void)now;
+void DctcpTransport::on_deliver(Slot /*slot*/, const Cell& cell,
+                                bool first_copy) {
+  if (!first_copy) return;
   const auto it = flows_.find(cell.flow);
   if (it == flows_.end()) return;
   FlowState& st = it->second;

@@ -4,8 +4,8 @@
 // cells into the network in window-sized segments: pump() — called by the
 // WorkloadDriver once per slot, between slots on the coordinating thread
 // — injects each flow's available window via
-// SlottedNetwork::inject_flow_segment, and the network echoes every
-// first-copy delivery back through on_ack() (sim/transport_hook.h), which
+// SlottedNetwork::inject_flow_segment, and every first-copy delivery the
+// network reports to on_deliver (sim/transport_hook.h) is an ack that
 // advances the window. Everything runs on the coordinating thread over a
 // flow map iterated in ascending id order, so runs stay byte-identical at
 // any thread count.
@@ -41,8 +41,9 @@ class DctcpTransport : public Transport {
                  FlowId flow, NodeId src, NodeId dst, std::uint64_t bytes,
                  int flow_class) override;
   std::uint64_t pump(SlottedNetwork& network) override;
-  void on_ack(const Cell& cell, Slot now) override;
   bool has_backlog() const override { return !flows_.empty(); }
+  // A first copy of one of this transport's cells is its ack.
+  void on_deliver(Slot slot, const Cell& cell, bool first_copy) override;
 
   std::uint64_t open_flow_count() const { return flows_.size(); }
   TransportStats stats() const;

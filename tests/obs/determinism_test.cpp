@@ -36,7 +36,7 @@ RunArtifacts run_workload(bool with_telemetry) {
   Telemetry telemetry(TelemetryOptions{.sample_every = 5});
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
-  if (with_telemetry) sim.set_telemetry(&telemetry);
+  if (with_telemetry) sim.add_observer(&telemetry);
 
   const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.5);
   const FlowSizeDist sizes = FlowSizeDist::pfabric_web_search();

@@ -67,7 +67,7 @@ TEST(ExportTest, RunJsonCoversAggregatesAndTimeseries) {
   const DirectRouter router;
   SlottedNetwork net(&s, &router, fast_config());
   Telemetry telemetry(TelemetryOptions{.sample_every = 1});
-  net.set_telemetry(&telemetry);
+  net.add_observer(&telemetry);
   net.inject_flow(1, 0, 1, 512, /*flow_class=*/3);
   net.run(10);
 
@@ -82,6 +82,14 @@ TEST(ExportTest, RunJsonCoversAggregatesAndTimeseries) {
         "\"sim.flows_injected\":1", "\"timeseries\"", "\"sample_every\":1",
         "\"rows\""})
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+  // Telemetry's seven counters in name order, then the empty gauges.
+  EXPECT_NE(json.find("\"registry\":{\"counters\":{\"sim.cells_dropped\":0,"
+                      "\"sim.ecn_marks\":0,\"sim.failures\":0,"
+                      "\"sim.flows_injected\":1,\"sim.gray_drops\":0,"
+                      "\"sim.reconfigures\":0,\"sim.retransmits\":0},"
+                      "\"gauges\":{}}"),
+            std::string::npos)
+      << json;
   // 10 sampled slots.
   EXPECT_EQ(telemetry.timeseries()->samples().size(), 10u);
 }

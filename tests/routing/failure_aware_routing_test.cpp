@@ -2,11 +2,16 @@
 // SlottedNetwork, and the routers' detours around failed intermediates.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "routing/failure_view.h"
 #include "routing/sorn_routing.h"
 #include "routing/vlb.h"
 #include "sim/network.h"
 #include "topo/schedule_builder.h"
+#include "util/rng.h"
 
 namespace sorn {
 namespace {
@@ -49,18 +54,59 @@ TEST(FailureViewTest, MutatorsAreIdempotentAndVersioned) {
   EXPECT_FALSE(view.any_failures());
 }
 
-TEST(FailureViewTest, HealAllClearsEverythingAndReportsCount) {
-  FailureView view(6);
-  view.fail_node(0);
-  view.fail_node(4);
-  view.fail_circuit(1, 2);
-  const std::uint64_t before = view.version();
-  EXPECT_EQ(view.heal_all(), 3u);
-  EXPECT_FALSE(view.any_failures());
-  EXPECT_EQ(view.failed_node_count(), 0u);
-  EXPECT_EQ(view.failed_circuit_count(), 0u);
-  EXPECT_GT(view.version(), before);
-  EXPECT_EQ(view.heal_all(), 0u) << "nothing left to heal";
+TEST(FailureViewTest, SeededFailHealSequenceMatchesSetModel) {
+  // A seeded mix of node and circuit fails/heals, many of them repeats,
+  // checked after every step against a std::set model of the failed
+  // state: every query, the sorted list, the counts and the version.
+  constexpr NodeId kNodes = 7;
+  FailureView view(kNodes);
+  std::set<NodeId> nodes;
+  std::set<std::pair<NodeId, NodeId>> circuits;
+  std::uint64_t changes = 0;
+  Rng rng(17);
+  for (int step = 0; step < 2000; ++step) {
+    const auto a = static_cast<NodeId>(rng.next_below(kNodes));
+    const auto b = static_cast<NodeId>(rng.next_below(kNodes));
+    bool changed = false;
+    switch (rng.next_below(4)) {
+      case 0:
+        changed = nodes.insert(a).second;
+        EXPECT_EQ(view.fail_node(a), changed);
+        break;
+      case 1:
+        changed = nodes.erase(a) > 0;
+        EXPECT_EQ(view.heal_node(a), changed);
+        break;
+      case 2:
+        changed = circuits.insert({a, b}).second;
+        EXPECT_EQ(view.fail_circuit(a, b), changed);
+        break;
+      default:
+        changed = circuits.erase({a, b}) > 0;
+        EXPECT_EQ(view.heal_circuit(a, b), changed);
+        break;
+    }
+    changes += changed ? 1 : 0;
+    ASSERT_EQ(view.version(), changes) << "step " << step;
+    ASSERT_EQ(view.failed_node_count(), nodes.size()) << "step " << step;
+    ASSERT_EQ(view.failed_circuit_count(), circuits.size())
+        << "step " << step;
+    ASSERT_EQ(view.any_failures(), !nodes.empty() || !circuits.empty());
+    const std::vector<std::pair<NodeId, NodeId>> sorted(circuits.begin(),
+                                                        circuits.end());
+    ASSERT_EQ(view.failed_circuits(), sorted) << "step " << step;
+    for (NodeId s = 0; s < kNodes; ++s) {
+      for (NodeId d = 0; d < kNodes; ++d) {
+        const bool circuit_down = circuits.count({s, d}) > 0;
+        ASSERT_EQ(view.is_circuit_failed(s, d), circuit_down)
+            << "step " << step << " circuit " << s << "->" << d;
+        ASSERT_EQ(view.usable(s, d), !circuit_down && nodes.count(s) == 0 &&
+                                         nodes.count(d) == 0)
+            << "step " << step << " circuit " << s << "->" << d;
+      }
+    }
+  }
+  EXPECT_GT(changes, 500u) << "the sequence must exercise real changes";
 }
 
 TEST(FailureViewTest, NetworkExposesCircuitStateAndHealAll) {

@@ -54,9 +54,9 @@ TEST(FailureTest, HealResumesStrandedCells) {
 }
 
 TEST(FailureTest, FailedCircuitListMirrorsBitmap) {
-  // FailureView keeps a sorted list of failed circuits alongside the dense
-  // bitmap so consumers (heal_all, recovery sweeps) can iterate exactly
-  // the failed set instead of scanning all N^2 pairs.
+  // FailureView keeps the failed circuits as a sorted, duplicate-free list
+  // so consumers (heal_all, recovery sweeps) can iterate exactly the
+  // failed set instead of scanning all N^2 pairs.
   FailureView view(6);
   EXPECT_TRUE(view.failed_circuits().empty());
 
@@ -78,7 +78,8 @@ TEST(FailureTest, FailedCircuitListMirrorsBitmap) {
   EXPECT_FALSE(view.is_circuit_failed(4, 0));
   EXPECT_TRUE(view.is_circuit_failed(4, 1));
 
-  view.heal_all();
+  view.heal_circuit(0, 3);
+  view.heal_circuit(4, 1);
   EXPECT_TRUE(view.failed_circuits().empty());
   EXPECT_FALSE(view.any_failures());
 }

@@ -99,7 +99,7 @@ Artifacts run_sorn_blast(const CircuitSchedule& schedule,
   Telemetry telemetry(TelemetryOptions{.sample_every = 5});
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
-  net.set_telemetry(&telemetry);
+  net.add_observer(&telemetry);
 
   Rng rng(21);
   auto pump = [&](int rounds, int cells) {
@@ -155,7 +155,7 @@ Artifacts run_large_reconfigure(const CircuitSchedule& rr,
   Telemetry telemetry(TelemetryOptions{.sample_every = 25});
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
-  net.set_telemetry(&telemetry);
+  net.add_observer(&telemetry);
 
   Rng rng(31);
   for (int round = 0; round < 120; ++round) {

@@ -58,7 +58,7 @@ Artifacts run_workload(int threads) {
   Telemetry telemetry(TelemetryOptions{.sample_every = 5});
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
-  sim.set_telemetry(&telemetry);
+  sim.add_observer(&telemetry);
 
   const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.5);
   const FlowSizeDist sizes = FlowSizeDist::pfabric_web_search();
@@ -98,7 +98,7 @@ Artifacts run_capped(int threads) {
   Telemetry telemetry;
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
-  net.set_telemetry(&telemetry);
+  net.add_observer(&telemetry);
 
   Rng rng(99);
   for (int round = 0; round < 400; ++round) {
@@ -185,7 +185,7 @@ Artifacts run_large_reconfigure(int threads) {
   Telemetry telemetry(TelemetryOptions{.sample_every = 25});
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
-  net.set_telemetry(&telemetry);
+  net.add_observer(&telemetry);
 
   Rng rng(13);
   for (int round = 0; round < 300; ++round) {
@@ -234,7 +234,7 @@ Artifacts run_faulted_workload(int threads) {
   Telemetry telemetry(TelemetryOptions{.sample_every = 5});
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
-  sim.set_telemetry(&telemetry);
+  sim.add_observer(&telemetry);
 
   FaultInjectorOptions fopts;
   fopts.node_mtbf_slots = 900.0;

@@ -45,7 +45,7 @@ InjectLog run(int threads) {
   Telemetry telemetry;
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
-  sim.set_telemetry(&telemetry);
+  sim.add_observer(&telemetry);
 
   const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.4);
   const FlowSizeDist sizes = FlowSizeDist::pfabric_web_search();

@@ -54,13 +54,12 @@ Artifacts run_gray_blast(int threads, std::uint64_t max_queue_cells,
   Telemetry telemetry(TelemetryOptions{.sample_every = 10});
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
-  sim.set_telemetry(&telemetry);
+  sim.add_observer(&telemetry);
 
   DctcpTransport::Options topts;
   topts.congestion.init_cwnd_cells = 8;
   topts.congestion.gain = 0.25;
   DctcpTransport transport(topts);
-  sim.set_transport(&transport);
 
   IncastArrivals arrivals(cfg.nodes, /*fanin=*/12, /*bytes_per_sender=*/8192,
                           /*period_slots=*/200,

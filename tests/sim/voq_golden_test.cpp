@@ -21,7 +21,7 @@
 
 #include "core/sorn.h"
 #include "obs/export.h"
-#include "obs/telemetry.h"
+#include "sim/telemetry.h"
 #include "sim/workload_driver.h"
 #include "traffic/flow_size.h"
 #include "traffic/patterns.h"
@@ -58,7 +58,7 @@ GoldenRun run_n128(int threads) {
   sim.set_threads(threads);
 
   Telemetry telemetry(TelemetryOptions{.sample_every = 25});
-  sim.set_telemetry(&telemetry);
+  sim.add_observer(&telemetry);
 
   const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.5);
   const FlowSizeDist sizes = FlowSizeDist::fixed(2560);  // 10 cells per flow

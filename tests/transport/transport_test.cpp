@@ -61,7 +61,7 @@ TEST(TransportTest, WindowPacesInjection) {
   opts.congestion.init_cwnd_cells = 4;
   opts.congestion.max_cwnd_cells = 4;
   DctcpTransport transport(opts);
-  net.set_transport(&transport);
+  net.add_observer(&transport);
 
   // 16 cells, window 4: the first pump must release exactly the window,
   // not the whole flow (the open-loop behavior this layer replaces).
@@ -100,7 +100,7 @@ TEST(TransportTest, EcnMarksCloseTheLoop) {
   opts.congestion.init_cwnd_cells = 8;
   opts.congestion.gain = 0.5;
   DctcpTransport transport(opts);
-  net.set_transport(&transport);
+  net.add_observer(&transport);
 
   // 7:1 incast into node 0; every sender's cells pile into the same VOQs.
   for (NodeId src = 1; src < 8; ++src) {
@@ -129,7 +129,7 @@ TEST(TransportTest, AcksIgnoreDuplicateDeliveries) {
   DctcpTransport::Options opts;
   opts.congestion.init_cwnd_cells = 4;
   DctcpTransport transport(opts);
-  net.set_transport(&transport);
+  net.add_observer(&transport);
 
   net.fail_node(2);
   transport.open_flow(net, nullptr, /*flow=*/1, /*src=*/0, /*dst=*/2,
@@ -162,7 +162,7 @@ TEST(TransportTest, BulkFlowsInjectThroughBulkRouter) {
   net.set_bulk_router(&bulk);
 
   DctcpTransport transport{DctcpTransport::Options{}};
-  net.set_transport(&transport);
+  net.add_observer(&transport);
 
   transport.open_flow(net, &bulk, /*flow=*/1, /*src=*/0, /*dst=*/1,
                       /*bytes=*/2 * 256, /*flow_class=*/1);
@@ -184,7 +184,6 @@ TEST(TransportTest, DriverWiresTransportEndToEnd) {
   opts.congestion.init_cwnd_cells = 2;
   opts.congestion.max_cwnd_cells = 2;
   DctcpTransport transport(opts);
-  net.set_transport(&transport);
 
   // Three bursts of 8 cells each at t=0; window 2 forces multi-slot
   // pacing, so completion depends on the drain loop pumping the backlog.
