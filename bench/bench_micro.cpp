@@ -160,24 +160,20 @@ BENCHMARK(BM_NetworkSlot)
     ->Args({256, 1})
     ->Args({1024, 16});
 
-// One push/peek/pop cycle per iteration against a node holding `depth`
+// One push/pop_ready cycle per iteration against a node holding `depth`
 // cells in each of `fanout` next-hop queues: fanout = one cell toward each
 // of 256 next hops (the saturated-node shape), deep = one 1024-cell queue.
 void BM_VoqPushPop(benchmark::State& state, NodeId fanout, int depth) {
   VoqSet voqs(fanout + 1);
   auto cell_to = [](NodeId hop) {
-    Cell c;
-    c.flow = 1;
-    c.path = Path::of({0, hop, 0});
-    return c;
+    return Cell(/*flow=*/1, /*seq=*/0, Path::of({0, hop, 0}), /*now=*/0);
   };
   for (NodeId hop = 1; hop <= fanout; ++hop)
-    for (int i = 0; i < depth; ++i) voqs.push(cell_to(hop));
+    for (int i = 0; i < depth; ++i) voqs.push(0, cell_to(hop));
   NodeId hop = 1;
   for (auto _ : state) {
-    voqs.push(cell_to(hop));
-    benchmark::DoNotOptimize(voqs.peek(0, hop, 0));
-    voqs.pop(0, hop);
+    voqs.push(0, cell_to(hop));
+    benchmark::DoNotOptimize(voqs.pop_ready(0, hop, 0));
     voqs.settle_total(1);
     hop = hop == fanout ? 1 : hop + 1;
   }

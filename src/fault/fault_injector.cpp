@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/assert.h"
 
@@ -12,7 +14,8 @@ namespace sorn {
 
 namespace {
 
-// Strict whole-token integer parse; rejects sign-only, trailing garbage.
+// Strict whole-token integer parse; rejects sign-only, trailing garbage
+// and values a long long cannot hold (strtoll would clamp them).
 bool parse_int(std::string_view token, long long* out) {
   if (token.empty()) return false;
   char buf[32];
@@ -20,8 +23,9 @@ bool parse_int(std::string_view token, long long* out) {
   token.copy(buf, token.size());
   buf[token.size()] = '\0';
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(buf, &end, 10);
-  if (end == buf || *end != '\0') return false;
+  if (end == buf || *end != '\0' || errno == ERANGE) return false;
   *out = v;
   return true;
 }
@@ -91,7 +95,7 @@ bool FaultScript::parse(std::string_view text, NodeId nodes, FaultScript* out,
     long long slot = 0;
     if (!parse_int(tokens[0], &slot) || slot < 0)
       return fail_line(error, line_no,
-                       "slot must be a nonnegative integer, got '" +
+                       "slot must be an integer in [0, 2^63 - 1], got '" +
                            std::string(tokens[0]) + "'");
     FaultEvent ev;
     ev.slot = static_cast<Slot>(slot);
@@ -136,9 +140,10 @@ bool FaultScript::parse(std::string_view text, NodeId nodes, FaultScript* out,
     // of an assert deep inside the injector mid-run.
     const auto parse_node = [&](std::string_view token, NodeId* id) {
       long long v = 0;
-      if (!parse_int(token, &v) || v < 0) {
+      if (!parse_int(token, &v) || v < 0 ||
+          v > std::numeric_limits<NodeId>::max()) {
         fail_line(error, line_no,
-                  "node id must be a nonnegative integer, got '" +
+                  "node id must be a nonnegative 32-bit integer, got '" +
                       std::string(token) + "'");
         return false;
       }
@@ -186,6 +191,16 @@ bool FaultScript::parse(std::string_view text, NodeId nodes, FaultScript* out,
         return fail_line(error, line_no,
                          "flap up_slots must be a positive integer, got '" +
                              std::string(tokens[6]) + "'");
+      // The last heal lands at slot + (cycles - 1) * (down + up) + down;
+      // every step is checked, so a flap past the Slot range is an error,
+      // never an overflow.
+      long long period = 0, last = 0;
+      if (__builtin_add_overflow(down, up, &period) ||
+          __builtin_mul_overflow(cycles - 1, period, &last) ||
+          __builtin_add_overflow(last, down, &last) ||
+          __builtin_add_overflow(last, slot, &last))
+        return fail_line(error, line_no,
+                         "flap ends past the last representable slot");
       // Expand at parse time into ordinary fail/heal pairs so the
       // injector replays a flapping link with the scripted machinery —
       // a link bouncing on a short MTTR.

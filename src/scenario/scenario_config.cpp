@@ -12,6 +12,7 @@
 
 #include "obs/json.h"
 #include "obs/json_parse.h"
+#include "sim/cell.h"
 
 namespace sorn {
 
@@ -401,6 +402,8 @@ bool ScenarioConfig::validate(std::string* error) const {
     return false;
   };
   if (nodes < 2) return fail("nodes must be >= 2");
+  // Cells carry node ids in 16 bits (sim/cell.h).
+  if (nodes > Cell::kMaxNodes) return fail("nodes must be <= 65536");
   if (cliques < 1) return fail("cliques must be >= 1");
   if (lanes < 1) return fail("lanes must be >= 1");
   if (threads < 0) return fail("threads must be >= 0");

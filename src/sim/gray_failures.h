@@ -115,10 +115,10 @@ class GrayFailureView {
     std::uint64_t h = mix(seed_ ^ kLossDomain ^
                           static_cast<std::uint64_t>(slot));
     h = mix(h ^ key(src, dst));
-    h = mix(h ^ cell.flow);
-    h = mix(h ^ ((static_cast<std::uint64_t>(cell.seq) << 16) |
+    h = mix(h ^ cell.flow());
+    h = mix(h ^ ((static_cast<std::uint64_t>(cell.seq()) << 16) |
                  static_cast<std::uint64_t>(
-                     static_cast<std::uint32_t>(cell.hop) & 0xffff)));
+                     static_cast<std::uint32_t>(cell.hop()) & 0xffff)));
     return to_unit(h) < g.loss_p;
   }
 

@@ -41,20 +41,20 @@ void InvariantChecker::on_transmit(Slot slot, NodeId src, NodeId dst) {
 void InvariantChecker::on_deliver(Slot slot, const Cell& cell,
                                   bool /*first_copy*/) {
   ++delivers_checked_;
-  if (cell.flow == kNoFlow) return;
-  const auto it = flows_.find(cell.flow);
+  if (cell.flow() == kNoFlow) return;
+  const auto it = flows_.find(cell.flow());
   // Unknown flow: either injected before the checker attached, or a late
   // retransmitted copy of a flow that already completed — both legal.
   if (it == flows_.end()) return;
   FlowTrack& track = it->second;
-  if (cell.seq >= track.total) {
-    violate(slot, "flow " + std::to_string(cell.flow) + " delivered seq " +
-                      std::to_string(cell.seq) + " beyond its " +
+  if (cell.seq() >= track.total) {
+    violate(slot, "flow " + std::to_string(cell.flow()) + " delivered seq " +
+                      std::to_string(cell.seq()) + " beyond its " +
                       std::to_string(track.total) + " cells");
     return;
   }
-  if (track.delivered[cell.seq]) return;  // duplicate copy; receiver dedups
-  track.delivered[cell.seq] = true;
+  if (track.delivered[cell.seq()]) return;  // duplicate copy; receiver dedups
+  track.delivered[cell.seq()] = true;
   if (++track.distinct >= track.total) flows_.erase(it);
 }
 

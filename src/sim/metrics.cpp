@@ -13,12 +13,12 @@ SimMetrics::SimMetrics(Picoseconds slot_duration,
   SORN_ASSERT(propagation_per_hop >= 0, "propagation must be nonnegative");
 }
 
-void SimMetrics::on_inject(const Cell& cell, std::uint64_t flow_cells,
-                           std::uint64_t flow_bytes, int flow_class,
-                           bool bulk) {
+void SimMetrics::on_inject(const Cell& cell, NodeId src,
+                           std::uint64_t flow_cells, std::uint64_t flow_bytes,
+                           int flow_class, bool bulk) {
   ++injected_cells_;
-  if (cell.flow == kNoFlow) return;
-  auto [it, inserted] = open_flows_.try_emplace(cell.flow, 0);
+  if (cell.flow() == kNoFlow) return;
+  auto [it, inserted] = open_flows_.try_emplace(cell.flow(), 0);
   if (inserted) {
     const std::uint32_t idx = flow_arena_.allocate();
     it->second = idx;
@@ -26,16 +26,16 @@ void SimMetrics::on_inject(const Cell& cell, std::uint64_t flow_cells,
     // be re-initialized here (the delivered bitmap's assign() reuses the
     // old capacity, which is the point of the arena).
     FlowRecord& rec = flow_arena_[idx];
-    rec.inject_slot = cell.inject_slot;
+    rec.inject_slot = cell.inject_slot();
     rec.cells_total = flow_cells;
     rec.cells_remaining = flow_cells;
     rec.bytes = flow_bytes;
     rec.flow_class = flow_class;
     rec.bulk = bulk;
-    rec.src = cell.path.src();
-    rec.dst = cell.path.dst();
+    rec.src = src;
+    rec.dst = cell.dst();
     rec.delivered.assign(static_cast<std::size_t>(flow_cells), false);
-    rec.last_progress_slot = cell.inject_slot;
+    rec.last_progress_slot = cell.inject_slot();
     rec.first_stall_slot = 0;
     rec.stalled = false;
     rec.attempts = 0;
@@ -45,33 +45,33 @@ void SimMetrics::on_inject(const Cell& cell, std::uint64_t flow_cells,
   // injects a flow's cells across many slots, and the stall detector must
   // not "retransmit" seqs that were never sent (collect_retransmits).
   FlowRecord& rec = flow_arena_[it->second];
-  if (cell.seq >= rec.cells_sent) rec.cells_sent = cell.seq + 1;
+  if (cell.seq() >= rec.cells_sent) rec.cells_sent = cell.seq() + 1;
 }
 
 SimMetrics::Delivery SimMetrics::on_deliver(const Cell& cell, Slot now) {
   ++delivered_cells_;
-  const auto hops = static_cast<std::uint64_t>(cell.path.hop_count());
+  const auto hops = static_cast<std::uint64_t>(cell.hop_count());
   delivered_hops_ += hops;
   const Picoseconds latency =
-      (now - cell.inject_slot) * slot_duration_ +
+      (now - cell.inject_slot()) * slot_duration_ +
       static_cast<Picoseconds>(hops) * propagation_per_hop_;
   cell_latency_ps_.add(static_cast<double>(latency));
   Delivery d;
-  if (cell.flow == kNoFlow) return d;
-  const auto it = open_flows_.find(cell.flow);
+  if (cell.flow() == kNoFlow) return d;
+  const auto it = open_flows_.find(cell.flow());
   if (it == open_flows_.end()) {
     // A retransmitted copy arriving after its flow already completed.
     ++duplicate_cells_;
     return d;
   }
   FlowRecord& rec = flow_arena_[it->second];
-  if (cell.seq < rec.delivered.size()) {
-    if (rec.delivered[cell.seq]) {
+  if (cell.seq() < rec.delivered.size()) {
+    if (rec.delivered[cell.seq()]) {
       // The original and a retransmission both made it; keep the first.
       ++duplicate_cells_;
       return d;
     }
-    rec.delivered[cell.seq] = true;
+    rec.delivered[cell.seq()] = true;
   }
   d.first_copy = true;
   rec.last_progress_slot = now;

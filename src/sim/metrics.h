@@ -79,9 +79,10 @@ class SimMetrics {
   // slot_duration and per-hop propagation convert slot counts to wall time.
   SimMetrics(Picoseconds slot_duration, Picoseconds propagation_per_hop);
 
-  // `bulk` marks flows injected through the network's bulk router so
-  // their retransmissions can be routed back through it.
-  void on_inject(const Cell& cell, std::uint64_t flow_cells,
+  // A cell entered the network at `src` (cells do not store their
+  // source). `bulk` marks flows injected through the network's bulk
+  // router so their retransmissions can be routed back through it.
+  void on_inject(const Cell& cell, NodeId src, std::uint64_t flow_cells,
                  std::uint64_t flow_bytes, int flow_class = 0,
                  bool bulk = false);
   void on_forward() { ++forwarded_cells_; }

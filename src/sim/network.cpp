@@ -23,6 +23,7 @@ SlottedNetwork::SlottedNetwork(const CircuitSchedule* schedule,
   gray_.set_seed(config.seed ^ 0x6772617946617573ULL);
   SORN_ASSERT(schedule_ != nullptr && router_ != nullptr,
               "network needs a schedule and a router");
+  SORN_ASSERT(n_ <= Cell::kMaxNodes, "cells store node ids in 16 bits");
   SORN_ASSERT(config_.lanes >= 1, "need at least one uplink lane");
   SORN_ASSERT(config_.cell_bytes >= 1, "cells must carry at least one byte");
   SORN_ASSERT(config_.slot_duration >= 1, "slots must last at least 1 ps");
@@ -47,13 +48,7 @@ Cell SlottedNetwork::make_cell(const Router& router, FlowId flow,
   // Routing draws from rng_; a draw inside a pooled take pass would make
   // the stream depend on thread scheduling (see DESIGN.md).
   SORN_ASSERT(!in_parallel_sweep_, "inject during parallel sweep");
-  Cell cell;
-  cell.flow = flow;
-  cell.seq = seq;
-  cell.path = router.route(src, dst, route_slot, rng_);
-  cell.inject_slot = now_;
-  cell.ready_slot = now_;
-  return cell;
+  return Cell(flow, seq, router.route(src, dst, route_slot, rng_), now_);
 }
 
 void SlottedNetwork::inject_flow_segment(const Router& router, FlowId flow,
@@ -86,26 +81,23 @@ void SlottedNetwork::inject_flow_segment(const Router& router, FlowId flow,
     Cell cell = make_cell(router, flow,
                           static_cast<std::uint32_t>(first_cell + c), src, dst,
                           now_ + static_cast<Slot>(c) / config_.lanes);
-    metrics_.on_inject(cell, cells, bytes, flow_class, bulk);
-    enqueue_or_drop(cell);
+    metrics_.on_inject(cell, src, cells, bytes, flow_class, bulk);
+    enqueue_or_drop(src, cell);
   }
 }
 
 void SlottedNetwork::inject_cell(NodeId src, NodeId dst) {
   Cell cell = make_cell(*router_, kNoFlow, 0, src, dst, now_);
-  metrics_.on_inject(cell, 1, config_.cell_bytes);
-  enqueue_or_drop(cell);
+  metrics_.on_inject(cell, src, 1, config_.cell_bytes);
+  enqueue_or_drop(src, cell);
 }
 
-std::uint64_t SlottedNetwork::queued_ahead(const Cell& cell,
-                                           int lane) const {
+std::uint64_t SlottedNetwork::queued_ahead(NodeId relay, NodeId hop,
+                                           NodeId sender, int lane) const {
   // The lane-major order runs lane l's transmits in node order, and only
   // the relay pops its own queue, so the relay's pops still ahead are: on
   // `lane` when it sweeps after the sender, and on every later lane. Two
   // lanes can match the relay to the same next hop in one slot.
-  const NodeId relay = cell.current();
-  const NodeId hop = cell.next_hop();
-  const NodeId sender = cell.path.at(cell.hop - 1);
   const NodeId* popped =
       popped_.data() + static_cast<std::size_t>(relay) *
                            static_cast<std::size_t>(config_.lanes);
@@ -115,27 +107,28 @@ std::uint64_t SlottedNetwork::queued_ahead(const Cell& cell,
   return ahead;
 }
 
-void SlottedNetwork::enqueue_or_drop(Cell& cell, int sent_lane) {
+void SlottedNetwork::enqueue_or_drop(NodeId node, Cell& cell, int sent_lane,
+                                     NodeId sender) {
+  const NodeId hop = cell.next_hop();
+  const VoqSet::QueueRef queue = voqs_.find(node, hop);
   const std::uint64_t cap = config_.max_queue_cells;
   const std::uint64_t mark_at = config_.ecn_threshold_cells;
   if (cap > 0 || mark_at > 0) {
     const std::uint64_t size =
-        voqs_.size_of(cell.current(), cell.next_hop()) +
-        (sent_lane >= 0 ? queued_ahead(cell, sent_lane) : 0);
+        queue.size +
+        (sent_lane >= 0 ? queued_ahead(node, hop, sender, sent_lane) : 0);
     if (cap > 0 && size >= cap) {
       metrics_.on_drop();
-      notify(&SimObserver::on_tail_drop, now_, cell.current(),
-             cell.next_hop(), cell.flow);
+      notify(&SimObserver::on_tail_drop, now_, node, hop, cell.flow());
       return;
     }
     if (mark_at > 0 && size >= mark_at) {
-      cell.ecn = true;
+      cell.mark_ecn();
       metrics_.on_ecn_mark();
-      notify(&SimObserver::on_ecn_mark, now_, cell.current(),
-             cell.next_hop(), cell.flow);
+      notify(&SimObserver::on_ecn_mark, now_, node, hop, cell.flow());
     }
   }
-  voqs_.push(cell);
+  voqs_.push(node, queue, cell);
 }
 
 // take() and apply() are inlined into the two passes: as calls, once per
@@ -155,18 +148,17 @@ SlottedNetwork::take(NodeId node, NodeId peer) {
     if (gray != nullptr && !gray_.slot_active(now_, node, peer, *gray))
       return std::nullopt;
   }
-  const Cell* head = voqs_.peek(node, peer, now_);
-  if (head == nullptr) return std::nullopt;
-  std::optional<StagedEvent> ev(std::in_place, *head);
-  voqs_.pop(node, peer);
-  ev->gray_drop =
-      gray != nullptr && gray_.cell_lost(now_, node, peer, *gray, ev->cell);
-  if (!ev->gray_drop) {
-    ++ev->cell.hop;
+  std::optional<Cell> cell = voqs_.pop_ready(node, peer, now_);
+  if (!cell) return std::nullopt;
+  StagedEvent ev{*cell, node, false};
+  ev.gray_drop =
+      gray != nullptr && gray_.cell_lost(now_, node, peer, *gray, ev.cell);
+  if (!ev.gray_drop) {
+    ev.cell.advance();
     // Turnaround at a relay: receivable next slot at the earliest, plus
     // the propagation delay in whole slots.
-    if (!ev->cell.at_destination())
-      ev->cell.ready_slot = now_ + 1 + prop_slots_;
+    if (!ev.cell.at_destination())
+      ev.cell.set_ready_slot(now_ + 1 + prop_slots_);
   }
   return ev;
 }
@@ -174,28 +166,27 @@ SlottedNetwork::take(NodeId node, NodeId peer) {
 [[gnu::always_inline]] inline void SlottedNetwork::apply(StagedEvent& ev,
                                                          int lane) {
   Cell& cell = ev.cell;
+  const NodeId node = ev.sender;
   // A lost cell was not advanced: its hop is still the circuit it left on.
-  const int sent = ev.gray_drop ? cell.hop : cell.hop - 1;
-  const NodeId node = cell.path.at(sent);
-  const NodeId peer = cell.path.at(sent + 1);
+  const NodeId peer = ev.gray_drop ? cell.next_hop() : cell.current();
   notify(&SimObserver::on_transmit, now_, node, peer);
   if (ev.gray_drop) {
     // Transmitted but lost in flight; the end-host retransmission policy
     // recovers the flow, duplicates are dedupped at the receiver.
     metrics_.on_gray_drop();
-    notify(&SimObserver::on_gray_drop, now_, node, peer, cell.flow);
+    notify(&SimObserver::on_gray_drop, now_, node, peer, cell.flow());
     return;
   }
   if (!cell.at_destination()) {
     metrics_.on_forward();
-    enqueue_or_drop(cell, lane);
+    enqueue_or_drop(peer, cell, lane, node);
     return;
   }
   // The cell arrives at the end of the slot.
   const SimMetrics::Delivery d = metrics_.on_deliver(cell, now_ + 1);
   notify(&SimObserver::on_deliver, now_, cell, d.first_copy);
   if (d.completed) {
-    notify(&SimObserver::on_flow_complete, now_ + 1, cell.flow, d.fct_ps,
+    notify(&SimObserver::on_flow_complete, now_ + 1, cell.flow(), d.fct_ps,
            d.flow_class);
   }
 }
@@ -482,7 +473,7 @@ std::uint64_t SlottedNetwork::retransmit_stalled(
       Cell cell = make_cell(router, sf.flow, seq, sf.src, sf.dst, now_);
       metrics_.on_retransmit_cell();
       ++cells;
-      enqueue_or_drop(cell);
+      enqueue_or_drop(sf.src, cell);
     }
     notify(&SimObserver::on_retransmit, now_, sf.flow, sf.missing.size(),
            sf.attempt);

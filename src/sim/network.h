@@ -242,12 +242,14 @@ class SlottedNetwork {
   // already advanced (hop incremented, ready_slot set for forwards) unless
   // it was lost to a gray circuit.
   struct StagedEvent {
-    explicit StagedEvent(const Cell& popped) : cell(popped) {}
     Cell cell;
+    // The transmitting node (a cell does not store its source).
+    NodeId sender = kNoNode;
     // Lost to a gray (lossy) circuit: the pop happened but the cell is
     // discarded instead of delivered/forwarded.
     bool gray_drop = false;
   };
+  static_assert(sizeof(StagedEvent) <= 40, "a staged event is a cell + 8");
   // One shard's take pass: per lane, its events in ascending node order.
   struct ShardStage {
     std::vector<std::vector<StagedEvent>> lanes;
@@ -269,16 +271,19 @@ class SlottedNetwork {
   // The take pass over shard `s`'s node range: every lane of a node back
   // to back, staging events per lane and marking popped_.
   void take_shard(int s);
-  // Pops of the queue `cell` is about to join that the take pass has made
-  // but the lane-major order has not reached when the cell's transmit on
-  // `lane` is applied: its relay's pop this lane when the relay sweeps
-  // after the sender, and its relay's pops in every later lane.
-  std::uint64_t queued_ahead(const Cell& cell, int lane) const;
-  // Enqueue with the capacity check and ECN marking evaluated against one
-  // queue size: the FIFO's depth, plus queued_ahead() for a cell forwarded
-  // on `sent_lane` this slot (injections pass -1). Tail drops and marks
-  // are counted and reported to the observers.
-  void enqueue_or_drop(Cell& cell, int sent_lane = -1);
+  // Pops of the queue (relay, hop) that the take pass has made but the
+  // lane-major order has not reached when `sender`'s transmit to `relay`
+  // on `lane` is applied: the relay's pop this lane when it sweeps after
+  // the sender, and its pops in every later lane.
+  std::uint64_t queued_ahead(NodeId relay, NodeId hop, NodeId sender,
+                             int lane) const;
+  // Enqueue `cell` at `node` with the capacity check and ECN marking
+  // evaluated against one queue size: the FIFO's depth, plus
+  // queued_ahead() for a cell `sender` forwarded on `sent_lane` this slot
+  // (injections pass -1). The queue is looked up once. Tail drops and
+  // marks are counted and reported to the observers.
+  void enqueue_or_drop(NodeId node, Cell& cell, int sent_lane = -1,
+                       NodeId sender = kNoNode);
   // A fresh cell at `src`, routed by `router` as of `route_slot`.
   Cell make_cell(const Router& router, FlowId flow, std::uint32_t seq,
                  NodeId src, NodeId dst, Slot route_slot);

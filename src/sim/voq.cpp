@@ -24,10 +24,18 @@ VoqSet::VoqSet(NodeId nodes) : nodes_(static_cast<std::size_t>(nodes)) {
                 "index entry is {next_hop, head, tail, size}");
 }
 
-void VoqSet::push(const Cell& cell) {
+VoqSet::QueueRef VoqSet::find(NodeId node, NodeId next_hop) const {
+  const std::vector<Voq>& index =
+      nodes_[static_cast<std::size_t>(node)].occupied;
+  const auto it = lower(index, next_hop);
+  const auto pos = static_cast<std::uint32_t>(it - index.begin());
+  if (it == index.end() || it->next_hop != next_hop) return {pos, 0};
+  return {pos, it->size};
+}
+
+void VoqSet::push(NodeId node, QueueRef queue, const Cell& cell) {
   SORN_ASSERT(!cell.at_destination(), "delivered cells must not be queued");
-  const NodeId hop = cell.next_hop();
-  NodeQueues& nq = nodes_[static_cast<std::size_t>(cell.current())];
+  NodeQueues& nq = nodes_[static_cast<std::size_t>(node)];
   std::uint32_t slot = nq.free;
   if (slot != kNil) {
     nq.free = nq.next[slot];
@@ -36,13 +44,23 @@ void VoqSet::push(const Cell& cell) {
   } else {
     SORN_ASSERT(nq.slab.size() < kNil, "VOQ slab index overflow");
     slot = static_cast<std::uint32_t>(nq.slab.size());
+    if (nq.slab.size() == nq.slab.capacity()) {
+      // Grow by a quarter, not by doubling: the slab keeps its high-water
+      // mark, so doubling slack would stay allocated for the whole run.
+      const std::size_t grown =
+          nq.slab.capacity() + nq.slab.capacity() / 4 + 1;
+      nq.slab.reserve(grown);
+      nq.next.reserve(grown);
+    }
     nq.slab.push_back(cell);
     nq.next.push_back(kNil);
   }
-  auto it = lower(nq.occupied, hop);
-  if (it == nq.occupied.end() || it->next_hop != hop) {
-    nq.occupied.insert(it, Voq{hop, slot, slot, 1});
+  const auto it = nq.occupied.begin() + queue.index;
+  if (queue.size == 0) {
+    nq.occupied.insert(it, Voq{cell.next_hop(), slot, slot, 1});
   } else {
+    SORN_ASSERT(it->next_hop == cell.next_hop() && it->size == queue.size,
+                "stale VOQ reference");
     nq.next[it->tail] = slot;
     it->tail = slot;
     ++it->size;
@@ -51,36 +69,20 @@ void VoqSet::push(const Cell& cell) {
   ++total_;
 }
 
-const VoqSet::Voq* VoqSet::find(NodeId node, NodeId next_hop) const {
-  const NodeQueues& nq = nodes_[static_cast<std::size_t>(node)];
-  const auto it = lower(nq.occupied, next_hop);
-  if (it == nq.occupied.end() || it->next_hop != next_hop) return nullptr;
-  return &*it;
-}
-
-const Cell* VoqSet::peek(NodeId node, NodeId next_hop, Slot now) const {
-  const Voq* q = find(node, next_hop);
-  if (q == nullptr) return nullptr;
-  const Cell& head = nodes_[static_cast<std::size_t>(node)].slab[q->head];
-  return head.ready_slot > now ? nullptr : &head;
-}
-
-std::uint64_t VoqSet::size_of(NodeId node, NodeId next_hop) const {
-  const Voq* q = find(node, next_hop);
-  return q == nullptr ? 0 : q->size;
-}
-
-void VoqSet::pop(NodeId node, NodeId next_hop) {
+std::optional<Cell> VoqSet::pop_ready(NodeId node, NodeId next_hop,
+                                      Slot now) {
   NodeQueues& nq = nodes_[static_cast<std::size_t>(node)];
   const auto it = lower(nq.occupied, next_hop);
-  SORN_ASSERT(it != nq.occupied.end() && it->next_hop == next_hop,
-              "pop from empty VOQ");
+  if (it == nq.occupied.end() || it->next_hop != next_hop) return std::nullopt;
   const std::uint32_t slot = it->head;
+  if (nq.slab[slot].ready_slot() > now) return std::nullopt;
   it->head = nq.next[slot];
   nq.next[slot] = nq.free;
   nq.free = slot;
   if (--it->size == 0) nq.occupied.erase(it);
   --nq.count;
+  // A freed slot keeps its cell until the next push to this node.
+  return nq.slab[slot];
 }
 
 std::uint64_t VoqSet::max_queue_depth() const {

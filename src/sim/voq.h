@@ -19,22 +19,31 @@
 // ({head, tail, size} in the index entry), and freed slots go on a LIFO
 // free list threaded through the same links, so a slot is reused before
 // the slab grows and steady-state push/pop traffic allocates nothing.
-// A queued cell costs its slot plus a 4-byte link, a queue adds only its
-// 16-byte index entry, and the slab keeps the node's high-water mark of
-// queued cells.
+// A queued cell costs its 32-byte slot plus a 4-byte link, a queue adds
+// only its 16-byte index entry, and the slab keeps the node's high-water
+// mark of queued cells. Slab and links grow by a quarter of their
+// capacity, not by std::vector's doubling, so at most a fifth of a node's
+// slab is slack beyond its high-water mark.
+//
+// Each transmit looks its queue up once: pop_ready() checks the head's
+// ready slot and pops it through one search of the node's index, and a
+// sized enqueue reads the depth from find() and pushes through the same
+// QueueRef.
 //
 // Thread contract (sim/parallel.h): shards of the take pass own disjoint
-// node ranges and only peek()/pop() their own nodes. All state a pop
+// node ranges and only pop_ready() their own nodes. All state a pop
 // touches — the node's queue index, its slab and free list, and its cell
 // count — is per-node, so sharded pops stay race-free; the one global,
-// total_, is deliberately NOT updated by pop() and is settled once per
-// slot by the coordinating thread (settle_total), at any thread count.
+// total_, is deliberately NOT updated by pop_ready() and is settled once
+// per slot by the coordinating thread (settle_total), at any thread count.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/cell.h"
+#include "util/assert.h"
 #include "util/types.h"
 
 namespace sorn {
@@ -45,20 +54,35 @@ class VoqSet {
   // lazily on first use.
   explicit VoqSet(NodeId nodes);
 
-  void push(const Cell& cell);
+  // A (node, next-hop) queue located once for a size check and a push:
+  // its depth (0 when not materialized) and its place in the node's
+  // sorted index. Valid until the node's queues next change.
+  struct QueueRef {
+    std::uint32_t index = 0;
+    std::uint32_t size = 0;
+  };
+  QueueRef find(NodeId node, NodeId next_hop) const;
+  // Raw FIFO depth; 0 when the queue is not materialized.
+  std::uint64_t size_of(NodeId node, NodeId next_hop) const {
+    return find(node, next_hop).size;
+  }
 
-  // Head cell queued at `node` for `next_hop` if transmittable at `now`,
-  // else nullptr. Does not pop. The pointer is valid until the next push
-  // to `node` (the slab may grow) or the next pop of this queue.
-  const Cell* peek(NodeId node, NodeId next_hop, Slot now) const;
-  // Remove the head cell. Per-node state only: total_queued() still
-  // counts the cell until the caller settles its pops (settle_total), so
-  // shards may pop their own nodes' queues concurrently.
-  void pop(NodeId node, NodeId next_hop);
+  // Append `cell`, held at `node` (cells do not store their source), to
+  // its next hop's queue; `queue` is that queue's find() result.
+  void push(NodeId node, QueueRef queue, const Cell& cell);
+  void push(NodeId node, const Cell& cell) {
+    // Checked before next_hop(), which a delivered cell does not have.
+    SORN_ASSERT(!cell.at_destination(), "delivered cells must not be queued");
+    push(node, find(node, cell.next_hop()), cell);
+  }
+
+  // Pop and return the head cell queued at `node` for `next_hop` if it is
+  // transmittable at `now`; nullopt (and no change) otherwise. Per-node
+  // state only: total_queued() still counts the cell until the caller
+  // settles its pops (settle_total), so shards may pop their own nodes'
+  // queues concurrently.
+  std::optional<Cell> pop_ready(NodeId node, NodeId next_hop, Slot now);
   void settle_total(std::uint64_t pops) { total_ -= pops; }
-  // Raw FIFO depth, for the capacity check and the ECN mark. 0 when the
-  // queue is not materialized.
-  std::uint64_t size_of(NodeId node, NodeId next_hop) const;
 
   std::uint64_t queued_at(NodeId node) const {
     return nodes_[static_cast<std::size_t>(node)].count;
@@ -94,9 +118,6 @@ class VoqSet {
     std::uint32_t free = kNil;       // head of the LIFO free list
     std::uint64_t count = 0;         // cells queued at this node
   };
-
-  // Sorted-index lookup; nullptr when (node, next_hop) is unoccupied.
-  const Voq* find(NodeId node, NodeId next_hop) const;
 
   std::vector<NodeQueues> nodes_;
   std::uint64_t total_ = 0;

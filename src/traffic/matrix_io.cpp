@@ -1,6 +1,7 @@
 #include "traffic/matrix_io.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -43,7 +44,7 @@ std::optional<TrafficMatrix> matrix_from_csv(const std::string& csv) {
       char* parse_end = nullptr;
       const double value = std::strtod(cell.c_str(), &parse_end);
       if (parse_end == cell.c_str() || *parse_end != '\0' || errno != 0 ||
-          value < 0.0)
+          !std::isfinite(value) || value < 0.0)
         return std::nullopt;
       row.push_back(value);
       if (comma == std::string::npos) break;
@@ -62,6 +63,7 @@ std::optional<TrafficMatrix> matrix_from_csv(const std::string& csv) {
       if (i != j)
         tm.set(static_cast<NodeId>(i), static_cast<NodeId>(j), rows[i][j]);
   }
+  if (!std::isfinite(tm.total())) return std::nullopt;  // sum overflowed
   return tm;
 }
 

@@ -18,8 +18,8 @@ namespace sorn {
 std::string matrix_to_csv(const DemandModel& tm);
 
 // Parse CSV text; returns nullopt on malformed input (ragged rows,
-// non-numeric cells, negative demand, nonzero diagonal, or a non-square
-// shape).
+// non-numeric or non-finite cells, negative demand, nonzero diagonal, a
+// non-square shape, or a total demand past the largest double).
 std::optional<TrafficMatrix> matrix_from_csv(const std::string& csv);
 
 // File convenience wrappers; return false / nullopt on IO failure.

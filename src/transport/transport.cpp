@@ -45,16 +45,16 @@ std::uint64_t DctcpTransport::pump(SlottedNetwork& network) {
 void DctcpTransport::on_deliver(Slot /*slot*/, const Cell& cell,
                                 bool first_copy) {
   if (!first_copy) return;
-  const auto it = flows_.find(cell.flow);
+  const auto it = flows_.find(cell.flow());
   if (it == flows_.end()) return;
   FlowState& st = it->second;
   ++st.acked_cells;
   ++stats_.acked_cells;
-  if (cell.ecn) ++stats_.ecn_acked_cells;
+  if (cell.ecn()) ++stats_.ecn_acked_cells;
   // Sample the window once per congestion round, right after it updates —
   // a per-ack sample would just repeat the same value window-many times.
   const std::uint64_t rounds_before = st.congestion.rounds();
-  st.congestion.on_ack(cell.ecn);
+  st.congestion.on_ack(cell.ecn());
   if (st.congestion.rounds() != rounds_before)
     stats_.cwnd_cells.add(st.congestion.cwnd());
   if (st.acked_cells == st.total_cells) {

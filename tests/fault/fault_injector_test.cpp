@@ -2,14 +2,17 @@
 // and the determinism of the stochastic MTBF/MTTR model.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fault/fault_injector.h"
+#include "fuzz/mutants.h"
 #include "routing/vlb.h"
 #include "sim/network.h"
 #include "topo/schedule_builder.h"
+#include "util/rng.h"
 
 namespace sorn {
 namespace {
@@ -92,6 +95,12 @@ TEST(FaultScriptTest, RejectsMalformedLinesNamingTheLine) {
       {"10 degrade-circuit 0 1\n", 8, "line 1"},       // missing value
       {"10 flap-circuit 0 1 0 5 5\n", 8, "line 1"},    // zero cycles
       {"10 flap-circuit 0 1 2 5\n", 8, "line 1"},      // missing up_slots
+      // Integers past long long, and flaps past the Slot range.
+      {"99999999999999999999 fail-node 1\n", 0, "line 1"},
+      {"\n10 fail-node 4294967296\n", 0, "line 2"},
+      {"100 flap-circuit 0 1 3 5000000000000000000 5000000000000000000\n", 8,
+       "line 1"},
+      {"9223372036854775807 flap-circuit 0 1 2 1 1\n", 8, "line 1"},
   };
   for (const auto& c : cases) {
     FaultScript script;
@@ -102,6 +111,85 @@ TEST(FaultScriptTest, RejectsMalformedLinesNamingTheLine) {
         << "error for \"" << c.text << "\" was: " << error;
     EXPECT_TRUE(script.empty()) << "out must be untouched on failure";
   }
+}
+
+// One line per event in the script grammar; parsing it back must give the
+// same events.
+std::string script_text(const FaultScript& script) {
+  std::string text;
+  char line[160];
+  for (const FaultEvent& ev : script.events()) {
+    const char* action = "";
+    switch (ev.kind) {
+      case FaultKind::kFailNode: action = "fail-node"; break;
+      case FaultKind::kHealNode: action = "heal-node"; break;
+      case FaultKind::kFailCircuit: action = "fail-circuit"; break;
+      case FaultKind::kHealCircuit: action = "heal-circuit"; break;
+      case FaultKind::kDegradeCircuit: action = "degrade-circuit"; break;
+      case FaultKind::kThrottleCircuit: action = "throttle-circuit"; break;
+      case FaultKind::kRestoreCircuit: action = "restore-circuit"; break;
+    }
+    const bool node = ev.kind == FaultKind::kFailNode ||
+                      ev.kind == FaultKind::kHealNode;
+    const bool valued = ev.kind == FaultKind::kDegradeCircuit ||
+                        ev.kind == FaultKind::kThrottleCircuit;
+    if (node) {
+      std::snprintf(line, sizeof(line), "%lld %s %d\n",
+                    static_cast<long long>(ev.slot), action, ev.a);
+    } else if (valued) {
+      std::snprintf(line, sizeof(line), "%lld %s %d %d %.17g\n",
+                    static_cast<long long>(ev.slot), action, ev.a, ev.b,
+                    ev.value);
+    } else {
+      std::snprintf(line, sizeof(line), "%lld %s %d %d\n",
+                    static_cast<long long>(ev.slot), action, ev.a, ev.b);
+    }
+    text += line;
+  }
+  return text;
+}
+
+// Seeded mutants of a script using every action. Each must either fail
+// with a line-numbered error and leave *out untouched, or parse into
+// events that read back the same from their own text.
+TEST(FaultScriptTest, MutantsFailCleanlyOrRoundTrip) {
+  const std::string doc =
+      "# blast and recovery\n"
+      "100 fail-node 3\n"
+      "100 fail-circuit 1 5\n"
+      "150 degrade-circuit 2 6 0.25\n"
+      "175 throttle-circuit 6 2 0.5\n"
+      "200 heal-node 3\n"
+      "250 heal-circuit 1 5\n"
+      "300 restore-circuit 2 6\n"
+      "400 flap-circuit 0 7 3 5 10\n";
+  constexpr NodeId kNodes = 8;
+  FaultScript sentinel;
+  std::string error;
+  ASSERT_TRUE(FaultScript::parse("1 fail-node 0\n", kNodes, &sentinel,
+                                 &error));
+  const std::string sentinel_text = script_text(sentinel);
+
+  Rng rng(0x5eed);
+  int parsed = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string m = mutant(doc, rng);
+    FaultScript out = sentinel;
+    error.clear();
+    if (!FaultScript::parse(m, kNodes, &out, &error)) {
+      EXPECT_NE(error.find("line "), std::string::npos) << m;
+      EXPECT_EQ(script_text(out), sentinel_text) << m;
+      continue;
+    }
+    ++parsed;
+    const std::string once = script_text(out);
+    FaultScript again;
+    ASSERT_TRUE(FaultScript::parse(once, kNodes, &again, &error))
+        << error << "\nmutant: " << m;
+    EXPECT_EQ(script_text(again), once) << "mutant: " << m;
+  }
+  // Some mutants must reach the event readers, not only the tokenizer.
+  EXPECT_GT(parsed, 100);
 }
 
 TEST(FaultScriptTest, ValidatesIdsAgainstTopologyAtParseTime) {

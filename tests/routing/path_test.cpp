@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "routing/rotor_routing.h"
+#include "sim/cell.h"
+#include "topo/schedule_builder.h"
+#include "util/rng.h"
+
 namespace sorn {
 namespace {
 
@@ -48,6 +53,29 @@ TEST(PathTest, EmptyPathHasZeroHops) {
   const Path p;
   EXPECT_EQ(p.size(), 0);
   EXPECT_EQ(p.hop_count(), 0);
+}
+
+TEST(PathTest, SevenHopRotorPathRoundTripsThroughACell) {
+  // One lane of a rotor schedule is the shift i -> i + 1 for a whole
+  // dwell, so the only route from 0 to 7 is the longest path a cell
+  // stores: 7 hops after the source.
+  const CircuitSchedule schedule = ScheduleBuilder::rotor(16, 4);
+  const RotorRouter router(&schedule, /*lanes=*/1, /*max_hops=*/7);
+  Rng rng(1);
+  const Path path = router.route(0, 7, 0, rng);
+  ASSERT_EQ(path.hop_count(), 7);
+  Cell cell(/*flow=*/1, /*seq=*/0, path, /*now=*/0);
+  EXPECT_EQ(cell.hop_count(), 7);
+  EXPECT_EQ(cell.dst(), 7);
+  for (int hop = 0; hop < 7; ++hop) {
+    ASSERT_EQ(cell.hop(), hop);
+    ASSERT_FALSE(cell.at_destination());
+    EXPECT_EQ(cell.next_hop(), path.at(hop + 1));
+    cell.advance();
+    EXPECT_EQ(cell.current(), path.at(hop + 1));
+  }
+  EXPECT_TRUE(cell.at_destination());
+  EXPECT_FALSE(cell.ecn()) << "advancing never spills into the ECN bit";
 }
 
 }  // namespace

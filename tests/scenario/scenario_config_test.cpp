@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "fuzz/mutants.h"
 #include "scenario/chaos.h"
 #include "scenario/scenario_config.h"
 #include "scenario/scenario_runner.h"
@@ -321,42 +322,14 @@ TEST(ScenarioConfigTest, BadValuesAreErrorsNamingTheKey) {
 // reads back to the same bytes.
 TEST(ScenarioConfigTest, MutantsFailCleanlyOrRoundTrip) {
   const std::string doc = non_default_config().to_json();
-  std::vector<std::size_t> digits;
-  for (std::size_t i = 0; i < doc.size(); ++i)
-    if (doc[i] >= '0' && doc[i] <= '9') digits.push_back(i);
   ScenarioConfig sentinel;
   sentinel.design = "sentinel";
   const std::string sentinel_json = sentinel.to_json();
 
   Rng rng(0x5eed);
-  const auto below = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(rng.next_below(n));
-  };
   int parsed = 0;
   for (int i = 0; i < 3000; ++i) {
-    std::string m = doc;
-    switch (rng.next_below(5)) {
-      case 0:  // byte flip
-        m[below(m.size())] ^= static_cast<char>(1 + below(255));
-        break;
-      case 1:  // delete
-        m.erase(below(m.size()), 1 + below(8));
-        break;
-      case 2:  // insert
-        m.insert(below(m.size() + 1), 1, static_cast<char>(below(256)));
-        break;
-      case 3: {  // duplicate a span
-        const std::string span = m.substr(below(m.size()), 1 + below(24));
-        m.insert(below(m.size() + 1), span);
-        break;
-      }
-      default: {  // a long digit run, extending a number
-        std::string run(10 + below(400), '0');
-        for (char& c : run) c = static_cast<char>('0' + below(10));
-        m.insert(digits[below(digits.size())] + 1, run);
-        break;
-      }
-    }
+    const std::string m = mutant(doc, rng);
     ScenarioConfig out = sentinel;
     std::string error;
     if (!ScenarioConfig::from_json(m, &out, &error)) {
@@ -564,6 +537,14 @@ TEST(ScenarioConfigTest, ValidateRejectsBadRanges) {
   cfg.incast_fanin = 0;  // not the incast workload, still no fan-in
   EXPECT_FALSE(cfg.validate(&error));
   EXPECT_NE(error.find("incast_fanin"), std::string::npos) << error;
+
+  // Cells store node ids in 16 bits: 65536 nodes is the largest network.
+  cfg = ScenarioConfig{};
+  cfg.nodes = 65537;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("nodes"), std::string::npos) << error;
+  cfg.nodes = 65536;
+  EXPECT_TRUE(cfg.validate(&error)) << error;
 
   cfg = ScenarioConfig{};
   EXPECT_TRUE(cfg.validate(&error)) << error;

@@ -29,12 +29,7 @@ NetworkConfig fast_config() {
 }
 
 Cell make_cell(FlowId flow, std::uint32_t seq) {
-  Cell cell;
-  cell.flow = flow;
-  cell.path = Path::of({0, 1});
-  cell.seq = seq;
-  cell.hop = 0;
-  return cell;
+  return Cell(flow, seq, Path::of({0, 1}), 0);
 }
 
 TEST(GrayFailureViewTest, LossVerdictsTrackProbabilityDeterministically) {
@@ -60,6 +55,36 @@ TEST(GrayFailureViewTest, LossVerdictsTrackProbabilityDeterministically) {
   }
   const double rate = static_cast<double>(lost) / kTrials;
   EXPECT_NEAR(rate, 0.3, 0.02);
+}
+
+TEST(GrayFailureViewTest, LossHashKeysOnFlowSeqAndFullPathHop) {
+  // Verdict bits over 64 slots, captured when a cell stored its flow id in
+  // 64 bits and its whole path: the compact cell must feed the hash the
+  // same flow, seq and hop (the index in the full path, source = 0).
+  GrayFailureView view(8);
+  view.set_seed(99);
+  view.degrade_circuit(3, 5, 0.5);
+  const GrayCircuit* g = view.find(3, 5);
+  ASSERT_NE(g, nullptr);
+  const struct {
+    FlowId flow;
+    std::uint64_t bits[3];  // per hop 0, 1, 2
+  } pins[] = {
+      {7, {0x6b33d85f35d00a8e, 0xca1d9c0f830bf1f8, 0xc777d6e32766d7b6}},
+      {Cell::kMaxFlow,
+       {0x9a64001c67c90d55, 0x94319cfb962ceddf, 0x2c97c40641a7e99b}},
+      {kNoFlow, {0xdc31ed607d3e19d9, 0x851cfca511734642, 0xead3b5fda04cde88}},
+  };
+  for (const auto& pin : pins) {
+    Cell cell(pin.flow, 4000000000u, Path::of({0, 3, 5, 6}), 0);
+    for (int hop = 0; hop < 3; ++hop) {
+      std::uint64_t bits = 0;
+      for (Slot slot = 0; slot < 64; ++slot)
+        if (view.cell_lost(slot, 3, 5, *g, cell)) bits |= 1ULL << slot;
+      EXPECT_EQ(bits, pin.bits[hop]) << "flow " << pin.flow << " hop " << hop;
+      cell.advance();
+    }
+  }
 }
 
 TEST(GrayFailureViewTest, RetransmittedCopyRerollsItsFate) {

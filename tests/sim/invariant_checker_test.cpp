@@ -42,9 +42,7 @@ TEST_F(InvariantCheckerTest, CleanStreamHasNoViolations) {
   checker_.on_attach(net_);
   checker_.on_flow_inject(0, /*flow=*/3, 0, 1, 512, /*cells=*/2, 0);
   checker_.on_transmit(0, 0, 1);
-  Cell cell;
-  cell.flow = 3;
-  cell.seq = 1;
+  const Cell cell(/*flow=*/3, /*seq=*/1, Path::of({0, 1}), 0);
   checker_.on_deliver(0, cell, true);
   checker_.on_deliver(0, cell, false);  // a duplicate copy is legal
   checker_.on_slot_end(0, net_);
@@ -77,9 +75,7 @@ TEST_F(InvariantCheckerTest, FlagsTransmitAcrossFailedCircuit) {
 TEST_F(InvariantCheckerTest, FlagsDeliveredSeqBeyondFlowTotal) {
   checker_.on_attach(net_);
   checker_.on_flow_inject(0, /*flow=*/5, 0, 1, 512, /*cells=*/2, 0);
-  Cell cell;
-  cell.flow = 5;
-  cell.seq = 2;
+  const Cell cell(/*flow=*/5, /*seq=*/2, Path::of({0, 1}), 0);
   checker_.on_deliver(11, cell, true);
   const std::string v = only_violation();
   EXPECT_TRUE(starts_with(v, "slot 11: ")) << v;

@@ -12,20 +12,14 @@ namespace {
 constexpr Picoseconds kSlot = 100 * 1000;  // 100 ns
 
 Cell make_cell(FlowId flow, std::initializer_list<NodeId> path,
-               Slot inject_slot) {
-  Cell c;
-  c.flow = flow;
-  c.path = Path::of(path);
-  c.hop = 0;
-  c.inject_slot = inject_slot;
-  c.ready_slot = inject_slot;
-  return c;
+               Slot inject_slot, std::uint32_t seq = 0) {
+  return Cell(flow, seq, Path::of(path), inject_slot);
 }
 
 TEST(SimMetricsTest, UnseenFlowClassYieldsEmptyPercentiles) {
   SimMetrics m(kSlot, 0);
   const Cell c = make_cell(1, {0, 1}, 0);
-  m.on_inject(c, 1, 256, /*flow_class=*/2);
+  m.on_inject(c, 0, 1, 256, /*flow_class=*/2);
   m.on_deliver(c, 3);
   EXPECT_EQ(m.fct_ps_class(2).count(), 1u);
   EXPECT_EQ(m.fct_ps_class(99).count(), 0u);
@@ -38,8 +32,8 @@ TEST(SimMetricsTest, MeanHopsAveragesDeliveredCells) {
   EXPECT_DOUBLE_EQ(m.mean_hops(), 0.0);  // no deliveries yet
   const Cell one_hop = make_cell(kNoFlow, {0, 1}, 0);
   const Cell two_hop = make_cell(kNoFlow, {0, 2, 1}, 0);
-  m.on_inject(one_hop, 1, 256);
-  m.on_inject(two_hop, 1, 256);
+  m.on_inject(one_hop, 0, 1, 256);
+  m.on_inject(two_hop, 0, 1, 256);
   m.on_deliver(one_hop, 1);
   m.on_deliver(two_hop, 2);
   EXPECT_DOUBLE_EQ(m.mean_hops(), 1.5);
@@ -49,10 +43,10 @@ TEST(SimMetricsTest, ResetCountersKeepsOpenFlows) {
   SimMetrics m(kSlot, 0);
   // A two-cell flow: one cell delivered before the reset, one after.
   const Cell a = make_cell(5, {0, 1}, 0);
-  Cell b = make_cell(5, {0, 1}, 0);
-  b.seq = 1;  // distinct cell of the same flow, not a retransmitted copy
-  m.on_inject(a, 2, 512, /*flow_class=*/1);
-  m.on_inject(b, 2, 512, /*flow_class=*/1);
+  // A distinct cell of the same flow, not a retransmitted copy.
+  const Cell b = make_cell(5, {0, 1}, 0, /*seq=*/1);
+  m.on_inject(a, 0, 2, 512, /*flow_class=*/1);
+  m.on_inject(b, 0, 2, 512, /*flow_class=*/1);
   m.on_deliver(a, 1);
   EXPECT_EQ(m.open_flows(), 1u);
 

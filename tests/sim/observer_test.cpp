@@ -57,7 +57,8 @@ class RecordingObserver final : public SimObserver {
     log("transmit", slot, src, dst);
   }
   void on_deliver(Slot slot, const Cell& cell, bool first_copy) override {
-    log("deliver", slot, cell.flow, cell.seq, cell.hop, cell.ecn, first_copy);
+    log("deliver", slot, cell.flow(), cell.seq(), cell.hop(), cell.ecn(),
+        first_copy);
   }
   void on_tail_drop(Slot slot, NodeId at, NodeId next_hop,
                     FlowId flow) override {

@@ -5,72 +5,80 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <utility>
 
+#include "routing/direct.h"
+#include "sim/network.h"
+#include "topo/schedule_builder.h"
 #include "util/rng.h"
 
 namespace sorn {
 namespace {
 
-Cell make_cell(NodeId src, NodeId via, NodeId dst, Slot ready) {
-  Cell c;
-  c.flow = 1;
-  c.path = Path::of({src, via, dst});
-  c.hop = 0;
-  c.inject_slot = 0;
-  c.ready_slot = ready;
+// A cell of `flow` at `src`, headed for `via` then `dst`, transmittable
+// from slot `ready`.
+Cell make_cell(NodeId src, NodeId via, NodeId dst, Slot ready,
+               FlowId flow = 1) {
+  Cell c(flow, 0, Path::of({src, via, dst}), 0);
+  c.set_ready_slot(ready);
   return c;
 }
 
-TEST(VoqTest, PushPeekPop) {
+// Queue a fresh cell at its source `src`.
+void push_at_source(VoqSet& voqs, NodeId src, NodeId via, NodeId dst,
+                    Slot ready = 0) {
+  voqs.push(src, make_cell(src, via, dst, ready));
+}
+
+TEST(VoqTest, PushPopReady) {
   VoqSet voqs(4);
-  voqs.push(make_cell(0, 1, 2, 0));
+  push_at_source(voqs, 0, 1, 2);
   EXPECT_EQ(voqs.total_queued(), 1u);
   EXPECT_EQ(voqs.queued_at(0), 1u);
-  const Cell* head = voqs.peek(0, 1, 0);
-  ASSERT_NE(head, nullptr);
+  const std::optional<Cell> head = voqs.pop_ready(0, 1, 0);
+  ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->next_hop(), 1);
-  voqs.pop(0, 1);
+  EXPECT_EQ(voqs.queued_at(0), 0u);
   EXPECT_EQ(voqs.total_queued(), 1u) << "pops defer the total";
   voqs.settle_total(1);
   EXPECT_EQ(voqs.total_queued(), 0u);
-  EXPECT_EQ(voqs.peek(0, 1, 0), nullptr);
+  EXPECT_FALSE(voqs.pop_ready(0, 1, 0).has_value());
 }
 
 TEST(VoqTest, ReadySlotGatesTransmission) {
   VoqSet voqs(4);
-  voqs.push(make_cell(0, 1, 2, 5));
-  EXPECT_EQ(voqs.peek(0, 1, 4), nullptr);
-  EXPECT_NE(voqs.peek(0, 1, 5), nullptr);
+  push_at_source(voqs, 0, 1, 2, /*ready=*/5);
+  EXPECT_FALSE(voqs.pop_ready(0, 1, 4).has_value());
+  EXPECT_EQ(voqs.size_of(0, 1), 1u) << "a head not yet ready stays queued";
+  EXPECT_TRUE(voqs.pop_ready(0, 1, 5).has_value());
+  EXPECT_EQ(voqs.size_of(0, 1), 0u);
 }
 
 TEST(VoqTest, FifoOrderWithinQueue) {
   VoqSet voqs(4);
-  Cell a = make_cell(0, 1, 2, 0);
-  a.flow = 10;
-  Cell b = make_cell(0, 1, 3, 0);
-  b.flow = 20;
-  voqs.push(a);
-  voqs.push(b);
-  EXPECT_EQ(voqs.peek(0, 1, 0)->flow, 10u);
-  voqs.pop(0, 1);
-  EXPECT_EQ(voqs.peek(0, 1, 0)->flow, 20u);
+  voqs.push(0, make_cell(0, 1, 2, 0, /*flow=*/10));
+  voqs.push(0, make_cell(0, 1, 3, 0, /*flow=*/20));
+  EXPECT_EQ(voqs.pop_ready(0, 1, 0)->flow(), 10u);
+  EXPECT_EQ(voqs.pop_ready(0, 1, 0)->flow(), 20u);
 }
 
 TEST(VoqTest, QueuesAreSeparatedByNextHop) {
   VoqSet voqs(4);
-  voqs.push(make_cell(0, 1, 2, 0));
-  voqs.push(make_cell(0, 2, 3, 0));
-  EXPECT_NE(voqs.peek(0, 1, 0), nullptr);
-  EXPECT_NE(voqs.peek(0, 2, 0), nullptr);
-  EXPECT_EQ(voqs.peek(0, 3, 0), nullptr);
+  push_at_source(voqs, 0, 1, 2);
+  push_at_source(voqs, 0, 2, 3);
+  EXPECT_EQ(voqs.size_of(0, 1), 1u);
+  EXPECT_EQ(voqs.size_of(0, 2), 1u);
   EXPECT_EQ(voqs.queued_at(0), 2u);
+  EXPECT_FALSE(voqs.pop_ready(0, 3, 0).has_value());
+  EXPECT_EQ(voqs.pop_ready(0, 2, 0)->next_hop(), 2);
+  EXPECT_EQ(voqs.pop_ready(0, 1, 0)->next_hop(), 1);
 }
 
 TEST(VoqTest, MaxQueueDepth) {
   VoqSet voqs(4);
-  for (int i = 0; i < 5; ++i) voqs.push(make_cell(0, 1, 2, 0));
-  voqs.push(make_cell(1, 2, 3, 0));
+  for (int i = 0; i < 5; ++i) push_at_source(voqs, 0, 1, 2);
+  push_at_source(voqs, 1, 2, 3);
   EXPECT_EQ(voqs.max_queue_depth(), 5u);
 }
 
@@ -81,24 +89,24 @@ TEST(VoqTest, MaxQueueDepthTracksPushPopDropSequence) {
   VoqSet voqs(4);
   EXPECT_EQ(voqs.max_queue_depth(), 0u);
 
-  for (int i = 0; i < 3; ++i) voqs.push(make_cell(0, 1, 2, 0));
+  for (int i = 0; i < 3; ++i) push_at_source(voqs, 0, 1, 2);
   EXPECT_EQ(voqs.max_queue_depth(), 3u);
 
   // A second, deeper queue takes over the max.
-  for (int i = 0; i < 6; ++i) voqs.push(make_cell(2, 3, 1, 0));
+  for (int i = 0; i < 6; ++i) push_at_source(voqs, 2, 3, 1);
   EXPECT_EQ(voqs.max_queue_depth(), 6u);
 
-  // A refused push (tail-drop at a cap of 6: the network checks size_of
-  // and never pushes) must not move the gauge.
-  EXPECT_EQ(voqs.size_of(2, 3), 6u);
+  // A refused push (tail-drop at a cap of 6: the network reads the depth
+  // from find() and never pushes) must not move the gauge.
+  EXPECT_EQ(voqs.find(2, 3).size, 6u);
   EXPECT_EQ(voqs.max_queue_depth(), 6u);
 
   // Draining the deep queue hands the max back to the shallow one.
-  for (int i = 0; i < 6; ++i) voqs.pop(2, 3);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(voqs.pop_ready(2, 3, 0));
   EXPECT_EQ(voqs.max_queue_depth(), 3u);
 
   // Draining everything returns the gauge to zero.
-  for (int i = 0; i < 3; ++i) voqs.pop(0, 1);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(voqs.pop_ready(0, 1, 0));
   EXPECT_EQ(voqs.max_queue_depth(), 0u);
   voqs.settle_total(9);
   EXPECT_EQ(voqs.total_queued(), 0u);
@@ -109,10 +117,10 @@ TEST(VoqTest, SizeOfUnmaterializedQueueIsZero) {
   // Never-touched queue: no entry exists, size must read as 0 (the merge
   // phase's capacity check relies on this).
   EXPECT_EQ(voqs.size_of(1, 3), 0u);
-  voqs.push(make_cell(1, 3, 2, 0));
+  push_at_source(voqs, 1, 3, 2);
   EXPECT_EQ(voqs.size_of(1, 3), 1u);
   // Drained queue: the sparse entry is erased, not left empty.
-  voqs.pop(1, 3);
+  ASSERT_TRUE(voqs.pop_ready(1, 3, 0));
   EXPECT_EQ(voqs.size_of(1, 3), 0u);
   EXPECT_EQ(voqs.occupied_queues(), 0u);
 }
@@ -120,29 +128,29 @@ TEST(VoqTest, SizeOfUnmaterializedQueueIsZero) {
 TEST(VoqTest, OccupiedQueuesTracksLiveFanOut) {
   VoqSet voqs(8);
   EXPECT_EQ(voqs.occupied_queues(), 0u);
-  voqs.push(make_cell(0, 1, 2, 0));
-  voqs.push(make_cell(0, 1, 3, 0));  // same (0, 1) queue
-  voqs.push(make_cell(0, 5, 3, 0));
-  voqs.push(make_cell(4, 2, 6, 0));
+  push_at_source(voqs, 0, 1, 2);
+  push_at_source(voqs, 0, 1, 3);  // same (0, 1) queue
+  push_at_source(voqs, 0, 5, 3);
+  push_at_source(voqs, 4, 2, 6);
   EXPECT_EQ(voqs.occupied_queues(), 3u);
-  voqs.pop(0, 1);
+  ASSERT_TRUE(voqs.pop_ready(0, 1, 0));
   EXPECT_EQ(voqs.occupied_queues(), 3u) << "one cell left in (0, 1)";
-  voqs.pop(0, 1);
+  ASSERT_TRUE(voqs.pop_ready(0, 1, 0));
   EXPECT_EQ(voqs.occupied_queues(), 2u) << "(0, 1) drained and erased";
-  voqs.pop(0, 5);
-  voqs.pop(4, 2);
+  ASSERT_TRUE(voqs.pop_ready(0, 5, 0));
+  ASSERT_TRUE(voqs.pop_ready(4, 2, 0));
   EXPECT_EQ(voqs.occupied_queues(), 0u);
 }
 
 TEST(VoqTest, ShardedPopsSettleIntoTotal) {
-  // The engine's contract: pop leaves total_queued untouched (shards may
-  // not write shared state) and the coordinator settles the sum once per
-  // lane, in the sequential sweep as in the sharded one.
+  // The engine's contract: pop_ready leaves total_queued untouched
+  // (shards may not write shared state) and the coordinator settles the
+  // sum once per slot, at any thread count.
   VoqSet voqs(4);
-  voqs.push(make_cell(0, 1, 2, 0));
-  voqs.push(make_cell(2, 3, 1, 0));
-  voqs.pop(0, 1);
-  voqs.pop(2, 3);
+  push_at_source(voqs, 0, 1, 2);
+  push_at_source(voqs, 2, 3, 1);
+  ASSERT_TRUE(voqs.pop_ready(0, 1, 0));
+  ASSERT_TRUE(voqs.pop_ready(2, 3, 0));
   EXPECT_EQ(voqs.total_queued(), 2u) << "pops defer the total";
   EXPECT_EQ(voqs.queued_at(0), 0u) << "per-node state settles immediately";
   EXPECT_EQ(voqs.queued_at(2), 0u);
@@ -153,33 +161,102 @@ TEST(VoqTest, ShardedPopsSettleIntoTotal) {
 TEST(VoqTest, RejectsDeliveredCell) {
   VoqSet voqs(4);
   Cell c = make_cell(0, 1, 2, 0);
-  c.hop = 2;  // already at destination
-  EXPECT_DEATH(voqs.push(c), "delivered");
+  c.advance();
+  c.advance();  // already at destination
+  EXPECT_DEATH(voqs.push(2, c), "delivered");
+  EXPECT_DEATH(voqs.push(2, voqs.find(2, 0), c), "delivered");
 }
 
-TEST(VoqTest, PopEmptyAborts) {
+TEST(VoqTest, PopReadyFromEmptyQueueTakesNothing) {
   VoqSet voqs(2);
-  EXPECT_DEATH(voqs.pop(0, 1), "empty");
+  const std::uint64_t bytes = voqs.memory_bytes();
+  EXPECT_FALSE(voqs.pop_ready(0, 1, 0).has_value());
+  EXPECT_EQ(voqs.occupied_queues(), 0u);
+  EXPECT_EQ(voqs.queued_at(0), 0u);
+  EXPECT_EQ(voqs.memory_bytes(), bytes);
+}
+
+TEST(VoqTest, PushThroughAStaleQueueRefAborts) {
+  // A QueueRef is valid until the node's queues change; a push through
+  // one taken before another push to the same queue is caught, not
+  // linked into the wrong FIFO.
+  VoqSet voqs(4);
+  push_at_source(voqs, 0, 1, 2);
+  const VoqSet::QueueRef stale = voqs.find(0, 1);
+  push_at_source(voqs, 0, 1, 2);
+  EXPECT_DEATH(voqs.push(0, stale, make_cell(0, 1, 2, 0)), "stale");
+}
+
+TEST(VoqTest, CellFieldsRoundTripAtTheirLimits) {
+  // Every packed field at its limit survives a push and a pop: the
+  // largest node id, seq and slot, and the largest storable flow id next
+  // to kNoFlow and 0.
+  const NodeId last = Cell::kMaxNodes - 1;
+  EXPECT_EQ(last, 65535);
+  VoqSet voqs(Cell::kMaxNodes);
+  for (const FlowId flow : {Cell::kMaxFlow, kNoFlow, FlowId{0}}) {
+    Cell cell(flow, ~std::uint32_t{0}, Path::of({0, last, last - 1}),
+              Cell::kMaxSlot);
+    cell.mark_ecn();
+    voqs.push(0, cell);
+    const std::optional<Cell> out = voqs.pop_ready(0, last, Cell::kMaxSlot);
+    ASSERT_TRUE(out.has_value());
+    voqs.settle_total(1);
+    EXPECT_EQ(out->flow(), flow);
+    EXPECT_EQ(out->seq(), 4294967295u);
+    EXPECT_EQ(out->inject_slot(), Slot{4294967295});
+    EXPECT_EQ(out->ready_slot(), Slot{4294967295});
+    EXPECT_EQ(out->hop(), 0);
+    EXPECT_EQ(out->hop_count(), 2);
+    EXPECT_EQ(out->next_hop(), last);
+    EXPECT_EQ(out->dst(), last - 1);
+    EXPECT_TRUE(out->ecn());
+  }
+}
+
+TEST(VoqTest, CellRejectsValuesItCannotStore) {
+  // Every limit is asserted where the value enters; nothing truncates.
+  const Path path = Path::of({0, 1});
+  EXPECT_DEATH((void)Cell(Cell::kMaxFlow + 1, 0, path, 0), "flow id");
+  EXPECT_DEATH((void)Cell(FlowId{1} << 32, 0, path, 0), "flow id");
+  EXPECT_DEATH((void)Cell(1, 0, path, Cell::kMaxSlot + 1), "slot");
+  EXPECT_DEATH((void)Cell(1, 0, Path::of({0, Cell::kMaxNodes}), 0),
+               "node id");
+  Cell cell(1, 0, path, Cell::kMaxSlot);
+  EXPECT_DEATH(cell.set_ready_slot(Cell::kMaxSlot + 1), "slot");
+  EXPECT_DEATH(cell.set_ready_slot(-1), "slot");
+
+  // The same checks guard the network's entry points.
+  const CircuitSchedule schedule = ScheduleBuilder::round_robin(4);
+  const DirectRouter router;
+  SlottedNetwork net(&schedule, &router, NetworkConfig{});
+  net.inject_flow(Cell::kMaxFlow, 0, 1, 256);
+  EXPECT_EQ(net.cells_in_flight(), 1u);
+  EXPECT_DEATH(net.inject_flow(Cell::kMaxFlow + 1, 0, 1, 256), "flow id");
+  EXPECT_DEATH(
+      {
+        const CircuitSchedule big =
+            ScheduleBuilder::round_robin(Cell::kMaxNodes + 1);
+        SlottedNetwork too_big(&big, &router, NetworkConfig{});
+      },
+      "16 bits");
 }
 
 // --- Slab storage: adversarial interleaves, slot reuse, memory pins. ---
 
-// A cell at `node` headed for `hop`, tagged with `stamp` so FIFO order can
-// be checked against a model.
-Cell stamped(NodeId node, NodeId hop, std::uint64_t stamp) {
-  Cell c = make_cell(node, hop, node, 0);
-  c.flow = stamp;
-  return c;
+// Queue a cell at `node` headed for `hop`, tagged with `stamp` so FIFO
+// order can be checked against a model.
+void push_stamp(VoqSet& voqs, NodeId node, NodeId hop, std::uint64_t stamp) {
+  voqs.push(node, make_cell(node, hop, node, 0, stamp));
 }
 
 // Pop the head of (node, hop), returning its stamp, and settle the total.
 std::uint64_t pop_stamp(VoqSet& voqs, NodeId node, NodeId hop) {
-  const Cell* head = voqs.peek(node, hop, 0);
-  EXPECT_NE(head, nullptr);
-  const std::uint64_t stamp = head == nullptr ? ~0ull : head->flow;
-  voqs.pop(node, hop);
+  const std::optional<Cell> head = voqs.pop_ready(node, hop, 0);
+  EXPECT_TRUE(head.has_value());
+  if (!head) return ~0ull;
   voqs.settle_total(1);
-  return stamp;
+  return head->flow();
 }
 
 TEST(VoqTest, SeededInterleaveMatchesDequeModel) {
@@ -206,7 +283,7 @@ TEST(VoqTest, SeededInterleaveMatchesDequeModel) {
     const bool push = q.empty() || rng.next_below(100) < (pop_heavy ? 30 : 60);
     if (push) {
       if (q.empty() && !fresh) ++recreated;
-      voqs.push(stamped(node, hop, stamp));
+      push_stamp(voqs, node, hop, stamp);
       q.push_back(stamp++);
       ++total;
     } else {
@@ -243,32 +320,30 @@ TEST(VoqTest, DrainedQueueIsErasedAndRecreated) {
   std::uint64_t stamp = 0;
   for (std::uint64_t depth = 1; depth <= 16; ++depth) {
     const std::uint64_t first = stamp;
-    for (std::uint64_t i = 0; i < depth; ++i) voqs.push(stamped(0, 1, stamp++));
+    for (std::uint64_t i = 0; i < depth; ++i) push_stamp(voqs, 0, 1, stamp++);
     EXPECT_EQ(voqs.size_of(0, 1), depth);
     for (std::uint64_t i = 0; i < depth; ++i)
       ASSERT_EQ(pop_stamp(voqs, 0, 1), first + i);
     ASSERT_EQ(voqs.size_of(0, 1), 0u);
     ASSERT_EQ(voqs.occupied_queues(), 0u) << "depth " << depth;
-    ASSERT_EQ(voqs.peek(0, 1, 0), nullptr);
+    ASSERT_FALSE(voqs.pop_ready(0, 1, 0).has_value());
   }
 }
 
 TEST(VoqTest, FreedSlotsAreReusedBeforeSlabGrows) {
   VoqSet voqs(8);
-  voqs.push(stamped(0, 1, 10));
-  voqs.push(stamped(0, 2, 20));
-  const Cell* a = voqs.peek(0, 1, 0);
-  const Cell* b = voqs.peek(0, 2, 0);
-  voqs.pop(0, 1);
-  voqs.pop(0, 2);
-  // LIFO free list: the most recently freed slot comes back first, and
-  // the slab does not grow (so the old addresses are still its slots).
-  voqs.push(stamped(0, 3, 30));
-  EXPECT_EQ(voqs.peek(0, 3, 0), b);
-  voqs.push(stamped(0, 4, 40));
-  EXPECT_EQ(voqs.peek(0, 4, 0), a);
-  EXPECT_EQ(voqs.peek(0, 3, 0)->flow, 30u);
-  EXPECT_EQ(voqs.peek(0, 4, 0)->flow, 40u);
+  push_stamp(voqs, 0, 1, 10);
+  push_stamp(voqs, 0, 2, 20);
+  const std::uint64_t two_slots = voqs.memory_bytes();
+  EXPECT_EQ(pop_stamp(voqs, 0, 1), 10u);
+  EXPECT_EQ(pop_stamp(voqs, 0, 2), 20u);
+  // The slab holds exactly two slots; both freed slots come back before
+  // it grows.
+  push_stamp(voqs, 0, 3, 30);
+  push_stamp(voqs, 0, 4, 40);
+  EXPECT_EQ(voqs.memory_bytes(), two_slots);
+  EXPECT_EQ(pop_stamp(voqs, 0, 3), 30u);
+  EXPECT_EQ(pop_stamp(voqs, 0, 4), 40u);
 }
 
 TEST(VoqTest, FillDrainCyclesKeepMemoryBytes) {
@@ -278,7 +353,7 @@ TEST(VoqTest, FillDrainCyclesKeepMemoryBytes) {
   VoqSet voqs(16);
   auto burst = [&](std::uint64_t base) {
     for (std::uint64_t i = 0; i < 96; ++i)
-      voqs.push(stamped(0, static_cast<NodeId>(1 + i % 12), base + i));
+      push_stamp(voqs, 0, static_cast<NodeId>(1 + i % 12), base + i);
     for (NodeId hop = 1; hop <= 12; ++hop)
       while (voqs.size_of(0, hop) > 0) pop_stamp(voqs, 0, hop);
   };
@@ -295,14 +370,14 @@ TEST(VoqTest, SteadyStateChurnAllocatesNothingNew) {
   // rolls forward through recycled slots only.
   VoqSet voqs(4);
   std::uint64_t stamp = 0, head = 0;
-  for (int i = 0; i < 8; ++i) voqs.push(stamped(0, 1, stamp++));
+  for (int i = 0; i < 8; ++i) push_stamp(voqs, 0, 1, stamp++);
   // Warm up: the rolling FIFO holds one cell more than its depth between
   // a push and the matching pop.
-  voqs.push(stamped(0, 1, stamp++));
+  push_stamp(voqs, 0, 1, stamp++);
   ASSERT_EQ(pop_stamp(voqs, 0, 1), head++);
   const std::uint64_t warm = voqs.memory_bytes();
   for (int round = 0; round < 1000; ++round) {
-    voqs.push(stamped(0, 1, stamp++));
+    push_stamp(voqs, 0, 1, stamp++);
     ASSERT_EQ(pop_stamp(voqs, 0, 1), head++);
   }
   EXPECT_EQ(voqs.memory_bytes(), warm);
@@ -315,13 +390,13 @@ TEST(VoqTest, DrainedNodeReusesItsWholeSlab) {
   // so the refill fits in the old storage and keeps FIFO order.
   VoqSet voqs(64);
   for (std::uint64_t i = 0; i < 200; ++i)
-    voqs.push(stamped(5, static_cast<NodeId>(10 + i % 20), i));
+    push_stamp(voqs, 5, static_cast<NodeId>(10 + i % 20), i);
   for (NodeId hop = 10; hop < 30; ++hop)
     while (voqs.size_of(5, hop) > 0) pop_stamp(voqs, 5, hop);
   EXPECT_EQ(voqs.queued_at(5), 0u);
   const std::uint64_t drained = voqs.memory_bytes();
   for (std::uint64_t i = 0; i < 200; ++i)
-    voqs.push(stamped(5, static_cast<NodeId>(40 + i % 10), 1000 + i));
+    push_stamp(voqs, 5, static_cast<NodeId>(40 + i % 10), 1000 + i);
   EXPECT_EQ(voqs.memory_bytes(), drained);
   for (std::uint64_t i = 0; i < 20; ++i)
     for (NodeId hop = 40; hop < 50; ++hop)
@@ -334,13 +409,13 @@ TEST(VoqTest, DeepQueueKeepsFifoOrder) {
   // the same node, so consecutive cells never sit in adjacent slots.
   VoqSet voqs(4);
   for (std::uint64_t i = 0; i < 1024; ++i) {
-    voqs.push(stamped(0, 1, i));
-    voqs.push(stamped(0, 2, 5000 + i));
+    push_stamp(voqs, 0, 1, i);
+    push_stamp(voqs, 0, 2, 5000 + i);
   }
   EXPECT_EQ(voqs.max_queue_depth(), 1024u);
   for (std::uint64_t i = 0; i < 1024; ++i) {
     ASSERT_EQ(pop_stamp(voqs, 0, 1), i);
-    if (i % 2 == 0) voqs.push(stamped(0, 2, 9000 + i));
+    if (i % 2 == 0) push_stamp(voqs, 0, 2, 9000 + i);
   }
   for (std::uint64_t i = 0; i < 1024; ++i)
     ASSERT_EQ(pop_stamp(voqs, 0, 2), 5000 + i);
@@ -353,26 +428,43 @@ TEST(VoqTest, IndexInsertKeepsOtherQueuesIntact) {
   // New next hops inserted below existing ones shift the sorted index
   // entries; the shifted queues must keep their heads, tails and sizes.
   VoqSet voqs(32);
-  for (std::uint64_t i = 0; i < 5; ++i) voqs.push(stamped(0, 20, i));
-  for (NodeId hop = 19; hop >= 1; --hop) voqs.push(stamped(0, hop, 100u + hop));
-  voqs.push(stamped(0, 20, 5));
+  for (std::uint64_t i = 0; i < 5; ++i) push_stamp(voqs, 0, 20, i);
+  for (NodeId hop = 19; hop >= 1; --hop) push_stamp(voqs, 0, hop, 100u + hop);
+  push_stamp(voqs, 0, 20, 5);
   EXPECT_EQ(voqs.size_of(0, 20), 6u);
   for (NodeId hop = 1; hop < 20; ++hop)
     EXPECT_EQ(pop_stamp(voqs, 0, hop), 100u + hop);
   for (std::uint64_t i = 0; i < 6; ++i) EXPECT_EQ(pop_stamp(voqs, 0, 20), i);
 }
 
+TEST(VoqTest, SlabGrowsByAQuarter) {
+  // Slab and links grow to capacity + capacity / 4 + 1, so one deep queue
+  // costs its index entry plus at most a quarter of slack per slot.
+  VoqSet voqs(4);
+  const std::uint64_t fixed = voqs.memory_bytes();
+  const std::uint64_t slot_bytes = sizeof(Cell) + sizeof(std::uint32_t);
+  std::uint64_t capacity = 0;
+  for (std::uint64_t cells = 1; cells <= 5000; ++cells) {
+    push_stamp(voqs, 0, 1, cells);
+    if (cells > capacity) capacity += capacity / 4 + 1;
+    ASSERT_EQ(voqs.memory_bytes() - fixed, 16 + capacity * slot_bytes)
+        << cells << " cells";
+  }
+  EXPECT_LE(capacity, 5000 + 5000 / 4 + 1);
+}
+
 TEST(VoqTest, OneCellQueuesCostNoChunkSlack) {
   // K one-cell queues cost at most 2 * K * (cell slot + link + index
-  // entry) on top of the per-node fixed cost: vectors at most double past
-  // what they hold, and nothing is reserved per queue beyond its entry.
+  // entry) on top of the per-node fixed cost: the slab grows by a quarter,
+  // the index at most doubles, and nothing is reserved per queue beyond
+  // its entry.
   constexpr NodeId kNodes = 256;
   VoqSet voqs(kNodes);
   const std::uint64_t fixed = voqs.memory_bytes();
   std::uint64_t k = 0;
   for (NodeId node = 0; node < 4; ++node) {
     for (NodeId hop = 8; hop < 8 + 50; ++hop) {
-      voqs.push(stamped(node, hop, k++));
+      push_stamp(voqs, node, hop, k++);
     }
   }
   ASSERT_EQ(voqs.occupied_queues(), k);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <optional>
+#include <string>
 
+#include "fuzz/mutants.h"
 #include "traffic/patterns.h"
+#include "util/rng.h"
 
 namespace sorn {
 namespace {
@@ -46,6 +51,14 @@ TEST(MatrixIoTest, RejectsNegativeDemand) {
   EXPECT_FALSE(matrix_from_csv("0,-1\n1,0\n").has_value());
 }
 
+TEST(MatrixIoTest, RejectsNonFiniteDemand) {
+  EXPECT_FALSE(matrix_from_csv("0,nan\n1,0\n").has_value());
+  EXPECT_FALSE(matrix_from_csv("0,inf\n1,0\n").has_value());
+  EXPECT_FALSE(matrix_from_csv("0,1\n-inf,0\n").has_value());
+  // Finite entries whose sum is not.
+  EXPECT_FALSE(matrix_from_csv("0,1.5e308\n1.5e308,0\n").has_value());
+}
+
 TEST(MatrixIoTest, RejectsNonzeroDiagonal) {
   EXPECT_FALSE(matrix_from_csv("5,1\n1,0\n").has_value());
 }
@@ -57,6 +70,29 @@ TEST(MatrixIoTest, RejectsEmptyInput) {
 
 TEST(MatrixIoTest, MissingFileReturnsNullopt) {
   EXPECT_FALSE(load_matrix_csv("/nonexistent/path/tm.csv").has_value());
+}
+
+// Seeded mutants of a saved matrix. Each must either be rejected or parse
+// into a matrix whose CSV reads back to the same bytes.
+TEST(MatrixIoTest, MutantsFailCleanlyOrRoundTrip) {
+  const auto cliques = CliqueAssignment::contiguous(8, 2);
+  const std::string doc =
+      matrix_to_csv(patterns::locality_mix(cliques, 0.6));
+  Rng rng(0x5eed);
+  int parsed = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string m = mutant(doc, rng);
+    const std::optional<TrafficMatrix> tm = matrix_from_csv(m);
+    if (!tm) continue;
+    ++parsed;
+    EXPECT_TRUE(std::isfinite(tm->total())) << "mutant: " << m;
+    const std::string once = matrix_to_csv(*tm);
+    const std::optional<TrafficMatrix> again = matrix_from_csv(once);
+    ASSERT_TRUE(again.has_value()) << "mutant: " << m;
+    EXPECT_EQ(matrix_to_csv(*again), once) << "mutant: " << m;
+  }
+  // Some mutants must survive the reader, not only fail it.
+  EXPECT_GT(parsed, 100);
 }
 
 }  // namespace
