@@ -1,8 +1,10 @@
 // Engine microbenchmarks (google-benchmark): schedule construction and
-// lookup, the optimizer's replan, route selection, VOQ push/pop, and
-// simulator slot throughput.
+// lookup, the control loop's estimator epoch, noise filter and replan,
+// route selection, VOQ push/pop, and simulator slot throughput.
 #include <benchmark/benchmark.h>
 
+#include "control/control_faults.h"
+#include "control/estimator.h"
 #include "control/optimizer.h"
 #include "core/sorn.h"
 #include "routing/vlb.h"
@@ -79,7 +81,57 @@ void BM_SornPlan(benchmark::State& state) {
     benchmark::DoNotOptimize(plan.locality_x);
   }
 }
-BENCHMARK(BM_SornPlan)->Arg(384)->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SornPlan)
+    ->Arg(384)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
+
+// The control loop's epoch input: a procedural locality mix (0.6 over 16
+// contiguous cliques) and the fault model that adds 0.5 noise to it, as
+// sornbench's control-replan workload configures them.
+std::unique_ptr<DemandModel> epoch_demand(NodeId n) {
+  return patterns::make_locality_mix(CliqueAssignment::contiguous(n, 16), 0.6,
+                                     DemandBackend::kProcedural);
+}
+
+ControlFaultOptions noisy_estimates() {
+  ControlFaultOptions options;
+  options.estimate_noise = 0.5;
+  return options;
+}
+
+// One ControlFaultModel::filter: the seeded noise overlay of every
+// nonzero of the epoch's demand.
+void BM_NoiseFilter(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  const auto demand = epoch_demand(n);
+  ControlFaultModel faults(noisy_estimates());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(faults.filter(*demand).total());
+  }
+}
+BENCHMARK(BM_NoiseFilter)->Arg(384)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// One TrafficEstimator::observe of a noise-0.5 epoch into an estimate
+// already warmed by three epochs: the normalized copy and the EWMA merge.
+void BM_EstimatorObserve(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  const auto demand = epoch_demand(n);
+  ControlFaultModel faults(noisy_estimates());
+  TrafficEstimator estimator(n);
+  for (int warm = 0; warm < 3; ++warm)
+    estimator.observe(faults.filter(*demand));
+  const DemandModel& epoch = faults.filter(*demand);
+  for (auto _ : state) {
+    estimator.observe(epoch);
+    benchmark::DoNotOptimize(estimator.observations());
+  }
+}
+BENCHMARK(BM_EstimatorObserve)
+    ->Arg(384)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ScheduleLookup(benchmark::State& state) {
   const CircuitSchedule s = ScheduleBuilder::round_robin(1024);

@@ -7,26 +7,24 @@
 #include "util/assert.h"
 
 namespace sorn {
-namespace {
 
-// Symmetric affinity: demand in both directions. Built from the nonzeros
-// (IEEE addition is commutative and adding to a 0.0 cell is exact, so the
-// result is bit-identical to at(i, j) + at(j, i) per cell).
-std::vector<double> affinity_matrix(const DemandModel& tm) {
-  const NodeId n = tm.node_count();
-  std::vector<double> a(static_cast<std::size_t>(n) *
-                            static_cast<std::size_t>(n),
-                        0.0);
-  tm.for_each_nonzero([&a, n](NodeId i, NodeId j, double d) {
-    a[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-      static_cast<std::size_t>(j)] += d;
-    a[static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
-      static_cast<std::size_t>(i)] += d;
+// Built from the nonzeros (IEEE addition is commutative and adding to a
+// 0.0 cell is exact, so each cell is bit-identical to at(i, j) + at(j, i)).
+CliqueClusterer::Affinity::Affinity(const DemandModel& tm)
+    : n_(tm.node_count()),
+      a_(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), 0.0),
+      row_weight_(static_cast<std::size_t>(n_), 0.0) {
+  const auto n = static_cast<std::size_t>(n_);
+  tm.for_each_nonzero([this, n](NodeId i, NodeId j, double d) {
+    a_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] += d;
+    a_[static_cast<std::size_t>(j) * n + static_cast<std::size_t>(i)] += d;
   });
-  return a;
+  for (NodeId i = 0; i < n_; ++i) {
+    double w = 0.0;
+    for (NodeId j = 0; j < n_; ++j) w += at(i, j);
+    row_weight_[static_cast<std::size_t>(i)] = w;
+  }
 }
-
-}  // namespace
 
 CliqueClusterer::CliqueClusterer(Options options) : options_(options) {}
 
@@ -35,17 +33,12 @@ double CliqueClusterer::objective(const DemandModel& tm,
   return tm.locality_ratio(cliques);
 }
 
-CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
+CliqueAssignment CliqueClusterer::cluster(const Affinity& affinity,
                                           CliqueId nc) const {
-  const NodeId n = tm.node_count();
+  const NodeId n = affinity.node_count();
   SORN_ASSERT(nc >= 1 && n % nc == 0,
               "node count must divide into nc equal cliques");
   const NodeId size = n / nc;
-  const std::vector<double> aff = affinity_matrix(tm);
-  auto aff_at = [&](NodeId i, NodeId j) {
-    return aff[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-               static_cast<std::size_t>(j)];
-  };
 
   std::vector<CliqueId> assign(static_cast<std::size_t>(n), -1);
   std::vector<bool> taken(static_cast<std::size_t>(n), false);
@@ -53,30 +46,24 @@ CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
   // Greedy growth: seed each clique with the heaviest unassigned node,
   // then repeatedly add the unassigned node with the highest affinity to
   // the clique's current members. A node's row weight never changes, so
-  // it is summed once; its gain toward the growing clique is extended by
-  // one term as each member joins, which is the same sum over members in
-  // join order that re-summing it from scratch would compute.
-  std::vector<double> row_weight(static_cast<std::size_t>(n), 0.0);
-  for (NodeId i = 0; i < n; ++i) {
-    double w = 0.0;
-    for (NodeId j = 0; j < n; ++j) w += aff_at(i, j);
-    row_weight[static_cast<std::size_t>(i)] = w;
-  }
+  // the affinity sums it once; its gain toward the growing clique is
+  // extended by one term as each member joins, which is the same sum over
+  // members in join order that re-summing it from scratch would compute.
   std::vector<double> gain(static_cast<std::size_t>(n), 0.0);
   auto join = [&](NodeId node, CliqueId c) {
     taken[static_cast<std::size_t>(node)] = true;
     assign[static_cast<std::size_t>(node)] = c;
     for (NodeId i = 0; i < n; ++i)
       if (!taken[static_cast<std::size_t>(i)])
-        gain[static_cast<std::size_t>(i)] += aff_at(i, node);
+        gain[static_cast<std::size_t>(i)] += affinity.at(i, node);
   };
   for (CliqueId c = 0; c < nc; ++c) {
     NodeId seed = kNoNode;
     double best_weight = -1.0;
     for (NodeId i = 0; i < n; ++i) {
       if (taken[static_cast<std::size_t>(i)]) continue;
-      if (row_weight[static_cast<std::size_t>(i)] > best_weight) {
-        best_weight = row_weight[static_cast<std::size_t>(i)];
+      if (affinity.row_weight(i) > best_weight) {
+        best_weight = affinity.row_weight(i);
         seed = i;
       }
     }
@@ -120,7 +107,7 @@ CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
     if (cached_version[cell] != version[static_cast<std::size_t>(c)]) {
       double w = 0.0;
       for (const NodeId m : members[static_cast<std::size_t>(c)])
-        if (m != i) w += aff_at(i, m);
+        if (m != i) w += affinity.at(i, m);
       cached[cell] = w;
       cached_version[cell] = version[static_cast<std::size_t>(c)];
     }
@@ -135,7 +122,7 @@ CliqueAssignment CliqueClusterer::cluster(const DemandModel& tm,
         if (ci == cj) continue;
         const double before = clique_affinity(i, ci) + clique_affinity(j, cj);
         const double after = clique_affinity(i, cj) + clique_affinity(j, ci) -
-                             2.0 * aff_at(i, j);
+                             2.0 * affinity.at(i, j);
         if (after > before + 1e-12) {
           auto& mi = members[static_cast<std::size_t>(ci)];
           auto& mj = members[static_cast<std::size_t>(cj)];

@@ -7,6 +7,8 @@
 // the inter-clique matchings need equal-sized cliques.
 #pragma once
 
+#include <vector>
+
 #include "topo/clique.h"
 #include "traffic/demand_model.h"
 
@@ -19,11 +21,38 @@ class CliqueClusterer {
     int refine_passes = 3;
   };
 
+  // What the clusterer reads of a demand: the symmetric affinity
+  // a(i, j) = d(i, j) + d(j, i) as a dense N x N array, and each node's
+  // row weight (its affinity summed over j ascending). Built once per
+  // demand, it serves every clique count clustered from that demand.
+  class Affinity {
+   public:
+    explicit Affinity(const DemandModel& tm);
+
+    NodeId node_count() const { return n_; }
+    double at(NodeId i, NodeId j) const {
+      return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
+                static_cast<std::size_t>(j)];
+    }
+    double row_weight(NodeId i) const {
+      return row_weight_[static_cast<std::size_t>(i)];
+    }
+
+   private:
+    NodeId n_;
+    std::vector<double> a_;
+    std::vector<double> row_weight_;
+  };
+
   CliqueClusterer() : CliqueClusterer(Options()) {}
   explicit CliqueClusterer(Options options);
 
-  // tm.node_count() must be divisible by nc.
-  CliqueAssignment cluster(const DemandModel& tm, CliqueId nc) const;
+  // affinity.node_count() must be divisible by nc.
+  CliqueAssignment cluster(const Affinity& affinity, CliqueId nc) const;
+  // One clique count: builds the demand's affinity and clusters from it.
+  CliqueAssignment cluster(const DemandModel& tm, CliqueId nc) const {
+    return cluster(Affinity(tm), nc);
+  }
 
   // Intra-clique demand share of an assignment (the objective).
   static double objective(const DemandModel& tm,

@@ -81,17 +81,15 @@ const DemandModel& ControlFaultModel::filter(const DemandModel& observed) {
   }
   if (!noisy) return *source;
 
-  // Seeded multiplicative noise as a sparse overlay of the source. The
-  // historical dense loop skipped rate <= 0 cells without drawing, so
-  // visiting only the nonzeros in row-major order consumes the noise RNG
-  // identically on every backend.
-  SparseDemand::Builder builder(source->node_count());
-  source->for_each_nonzero([this, &builder](NodeId i, NodeId j, double rate) {
-    const double factor =
-        1.0 + options_.estimate_noise * (2.0 * noise_rng_.next_double() - 1.0);
-    builder.set(i, j, rate * factor);
-  });
-  degraded_ = builder.build(false);
+  // Seeded multiplicative noise as a sparse overlay of the source, copied
+  // straight from its row-major visit. The historical dense loop skipped
+  // rate <= 0 cells without drawing, so one draw per visited nonzero
+  // consumes the noise RNG identically on every backend.
+  degraded_ = SparseDemand::from_model(
+      *source, /*normalize=*/false, [this](NodeId, NodeId, double rate) {
+        return rate * (1.0 + options_.estimate_noise *
+                                 (2.0 * noise_rng_.next_double() - 1.0));
+      });
   return *degraded_;
 }
 

@@ -60,15 +60,15 @@ bool ControlPlane::on_epoch(const DemandModel& observed, Slot now) {
   const DemandModel* demand = &estimator_.estimate();
   std::unique_ptr<SparseDemand> masked;
   if (failures_ != nullptr && failures_->failed_node_count() > 0) {
-    // Rebuild the estimate without the failed nodes' rows/columns. The
-    // dense predecessor zeroed them in a full copy; dropping the entries
-    // is the same thing (exact zeros are no-ops in every optimizer fold).
-    SparseDemand::Builder builder(demand->node_count());
-    demand->for_each_nonzero([&](NodeId i, NodeId j, double d) {
-      if (!failures_->is_node_failed(i) && !failures_->is_node_failed(j))
-        builder.set(i, j, d);
-    });
-    masked = builder.build(false);
+    // Copy the estimate without the failed nodes' rows/columns. The dense
+    // predecessor zeroed them in a full copy; dropping the entries is the
+    // same thing (exact zeros are no-ops in every optimizer fold).
+    masked = SparseDemand::from_model(
+        *demand, /*normalize=*/false, [this](NodeId i, NodeId j, double d) {
+          return failures_->is_node_failed(i) || failures_->is_node_failed(j)
+                     ? 0.0
+                     : d;
+        });
     demand = masked.get();
   }
 

@@ -1,6 +1,7 @@
 #include "control/estimator.h"
 
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -8,36 +9,11 @@
 
 namespace sorn {
 
-namespace {
-
-// All-zero sparse matrix of the given size (the pre-observation state).
-std::unique_ptr<SparseDemand> empty_demand(NodeId nodes) {
-  return SparseDemand::Builder(nodes).build(false);
-}
-
-struct Coo {
-  std::vector<NodeId> rows;
-  std::vector<NodeId> cols;
-  std::vector<double> vals;
-};
-
-Coo to_coo(const DemandModel& model) {
-  Coo coo;
-  model.for_each_nonzero([&coo](NodeId i, NodeId j, double d) {
-    coo.rows.push_back(i);
-    coo.cols.push_back(j);
-    coo.vals.push_back(d);
-  });
-  return coo;
-}
-
-}  // namespace
-
 TrafficEstimator::TrafficEstimator(NodeId nodes, double alpha)
     : nodes_(nodes),
       alpha_(alpha),
-      smoothed_(empty_demand(nodes)),
-      latest_(empty_demand(nodes)) {
+      smoothed_(std::make_unique<SparseDemand>(nodes)),
+      latest_(std::make_unique<SparseDemand>(nodes)) {
   SORN_ASSERT(alpha > 0.0 && alpha <= 1.0, "EWMA weight must be in (0,1]");
 }
 
@@ -48,53 +24,9 @@ void TrafficEstimator::observe(const DemandModel& epoch) {
   const double keep = observations_ == 0 ? 0.0 : 1.0 - alpha_;
   const double add = observations_ == 0 ? 1.0 : alpha_;
 
-  // Merge the sorted supports of the smoothed estimate and the new
-  // observation; every union entry gets keep * s + add * o with absent
-  // values an exact 0.0 — the dense per-cell expression bit-for-bit.
-  const Coo s = to_coo(*smoothed_);
-  const Coo o = to_coo(*obs);
-  Coo merged;
-  const std::size_t reserve = s.vals.size() + o.vals.size();
-  merged.rows.reserve(reserve);
-  merged.cols.reserve(reserve);
-  merged.vals.reserve(reserve);
-  std::size_t a = 0;
-  std::size_t b = 0;
-  auto key = [](const Coo& coo, std::size_t k) {
-    return (static_cast<std::uint64_t>(coo.rows[k]) << 32) |
-           static_cast<std::uint32_t>(coo.cols[k]);
-  };
-  while (a < s.vals.size() || b < o.vals.size()) {
-    NodeId row;
-    NodeId col;
-    double sv = 0.0;
-    double ov = 0.0;
-    if (b >= o.vals.size() ||
-        (a < s.vals.size() && key(s, a) < key(o, b))) {
-      row = s.rows[a];
-      col = s.cols[a];
-      sv = s.vals[a];
-      ++a;
-    } else if (a >= s.vals.size() || key(o, b) < key(s, a)) {
-      row = o.rows[b];
-      col = o.cols[b];
-      ov = o.vals[b];
-      ++b;
-    } else {
-      row = s.rows[a];
-      col = s.cols[a];
-      sv = s.vals[a];
-      ov = o.vals[b];
-      ++a;
-      ++b;
-    }
-    merged.rows.push_back(row);
-    merged.cols.push_back(col);
-    merged.vals.push_back(keep * sv + add * ov);
-  }
-  smoothed_ = std::make_unique<SparseDemand>(
-      nodes_, std::move(merged.rows), std::move(merged.cols),
-      std::move(merged.vals));
+  // The dense per-cell EWMA keep * s + add * o, merged row by row over
+  // the union of the two supports.
+  smoothed_ = SparseDemand::blend(keep, *smoothed_, add, *obs);
   latest_ = std::move(obs);
   ++observations_;
 

@@ -9,9 +9,12 @@
 //
 // Storage is sparse-delta: the smoothed and latest estimates live in
 // SparseDemand (CSR over the union of observed supports) instead of two
-// dense N^2 matrices. The EWMA update merges the sorted supports and
-// evaluates keep * s + add * o per union entry — bit-identical to the
-// dense per-cell loop because absent entries contribute an exact 0.0.
+// dense N^2 matrices. An epoch touches the demand once per copy: the
+// observation is normalized into a CSR straight from its row-major visit,
+// and the EWMA update merges the two CSRs row by row into the next one
+// (SparseDemand::blend), evaluating keep * s + add * o per union entry —
+// bit-identical to the dense per-cell loop because absent entries
+// contribute an exact 0.0.
 #pragma once
 
 #include <memory>

@@ -11,10 +11,16 @@ SornOptimizer::SornOptimizer(Options options) : options_(std::move(options)) {}
 
 SornPlan SornOptimizer::plan_for_nc(const DemandModel& estimate,
                                     CliqueId nc) const {
+  return plan_for_nc(estimate, CliqueClusterer::Affinity(estimate), nc);
+}
+
+SornPlan SornOptimizer::plan_for_nc(const DemandModel& estimate,
+                                    const CliqueClusterer::Affinity& affinity,
+                                    CliqueId nc) const {
   const NodeId n = estimate.node_count();
   SORN_ASSERT(nc >= 1 && n % nc == 0, "invalid clique count for this N");
   SornPlan p;
-  p.cliques = clusterer_.cluster(estimate, nc);
+  p.cliques = clusterer_.cluster(affinity, nc);
   p.locality_x = estimate.locality_ratio(p.cliques);
   if (options_.weighted_inter && nc >= 2 && n / nc >= 2)
     p.inter_weights = estimate.aggregate(p.cliques);
@@ -45,12 +51,13 @@ SornPlan SornOptimizer::plan_for_nc(const DemandModel& estimate,
 
 SornPlan SornOptimizer::plan(const DemandModel& estimate) const {
   const NodeId n = estimate.node_count();
+  const CliqueClusterer::Affinity affinity(estimate);
   SornPlan best;
   double best_score = -1e300;
   bool found = false;
   for (const CliqueId nc : options_.candidate_nc) {
     if (nc < 1 || nc > n || n % nc != 0) continue;
-    SornPlan p = plan_for_nc(estimate, nc);
+    SornPlan p = plan_for_nc(estimate, affinity, nc);
     const double score =
         p.predicted_throughput -
         options_.latency_weight * p.predicted_mean_delta_m /

@@ -1,11 +1,12 @@
 // Choosing the SORN macro-configuration from a demand estimate.
 //
-// For each candidate clique count Nc the optimizer clusters the estimate,
-// reads off the locality x, sets q = q*(x) = 2/(1-x) (rationalized so the
-// schedule period stays bounded), and predicts throughput and intrinsic
-// latency from the closed forms. The plan with the best score wins; the
-// score trades predicted throughput against mean intrinsic latency the way
-// the paper's Table 1 discussion does.
+// For each candidate clique count Nc the optimizer clusters the estimate
+// (from one symmetric affinity built per plan), reads off the locality x,
+// sets q = q*(x) = 2/(1-x) (rationalized so the schedule period stays
+// bounded), and predicts throughput and intrinsic latency from the closed
+// forms. The plan with the best score wins; the score trades predicted
+// throughput against mean intrinsic latency the way the paper's Table 1
+// discussion does.
 #pragma once
 
 #include <vector>
@@ -60,6 +61,12 @@ class SornOptimizer {
   SornPlan plan_for_nc(const DemandModel& estimate, CliqueId nc) const;
 
  private:
+  // plan_for_nc with the estimate's affinity already built; plan() builds
+  // it once and shares it across every candidate Nc.
+  SornPlan plan_for_nc(const DemandModel& estimate,
+                       const CliqueClusterer::Affinity& affinity,
+                       CliqueId nc) const;
+
   Options options_;
   CliqueClusterer clusterer_;
 };

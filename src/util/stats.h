@@ -33,7 +33,10 @@ class RunningStats {
 // distributions of bounded experiment size.
 class Percentiles {
  public:
-  void add(double x) { samples_.push_back(x); }
+  void add(double x) {
+    samples_.push_back(x);
+    sorted_ = false;
+  }
   void reserve(std::size_t n) { samples_.reserve(n); }
 
   std::size_t count() const { return samples_.size(); }

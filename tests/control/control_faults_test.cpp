@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "traffic/patterns.h"
+#include "traffic/same_demand.h"
+#include "traffic/sparse_demand.h"
 #include "traffic/traffic_matrix.h"
 
 namespace sorn {
@@ -122,6 +127,52 @@ TEST(ControlFaultModelTest, NoiseIsBoundedSeededAndSparesZeros) {
         EXPECT_NE(da.at(i, j), rate);  // noise actually applied
       }
       EXPECT_DOUBLE_EQ(da.at(i, j), db.at(i, j));  // seeded, reproducible
+    }
+  }
+}
+
+TEST(ControlFaultModelTest,
+     NoiseOverlayMatchesABuilderOverlayFromTheSameSeed) {
+  // The overlay is copied straight from the source's row-major visit. It
+  // must equal the one the Builder made before: one draw per visited
+  // nonzero, in visit order, from the model's noise stream, across
+  // epochs and source backends.
+  ControlFaultOptions opts;
+  opts.estimate_noise = 0.5;
+  opts.seed = 13;
+  ControlFaultModel model(opts);
+  Rng noise(opts.seed ^ 0x6374726c4e6f6973ULL);  // the model's noise stream
+
+  const CliqueAssignment scattered({2, 0, 1, 2, 1, 0, 0, 2, 1, 1, 0, 2});
+  const CliqueAssignment contiguous = CliqueAssignment::contiguous(12, 3);
+  std::vector<std::unique_ptr<DemandModel>> sources;
+  for (const DemandBackend backend :
+       {DemandBackend::kDense, DemandBackend::kSparse,
+        DemandBackend::kProcedural}) {
+    sources.push_back(patterns::make_locality_mix(contiguous, 0.6, backend));
+  }
+  sources.push_back(
+      patterns::make_clique_ring(scattered, 0.5, 0.6, DemandBackend::kSparse));
+  auto sparse_rows = std::make_unique<TrafficMatrix>(12);  // rows 1-10 empty
+  sparse_rows->set(0, 5, 0.25);
+  sparse_rows->set(0, 9, 1.5);
+  sparse_rows->set(11, 3, 0.75);
+  sources.push_back(std::move(sparse_rows));
+
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      const DemandModel& source = *sources[k];
+      const auto& got =
+          dynamic_cast<const SparseDemand&>(model.filter(source));
+      SparseDemand::Builder builder(source.node_count());
+      source.for_each_nonzero([&](NodeId i, NodeId j, double rate) {
+        const double factor =
+            1.0 + opts.estimate_noise * (2.0 * noise.next_double() - 1.0);
+        builder.set(i, j, rate * factor);
+      });
+      expect_same_demand(got, *builder.build(false),
+                         "epoch " + std::to_string(epoch) + " source " +
+                             std::to_string(k));
     }
   }
 }

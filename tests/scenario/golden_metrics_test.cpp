@@ -4,9 +4,15 @@
 // routing, the slot engine or the scenario wiring that moves these
 // numbers must be intentional and update them here.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
+#include "control/control_plane.h"
 #include "core/sorn.h"
 #include "scenario/scenario_runner.h"
 #include "sim/saturation.h"
@@ -125,6 +131,57 @@ TEST(GoldenMetricsTest, RunnerMatchesHandBuiltSorn) {
   EXPECT_DOUBLE_EQ(runner->saturation_r(), by_hand);
   EXPECT_EQ(runner->metrics().delivered_cells(),
             sim.metrics().delivered_cells());
+}
+
+// ---- The control loop, pinned across commits ----
+//
+// ci/scenarios/control_replan.json at one thread: N = 96 with a noisy
+// (0.5) estimate every 200 slots, two nodes failing at slot 500 and
+// healing at 1000, so three replans. Its trace's replan events carry the
+// estimator's macro_change, locality_estimate and planned_locality at
+// full precision, so any change to the estimator, the noise filter, the
+// failure mask or the optimizer that moves one bit moves these digests.
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// FNV-1a with sornbench's offset basis (its digest_of), so a pin here
+// reads the same as a digest computed there.
+std::string digest_of(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(GoldenMetricsTest, ControlReplanScenarioMatchesPinnedArtifacts) {
+  ScenarioConfig cfg;
+  std::string error;
+  ASSERT_TRUE(ScenarioConfig::load_file(
+      std::string(SORN_SOURCE_DIR) + "/ci/scenarios/control_replan.json",
+      &cfg, &error))
+      << error;
+  cfg.threads = 1;
+  const std::string stem = testing::TempDir() + "control_replan_" +
+                           std::to_string(::getpid());
+  cfg.trace_path = stem + ".jsonl";
+  cfg.metrics_json_path = stem + ".json";
+  auto runner = run_pinned(cfg);
+  ASSERT_NE(runner, nullptr);
+  EXPECT_EQ(runner->control()->replans(), 3u);
+  EXPECT_EQ(digest_of(slurp(cfg.metrics_json_path)), "fb023c3530f92e18");
+  EXPECT_EQ(digest_of(slurp(cfg.trace_path)), "802437345e85a80c");
+  std::remove(cfg.trace_path.c_str());
+  std::remove(cfg.metrics_json_path.c_str());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "topo/hierarchy.h"
 #include "traffic/patterns.h"
 #include "traffic/procedural_demand.h"
+#include "traffic/same_demand.h"
 #include "traffic/sparse_demand.h"
 #include "traffic/traffic_matrix.h"
 
@@ -249,13 +250,44 @@ TEST(DemandModelGolden, ProceduralFallsBackToSparseOffCanonicalLayout) {
 }
 
 TEST(DemandModelGolden, SparseFromModelRoundTripsTheDenseMatrix) {
-  const auto cliques = CliqueAssignment::contiguous(12, 3);
-  const TrafficMatrix tm = patterns::clique_ring(cliques, 0.4, 0.5);
-  const auto sparse = SparseDemand::from_model(tm);
-  for (NodeId i = 0; i < 12; ++i)
-    for (NodeId j = 0; j < 12; ++j)
-      EXPECT_EQ(sparse->at(i, j), tm.at(i, j));
-  EXPECT_EQ(sparse->total(), tm.total());
+  // from_model appends each entry of the row-major visit straight to the
+  // CSR arrays; the Builder reaches them through its dense row buffer.
+  // From every backend of every generator, and from raw (unnormalized)
+  // demand with empty rows, the copy must equal its source, and both
+  // paths must store the same arrays with and without normalization.
+  auto builder_copy = [](const DemandModel& model, bool normalize) {
+    SparseDemand::Builder builder(model.node_count());
+    model.for_each_nonzero(
+        [&builder](NodeId i, NodeId j, double d) { builder.set(i, j, d); });
+    return builder.build(normalize);
+  };
+  auto check = [&](const DemandModel& model, const std::string& what) {
+    for (const bool normalize : {false, true}) {
+      const std::string label = what + (normalize ? " normalized" : " as is");
+      const auto copy = SparseDemand::from_model(model, normalize);
+      expect_same_demand(*copy, *builder_copy(model, normalize), label);
+      if (!normalize) expect_same_demand(*copy, model, label + " vs source");
+    }
+  };
+  for (const BackendSet& s : scenario_patterns()) {
+    check(*s.dense, s.name + " dense");
+    check(*s.sparse, s.name + " sparse");
+    check(*s.procedural, s.name + " procedural");
+  }
+  Rng rng(29);
+  TrafficMatrix raw(24);
+  for (NodeId i = 0; i < 24; ++i) {
+    if (i % 3 == 1) continue;  // an empty row
+    for (NodeId j = 0; j < 24; ++j)
+      if (rng.next_double() < 0.4) raw.set(i, j, 3.0 * rng.next_double());
+  }
+  check(raw, "raw dense");
+  check(*SparseDemand::from_model(raw), "raw sparse");
+  TrafficMatrix normalized = raw;
+  normalized.normalize_node_load();
+  expect_same_demand(*SparseDemand::from_model(raw, /*normalize=*/true),
+                     normalized, "raw normalized vs the dense normalization");
+  check(TrafficMatrix(24), "all zero");
 }
 
 }  // namespace

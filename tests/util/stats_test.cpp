@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 namespace sorn {
 namespace {
@@ -88,8 +89,13 @@ TEST(PercentilesTest, AddAfterQueryStaysConsistent) {
   p.add(1.0);
   p.add(3.0);
   EXPECT_DOUBLE_EQ(p.median(), 2.0);
+  // A late sample below the median must be sorted in before the next
+  // query; a new maximum would pass even without the re-sort.
+  p.add(0.0);
+  EXPECT_DOUBLE_EQ(p.median(), 1.0);
   p.add(100.0);
-  EXPECT_DOUBLE_EQ(p.median(), 3.0);
+  EXPECT_DOUBLE_EQ(p.median(), 2.0);
+  EXPECT_EQ(p.sorted(), (std::vector<double>{0.0, 1.0, 3.0, 100.0}));
 }
 
 TEST(HistogramTest, BinsAndClamping) {
