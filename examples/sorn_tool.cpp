@@ -55,7 +55,13 @@
 //       closed-loop saturation throughput, then FCT at 60% of each
 //       design's own predicted capacity (one ScenarioRunner per run).
 //
+//   sorn_tool sweep --experiment experiments/fig2f.json [--json rows.json]
+//       Run a checked-in experiment (scenario/experiment.h): each point
+//       through ScenarioRunner, one table row per point. Exits 1 naming
+//       every value outside its expected band, 2 on a malformed file.
+//
 // Run without arguments for usage.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -73,7 +79,9 @@
 #include "fault/fault_injector.h"
 #include "obs/export.h"
 #include "obs/timeseries.h"
+#include "obs/json.h"
 #include "scenario/chaos.h"
+#include "scenario/experiment.h"
 #include "scenario/scenario_runner.h"
 #include "sim/telemetry.h"
 #include "topo/schedule_builder.h"
@@ -307,13 +315,8 @@ int cmd_simulate(ArgParser& args) {
                 tstats.cwnd_cells.max(),
                 static_cast<unsigned long long>(metrics.ecn_marked_cells()));
   }
-  if (cfg.design == "sorn") {
-    std::printf("  predicted r:      %.4f (1/(3-x))\n",
-                runner->design().predicted_throughput);
-  } else {
-    std::printf("  predicted r:      %.4f\n",
-                runner->design().predicted_throughput);
-  }
+  std::printf("  predicted r:      %.4f\n",
+              runner->design().predicted_throughput);
   if (const FaultInjector* injector = runner->injector()) {
     std::printf(
         "  faults applied:   %llu (scripted %llu, stochastic %llu fail / "
@@ -398,7 +401,6 @@ int cmd_simulate(ArgParser& args) {
 
 int cmd_compare(ArgParser& args) {
   ScenarioConfig base;
-  base.lb_first_available = true;  // the paper's latency semantics
   const std::string scenario_path = args.get_string("--scenario", "");
   if (!scenario_path.empty()) {
     std::string error;
@@ -406,6 +408,8 @@ int cmd_compare(ArgParser& args) {
       std::fprintf(stderr, "--scenario: %s\n", error.c_str());
       return 1;
     }
+  } else {
+    base.lb_first_available = true;  // the paper's latency semantics
   }
   apply_scenario_flags(args, true, base);
   std::string design_csv;
@@ -471,6 +475,114 @@ int cmd_compare(ArgParser& args) {
                 flow_runner->metrics().fct_ps().percentile(99.0) / 1e6)});
   }
   table.print();
+  return 0;
+}
+
+// The printed precision of a row value: microseconds to 0.1, counts whole,
+// everything else (throughputs, ratios, hops) to 4 decimals.
+std::string format_value(const std::string& name, double v) {
+  if (name.ends_with("_us")) return format("%.1f", v);
+  if (name.ends_with("_flows") || name.ends_with("_cells"))
+    return format("%.0f", v);
+  return format("%.4f", v);
+}
+
+int cmd_sweep(ArgParser& args) {
+  const std::string path = args.get_string("--experiment", "");
+  const std::string json_path = args.get_string("--json", "");
+  args.finish();
+  if (path.empty()) {
+    std::fprintf(stderr, "sweep requires --experiment <file.json>\n");
+    return 2;
+  }
+  Experiment experiment;
+  std::string error;
+  if (!Experiment::load_file(path, &experiment, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
+  const auto& points = experiment.points;
+  // Every point must build before any runs, so a bad point fails at once
+  // rather than after the points before it.
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (ScenarioRunner::create(points[i].config, &error) == nullptr) {
+      std::fprintf(stderr, "%s: point %zu %s: %s\n", path.c_str(), i,
+                   points[i].label.c_str(), error.c_str());
+      return 2;
+    }
+  }
+
+  std::vector<ExperimentRow> rows(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!run_experiment_point(points[i], &rows[i], &error)) {
+      std::fprintf(stderr, "%s: point %zu %s: %s\n", path.c_str(), i,
+                   points[i].label.c_str(), error.c_str());
+      return 1;
+    }
+  }
+
+  // Table: every value that is nonzero in some row (the --json rows hold
+  // them all).
+  std::vector<std::string> columns;
+  for (const ExperimentRow& row : rows)
+    for (const ExperimentRow::Value& v : row.values)
+      if (v.value != 0.0 &&
+          std::find(columns.begin(), columns.end(), v.name) == columns.end())
+        columns.push_back(v.name);
+  std::vector<std::string> headers{"point", "set"};
+  headers.insert(headers.end(), columns.begin(), columns.end());
+  headers.push_back("bands");
+  TablePrinter table(std::move(headers));
+  std::vector<std::string> misses;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::vector<std::string> cells{format("%zu", i), points[i].label};
+    for (const std::string& name : columns) {
+      const auto it = std::find_if(
+          rows[i].values.begin(), rows[i].values.end(),
+          [&](const ExperimentRow::Value& v) { return v.name == name; });
+      cells.push_back(it == rows[i].values.end()
+                          ? "-"
+                          : format_value(name, it->value));
+    }
+    cells.push_back(points[i].expect.empty() ? "-"
+                    : rows[i].misses.empty() ? "ok"
+                                             : "MISS");
+    table.add_row(std::move(cells));
+    for (const std::string& miss : rows[i].misses)
+      misses.push_back(format("point %zu %s", i, miss.c_str()));
+  }
+  if (!experiment.description.empty())
+    std::printf("%s\n\n", experiment.description.c_str());
+  table.print();
+
+  if (!json_path.empty()) {
+    JsonWriter w;
+    w.begin_object().field("experiment", path).key("rows").begin_array();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      w.begin_object().field("point", static_cast<std::uint64_t>(i));
+      w.key("set").raw(points[i].label);
+      for (const ExperimentRow::Value& v : rows[i].values)
+        w.field(v.name, v.value);
+      w.key("misses").begin_array();
+      for (const std::string& miss : rows[i].misses) w.value(miss);
+      w.end_array().end_object();
+    }
+    w.end_array().end_object();
+    if (!write_text_file(json_path, w.take() + "\n")) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      return 1;
+    }
+    std::printf("\nrows written to %s\n", json_path.c_str());
+  }
+
+  if (!misses.empty()) {
+    std::fprintf(stderr, "\n%zu value(s) outside their bands:\n",
+                 misses.size());
+    for (const std::string& miss : misses)
+      std::fprintf(stderr, "  %s\n", miss.c_str());
+    return 1;
+  }
+  std::printf("\nall %zu points within their bands\n", points.size());
   return 0;
 }
 
@@ -567,7 +679,12 @@ int usage() {
       "      1-vs-N-thread byte-equivalence cross-check per seed. Prints\n"
       "      a one-line replay recipe on failure.\n"
       "  sorn_tool compare [--designs sorn,vlb,...] [--nodes 64]\n"
-      "                    [--cliques 8] [--locality 0.56] [--threads N]\n");
+      "                    [--cliques 8] [--locality 0.56] [--threads N]\n"
+      "  sorn_tool sweep --experiment FILE.json [--json rows.json]\n"
+      "      Run every point of a checked-in experiment (a base scenario\n"
+      "      plus points that set fields on it) and print one row per\n"
+      "      point. Exits 1 naming each value outside its expected band,\n"
+      "      2 on a malformed experiment file.\n");
   return 2;
 }
 
@@ -584,5 +701,6 @@ int main(int argc, char** argv) {
   if (cmd == "simulate") return cmd_simulate(args);
   if (cmd == "chaos") return cmd_chaos(args);
   if (cmd == "compare") return cmd_compare(args);
+  if (cmd == "sweep") return cmd_sweep(args);
   return usage();
 }

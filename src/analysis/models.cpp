@@ -8,10 +8,10 @@
 namespace sorn {
 namespace analysis {
 
-double sorn_optimal_q(double x, double q_cap) {
+double sorn_optimal_q(double x) {
   SORN_ASSERT(x >= 0.0 && x <= 1.0, "locality ratio must be in [0,1]");
-  if (x >= 1.0) return q_cap;
-  return std::min(q_cap, 2.0 / (1.0 - x));
+  if (x >= 1.0) return kMaxSornQ;
+  return std::min(kMaxSornQ, 2.0 / (1.0 - x));
 }
 
 double sorn_throughput(double x) {

@@ -26,9 +26,14 @@ namespace analysis {
 
 // ---- SORN closed forms (Sec. 4) ----
 
-// Optimal oversubscription ratio q* = 2/(1-x); +inf at x == 1 is clamped
-// to `q_cap`.
-double sorn_optimal_q(double x, double q_cap = 1e9);
+// The one cap on q*: as x -> 1 the optimum diverges, but a very large q
+// starves inter-clique bandwidth for no throughput gain and stretches the
+// schedule period with it. q* reaches the cap for x > 0.96875.
+constexpr double kMaxSornQ = 64.0;
+
+// Optimal oversubscription ratio q* = 2/(1-x), capped at kMaxSornQ (the
+// +inf at x == 1 included).
+double sorn_optimal_q(double x);
 
 // Worst-case throughput with the optimal q: r = 1/(3-x).
 double sorn_throughput(double x);

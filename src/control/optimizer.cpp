@@ -24,11 +24,9 @@ SornPlan SornOptimizer::plan_for_nc(const DemandModel& estimate,
   p.locality_x = estimate.locality_ratio(p.cliques);
   if (options_.weighted_inter && nc >= 2 && n / nc >= 2)
     p.inter_weights = estimate.aggregate(p.cliques);
-  const double q_star =
-      std::min(options_.max_q,
-               analysis::sorn_optimal_q(p.locality_x, options_.max_q));
-  p.q = Rational::approximate(std::max(1.0, q_star),
-                              options_.max_q_denominator);
+  p.q = Rational::approximate(
+      std::max(1.0, analysis::sorn_optimal_q(p.locality_x)),
+      options_.max_q_denominator);
   p.predicted_throughput =
       analysis::sorn_throughput_at_q(p.locality_x, p.q.value());
   if (nc >= 2 && n / nc >= 2) {

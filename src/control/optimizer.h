@@ -40,9 +40,6 @@ class SornOptimizer {
     std::vector<CliqueId> candidate_nc = {4, 8, 16, 32, 64};
     // Cap on the rationalized q's denominator (bounds schedule period).
     std::int64_t max_q_denominator = 12;
-    // Cap on q itself: at x -> 1 the optimum diverges, but very large q
-    // starves inter-clique bandwidth for no throughput gain.
-    double max_q = 64.0;
     // Score = predicted_throughput - latency_weight * mean_delta_m / N.
     double latency_weight = 0.5;
     // Encode the measured clique-level aggregate into the inter slots

@@ -12,7 +12,7 @@ Rational resolve_q(const SornConfig& config) {
     SORN_ASSERT(config.q.value() >= 1.0, "explicit q must be >= 1");
     return config.q;
   }
-  const double q_star = analysis::sorn_optimal_q(config.locality_x, 1e6);
+  const double q_star = analysis::sorn_optimal_q(config.locality_x);
   return Rational::approximate(std::max(1.0, q_star),
                                config.max_q_denominator);
 }

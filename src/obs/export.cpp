@@ -170,4 +170,16 @@ bool write_text_file(const std::string& path, std::string_view content) {
   return wrote && closed;
 }
 
+bool read_text_file(const std::string& path, std::string* content) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  content->clear();
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
+    content->append(buf, got);
+  std::fclose(f);
+  return true;
+}
+
 }  // namespace sorn

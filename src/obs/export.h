@@ -48,4 +48,8 @@ std::string timeseries_to_csv(const TimeSeriesSampler& sampler);
 // the file cannot be opened, written or closed.
 bool write_text_file(const std::string& path, std::string_view content);
 
+// Read the whole file at `path` into *content; false when it cannot be
+// opened.
+bool read_text_file(const std::string& path, std::string* content);
+
 }  // namespace sorn

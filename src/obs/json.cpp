@@ -125,4 +125,10 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  element();
+  out_ += json;
+  return *this;
+}
+
 }  // namespace sorn

@@ -46,6 +46,8 @@ class JsonWriter {
     return value(static_cast<std::int64_t>(v));
   }
   JsonWriter& value(bool v);
+  // An already-serialized JSON value, appended verbatim.
+  JsonWriter& raw(std::string_view json);
 
   template <typename T>
   JsonWriter& field(std::string_view k, T v) {

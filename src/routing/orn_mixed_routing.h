@@ -1,9 +1,11 @@
 // Routing for the mixed-radix optimal ORN (Wilson et al. [35]).
 //
-// The generalization of OrnHdRouter to arbitrary N: nodes are mixed-radix
-// numbers over radices (r_0, ..., r_{h-1}); a cell is routed digit-by-digit
-// to a random intermediate and then digit-by-digit to the destination
-// (up to 2h hops).
+// Nodes are mixed-radix numbers over radices (r_0, ..., r_{h-1}); a cell
+// is routed digit-by-digit to a random intermediate and then
+// digit-by-digit to the destination (up to 2h hops). With h equal radices
+// r this is the h-dimensional optimal ORN of Amir et al. [4]: worst-case
+// throughput 1/(2h), intrinsic latency O(h * r) — the Pareto family of
+// Sec. 2.
 #pragma once
 
 #include <vector>

@@ -9,7 +9,6 @@
 #include "analysis/models.h"
 #include "core/hier_sorn.h"
 #include "core/sorn.h"
-#include "routing/orn_hd_routing.h"
 #include "routing/orn_mixed_routing.h"
 #include "routing/rotor_routing.h"
 #include "routing/vlb.h"
@@ -288,6 +287,28 @@ NodeId hd_radix(NodeId n, int h) {
   return 0;
 }
 
+// Both ORN designs are the mixed-radix schedule and router; orn-hd is the
+// case of h equal radices.
+void fill_orn(NodeId nodes, const std::vector<NodeId>& radices,
+              BuiltDesign* out) {
+  struct Holder {
+    CircuitSchedule schedule;
+    OrnMixedRouter router;
+    Holder(CircuitSchedule s, NodeId n, std::vector<NodeId> r)
+        : schedule(std::move(s)), router(n, std::move(r)) {}
+  };
+  auto holder = std::make_shared<Holder>(
+      ScheduleBuilder::orn_mixed(nodes, radices), nodes, radices);
+  out->schedule = &holder->schedule;
+  out->router = &holder->router;
+  out->predicted_throughput =
+      analysis::orn_hd_throughput(static_cast<int>(radices.size()));
+  out->set_failure_view = [holder](const FailureView* view) {
+    holder->router.set_failure_view(view);
+  };
+  out->owner = std::move(holder);
+}
+
 class OrnHdDesign final : public Design {
  public:
   std::string name() const override { return "orn-hd"; }
@@ -310,25 +331,11 @@ class OrnHdDesign final : public Design {
                          "radix r >= 2",
                          static_cast<long long>(config.nodes), h));
     }
-
-    struct Holder {
-      CircuitSchedule schedule;
-      OrnHdRouter router;
-      Holder(CircuitSchedule s, NodeId n, int dims)
-          : schedule(std::move(s)), router(n, dims) {}
-    };
-    auto holder = std::make_shared<Holder>(
-        ScheduleBuilder::orn_hd(config.nodes, h), config.nodes, h);
-    out->schedule = &holder->schedule;
-    out->router = &holder->router;
-    out->predicted_throughput = analysis::orn_hd_throughput(h);
+    fill_orn(config.nodes, std::vector<NodeId>(static_cast<std::size_t>(h), r),
+             out);
     out->summary = format("%dD grid, radix %lld, period %lld slots", h,
                           static_cast<long long>(r),
-                          static_cast<long long>(holder->schedule.period()));
-    out->set_failure_view = [holder](const FailureView* view) {
-      holder->router.set_failure_view(view);
-    };
-    out->owner = std::move(holder);
+                          static_cast<long long>(out->schedule->period()));
     return true;
   }
 };
@@ -364,30 +371,14 @@ class OrnMixedDesign final : public Design {
                          static_cast<long long>(config.nodes)));
     }
 
-    struct Holder {
-      CircuitSchedule schedule;
-      OrnMixedRouter router;
-      Holder(CircuitSchedule s, NodeId n, std::vector<NodeId> r)
-          : schedule(std::move(s)), router(n, std::move(r)) {}
-    };
-    auto holder = std::make_shared<Holder>(
-        ScheduleBuilder::orn_mixed(config.nodes, radices), config.nodes,
-        radices);
-    out->schedule = &holder->schedule;
-    out->router = &holder->router;
-    out->predicted_throughput =
-        analysis::orn_hd_throughput(static_cast<int>(radices.size()));
+    fill_orn(config.nodes, radices, out);
     std::string dims;
     for (std::size_t i = 0; i < radices.size(); ++i) {
       if (i > 0) dims += "x";
       dims += format("%lld", static_cast<long long>(radices[i]));
     }
     out->summary = format("radices %s, period %lld slots", dims.c_str(),
-                          static_cast<long long>(holder->schedule.period()));
-    out->set_failure_view = [holder](const FailureView* view) {
-      holder->router.set_failure_view(view);
-    };
-    out->owner = std::move(holder);
+                          static_cast<long long>(out->schedule->period()));
     return true;
   }
 

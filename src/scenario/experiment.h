@@ -1,0 +1,82 @@
+// Experiment: one simulated paper figure as a checked-in file — a base
+// scenario, the points swept over it, and the band each measured value
+// must fall in. `sorn_tool sweep --experiment FILE` runs one; CI runs
+// every experiments/*.json and fails on any value outside its band.
+//
+//   {"description": "Fig. 2f ...",
+//    "base": {"design": "sorn", "nodes": 128, "workload": "saturation"},
+//    "points": [{"set": {"locality": 0.3},
+//                "expect": {"saturation_r": [0.345, 0.355]}}]}
+//
+// `set` is read by ScenarioConfig's strict reader on top of `base`, so a
+// point takes exactly the scenario keys and values. Each key of `expect`
+// names a value of the point's row (experiment_value_names) and gives an
+// inclusive [lo, hi] band. Points run one after another, each through
+// ScenarioRunner::create/run at the scenario's own thread count.
+#pragma once
+
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "scenario/scenario_config.h"
+
+namespace sorn {
+
+struct Experiment {
+  struct Band {
+    std::string value;  // a name from experiment_value_names
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+  struct Point {
+    // The point's `set` as compact JSON, e.g. {"locality":0.3,"seed":43};
+    // "{}" when the point runs the base unchanged.
+    std::string label;
+    ScenarioConfig config;  // base with `set` applied
+    std::vector<Band> expect;
+  };
+
+  std::string description;
+  std::vector<Point> points;
+
+  // Parse an experiment document. A malformed document, an unknown key at
+  // any level, a missing `base` or `points`, a `set` the scenario reader
+  // rejects, an `expect` name the point does not report, and a band that
+  // is not two finite numbers with lo <= hi are errors naming the point.
+  // On failure returns false and sets *error; *out is untouched.
+  static bool from_json(std::string_view text, Experiment* out,
+                        std::string* error);
+  // Same, reading the file at `path`.
+  static bool load_file(const std::string& path, Experiment* out,
+                        std::string* error);
+};
+
+// The values one point reports, in row order:
+//   predicted_throughput  the design's closed-form r at the q it built
+//   saturation_r          measured r (saturation workloads; else 0)
+//   r_over_predicted      their ratio (0 when nothing is predicted)
+//   mean_hops, delivered_cells, completed_flows
+//   cell_latency_p50_us, cell_latency_p99_us, fct_p50_us, fct_p99_us
+// and, when the scenario classifies flows, for classes c = 0 and 1:
+//   class{c}_flows, class{c}_fct_p50_us, class{c}_fct_p99_us
+// (class{c}_flows counts the class's completed flows).
+std::vector<std::string> experiment_value_names(const ScenarioConfig& config);
+
+struct ExperimentRow {
+  struct Value {
+    std::string name;
+    double value = 0.0;
+  };
+  std::vector<Value> values;  // named as experiment_value_names
+  // One message per value outside its band, naming the point and value.
+  std::vector<std::string> misses;
+};
+
+// Run one point and check its bands. Returns false and sets *error when
+// create() rejects the point's config or run() fails; a value outside
+// its band is a miss in the row, not an error.
+bool run_experiment_point(const Experiment::Point& point, ExperimentRow* row,
+                          std::string* error);
+
+}  // namespace sorn

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iterator>
 #include <limits>
 #include <span>
@@ -10,6 +9,7 @@
 #include <utility>
 #include <variant>
 
+#include "obs/export.h"
 #include "obs/json.h"
 #include "obs/json_parse.h"
 #include "sim/cell.h"
@@ -315,13 +315,17 @@ std::string ScenarioConfig::to_json() const {
 bool ScenarioConfig::from_json(std::string_view text, ScenarioConfig* out,
                                std::string* error) {
   JsonValue doc;
-  if (!json_parse(text, &doc, error)) return false;
+  return json_parse(text, &doc, error) && from_json(doc, out, error);
+}
+
+bool ScenarioConfig::from_json(const JsonValue& doc, ScenarioConfig* out,
+                               std::string* error) {
   if (!doc.is_object()) {
     *error = "scenario document must be a JSON object";
     return false;
   }
 
-  ScenarioConfig cfg;  // defaults; *out untouched until full success
+  ScenarioConfig cfg = *out;  // *out untouched until full success
   bool seen[std::size(kFields)] = {};
   for (const auto& [key, v] : doc.fields()) {
     const Field* f =
@@ -378,17 +382,12 @@ bool ScenarioConfig::apply_flags(bool fabric_only, const FlagLookup& given,
 }
 
 bool ScenarioConfig::load_file(const std::string& path, ScenarioConfig* out,
-                          std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+                               std::string* error) {
+  std::string text;
+  if (!read_text_file(path, &text)) {
     *error = "cannot open " + path;
     return false;
   }
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  std::fclose(f);
   if (!from_json(text, out, error)) {
     *error = path + ": " + *error;
     return false;

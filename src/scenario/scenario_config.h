@@ -23,6 +23,7 @@
 namespace sorn {
 
 class FaultScript;
+class JsonValue;
 
 // How the runner drives traffic.
 enum class WorkloadKind {
@@ -79,8 +80,8 @@ struct ScenarioConfig {
   NodeId nodes = 64;
   CliqueId cliques = 8;
   double locality_x = 0.56;
-  // Explicit oversubscription ratio; {0, 1} derives q*(x) capped at
-  // max_q_denominator (sorn design only).
+  // Explicit oversubscription ratio; {0, 1} derives q*(x), rationalized
+  // with a denominator of at most max_q_denominator (sorn design only).
   std::int64_t q_num = 0;
   std::int64_t q_den = 1;
   std::int64_t max_q_denominator = 6;
@@ -250,14 +251,19 @@ struct ScenarioConfig {
   // Every serializable field, in a fixed order, with enum fields as
   // strings; byte-deterministic (obs/json.h writer).
   std::string to_json() const;
-  // Parse a JSON object. Each of these is an error naming the key (a typo
-  // must not silently fall back to a default, nor a bad value run a
-  // different experiment): an unknown key, a key given twice, a wrong
-  // JSON type, an unknown enum name, a value outside the member's type
-  // range (a negative count, "nodes" beyond int32, a seed beyond uint64).
-  // Fields absent from the document keep their defaults. On failure
-  // returns false and sets *error; *out is untouched.
+  // Parse a JSON object on top of *out. Each of these is an error naming
+  // the key (a typo must not silently fall back to a default, nor a bad
+  // value run a different experiment): an unknown key, a key given twice,
+  // a wrong JSON type, an unknown enum name, a value outside the member's
+  // type range (a negative count, "nodes" beyond int32, a seed beyond
+  // uint64). Fields absent from the document keep their values in *out:
+  // a default-constructed *out reads a whole scenario, and an experiment
+  // point reads its changes over the base scenario. On failure returns
+  // false and sets *error; *out is untouched.
   static bool from_json(std::string_view text, ScenarioConfig* out,
+                        std::string* error);
+  // Same, for a document already parsed.
+  static bool from_json(const JsonValue& doc, ScenarioConfig* out,
                         std::string* error);
   // Same, reading the file at `path`.
   static bool load_file(const std::string& path, ScenarioConfig* out,

@@ -301,31 +301,6 @@ CircuitSchedule ScheduleBuilder::rotor_random(NodeId n, Slot dwell,
   return CircuitSchedule(std::move(matchings), {}, std::move(order));
 }
 
-CircuitSchedule ScheduleBuilder::orn_hd(NodeId n, int h) {
-  SORN_ASSERT(h >= 1, "dimension must be at least 1");
-  // Find integer r with r^h == n.
-  auto r = static_cast<NodeId>(std::llround(
-      std::pow(static_cast<double>(n), 1.0 / static_cast<double>(h))));
-  std::int64_t check = 1;
-  for (int d = 0; d < h; ++d) check *= r;
-  SORN_ASSERT(check == n, "orn_hd requires n to be a perfect h-th power");
-  SORN_ASSERT(r >= 2, "each dimension must have at least two coordinates");
-
-  std::vector<Matching> slots;
-  slots.reserve(static_cast<std::size_t>(h) * static_cast<std::size_t>(r - 1));
-  std::int64_t stride = 1;
-  for (int d = 0; d < h; ++d) {
-    // Shift one base-r digit: a three-level shift with the moving digit in
-    // the middle and the untouched high/low digits around it.
-    const auto hi = static_cast<NodeId>(n / (stride * r));
-    for (NodeId k = 1; k < r; ++k)
-      slots.push_back(Matching::radix_shift(hi, 0, r, k,
-                                            static_cast<NodeId>(stride), 0));
-    stride *= r;
-  }
-  return CircuitSchedule(std::move(slots));
-}
-
 CircuitSchedule ScheduleBuilder::orn_mixed(
     NodeId n, const std::vector<NodeId>& radices) {
   SORN_ASSERT(!radices.empty(), "need at least one radix");
@@ -339,6 +314,8 @@ CircuitSchedule ScheduleBuilder::orn_mixed(
   std::vector<Matching> slots;
   std::int64_t stride = 1;
   for (const NodeId r : radices) {
+    // Shift one digit: a three-level shift with the moving digit in the
+    // middle and the untouched high/low digits around it.
     const auto hi = static_cast<NodeId>(n / (stride * r));
     for (NodeId k = 1; k < r; ++k)
       slots.push_back(Matching::radix_shift(hi, 0, r, k,

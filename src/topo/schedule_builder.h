@@ -1,8 +1,9 @@
 // Builders for the circuit-schedule families studied in the paper.
 //
 //  - round_robin:  the flat 1D oblivious schedule of Fig. 1 (Sirius/Shoal).
-//  - orn_hd:       the h-dimensional optimal ORN schedule of [4]: nodes are
-//                  h-digit base-r numbers, each phase round-robins one digit.
+//  - orn_mixed:    the h-dimensional optimal ORN schedule of [4] and its
+//                  mixed-radix extension [35]: nodes are h-digit numbers,
+//                  each phase round-robins one digit.
 //  - sorn:         the paper's semi-oblivious clique schedule (Sec. 4):
 //                  intra-clique round robins and inter-clique round robins
 //                  interleaved in the exact ratio q : 1 with q rational.
@@ -40,14 +41,12 @@ class ScheduleBuilder {
   // shift by k+1. Every circuit appears exactly once per period.
   static CircuitSchedule round_robin(NodeId n);
 
-  // h-dimensional optimal ORN schedule. Requires n == r^h for integer r.
-  // Period h*(r-1); phase d round-robins digit d.
-  static CircuitSchedule orn_hd(NodeId n, int h);
-
   // Mixed-radix optimal ORN (Wilson et al. [35]: "Extending Optimal
   // Oblivious Reconfigurable Networks to all N"): nodes are mixed-radix
   // numbers over the given radices (product must equal n, each radix
-  // >= 2); phase d round-robins digit d. Period sum_d (r_d - 1).
+  // >= 2); phase d round-robins digit d. Period sum_d (r_d - 1). With h
+  // equal radices r (n == r^h) this is the h-dimensional optimal ORN of
+  // Amir et al. [4], period h*(r-1).
   static CircuitSchedule orn_mixed(NodeId n,
                                    const std::vector<NodeId>& radices);
 

@@ -12,8 +12,10 @@ namespace {
 TEST(ModelsTest, OptimalQAtPaperLocality) {
   EXPECT_NEAR(sorn_optimal_q(0.56), 2.0 / 0.44, 1e-12);
   EXPECT_NEAR(sorn_optimal_q(0.0), 2.0, 1e-12);
-  // x = 1 diverges and is clamped.
-  EXPECT_DOUBLE_EQ(sorn_optimal_q(1.0, 100.0), 100.0);
+  // x = 1 diverges and is clamped, as is everything past x = 0.96875.
+  EXPECT_DOUBLE_EQ(sorn_optimal_q(1.0), kMaxSornQ);
+  EXPECT_DOUBLE_EQ(sorn_optimal_q(0.99), kMaxSornQ);
+  EXPECT_NEAR(sorn_optimal_q(0.96), 50.0, 1e-9);
 }
 
 TEST(ModelsTest, ThroughputFormulaEndpoints) {

@@ -61,11 +61,9 @@ TEST(OptimizerTest, QRespectsDenominatorCap) {
 TEST(OptimizerTest, QIsCapped) {
   const auto cliques = CliqueAssignment::contiguous(16, 4);
   const TrafficMatrix tm = patterns::locality_mix(cliques, 1.0);  // q* -> inf
-  SornOptimizer::Options opts;
-  opts.max_q = 16.0;
-  const SornOptimizer optimizer(opts);
+  const SornOptimizer optimizer;
   const SornPlan plan = optimizer.plan_for_nc(tm, 4);
-  EXPECT_LE(plan.q.value(), 16.0 + 1e-9);
+  EXPECT_DOUBLE_EQ(plan.q.value(), analysis::kMaxSornQ);
 }
 
 TEST(OptimizerTest, SkipsInvalidCandidates) {

@@ -11,7 +11,6 @@
 #include "routing/direct.h"
 #include "routing/hier_routing.h"
 #include "sim/network.h"
-#include "routing/orn_hd_routing.h"
 #include "routing/orn_mixed_routing.h"
 #include "routing/rotor_routing.h"
 #include "routing/sorn_routing.h"
@@ -42,9 +41,10 @@ std::vector<Fabric> all_fabrics() {
   {
     Fabric f;
     f.name = "2D ORN";
-    f.schedule =
-        std::make_unique<CircuitSchedule>(ScheduleBuilder::orn_hd(16, 2));
-    f.router = std::make_unique<OrnHdRouter>(16, 2);
+    f.schedule = std::make_unique<CircuitSchedule>(
+        ScheduleBuilder::orn_mixed(16, {4, 4}));
+    f.router =
+        std::make_unique<OrnMixedRouter>(16, std::vector<NodeId>{4, 4});
     fabrics.push_back(std::move(f));
   }
   {

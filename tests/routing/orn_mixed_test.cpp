@@ -1,8 +1,14 @@
-// Mixed-radix optimal ORN ([35]: all N, not just perfect powers).
+// Mixed-radix optimal ORN ([35]: all N, not just perfect powers), and its
+// equal-radix case, the h-dimensional optimal ORN of [4] (design orn-hd).
 #include "routing/orn_mixed_routing.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "scenario/design.h"
+#include "scenario/scenario_config.h"
 #include "sim/network.h"
 #include "sim/saturation.h"
 #include "topo/schedule_builder.h"
@@ -10,6 +16,22 @@
 
 namespace sorn {
 namespace {
+
+// The h-dimensional ORN router over n = r^h nodes: h radices of r (the
+// constructor asserts that they multiply to n).
+OrnMixedRouter hd_router(NodeId n, int h) {
+  const auto r = static_cast<NodeId>(std::llround(std::pow(n, 1.0 / h)));
+  return OrnMixedRouter(n, std::vector<NodeId>(static_cast<std::size_t>(h), r));
+}
+
+// Count differing digits between consecutive path nodes: every hop of an
+// h-D ORN path changes exactly one digit.
+int digits_changed(const OrnMixedRouter& router, NodeId a, NodeId b) {
+  int changed = 0;
+  for (int d = 0; d < router.dims(); ++d)
+    if (router.digit(a, d) != router.digit(b, d)) ++changed;
+  return changed;
+}
 
 TEST(OrnMixedScheduleTest, PeriodIsSumOfRadixCycles) {
   // 24 = 4 * 3 * 2: period (4-1) + (3-1) + (2-1) = 6.
@@ -19,13 +41,38 @@ TEST(OrnMixedScheduleTest, PeriodIsSumOfRadixCycles) {
     EXPECT_TRUE(s.matching_at(t).is_perfect());
 }
 
+// The orn-hd design is orn-mixed with h equal radices: the same schedule,
+// and the same path for the same routing draw.
 TEST(OrnMixedScheduleTest, EqualRadicesMatchOrnHd) {
-  const CircuitSchedule mixed = ScheduleBuilder::orn_mixed(16, {4, 4});
-  const CircuitSchedule hd = ScheduleBuilder::orn_hd(16, 2);
-  ASSERT_EQ(mixed.period(), hd.period());
-  for (Slot t = 0; t < mixed.period(); ++t)
-    for (NodeId i = 0; i < 16; ++i)
-      EXPECT_EQ(mixed.dst_of(i, t), hd.dst_of(i, t));
+  for (const int h : {2, 3}) {
+    ScenarioConfig hd;
+    hd.nodes = 64;
+    hd.orn_dims = h;
+    ScenarioConfig mixed = hd;
+    mixed.radices.assign(static_cast<std::size_t>(h), h == 2 ? 8 : 4);
+    BuiltDesign a;
+    BuiltDesign b;
+    std::string error;
+    ASSERT_TRUE(DesignRegistry::instance().build("orn-hd", hd, &a, &error))
+        << error;
+    ASSERT_TRUE(
+        DesignRegistry::instance().build("orn-mixed", mixed, &b, &error))
+        << error;
+    ASSERT_EQ(a.schedule->period(), b.schedule->period());
+    for (Slot t = 0; t < a.schedule->period(); ++t)
+      for (NodeId i = 0; i < 64; ++i)
+        EXPECT_EQ(a.schedule->dst_of(i, t), b.schedule->dst_of(i, t));
+    EXPECT_EQ(a.router->max_hops(), 2 * h);
+    EXPECT_DOUBLE_EQ(a.predicted_throughput, b.predicted_throughput);
+    Rng rng_a(3);
+    Rng rng_b(3);
+    for (NodeId dst = 1; dst < 64; ++dst) {
+      const Path pa = a.router->route(0, dst, 0, rng_a);
+      const Path pb = b.router->route(0, dst, 0, rng_b);
+      ASSERT_EQ(pa.size(), pb.size());
+      for (int k = 0; k < pa.size(); ++k) EXPECT_EQ(pa.at(k), pb.at(k));
+    }
+  }
 }
 
 TEST(OrnMixedScheduleTest, RejectsBadRadices) {
@@ -77,6 +124,72 @@ TEST(OrnMixedRouterTest, ThroughputNearOneOverTwoH) {
   SaturationSource source(&tm, SaturationConfig{});
   const double r = source.measure(net, 4000, 8000);
   EXPECT_NEAR(r, 0.25, 0.05);
+}
+
+TEST(OrnHdRoutingTest, DigitHelpers) {
+  const OrnMixedRouter router = hd_router(64, 2);  // r = 8
+  EXPECT_EQ(router.radix(0), 8);
+  EXPECT_EQ(router.radix(1), 8);
+  EXPECT_EQ(router.digit(013, 0), 3);
+  EXPECT_EQ(router.digit(013, 1), 1);
+  EXPECT_EQ(router.with_digit(013, 0, 7), 017);
+  EXPECT_EQ(router.with_digit(013, 1, 0), 3);
+}
+
+TEST(OrnHdRoutingTest, EveryHopChangesOneDigit) {
+  const OrnMixedRouter router = hd_router(64, 2);
+  Rng rng(1);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto src = static_cast<NodeId>(rng.next_below(64));
+    auto dst = static_cast<NodeId>(rng.next_below(64));
+    if (dst == src) dst = (dst + 1) % 64;
+    const Path p = router.route(src, dst, 0, rng);
+    EXPECT_EQ(p.src(), src);
+    EXPECT_EQ(p.dst(), dst);
+    EXPECT_LE(p.hop_count(), router.max_hops());
+    for (int k = 0; k + 1 < p.size(); ++k)
+      EXPECT_EQ(digits_changed(router, p.at(k), p.at(k + 1)), 1);
+  }
+}
+
+class OrnHdSweep : public ::testing::TestWithParam<std::pair<NodeId, int>> {};
+
+TEST_P(OrnHdSweep, PathsValidAcrossDimensions) {
+  const auto [n, h] = GetParam();
+  const OrnMixedRouter router = hd_router(n, h);
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto src = static_cast<NodeId>(rng.next_below(
+        static_cast<std::uint64_t>(n)));
+    auto dst = static_cast<NodeId>(rng.next_below(
+        static_cast<std::uint64_t>(n)));
+    if (dst == src) dst = (dst + 1) % n;
+    const Path p = router.route(src, dst, 0, rng);
+    EXPECT_EQ(p.dst(), dst);
+    EXPECT_LE(p.hop_count(), 2 * h);
+    for (int k = 0; k + 1 < p.size(); ++k)
+      EXPECT_EQ(digits_changed(router, p.at(k), p.at(k + 1)), 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, OrnHdSweep,
+                         ::testing::Values(std::pair<NodeId, int>{16, 1},
+                                           std::pair<NodeId, int>{16, 2},
+                                           std::pair<NodeId, int>{64, 2},
+                                           std::pair<NodeId, int>{64, 3},
+                                           std::pair<NodeId, int>{256, 2}));
+
+TEST(OrnHdRoutingTest, MaxHopsAttainable) {
+  // For some src/dst pair with all digits differing and an intermediate
+  // with all digits differing from both, the path reaches 2h hops.
+  const OrnMixedRouter router = hd_router(16, 2);
+  Rng rng(11);
+  int longest = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const Path p = router.route(0, 15, 0, rng);  // digits (0,0) -> (3,3)
+    longest = std::max(longest, p.hop_count());
+  }
+  EXPECT_EQ(longest, 4);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 #include <memory>
 #include <string>
 
+#include "core/sorn.h"
 #include "scenario/design.h"
 #include "scenario/scenario_config.h"
+#include "scenario/scenario_runner.h"
 #include "topo/schedule.h"
 
 namespace sorn {
@@ -110,6 +112,26 @@ TEST(DesignRegistryTest, SornDesignExposesItsNetworkHandle) {
                                                &error))
       << error;
   EXPECT_EQ(built.sorn_network, nullptr);
+}
+
+// At x = 1 the optimum q* = 2/(1-x) diverges. The design takes the one
+// cap on q (analysis::kMaxSornQ), whose schedule period stays small,
+// rather than a q so large that the schedule builder aborts.
+TEST(DesignRegistryTest, FullLocalitySornRunsAtTheQCap) {
+  ScenarioConfig cfg = small_config();
+  cfg.locality_x = 1.0;
+  cfg.threads = 1;
+  cfg.workload = WorkloadKind::kSaturation;
+  cfg.warmup_slots = 200;
+  cfg.measure_slots = 800;
+  std::string error;
+  const auto runner = ScenarioRunner::create(cfg, &error);
+  ASSERT_NE(runner, nullptr) << error;
+  const Rational q = runner->design().sorn_network->q();
+  EXPECT_EQ(q.num, 64);
+  EXPECT_EQ(q.den, 1);
+  ASSERT_TRUE(runner->run(&error)) << error;
+  EXPECT_GT(runner->saturation_r(), 0.0);
 }
 
 // Private registries let tests (and experiments) stage custom designs

@@ -245,7 +245,7 @@ TEST(ImplicitScheduleEquivalenceTest, FailureMaskedReplanArtifactsMatch) {
 
 TEST(ImplicitScheduleEquivalenceTest, LargeNReconfigureArtifactsMatch) {
   const CircuitSchedule rr = ScheduleBuilder::round_robin(1024);
-  const CircuitSchedule orn = ScheduleBuilder::orn_hd(1024, 5);
+  const CircuitSchedule orn = ScheduleBuilder::orn_mixed(1024, {4, 4, 4, 4, 4});
   expect_all_compact(rr);
   expect_all_compact(orn);
   const CircuitSchedule rr_explicit = materialize(rr);

@@ -32,8 +32,9 @@ TEST(RationalTest, RespectsDenominatorCap) {
   EXPECT_NEAR(q.value(), 4.5454, 0.3);
 }
 
+// The h-dimensional ORN is the mixed-radix schedule with h equal radices.
 TEST(OrnHdTest, TwoDimensionalScheduleShape) {
-  const CircuitSchedule s = ScheduleBuilder::orn_hd(16, 2);  // r = 4
+  const CircuitSchedule s = ScheduleBuilder::orn_mixed(16, {4, 4});
   EXPECT_EQ(s.period(), 2 * 3);
   for (Slot t = 0; t < s.period(); ++t)
     EXPECT_TRUE(s.matching_at(t).is_perfect());
@@ -45,11 +46,11 @@ TEST(OrnHdTest, TwoDimensionalScheduleShape) {
 }
 
 TEST(OrnHdTest, RejectsNonPowerNodeCounts) {
-  EXPECT_DEATH(ScheduleBuilder::orn_hd(15, 2), "perfect h-th power");
+  EXPECT_DEATH(ScheduleBuilder::orn_mixed(15, {4, 4}), "multiply to n");
 }
 
 TEST(OrnHdTest, OneDimensionEqualsRoundRobin) {
-  const CircuitSchedule a = ScheduleBuilder::orn_hd(8, 1);
+  const CircuitSchedule a = ScheduleBuilder::orn_mixed(8, {8});
   const CircuitSchedule b = ScheduleBuilder::round_robin(8);
   ASSERT_EQ(a.period(), b.period());
   for (Slot t = 0; t < a.period(); ++t)
