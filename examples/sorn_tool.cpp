@@ -6,7 +6,8 @@
 //       throughput and intrinsic latency.
 //
 //   sorn_tool schedule --nodes 16 --cliques 4 --qnum 3 --qden 1
-//       Print one period of the SORN circuit schedule.
+//       Print one period of the SORN circuit schedule (built by the sorn
+//       design, so a bad flag exits 2 with the design's message).
 //
 //   sorn_tool designs
 //       List the designs registered in the DesignRegistry.
@@ -44,16 +45,12 @@
 //       thread, so faulted runs stay byte-identical at any --threads.
 //
 //   sorn_tool chaos [--seed 1] [--runs 1] [--nodes 32] [--slots 3000]
+//                   [--json chaos.json]
 //       Seeded randomized fault-soup runs (gray failures, controller
 //       outages, safe mode) with invariants asserted every slot and a
 //       thread-count byte-equivalence cross-check. A failing seed prints
-//       a one-line replay recipe.
-//
-//   sorn_tool compare [--designs sorn,vlb,...] [--nodes 64] [--cliques 8]
-//                     [--locality 0.56] [--threads N]
-//       Run every named design on the same fabric scale and traffic:
-//       closed-loop saturation throughput, then FCT at 60% of each
-//       design's own predicted capacity (one ScenarioRunner per run).
+//       a one-line replay recipe; --json writes the campaign summary
+//       (seeds passed, fault totals, or the failing seed and its replay).
 //
 //   sorn_tool sweep --experiment experiments/fig2f.json [--json rows.json]
 //       Run a checked-in experiment (scenario/experiment.h): each point
@@ -64,6 +61,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -94,6 +92,9 @@ namespace {
 
 using namespace sorn;
 
+// Upper bound for a flag read into a NodeId or CliqueId.
+constexpr long kMaxInt = std::numeric_limits<std::int32_t>::max();
+
 int cmd_plan(ArgParser& args) {
   const std::string matrix = args.get_string("--matrix", "");
   const std::vector<int> nc = args.get_int_list("--nc", {}, 1);
@@ -112,8 +113,15 @@ int cmd_plan(ArgParser& args) {
   SornOptimizer::Options opts;
   if (!nc.empty()) {
     opts.candidate_nc.clear();
-    for (const int c : nc)
+    for (const int c : nc) {
+      if (tm->node_count() % c != 0) {
+        std::fprintf(stderr,
+                     "plan: --nc %d must divide the matrix's %d nodes\n", c,
+                     tm->node_count());
+        return 2;
+      }
       opts.candidate_nc.push_back(static_cast<CliqueId>(c));
+    }
   }
   opts.weighted_inter = weighted;
   const SornOptimizer optimizer(opts);
@@ -144,8 +152,10 @@ int cmd_plan(ArgParser& args) {
 int cmd_hier_plan(ArgParser& args) {
   const std::string matrix = args.get_string("--matrix", "");
   HierOptimizer::Options opts;
-  opts.clusters = static_cast<CliqueId>(args.get_long("--clusters", 4, 1));
-  opts.pods_per_cluster = static_cast<CliqueId>(args.get_long("--pods", 4, 1));
+  opts.clusters =
+      static_cast<CliqueId>(args.get_long("--clusters", 4, 1, kMaxInt));
+  opts.pods_per_cluster =
+      static_cast<CliqueId>(args.get_long("--pods", 4, 1, kMaxInt));
   args.finish();
   if (matrix.empty()) {
     std::fprintf(stderr, "hier-plan requires --matrix <file.csv>\n");
@@ -156,6 +166,14 @@ int cmd_hier_plan(ArgParser& args) {
     std::fprintf(stderr, "could not read a traffic matrix from %s\n",
                  matrix.c_str());
     return 1;
+  }
+  if (tm->node_count() % (static_cast<std::int64_t>(opts.clusters) *
+                          opts.pods_per_cluster) != 0) {
+    std::fprintf(stderr,
+                 "hier-plan: --clusters %d x --pods %d must divide the "
+                 "matrix's %d nodes\n",
+                 opts.clusters, opts.pods_per_cluster, tm->node_count());
+    return 2;
   }
   const HierOptimizer optimizer(opts);
   const HierPlan plan = optimizer.plan(*tm);
@@ -181,14 +199,30 @@ int cmd_hier_plan(ArgParser& args) {
 }
 
 int cmd_schedule(ArgParser& args) {
-  const auto nodes = static_cast<NodeId>(args.get_long("--nodes", 16, 2));
-  const auto cliques = static_cast<CliqueId>(args.get_long("--cliques", 4, 1));
-  Rational q{args.get_long("--qnum", 2, 0), args.get_long("--qden", 1, 1)};
+  ScenarioConfig cfg;
+  cfg.nodes = static_cast<NodeId>(args.get_long("--nodes", 16, 2, kMaxInt));
+  cfg.cliques =
+      static_cast<CliqueId>(args.get_long("--cliques", 4, 1, kMaxInt));
+  cfg.q_num = args.get_long("--qnum", 2, 1);
+  cfg.q_den = args.get_long("--qden", 1, 1);
   args.finish();
-  const auto assignment = CliqueAssignment::contiguous(nodes, cliques);
-  const CircuitSchedule sched = ScheduleBuilder::sorn(assignment, q);
+  // The sorn design rejects what its builder would abort on (cliques that
+  // do not divide the nodes, q < 1, a period past the cap).
+  BuiltDesign design;
+  std::string error;
+  if (!cfg.validate(&error) ||
+      !DesignRegistry::instance().build("sorn", cfg, &design, &error)) {
+    std::fprintf(stderr,
+                 "schedule --nodes %d --cliques %d --qnum %lld --qden %lld: "
+                 "%s\n",
+                 cfg.nodes, cfg.cliques, static_cast<long long>(cfg.q_num),
+                 static_cast<long long>(cfg.q_den), error.c_str());
+    return 2;
+  }
+  const NodeId nodes = cfg.nodes;
+  const CircuitSchedule& sched = *design.schedule;
   std::printf("SORN schedule: %d nodes, %d cliques, q = %.3f, period %lld\n\n",
-              nodes, cliques, q.value(),
+              nodes, cfg.cliques, design.sorn_network->q().value(),
               static_cast<long long>(sched.period()));
   std::vector<std::string> headers{"slot", "kind"};
   for (NodeId i = 0; i < nodes; ++i) headers.push_back(format("%d", i));
@@ -216,18 +250,16 @@ int cmd_designs(ArgParser& args) {
 }
 
 // Applies the scenario flags given on the command line on top of `cfg`
-// (whatever --scenario loaded): every simulate flag, or with fabric_only
-// the seven compare takes. A malformed or out-of-range value exits 2
+// (whatever --scenario loaded). A malformed or out-of-range value exits 2
 // naming the flag.
-void apply_scenario_flags(ArgParser& args, bool fabric_only,
-                          ScenarioConfig& cfg) {
+void apply_scenario_flags(ArgParser& args, ScenarioConfig& cfg) {
   const auto given = [&args](const char* flag, bool takes_value) {
     if (takes_value) return args.get_optional(flag);
     return args.get_flag(flag) ? std::optional<std::string>("")
                                : std::nullopt;
   };
   std::string error;
-  if (!cfg.apply_flags(fabric_only, given, &error)) {
+  if (!cfg.apply_flags(given, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     std::exit(2);
   }
@@ -243,7 +275,7 @@ int cmd_simulate(ArgParser& args) {
       return 1;
     }
   }
-  apply_scenario_flags(args, false, cfg);
+  apply_scenario_flags(args, cfg);
   const std::string save_path = args.get_string("--save-scenario", "");
   args.finish();
 
@@ -399,85 +431,6 @@ int cmd_simulate(ArgParser& args) {
   return 0;
 }
 
-int cmd_compare(ArgParser& args) {
-  ScenarioConfig base;
-  const std::string scenario_path = args.get_string("--scenario", "");
-  if (!scenario_path.empty()) {
-    std::string error;
-    if (!ScenarioConfig::load_file(scenario_path, &base, &error)) {
-      std::fprintf(stderr, "--scenario: %s\n", error.c_str());
-      return 1;
-    }
-  } else {
-    base.lb_first_available = true;  // the paper's latency semantics
-  }
-  apply_scenario_flags(args, true, base);
-  std::string design_csv;
-  for (const std::string& name : DesignRegistry::instance().names()) {
-    if (!design_csv.empty()) design_csv += ",";
-    design_csv += name;
-  }
-  design_csv = args.get_string("--designs", design_csv);
-  args.finish();
-
-  std::vector<std::string> designs;
-  for (std::size_t pos = 0; pos <= design_csv.size();) {
-    std::size_t comma = design_csv.find(',', pos);
-    if (comma == std::string::npos) comma = design_csv.size();
-    if (comma > pos) designs.push_back(design_csv.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-
-  std::printf(
-      "design comparison: %d nodes, locality x=%.2f, identical workload\n\n",
-      base.nodes, base.locality_x);
-  TablePrinter table({"design", "r sim", "r theory", "mean hops",
-                      "FCT p50 (us)", "FCT p99 (us)"});
-  for (const std::string& name : designs) {
-    std::string error;
-    // Closed-loop saturation throughput.
-    ScenarioConfig sat = base;
-    sat.design = name;
-    sat.workload = WorkloadKind::kSaturation;
-    auto sat_runner = ScenarioRunner::create(sat, &error);
-    if (sat_runner == nullptr) {
-      std::fprintf(stderr, "%s: %s\n", name.c_str(), error.c_str());
-      return 1;
-    }
-    if (!sat_runner->run(&error)) {
-      std::fprintf(stderr, "%s: %s\n", name.c_str(), error.c_str());
-      return 1;
-    }
-    const double r_theory = sat_runner->design().predicted_throughput;
-
-    // FCT at 60% of the design's own predicted capacity (fair comparison:
-    // every design moderately loaded relative to what it can carry).
-    ScenarioConfig flows = base;
-    flows.design = name;
-    flows.workload = WorkloadKind::kFlows;
-    flows.flow_size = FlowSizeKind::kFixed;
-    flows.fixed_flow_bytes = 2560;
-    flows.load = 0.6 * r_theory;
-    flows.slots = 1500;
-    flows.arrival_seed = 5;
-    auto flow_runner = ScenarioRunner::create(flows, &error);
-    if (flow_runner == nullptr || !flow_runner->run(&error)) {
-      std::fprintf(stderr, "%s: %s\n", name.c_str(), error.c_str());
-      return 1;
-    }
-    table.add_row(
-        {name, format("%.4f", sat_runner->saturation_r()),
-         format("%.4f", r_theory),
-         format("%.2f", sat_runner->metrics().mean_hops()),
-         format("%.2f",
-                flow_runner->metrics().fct_ps().percentile(50.0) / 1e6),
-         format("%.2f",
-                flow_runner->metrics().fct_ps().percentile(99.0) / 1e6)});
-  }
-  table.print();
-  return 0;
-}
-
 // The printed precision of a row value: microseconds to 0.1, counts whole,
 // everything else (throughputs, ratios, hops) to 4 decimals.
 std::string format_value(const std::string& name, double v) {
@@ -586,6 +539,33 @@ int cmd_sweep(ArgParser& args) {
   return 0;
 }
 
+// The campaign summary --json writes: the seeds that passed and, on a
+// failure, the failing seed and its replay recipe.
+bool write_chaos_json(const std::string& path, std::uint64_t first_seed,
+                      long runs, const ChaosResult* failed,
+                      const ChaosResult& totals, std::uint64_t passed) {
+  JsonWriter w;
+  w.begin_object()
+      .field("bench", "chaos")
+      .field("first_seed", first_seed)
+      .field("runs", static_cast<std::int64_t>(runs));
+  if (failed != nullptr) {
+    w.field("failed_seed", failed->seed).field("replay", failed->replay);
+  } else {
+    w.field("total_faults", totals.faults_applied)
+        .field("total_gray_drops", totals.gray_drops)
+        .field("total_controller_outages", totals.controller_outages)
+        .field("total_replans", totals.replans);
+  }
+  w.key("metrics")
+      .begin_object()
+      .field("seeds_passed", passed)
+      .field("all_passed", std::uint64_t{failed == nullptr ? 1u : 0u})
+      .end_object()
+      .end_object();
+  return write_text_file(path, w.take() + "\n");
+}
+
 int cmd_chaos(ArgParser& args) {
   const std::uint64_t first_seed =
       static_cast<std::uint64_t>(args.get_long("--seed", 1, 0));
@@ -595,8 +575,11 @@ int cmd_chaos(ArgParser& args) {
   knobs.slots = args.get_long("--slots", 3000, 500);
   knobs.compare_threads =
       static_cast<int>(args.get_long("--compare-threads", 3, 0));
+  const std::string json_path = args.get_string("--json", "");
   args.finish();
 
+  std::uint64_t passed = 0;
+  ChaosResult totals;  // the passing seeds' counts, summed
   TablePrinter table({"seed", "faults", "gray drops", "ctrl outages",
                       "safe mode", "replans", "slots checked", "verdict"});
   for (long i = 0; i < runs; ++i) {
@@ -618,11 +601,36 @@ int cmd_chaos(ArgParser& args) {
       std::fprintf(stderr, "\nchaos seed %llu FAILED:\n%s\n\nreplay: %s\n",
                    static_cast<unsigned long long>(seed), r.error.c_str(),
                    r.replay.c_str());
+      if (!json_path.empty())
+        write_chaos_json(json_path, first_seed, runs, &r, totals, passed);
       return 1;
     }
+    ++passed;
+    totals.faults_applied += r.faults_applied;
+    totals.gray_drops += r.gray_drops;
+    totals.controller_outages += r.controller_outages;
+    totals.safe_mode_activations += r.safe_mode_activations;
+    totals.replans += r.replans;
+    totals.invariant_slots += r.invariant_slots;
   }
   table.print();
-  std::printf("%ld/%ld chaos seeds passed.\n", runs, runs);
+  std::printf(
+      "\n%llu/%ld seeds passed: %llu faults, %llu gray drops, %llu "
+      "controller outages, %llu safe-mode entries, %llu replans, %llu "
+      "slots invariant-checked.\n",
+      static_cast<unsigned long long>(passed), runs,
+      static_cast<unsigned long long>(totals.faults_applied),
+      static_cast<unsigned long long>(totals.gray_drops),
+      static_cast<unsigned long long>(totals.controller_outages),
+      static_cast<unsigned long long>(totals.safe_mode_activations),
+      static_cast<unsigned long long>(totals.replans),
+      static_cast<unsigned long long>(totals.invariant_slots));
+  if (!json_path.empty() &&
+      !write_chaos_json(json_path, first_seed, runs, nullptr, totals,
+                        passed)) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
+  }
   return 0;
 }
 
@@ -673,13 +681,12 @@ int usage() {
       "                     [--estimate-noise 0.2]\n"
       "                     [--safe-mode hold|vlb] [--check-invariants]\n"
       "  sorn_tool chaos [--seed 1] [--runs 1] [--nodes 32] [--slots 3000]\n"
-      "                  [--compare-threads 3]\n"
+      "                  [--compare-threads 3] [--json chaos.json]\n"
       "      Seeded randomized fault-soup campaign: gray failures,\n"
       "      controller outages, safe mode, invariants every slot, and a\n"
       "      1-vs-N-thread byte-equivalence cross-check per seed. Prints\n"
-      "      a one-line replay recipe on failure.\n"
-      "  sorn_tool compare [--designs sorn,vlb,...] [--nodes 64]\n"
-      "                    [--cliques 8] [--locality 0.56] [--threads N]\n"
+      "      a one-line replay recipe on failure (also in the --json\n"
+      "      summary).\n"
       "  sorn_tool sweep --experiment FILE.json [--json rows.json]\n"
       "      Run every point of a checked-in experiment (a base scenario\n"
       "      plus points that set fields on it) and print one row per\n"
@@ -700,7 +707,6 @@ int main(int argc, char** argv) {
   if (cmd == "designs") return cmd_designs(args);
   if (cmd == "simulate") return cmd_simulate(args);
   if (cmd == "chaos") return cmd_chaos(args);
-  if (cmd == "compare") return cmd_compare(args);
   if (cmd == "sweep") return cmd_sweep(args);
   return usage();
 }

@@ -5,9 +5,8 @@
 #include "util/assert.h"
 
 namespace sorn {
-namespace {
 
-Rational resolve_q(const SornConfig& config) {
+Rational SornNetwork::resolve_q(const SornConfig& config) {
   if (config.q.num > 0) {  // explicit q
     SORN_ASSERT(config.q.value() >= 1.0, "explicit q must be >= 1");
     return config.q;
@@ -16,8 +15,6 @@ Rational resolve_q(const SornConfig& config) {
   return Rational::approximate(std::max(1.0, q_star),
                                config.max_q_denominator);
 }
-
-}  // namespace
 
 SornNetwork::SornNetwork(SornConfig config, CliqueAssignment assignment,
                          Rational q)

@@ -69,6 +69,10 @@ class SornNetwork {
   static SornNetwork build_with_assignment(const SornConfig& config,
                                            CliqueAssignment assignment);
 
+  // The q a build from this config uses: the explicit q (which must be
+  // >= 1) or q*(locality_x) rationalized with max_q_denominator.
+  static Rational resolve_q(const SornConfig& config);
+
   const SornConfig& config() const { return config_; }
   const CliqueAssignment& cliques() const { return *cliques_; }
   const CircuitSchedule& schedule() const { return *schedule_; }

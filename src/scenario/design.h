@@ -6,8 +6,9 @@
 // Each design registers a factory that, given a ScenarioConfig, produces
 // its circuit schedule and router(s); DesignRegistry lets every tool,
 // bench and example enumerate and build them through one code path
-// (`sorn_tool simulate --design <d>`, `sorn_tool compare`), instead of
-// the per-design construction that used to be copy-pasted across
+// (`sorn_tool simulate --design <d>`, and experiments such as
+// experiments/compare_designs.json that set `design` per point), instead
+// of the per-design construction that used to be copy-pasted across
 // examples/ and bench/.
 #pragma once
 
@@ -67,7 +68,8 @@ class Design {
 
   // Materialize schedule + router(s) for the config. On failure returns
   // false and sets *error (config invalid for this design, e.g. orn-hd
-  // with a node count that is not a perfect power); out is untouched.
+  // with a node count that is not a perfect power, or a sorn schedule
+  // period past its cap); out is untouched.
   virtual bool build(const ScenarioConfig& config, BuiltDesign* out,
                      std::string* error) const = 0;
 };

@@ -73,6 +73,43 @@ class SornDesign final : public Design {
     cfg.inter_clique_weights = config.inter_clique_weights;
     cfg.weighted_options.demand_alpha = config.weighted_alpha;
 
+    if (cfg.q.num > 0 && cfg.q.num < cfg.q.den) {
+      return fail(error, format("sorn: q (%lld/%lld) must be >= 1",
+                                static_cast<long long>(cfg.q.num),
+                                static_cast<long long>(cfg.q.den)));
+    }
+    const CliqueId nc = config.overrides.cliques != nullptr
+                            ? config.overrides.cliques->clique_count()
+                            : config.cliques;
+    if (!cfg.inter_clique_weights.empty()) {
+      if (nc < 2 || config.nodes / nc < 2)
+        return fail(error, "sorn: inter_clique_weights need at least 2 "
+                           "cliques of at least 2 nodes");
+      if (!(config.weighted_alpha >= 0.0 && config.weighted_alpha < 1.0))
+        return fail(error, "sorn: weighted_alpha must be in [0, 1)");
+      for (const double w : cfg.inter_clique_weights)
+        if (!(w >= 0.0 && std::isfinite(w)))
+          return fail(error, "sorn: inter_clique_weights must be finite "
+                             "and >= 0");
+    }
+    // The schedule's period, checked before the builder would abort on it.
+    const Rational q = SornNetwork::resolve_q(cfg);
+    const std::int64_t period =
+        ScheduleBuilder::sorn_period(nc, config.nodes / nc, q,
+                                     cfg.inter_clique_weights,
+                                     cfg.weighted_options);
+    if (period > cfg.max_period) {
+      return fail(error,
+                  format("sorn: %lld nodes in %lld cliques at q = %lld/%lld "
+                         "need a schedule period of %lld slots (cap %lld)",
+                         static_cast<long long>(config.nodes),
+                         static_cast<long long>(nc),
+                         static_cast<long long>(q.num),
+                         static_cast<long long>(q.den),
+                         static_cast<long long>(period),
+                         static_cast<long long>(cfg.max_period)));
+    }
+
     auto net = std::make_shared<SornNetwork>(
         config.overrides.cliques != nullptr
             ? SornNetwork::build_with_assignment(cfg, *config.overrides.cliques)

@@ -41,6 +41,14 @@ constexpr RunValue kRunValues[] = {
      [](const ScenarioRunner& r) {
        return static_cast<double>(r.metrics().delivered_cells());
      }},
+    {"dropped_cells",
+     [](const ScenarioRunner& r) {
+       return static_cast<double>(r.metrics().dropped_cells());
+     }},
+    {"ecn_marked_cells",
+     [](const ScenarioRunner& r) {
+       return static_cast<double>(r.metrics().ecn_marked_cells());
+     }},
     {"completed_flows",
      [](const ScenarioRunner& r) {
        return static_cast<double>(r.metrics().completed_flows());

@@ -56,7 +56,8 @@ struct Experiment {
 //   predicted_throughput  the design's closed-form r at the q it built
 //   saturation_r          measured r (saturation workloads; else 0)
 //   r_over_predicted      their ratio (0 when nothing is predicted)
-//   mean_hops, delivered_cells, completed_flows
+//   mean_hops, delivered_cells, dropped_cells (tail and gray drops),
+//   ecn_marked_cells, completed_flows
 //   cell_latency_p50_us, cell_latency_p99_us, fct_p50_us, fct_p99_us
 // and, when the scenario classifies flows, for classes c = 0 and 1:
 //   class{c}_flows, class{c}_fct_p50_us, class{c}_fct_p99_us

@@ -87,13 +87,10 @@ using Member = std::variant<
     ClassifyKind C::*, std::vector<double> C::*, std::vector<NodeId> C::*,
     std::vector<Slot> C::*>;
 
-constexpr bool kFabric = true;
-
 struct Field {
   const char* key;  // JSON key
   Member member;
   const char* flag = nullptr;  // sorn_tool simulate flag, if any
-  bool fabric = false;         // a fabric flag, which compare takes too
 };
 
 // The field list, in to_json's key order (reordering it changes the bytes
@@ -101,10 +98,10 @@ struct Field {
 // below all walk it and dispatch on the member's type, so a new field is
 // its declaration in the struct plus one line here.
 constexpr Field kFields[] = {
-    {"design", &C::design, "--design", kFabric},
-    {"nodes", &C::nodes, "--nodes", kFabric},
-    {"cliques", &C::cliques, "--cliques", kFabric},
-    {"locality", &C::locality_x, "--locality", kFabric},
+    {"design", &C::design, "--design"},
+    {"nodes", &C::nodes, "--nodes"},
+    {"cliques", &C::cliques, "--cliques"},
+    {"locality", &C::locality_x, "--locality"},
     {"q_num", &C::q_num},
     {"q_den", &C::q_den},
     {"max_q_denominator", &C::max_q_denominator},
@@ -126,11 +123,11 @@ constexpr Field kFields[] = {
     {"propagation_ns", &C::propagation_ns},
     {"cell_bytes", &C::cell_bytes},
     {"max_queue_cells", &C::max_queue_cells},
-    {"seed", &C::seed, "--seed", kFabric},
-    {"threads", &C::threads, "--threads", kFabric},
+    {"seed", &C::seed, "--seed"},
+    {"threads", &C::threads, "--threads"},
     {"traffic", &C::traffic},
     {"ring_heavy_share", &C::ring_heavy_share},
-    {"traffic_backend", &C::traffic_backend, "--traffic-backend", kFabric},
+    {"traffic_backend", &C::traffic_backend, "--traffic-backend"},
     {"workload", &C::workload, "--workload"},
     {"load", &C::load, "--load"},
     {"slots", &C::slots, "--slots"},
@@ -356,11 +353,10 @@ bool ScenarioConfig::from_json(const JsonValue& doc, ScenarioConfig* out,
   return true;
 }
 
-bool ScenarioConfig::apply_flags(bool fabric_only, const FlagLookup& given,
-                                 std::string* error) {
+bool ScenarioConfig::apply_flags(const FlagLookup& given, std::string* error) {
   ScenarioConfig cfg = *this;
   for (const Field& f : kFields) {
-    if (f.flag == nullptr || (fabric_only && !f.fabric)) continue;
+    if (f.flag == nullptr) continue;
     const bool ok = std::visit(
         [&](auto member) {
           using T = std::remove_reference_t<decltype(cfg.*member)>;

@@ -269,10 +269,9 @@ struct ScenarioConfig {
   static bool load_file(const std::string& path, ScenarioConfig* out,
                         std::string* error);
 
-  // ---- command-line flags (sorn_tool simulate and compare) ----
+  // ---- command-line flags (sorn_tool simulate) ----
   // Some fields also have a flag, e.g. "--nodes" for "nodes". Apply the
-  // flags given on the command line on top of this config: every
-  // simulate flag, or with fabric_only the seven that compare takes.
+  // flags given on the command line on top of this config.
   // `given(flag, takes_value)` returns the flag's text when it is on the
   // command line (any text for a presence flag) and nullopt otherwise.
   // The text is read exactly like the field's JSON value: a string or
@@ -282,8 +281,7 @@ struct ScenarioConfig {
   // *this untouched.
   using FlagLookup = std::function<std::optional<std::string>(
       const char* flag, bool takes_value)>;
-  bool apply_flags(bool fabric_only, const FlagLookup& given,
-                   std::string* error);
+  bool apply_flags(const FlagLookup& given, std::string* error);
 
   // Basic cross-field validation shared by every entry point (positive
   // counts, mtbf/mttr pairing, known design name not checked here — the

@@ -16,6 +16,7 @@
 #include "traffic/patterns.h"
 #include "traffic/workloads.h"
 #include "transport/transport.h"
+#include "util/table.h"
 
 namespace sorn {
 namespace {
@@ -52,6 +53,16 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
 
   if (!DesignRegistry::instance().build(config.design, config,
                                         &runner->design_, error)) {
+    return nullptr;
+  }
+  // A design without cliques of its own gets its traffic generated over
+  // contiguous ones (below).
+  if (runner->design_.cliques == nullptr &&
+      config.overrides.cliques == nullptr &&
+      config.nodes % config.cliques != 0) {
+    *error = format("%s: traffic is generated over contiguous cliques, so "
+                    "nodes (%d) must divide into cliques (%d)",
+                    config.design.c_str(), config.nodes, config.cliques);
     return nullptr;
   }
 

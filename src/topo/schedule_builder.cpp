@@ -95,6 +95,23 @@ std::uint32_t append_cycle(std::vector<Matching>& matchings,
   return base;
 }
 
+// Period of the interleave of an intra stream and an inter stream in the
+// exact ratio q: q.num * m intra and q.den * m inter slots, with the
+// smallest m completing both cycles. Saturates at INT64_MAX.
+std::int64_t interleave_period(Rational q, std::int64_t intra_cycle,
+                               std::int64_t inter_cycle) {
+  const std::int64_t m = std::lcm(closure_multiplier(q.num, intra_cycle),
+                                  closure_multiplier(q.den, inter_cycle));
+  std::int64_t intra_slots = 0;
+  std::int64_t inter_slots = 0;
+  std::int64_t period = 0;
+  if (__builtin_mul_overflow(q.num, m, &intra_slots) ||
+      __builtin_mul_overflow(q.den, m, &inter_slots) ||
+      __builtin_add_overflow(intra_slots, inter_slots, &period))
+    return std::numeric_limits<std::int64_t>::max();
+  return period;
+}
+
 // Bresenham interleave of an intra stream (cycle length intra_cycle,
 // generator intra_at) and an inter stream (cycle length inter_cycle,
 // generator inter_at) in the exact ratio q. Shared by sorn() and
@@ -103,14 +120,13 @@ CircuitSchedule interleave_streams(
     Rational q, std::int64_t intra_cycle, std::int64_t inter_cycle,
     const std::function<Matching(std::int64_t)>& intra_at,
     const std::function<Matching(std::int64_t)>& inter_at, Slot max_period) {
-  const std::int64_t m = std::lcm(closure_multiplier(q.num, intra_cycle),
-                                  closure_multiplier(q.den, inter_cycle));
-  const std::int64_t intra_slots = q.num * m;
-  const std::int64_t inter_slots = q.den * m;
-  const std::int64_t period = intra_slots + inter_slots;
+  const std::int64_t period = interleave_period(q, intra_cycle, inter_cycle);
   SORN_ASSERT(period <= max_period,
               "SORN schedule period too large; coarsen q with "
               "Rational::approximate");
+  const std::int64_t m = period / (q.num + q.den);
+  const std::int64_t intra_slots = q.num * m;
+  const std::int64_t inter_slots = q.den * m;
 
   std::vector<Matching> matchings;
   std::vector<SlotKind> kinds;
@@ -142,6 +158,34 @@ CircuitSchedule interleave_streams(
               "interleave accounting error");
   return CircuitSchedule(std::move(matchings), std::move(kinds),
                          std::move(order));
+}
+
+// The weighted inter stream's clique permutations: the BvN terms of the
+// uniform-floored clique demand, and each term's slot count in one
+// emission list of ~emission_slots entries. Every term gets at least one
+// slot so every clique pair stays connected.
+struct WeightedTerms {
+  BvnDecomposition bvn;
+  std::vector<std::int64_t> count;
+  std::int64_t emission_len = 0;
+};
+
+WeightedTerms weighted_terms(CliqueId nc,
+                             const std::vector<double>& clique_weights,
+                             const ScheduleBuilder::WeightedOptions& options) {
+  WeightedTerms out{
+      BvnDecomposition::compute(
+          mix_with_uniform(clique_weights, nc, options.demand_alpha), nc,
+          options.bvn),
+      {},
+      0};
+  const double total = out.bvn.total_coefficient();
+  for (const BvnTerm& term : out.bvn.terms()) {
+    out.count.push_back(std::max<std::int64_t>(
+        1, std::llround(term.coeff / total * options.emission_slots)));
+    out.emission_len += out.count.back();
+  }
+  return out;
 }
 
 // Generalized largest-remainder interleave of k periodic streams with
@@ -325,6 +369,24 @@ CircuitSchedule ScheduleBuilder::orn_mixed(
   return CircuitSchedule(std::move(slots));
 }
 
+std::int64_t ScheduleBuilder::sorn_period(
+    CliqueId cliques, NodeId clique_size, Rational q,
+    const std::vector<double>& clique_weights,
+    const WeightedOptions& options) {
+  const std::int64_t intra_cycle = clique_size >= 2 ? clique_size - 1 : 0;
+  if (!clique_weights.empty()) {
+    return interleave_period(
+        q, intra_cycle,
+        clique_size *
+            weighted_terms(cliques, clique_weights, options).emission_len);
+  }
+  const std::int64_t inter_cycle =
+      static_cast<std::int64_t>(cliques - 1) * clique_size;
+  if (cliques < 2) return intra_cycle;
+  if (intra_cycle == 0) return inter_cycle;
+  return interleave_period(q, intra_cycle, inter_cycle);
+}
+
 CircuitSchedule ScheduleBuilder::sorn(const CliqueAssignment& cliques,
                                       Rational q, Slot max_period) {
   SORN_ASSERT(q.num >= 1 && q.den >= 1, "q must be a positive rational");
@@ -394,23 +456,10 @@ CircuitSchedule ScheduleBuilder::sorn_weighted(
               "inter-clique matchings require equal-sized cliques");
   const std::int64_t s = cliques.clique_size(0);
 
-  // Decompose the (uniform-floored) demand into clique permutations.
-  const std::vector<double> mixed =
-      mix_with_uniform(clique_weights, nc, options.demand_alpha);
-  const BvnDecomposition bvn =
-      BvnDecomposition::compute(mixed, nc, options.bvn);
-
-  // Quantize coefficients into an emission list of sigma indices. Every
-  // term gets at least one slot so every clique pair stays connected.
-  const auto& terms = bvn.terms();
-  const double total = bvn.total_coefficient();
-  std::vector<std::int64_t> count(terms.size());
-  std::int64_t emission_len = 0;
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    count[i] = std::max<std::int64_t>(
-        1, std::llround(terms[i].coeff / total * options.emission_slots));
-    emission_len += count[i];
-  }
+  const WeightedTerms weighted = weighted_terms(nc, clique_weights, options);
+  const auto& terms = weighted.bvn.terms();
+  const std::vector<std::int64_t>& count = weighted.count;
+  const std::int64_t emission_len = weighted.emission_len;
   // Largest-remainder spread of the sigma indices across the list.
   std::vector<std::size_t> emission;
   emission.reserve(static_cast<std::size_t>(emission_len));

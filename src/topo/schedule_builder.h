@@ -110,6 +110,16 @@ class ScheduleBuilder {
     return sorn_weighted(cliques, q, clique_weights, WeightedOptions());
   }
 
+  // The period sorn_weighted() builds for `cliques` equal cliques of
+  // `clique_size` nodes at ratio q (sorn()'s when clique_weights is
+  // empty), from the closed form its interleave asserts on; INT64_MAX
+  // when that overflows. A caller checks it against max_period before
+  // building. Non-empty weights must be ones sorn_weighted() accepts.
+  static std::int64_t sorn_period(CliqueId cliques, NodeId clique_size,
+                                  Rational q,
+                                  const std::vector<double>& clique_weights,
+                                  const WeightedOptions& options);
+
   // Two-level hierarchical SORN (paper Sec. 6): three slot classes —
   // intra-pod round robins (kIntra), pod-level round robins within each
   // cluster (kInter), and cluster-level round robins (kGlobal) — in the

@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/sorn.h"
 #include "scenario/design.h"
 #include "scenario/scenario_config.h"
 #include "scenario/scenario_runner.h"
 #include "topo/schedule.h"
+#include "topo/schedule_builder.h"
 
 namespace sorn {
 namespace {
@@ -132,6 +134,84 @@ TEST(DesignRegistryTest, FullLocalitySornRunsAtTheQCap) {
   EXPECT_EQ(q.den, 1);
   ASSERT_TRUE(runner->run(&error)) << error;
   EXPECT_GT(runner->saturation_r(), 0.0);
+}
+
+// The sorn design checks its schedule period before building it, with the
+// builders' own closed form (weighted or not): past the cap it is an error
+// naming the nodes, cliques, q and period, not an abort in the builder.
+// So are a q below 1 and a weighted_alpha the BvN mix cannot take.
+TEST(DesignRegistryTest, SornPeriodPastTheCapFailsWithMessage) {
+  BuiltDesign built;
+  std::string error;
+  for (const auto& [nodes, cliques] : {std::pair{16, 4}, std::pair{64, 8},
+                                       std::pair{8, 1}, std::pair{8, 8}}) {
+    ScenarioConfig cfg = small_config();
+    cfg.nodes = nodes;
+    cfg.cliques = cliques;
+    ASSERT_TRUE(DesignRegistry::instance().build("sorn", cfg, &built, &error))
+        << error;
+    EXPECT_EQ(ScheduleBuilder::sorn_period(cliques, nodes / cliques,
+                                           built.sorn_network->q(), {}, {}),
+              built.schedule->period())
+        << nodes << " nodes, " << cliques << " cliques";
+  }
+
+  ScenarioConfig cfg = small_config();
+  cfg.nodes = 60000;
+  EXPECT_FALSE(DesignRegistry::instance().build("sorn", cfg, &built, &error));
+  for (const char* part : {"60000 nodes", "4 cliques", "q = 9/2",
+                           "period of 3712252500 slots"})
+    EXPECT_NE(error.find(part), std::string::npos) << error;
+
+  cfg = small_config();
+  cfg.q_num = 1;
+  cfg.q_den = 2;
+  EXPECT_FALSE(DesignRegistry::instance().build("sorn", cfg, &built, &error));
+  EXPECT_NE(error.find("q (1/2) must be >= 1"), std::string::npos) << error;
+
+  // A weighted schedule's inter cycle follows its BvN emission list.
+  ScenarioConfig weighted = small_config();
+  weighted.inter_clique_weights = {0, 5, 1, 1, 1, 0, 5, 1,
+                                   1, 1, 0, 5, 5, 1, 1, 0};
+  ASSERT_TRUE(
+      DesignRegistry::instance().build("sorn", weighted, &built, &error))
+      << error;
+  EXPECT_EQ(ScheduleBuilder::sorn_period(
+                4, 4, built.sorn_network->q(), weighted.inter_clique_weights,
+                built.sorn_network->config().weighted_options),
+            built.schedule->period());
+  weighted.nodes = 60000;
+  EXPECT_FALSE(
+      DesignRegistry::instance().build("sorn", weighted, &built, &error));
+  EXPECT_NE(error.find("schedule period of"), std::string::npos) << error;
+  weighted.nodes = 16;
+  weighted.weighted_alpha = 1.0;
+  EXPECT_FALSE(
+      DesignRegistry::instance().build("sorn", weighted, &built, &error));
+  EXPECT_NE(error.find("weighted_alpha"), std::string::npos) << error;
+}
+
+// Designs without cliques get their traffic over contiguous cliques; a
+// node count those cannot divide is an error naming both counts.
+TEST(DesignRegistryTest, CliquelessDesignNeedsDivisibleTrafficCliques) {
+  for (const auto& [design, nodes] :
+       {std::pair{"vlb", 2}, std::pair{"rotor", 3},
+        std::pair{"orn-mixed", 15}}) {
+    ScenarioConfig cfg;  // 8 cliques
+    cfg.design = design;
+    cfg.nodes = nodes;
+    std::string error;
+    EXPECT_EQ(ScenarioRunner::create(cfg, &error), nullptr) << design;
+    EXPECT_NE(error.find("nodes (" + std::to_string(nodes) + ")"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("cliques (8)"), std::string::npos) << error;
+  }
+  ScenarioConfig cfg;
+  cfg.design = "vlb";
+  cfg.nodes = 16;
+  std::string error;
+  EXPECT_NE(ScenarioRunner::create(cfg, &error), nullptr) << error;
 }
 
 // Private registries let tests (and experiments) stage custom designs

@@ -14,10 +14,11 @@
 namespace sorn {
 namespace {
 
-// Two small points over one base: closed-loop saturation, and open-loop
-// flows labeled by clique (so the row carries the per-class values).
-constexpr const char* kTwoPoints = R"({
-  "description": "two points",
+// Three small points over one base: closed-loop saturation, open-loop
+// flows labeled by clique (so the row carries the per-class values), and
+// a DCTCP incast into capped VOQs that both drops and ECN-marks cells.
+constexpr const char* kPoints = R"({
+  "description": "three points",
   "base": {"design": "sorn", "nodes": 16, "cliques": 4, "threads": 1,
            "propagation_ns": 0},
   "points": [
@@ -25,7 +26,11 @@ constexpr const char* kTwoPoints = R"({
              "measure_slots": 800}},
     {"set": {"workload": "flows", "classify": "clique", "load": 0.3,
              "slots": 1500, "flow_size": "fixed"},
-     "expect": {"class1_flows": [1, 1e9]}}
+     "expect": {"class1_flows": [1, 1e9]}},
+    {"set": {"workload": "incast", "incast_fanin": 12, "incast_bytes": 8192,
+             "incast_period_slots": 200, "slots": 800, "drain_slots": 20000,
+             "max_queue_cells": 8, "transport": "dctcp",
+             "ecn_threshold_cells": 2, "retransmit_timeout": 128}}
   ]})";
 
 double value_of(const ExperimentRow& row, const std::string& name) {
@@ -38,10 +43,10 @@ double value_of(const ExperimentRow& row, const std::string& name) {
 TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
   Experiment experiment;
   std::string error;
-  ASSERT_TRUE(Experiment::from_json(kTwoPoints, &experiment, &error))
+  ASSERT_TRUE(Experiment::from_json(kPoints, &experiment, &error))
       << error;
-  EXPECT_EQ(experiment.description, "two points");
-  ASSERT_EQ(experiment.points.size(), 2u);
+  EXPECT_EQ(experiment.description, "three points");
+  ASSERT_EQ(experiment.points.size(), 3u);
   EXPECT_EQ(experiment.points[0].label,
             R"({"workload":"saturation","warmup_slots":200,)"
             R"("measure_slots":800})");
@@ -53,6 +58,7 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
   sat.threads = 1;
   sat.propagation_ns = 0;
   ScenarioConfig flows = sat;
+  ScenarioConfig incast = sat;
   sat.workload = WorkloadKind::kSaturation;
   sat.warmup_slots = 200;
   sat.measure_slots = 800;
@@ -61,9 +67,19 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
   flows.load = 0.3;
   flows.slots = 1500;
   flows.flow_size = FlowSizeKind::kFixed;
-  const ScenarioConfig direct[] = {sat, flows};
+  incast.workload = WorkloadKind::kIncast;
+  incast.incast_fanin = 12;
+  incast.incast_bytes = 8192;
+  incast.incast_period_slots = 200;
+  incast.slots = 800;
+  incast.drain_slots = 20000;
+  incast.max_queue_cells = 8;
+  incast.transport = "dctcp";
+  incast.ecn_threshold_cells = 2;
+  incast.retransmit_timeout = 128;
+  const ScenarioConfig direct[] = {sat, flows, incast};
 
-  for (std::size_t i = 0; i < 2; ++i) {
+  for (std::size_t i = 0; i < 3; ++i) {
     const Experiment::Point& point = experiment.points[i];
     EXPECT_EQ(point.config.to_json(), direct[i].to_json()) << i;
     ExperimentRow row;
@@ -86,6 +102,10 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
     EXPECT_EQ(value_of(row, "mean_hops"), m.mean_hops());
     EXPECT_EQ(value_of(row, "delivered_cells"),
               static_cast<double>(m.delivered_cells()));
+    EXPECT_EQ(value_of(row, "dropped_cells"),
+              static_cast<double>(m.dropped_cells()));
+    EXPECT_EQ(value_of(row, "ecn_marked_cells"),
+              static_cast<double>(m.ecn_marked_cells()));
     EXPECT_EQ(value_of(row, "completed_flows"),
               static_cast<double>(m.completed_flows()));
     EXPECT_EQ(value_of(row, "cell_latency_p50_us"),
@@ -95,11 +115,17 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
     EXPECT_EQ(value_of(row, "fct_p50_us"), m.fct_ps().percentile(50.0) / 1e6);
     EXPECT_EQ(value_of(row, "fct_p99_us"), m.fct_ps().percentile(99.0) / 1e6);
     if (i == 0) {
-      EXPECT_EQ(names.size(), 10u);  // no flow classes
+      EXPECT_EQ(names.size(), 12u);  // no flow classes
       EXPECT_GT(runner->saturation_r(), 0.0);
       continue;
     }
-    EXPECT_EQ(names.size(), 16u);
+    if (i == 2) {
+      EXPECT_EQ(names.size(), 12u);
+      EXPECT_GT(m.dropped_cells(), 0u);
+      EXPECT_GT(m.ecn_marked_cells(), 0u);
+      continue;
+    }
+    EXPECT_EQ(names.size(), 18u);
     for (int c = 0; c < 2; ++c) {
       const Percentiles& fct = m.fct_ps_class(c);
       const std::string prefix = "class" + std::to_string(c) + "_";
@@ -117,7 +143,7 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
 TEST(ExperimentTest, BandsAreInclusiveAndMissesNameThePointAndValue) {
   Experiment experiment;
   std::string error;
-  ASSERT_TRUE(Experiment::from_json(kTwoPoints, &experiment, &error))
+  ASSERT_TRUE(Experiment::from_json(kPoints, &experiment, &error))
       << error;
   Experiment::Point point = experiment.points[0];
   ExperimentRow row;
@@ -220,7 +246,24 @@ TEST(ExperimentTest, CheckedInExperimentsParseAndBuild) {
           << path << " point " << i << ": " << error;
     }
   }
-  EXPECT_GE(files, 5);
+  EXPECT_GE(files, 7);
+}
+
+// ci/scenarios/incast_dctcp.json, which CI byte-diffs across thread
+// counts, is exactly the DCTCP point of experiments/incast.json.
+TEST(ExperimentTest, IncastScenarioIsTheDctcpPoint) {
+  const std::string root = SORN_SOURCE_DIR;
+  Experiment experiment;
+  ScenarioConfig scenario;
+  std::string error;
+  ASSERT_TRUE(Experiment::load_file(root + "/experiments/incast.json",
+                                    &experiment, &error))
+      << error;
+  ASSERT_TRUE(ScenarioConfig::load_file(
+      root + "/ci/scenarios/incast_dctcp.json", &scenario, &error))
+      << error;
+  ASSERT_EQ(experiment.points.size(), 2u);
+  EXPECT_EQ(experiment.points[1].config.to_json(), scenario.to_json());
 }
 
 }  // namespace

@@ -365,18 +365,12 @@ struct FakeCommandLine {
   }
 };
 
-// simulate's 49 field flags and compare's 7, name for name.
+// simulate's 49 field flags, name for name.
 TEST(ScenarioConfigTest, FlagSetsMatchTheCli) {
   FakeCommandLine cli;
   ScenarioConfig cfg;
   std::string error;
-  ASSERT_TRUE(cfg.apply_flags(true, cli.lookup(), &error)) << error;
-  EXPECT_EQ(cli.asked,
-            (std::vector<std::string>{"--design", "--nodes", "--cliques",
-                                      "--locality", "--seed", "--threads",
-                                      "--traffic-backend"}));
-  cli.asked.clear();
-  ASSERT_TRUE(cfg.apply_flags(false, cli.lookup(), &error)) << error;
+  ASSERT_TRUE(cfg.apply_flags(cli.lookup(), &error)) << error;
   EXPECT_EQ(
       cli.asked,
       (std::vector<std::string>{
@@ -411,7 +405,7 @@ TEST(ScenarioConfigTest, FlagsReadLikeTheirJsonKeys) {
                {"--profile", ""}};
   ScenarioConfig cfg;
   std::string error;
-  ASSERT_TRUE(cfg.apply_flags(false, cli.lookup(), &error)) << error;
+  ASSERT_TRUE(cfg.apply_flags(cli.lookup(), &error)) << error;
   EXPECT_EQ(cfg.nodes, 96);
   EXPECT_DOUBLE_EQ(cfg.locality_x, 0.71);
   EXPECT_EQ(cfg.seed, std::numeric_limits<std::uint64_t>::max());
@@ -421,13 +415,6 @@ TEST(ScenarioConfigTest, FlagsReadLikeTheirJsonKeys) {
   EXPECT_EQ(cfg.fault_script_path, "faults.txt");
   EXPECT_EQ(cfg.control_outages, (std::vector<Slot>{100, 300, 900, 1100}));
   EXPECT_TRUE(cfg.profile);
-
-  // compare's fabric-only walk leaves every other field alone.
-  ScenarioConfig fabric;
-  ASSERT_TRUE(fabric.apply_flags(true, cli.lookup(), &error)) << error;
-  EXPECT_EQ(fabric.nodes, 96);
-  EXPECT_EQ(fabric.workload, ScenarioConfig{}.workload);
-  EXPECT_FALSE(fabric.profile);
 }
 
 TEST(ScenarioConfigTest, BadFlagValuesAreErrorsNamingTheFlag) {
@@ -448,7 +435,7 @@ TEST(ScenarioConfigTest, BadFlagValuesAreErrorsNamingTheFlag) {
     cli.given = {{"--slots", "77"}, {flag, text}};
     ScenarioConfig cfg;
     std::string error;
-    EXPECT_FALSE(cfg.apply_flags(false, cli.lookup(), &error))
+    EXPECT_FALSE(cfg.apply_flags(cli.lookup(), &error))
         << flag << " " << text;
     EXPECT_EQ(error.rfind(flag, 0), 0u) << error;
     EXPECT_EQ(cfg.slots, ScenarioConfig{}.slots);  // untouched on failure
