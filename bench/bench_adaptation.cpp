@@ -25,7 +25,6 @@
 #include <string>
 
 #include "analysis/models.h"
-#include "bench_args.h"
 #include "control/control_plane.h"
 #include "core/sorn.h"
 #include "obs/export.h"
@@ -34,6 +33,7 @@
 #include "sim/telemetry.h"
 #include "traffic/patterns.h"
 #include "traffic/trace.h"
+#include "util/args.h"
 #include "util/table.h"
 
 namespace {
@@ -53,7 +53,7 @@ double sat_throughput(sorn::SlottedNetwork& net,
 
 int main(int argc, char** argv) {
   using namespace sorn;
-  bench::ArgParser args(argc, argv);
+  ArgParser args(argc, argv);
   const std::string json_path = args.get_string("--json", "");
   const std::string trace_path = args.get_string("--trace", "");
   args.finish();

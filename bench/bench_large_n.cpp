@@ -32,9 +32,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_args.h"
 #include "obs/export.h"
 #include "scenario/scenario_runner.h"
+#include "util/args.h"
 #include "util/rusage.h"
 #include "util/table.h"
 
@@ -55,7 +55,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args(argc, argv);
+  ArgParser args(argc, argv);
   const std::string json_path = args.get_string("--json", "");
   const auto nodes = static_cast<NodeId>(args.get_long("--nodes", 4096, 2));
   const auto cliques =
@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
   const double max_rss_mb = args.get_double("--max-rss-mb", 0.0, 0.0);
   const double min_slots_per_sec =
       args.get_double("--min-slots-per-sec", 0.0, 0.0);
-  const bench::ProfileOptions popts = bench::parse_profile_options(args);
+  const bool profile = args.get_flag("--profile");
+  const std::string profile_json = args.get_string("--profile-json", "");
   args.finish();
 
   std::printf(
@@ -108,7 +109,8 @@ int main(int argc, char** argv) {
     cfg.drain_slots = drain;
     cfg.flow_size = FlowSizeKind::kFixed;
     cfg.fixed_flow_bytes = flow_bytes;
-    bench::apply_profile(popts, cfg);
+    cfg.profile = profile;
+    cfg.profile_json_path = profile_json;
 
     std::string error;
     auto runner = ScenarioRunner::create(cfg, &error);

@@ -28,13 +28,13 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_args.h"
 #include "core/sorn.h"
 #include "obs/export.h"
 #include "obs/prof/profiler.h"
 #include "sim/saturation.h"
 #include "sim/telemetry.h"
 #include "traffic/patterns.h"
+#include "util/args.h"
 #include "util/table.h"
 
 namespace {
@@ -91,7 +91,7 @@ NullTraceSink null_sink;
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args(argc, argv);
+  ArgParser args(argc, argv);
   g_slots = args.get_long("--slots", g_slots, 1);
   g_warmup_slots = args.get_long("--warmup", g_warmup_slots, 0);
   g_reps = static_cast<int>(args.get_long("--reps", g_reps, 1));

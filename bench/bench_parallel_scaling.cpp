@@ -25,11 +25,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_args.h"
 #include "obs/export.h"
 #include "scenario/scenario_runner.h"
 #include "sim/parallel.h"
 #include "sim/saturation.h"
+#include "util/args.h"
 #include "util/table.h"
 
 namespace {
@@ -46,7 +46,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args(argc, argv);
+  ArgParser args(argc, argv);
   const std::string json_path = args.get_string("--json", "");
   const std::vector<int> thread_counts =
       args.get_int_list("--threads", {1, 2, 4, 8}, 1);

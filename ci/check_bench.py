@@ -13,7 +13,7 @@ compare
   against the current run under a per-metric tolerance class chosen by
   name:
 
-    equivalent / recovered          exact match (the bool-as-0/1 gates)
+    equivalent                      exact match (the bool-as-0/1 gate)
     *slots_per_sec*                 higher is better; current must reach
                                     0.5x baseline (shared-runner noise)
     speedup_*                       higher is better; 0.6x baseline
@@ -65,7 +65,7 @@ def fail(message):
 
 def classify(name):
     """Return (kind, default_bound) for a metric name."""
-    if name in ("equivalent", "recovered"):
+    if name == "equivalent":
         return "exact", 0.0
     if "slots_per_sec" in name:
         return "min_ratio", 0.5

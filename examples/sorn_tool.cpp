@@ -482,13 +482,24 @@ int cmd_sweep(ArgParser& args) {
       if (v.value != 0.0 &&
           std::find(columns.begin(), columns.end(), v.name) == columns.end())
         columns.push_back(v.name);
+  const bool windows = std::any_of(
+      points.begin(), points.end(),
+      [](const Experiment::Point& p) { return p.window.has_value(); });
   std::vector<std::string> headers{"point", "set"};
+  if (windows) headers.push_back("window");
   headers.insert(headers.end(), columns.begin(), columns.end());
   headers.push_back("bands");
   TablePrinter table(std::move(headers));
   std::vector<std::string> misses;
   for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& window = points[i].window;
     std::vector<std::string> cells{format("%zu", i), points[i].label};
+    if (windows) {
+      cells.push_back(window ? format("[%lld, %lld)",
+                                      static_cast<long long>(window->from),
+                                      static_cast<long long>(window->to))
+                             : "-");
+    }
     for (const std::string& name : columns) {
       const auto it = std::find_if(
           rows[i].values.begin(), rows[i].values.end(),
@@ -514,6 +525,10 @@ int cmd_sweep(ArgParser& args) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       w.begin_object().field("point", static_cast<std::uint64_t>(i));
       w.key("set").raw(points[i].label);
+      if (const auto& window = points[i].window) {
+        w.key("window").begin_array().value(window->from).value(window->to);
+        w.end_array();
+      }
       for (const ExperimentRow::Value& v : rows[i].values)
         w.field(v.name, v.value);
       w.key("misses").begin_array();

@@ -3,9 +3,9 @@
 #include "util/assert.h"
 
 namespace sorn {
-namespace {
 
-ScheduleBuilder::HierShares resolve_shares(const HierSornConfig& config) {
+ScheduleBuilder::HierShares HierSornNetwork::resolve_shares(
+    const HierSornConfig& config) {
   if (config.shares.intra > 0 || config.shares.inter > 0 ||
       config.shares.global > 0) {
     return config.shares;
@@ -14,8 +14,6 @@ ScheduleBuilder::HierShares resolve_shares(const HierSornConfig& config) {
       config.pod_locality_x1, config.cluster_locality_x2, config.share_scale);
   return {approx.intra, approx.inter, approx.global};
 }
-
-}  // namespace
 
 HierSornNetwork::HierSornNetwork(HierSornConfig config,
                                  ScheduleBuilder::HierShares shares)

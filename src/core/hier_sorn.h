@@ -36,6 +36,11 @@ class HierSornNetwork {
  public:
   static HierSornNetwork build(const HierSornConfig& config);
 
+  // The shares a build from this config uses: the explicit shares, or
+  // hier_optimal_shares of the locality split at share_scale.
+  static ScheduleBuilder::HierShares resolve_shares(
+      const HierSornConfig& config);
+
   const HierSornConfig& config() const { return config_; }
   const Hierarchy& hierarchy() const { return *hierarchy_; }
   const CircuitSchedule& schedule() const { return *schedule_; }

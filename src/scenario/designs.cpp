@@ -143,16 +143,19 @@ class HierDesign final : public Design {
 
   bool build(const ScenarioConfig& config, BuiltDesign* out,
              std::string* error) const override {
-    const auto pods = static_cast<std::int64_t>(config.clusters) *
-                      static_cast<std::int64_t>(config.pods_per_cluster);
-    if (pods <= 0 || config.nodes % pods != 0) {
-      return fail(error,
-                  format("hier: nodes (%lld) must divide into %lld clusters "
-                         "x %lld pods",
-                         static_cast<long long>(config.nodes),
-                         static_cast<long long>(config.clusters),
-                         static_cast<long long>(config.pods_per_cluster)));
+    const auto nodes = static_cast<long long>(config.nodes);
+    const auto clusters = static_cast<long long>(config.clusters);
+    const auto pods = static_cast<long long>(config.pods_per_cluster);
+    if (clusters < 1 || pods < 1 || nodes % (clusters * pods) != 0) {
+      return fail(error, format("hier: nodes (%lld) must divide into %lld "
+                                "clusters x %lld pods",
+                                nodes, clusters, pods));
     }
+    const double x1 = config.pod_locality_x1;
+    const double x2 = config.cluster_locality_x2;
+    if (!(x1 >= 0.0 && x1 <= 1.0 && x2 >= 0.0 && x2 <= 1.0))
+      return fail(error, "hier: pod_locality_x1 and cluster_locality_x2 "
+                         "must be in [0, 1]");
 
     HierSornConfig cfg;
     cfg.nodes = config.nodes;
@@ -164,6 +167,21 @@ class HierDesign final : public Design {
     cfg.slot_duration = config.slot_ns * 1000;
     cfg.propagation_per_hop = config.propagation_ns * 1000;
     cfg.lb_mode = lb_mode_of(config);
+
+    // The shares come from the locality split; the schedule builder would
+    // abort on ones the geometry cannot take, or on too long a period.
+    const ScheduleBuilder::HierShares shares =
+        HierSornNetwork::resolve_shares(cfg);
+    const std::string problem = ScheduleBuilder::hier_problem(
+        static_cast<NodeId>(nodes / (clusters * pods)),
+        config.pods_per_cluster, config.clusters, shares, cfg.max_period);
+    if (!problem.empty()) {
+      return fail(error, format("hier: %s; nodes %lld, clusters %lld, "
+                                "pods_per_cluster %lld, pod_locality_x1 %g, "
+                                "cluster_locality_x2 %g",
+                                problem.c_str(), nodes, clusters, pods, x1,
+                                x2));
+    }
 
     struct Holder {
       HierSornNetwork net;
@@ -177,7 +195,6 @@ class HierDesign final : public Design {
     out->cliques = &holder->pods;
     out->hierarchy = &holder->net.hierarchy();
     out->predicted_throughput = holder->net.predicted_throughput();
-    const auto shares = holder->net.shares();
     out->summary =
         format("shares %lld:%lld:%lld, period %lld slots",
                static_cast<long long>(shares.intra),
@@ -200,6 +217,26 @@ struct VlbHolder {
   VlbHolder(CircuitSchedule s, LbMode mode)
       : schedule(std::move(s)), router(&schedule, mode) {}
 };
+
+// rotor and opera hold each of their nodes - 1 rounds for dwell_slots:
+// the builder's slot order has (nodes - 1) x dwell_slots entries, checked
+// against its cap before it allocates them.
+bool check_dwell(const char* design, const ScenarioConfig& config,
+                 std::string* error) {
+  if (config.dwell_slots < 1)
+    return fail(error, format("%s: dwell_slots must be >= 1", design));
+  const Slot rounds = config.nodes - 1;
+  if (config.dwell_slots <= ScheduleBuilder::kMaxDwellPeriod / rounds)
+    return true;
+  return fail(error,
+              format("%s: nodes %lld at dwell_slots %lld need a schedule "
+                     "period of %.0f slots (cap %lld)",
+                     design, static_cast<long long>(config.nodes),
+                     static_cast<long long>(config.dwell_slots),
+                     static_cast<double>(rounds) *
+                         static_cast<double>(config.dwell_slots),
+                     static_cast<long long>(ScheduleBuilder::kMaxDwellPeriod)));
+}
 
 void fill_vlb(std::shared_ptr<VlbHolder> holder, BuiltDesign* out) {
   out->schedule = &holder->schedule;
@@ -241,8 +278,7 @@ class RotorDesign final : public Design {
 
   bool build(const ScenarioConfig& config, BuiltDesign* out,
              std::string* error) const override {
-    if (config.dwell_slots < 1)
-      return fail(error, "rotor: dwell_slots must be >= 1");
+    if (!check_dwell("rotor", config, error)) return false;
     auto holder = std::make_shared<VlbHolder>(
         ScheduleBuilder::rotor(config.nodes, config.dwell_slots),
         lb_mode_of(config));
@@ -279,8 +315,7 @@ class OperaDesign final : public Design {
     if (config.nodes % 2 != 0)
       return fail(error, "opera: nodes must be even (1-factorization of "
                          "the complete graph)");
-    if (config.dwell_slots < 1)
-      return fail(error, "opera: dwell_slots must be >= 1");
+    if (!check_dwell("opera", config, error)) return false;
 
     struct Holder {
       CircuitSchedule schedule;

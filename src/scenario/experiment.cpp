@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <optional>
 #include <utility>
 
 #include "obs/export.h"
@@ -53,6 +54,14 @@ constexpr RunValue kRunValues[] = {
      [](const ScenarioRunner& r) {
        return static_cast<double>(r.metrics().completed_flows());
      }},
+    {"open_flows",
+     [](const ScenarioRunner& r) {
+       return static_cast<double>(r.metrics().open_flows());
+     }},
+    {"retransmitted_cells",
+     [](const ScenarioRunner& r) {
+       return static_cast<double>(r.metrics().retransmitted_cells());
+     }},
     {"cell_latency_p50_us",
      [](const ScenarioRunner& r) {
        return r.metrics().cell_latency_ps().percentile(50.0) / 1e6;
@@ -89,14 +98,17 @@ constexpr ClassValue kClassValues[] = {
 // Both classifiers label a flow 0 or 1 (scenario_config.h ClassifyKind).
 constexpr int kFlowClasses = 2;
 
-// The row of a point with this config: names always, values from the
-// runner when there is one (zeros otherwise).
-std::vector<ExperimentRow::Value> row_of(const ScenarioConfig& config,
-                                         const ScenarioRunner* runner) {
+// The row of a point: names always, values from the runner and the
+// window's rate when there is a runner (zeros otherwise).
+std::vector<ExperimentRow::Value> row_of(const Experiment::Point& point,
+                                         const ScenarioRunner* runner,
+                                         double window_cells_per_slot) {
   std::vector<ExperimentRow::Value> row;
   for (const RunValue& v : kRunValues)
     row.push_back({v.name, runner != nullptr ? v.of(*runner) : 0.0});
-  if (config.classify == ClassifyKind::kNone) return row;
+  if (point.window)
+    row.push_back({"window_cells_per_slot", window_cells_per_slot});
+  if (point.config.classify == ClassifyKind::kNone) return row;
   for (int c = 0; c < kFlowClasses; ++c) {
     for (const ClassValue& v : kClassValues) {
       row.push_back({format("class%d_%s", c, v.name),
@@ -175,13 +187,23 @@ void append_compact(std::string& out, const JsonValue& v) {
   }
 }
 
+// `window` as [from, to]: two integer slots with 0 <= from < to.
+bool read_window(const JsonValue& doc, Experiment::Window* out) {
+  return doc.is_array() && doc.items().size() == 2 &&
+         doc.items()[0].get_integer(&out->from) &&
+         doc.items()[1].get_integer(&out->to) && 0 <= out->from &&
+         out->from < out->to;
+}
+
 bool read_point(const JsonValue& doc, const ScenarioConfig& base,
                 const std::string& where, Experiment::Point* out,
                 std::string* error) {
   std::vector<const JsonValue*> m;
-  if (!members(doc, where, {"set", "expect"}, &m, error)) return false;
+  if (!members(doc, where, {"set", "window", "expect"}, &m, error))
+    return false;
   const JsonValue* set = m[0];
-  const JsonValue* expect = m[1];
+  const JsonValue* window = m[1];
+  const JsonValue* expect = m[2];
 
   Experiment::Point point;
   point.config = base;
@@ -193,11 +215,22 @@ bool read_point(const JsonValue& doc, const ScenarioConfig& base,
     point.label = "{}";
   }
 
+  if (window != nullptr) {
+    Experiment::Window w;
+    if (!read_window(*window, &w))
+      return fail(error, where + ": window must be [from, to], two integer "
+                                 "slots with 0 <= from < to");
+    if (!workload_uses_flow_driver(point.config.workload))
+      return fail(error, where + ": a window needs a flow-driver workload "
+                                 "(flows, incast, collective or "
+                                 "oversub-rack)");
+    point.window = w;
+  }
+
   if (expect != nullptr) {
     if (!expect->is_object())
       return fail(error, where + ": expect must be a JSON object");
-    const std::vector<std::string> names =
-        experiment_value_names(point.config);
+    const std::vector<std::string> names = experiment_value_names(point);
     for (const auto& [name, band] : expect->fields()) {
       const std::string label = where + ": expect '" + name + "'";
       if (std::find(names.begin(), names.end(), name) == names.end())
@@ -220,9 +253,10 @@ bool read_point(const JsonValue& doc, const ScenarioConfig& base,
 
 }  // namespace
 
-std::vector<std::string> experiment_value_names(const ScenarioConfig& config) {
+std::vector<std::string> experiment_value_names(
+    const Experiment::Point& point) {
   std::vector<std::string> names;
-  for (ExperimentRow::Value& v : row_of(config, nullptr))
+  for (ExperimentRow::Value& v : row_of(point, nullptr, 0.0))
     names.push_back(std::move(v.name));
   return names;
 }
@@ -275,9 +309,35 @@ bool Experiment::load_file(const std::string& path, Experiment* out,
 bool run_experiment_point(const Experiment::Point& point, ExperimentRow* row,
                           std::string* error) {
   const auto runner = ScenarioRunner::create(point.config, error);
-  if (runner == nullptr || !runner->run(error)) return false;
+  if (runner == nullptr) return false;
+  // Delivered cells at the start of the window's first and end slots.
+  std::optional<std::uint64_t> at_from;
+  std::optional<std::uint64_t> at_to;
+  if (point.window) {
+    const Experiment::Window w = *point.window;
+    runner->set_slot_hook([&at_from, &at_to, w](SlottedNetwork& net,
+                                                Slot now) {
+      if (now == w.from) at_from = net.metrics().delivered_cells();
+      if (now == w.to) at_to = net.metrics().delivered_cells();
+    });
+  }
+  if (!runner->run(error)) return false;
+  double window_cells_per_slot = 0.0;
+  if (point.window) {
+    const Experiment::Window w = *point.window;
+    if (!at_from || !at_to) {
+      const Slot ended = runner->network().now();
+      return fail(error, format("window [%lld, %lld) not reached: the run "
+                                "ended at slot %lld",
+                                static_cast<long long>(w.from),
+                                static_cast<long long>(w.to),
+                                static_cast<long long>(ended)));
+    }
+    window_cells_per_slot = static_cast<double>(*at_to - *at_from) /
+                            static_cast<double>(w.to - w.from);
+  }
   ExperimentRow result;
-  result.values = row_of(point.config, runner.get());
+  result.values = row_of(point, runner.get(), window_cells_per_slot);
   for (const Experiment::Band& band : point.expect) {
     const auto it = std::find_if(
         result.values.begin(), result.values.end(),

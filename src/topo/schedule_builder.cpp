@@ -1,5 +1,6 @@
 #include "topo/schedule_builder.h"
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -7,6 +8,7 @@
 
 #include "util/assert.h"
 #include "util/rng.h"
+#include "util/table.h"
 
 namespace sorn {
 namespace {
@@ -197,24 +199,64 @@ struct Stream {
   SlotKind kind = SlotKind::kUniform;
 };
 
+// Period of interleave_multi() over `streams` (anything with a share and
+// a cycle): share_i * m slots of each stream with a positive share, with
+// the smallest m completing every such stream's cycle. Saturates at
+// INT64_MAX.
+template <typename Streams>
+std::int64_t multi_period(const Streams& streams) {
+  std::int64_t m = 1;
+  std::int64_t share_sum = 0;
+  for (const auto& s : streams) {
+    if (s.share == 0) continue;
+    const std::int64_t c = closure_multiplier(s.share, s.cycle);
+    if (__builtin_mul_overflow(m / std::gcd(m, c), c, &m) ||
+        __builtin_add_overflow(share_sum, s.share, &share_sum))
+      return std::numeric_limits<std::int64_t>::max();
+  }
+  std::int64_t period = 0;
+  if (__builtin_mul_overflow(share_sum, m, &period))
+    return std::numeric_limits<std::int64_t>::max();
+  return period;
+}
+
+// The share and cycle of sorn_hierarchical()'s three streams: intra-pod,
+// pod-level and cluster-level round robins (cycle 0 for a level with no
+// circuits).
+struct ShareCycle {
+  std::int64_t share = 0;
+  std::int64_t cycle = 0;
+};
+
+std::array<ShareCycle, 3> hier_levels(NodeId pod_size,
+                                      CliqueId pods_per_cluster,
+                                      CliqueId clusters,
+                                      ScheduleBuilder::HierShares shares) {
+  const std::int64_t s = pod_size;
+  const std::int64_t p = pods_per_cluster;
+  const std::int64_t nc = clusters;
+  return {{{shares.intra, s >= 2 ? s - 1 : 0},
+           {shares.inter, p >= 2 ? (p - 1) * s : 0},
+           {shares.global, nc >= 2 ? (nc - 1) * p * s : 0}}};
+}
+
 CircuitSchedule interleave_multi(std::vector<Stream> streams,
                                  Slot max_period) {
   // Closure: emit share_i * m matchings of stream i with the smallest m
   // completing every active stream's cycle.
-  std::int64_t m = 1;
   std::int64_t share_sum = 0;
   std::int64_t distinct = 0;
   for (const Stream& s : streams) {
     if (s.share == 0) continue;
     SORN_ASSERT(s.cycle > 0, "active stream must have a cycle");
-    m = std::lcm(m, closure_multiplier(s.share, s.cycle));
     share_sum += s.share;
     distinct += s.cycle;
   }
   SORN_ASSERT(share_sum > 0, "at least one stream must be active");
-  std::int64_t period = share_sum * m;
+  const std::int64_t period = multi_period(streams);
   SORN_ASSERT(period <= max_period,
               "schedule period too large; coarsen the shares");
+  const std::int64_t m = period / share_sum;
 
   std::vector<Matching> matchings;
   std::vector<SlotKind> kinds;
@@ -256,6 +298,9 @@ CircuitSchedule interleave_multi(std::vector<Stream> streams,
 
 // Each of `rounds` matchings held for `dwell` consecutive slots.
 std::vector<std::uint32_t> dwell_order(std::size_t rounds, Slot dwell) {
+  SORN_ASSERT(dwell <= ScheduleBuilder::kMaxDwellPeriod /
+                           static_cast<Slot>(rounds),
+              "rotation period past kMaxDwellPeriod; shorten the dwell");
   std::vector<std::uint32_t> order;
   order.reserve(rounds * static_cast<std::size_t>(dwell));
   for (std::size_t r = 0; r < rounds; ++r)
@@ -536,22 +581,17 @@ CircuitSchedule ScheduleBuilder::sorn_hierarchical(const Hierarchy& h,
   const NodeId s = h.pod_size();
   const CliqueId p = h.pods_per_cluster();
   const CliqueId nc = h.cluster_count();
-  SORN_ASSERT(shares.intra >= 0 && shares.inter >= 0 && shares.global >= 0,
-              "shares must be nonnegative");
-  SORN_ASSERT((shares.intra > 0) == (s >= 2),
-              "intra share must be positive iff pods have >= 2 nodes");
-  SORN_ASSERT((shares.inter > 0) == (p >= 2),
-              "inter share must be positive iff clusters have >= 2 pods");
-  SORN_ASSERT((shares.global > 0) == (nc >= 2),
-              "global share must be positive iff there are >= 2 clusters");
+  const std::string problem = hier_problem(s, p, nc, shares, max_period);
+  SORN_ASSERT(problem.empty(), problem.c_str());
 
   const CliqueAssignment pods = h.pods();
+  const auto levels = hier_levels(s, p, nc, shares);
 
   std::vector<Stream> streams;
   {
     Stream intra;
-    intra.share = shares.intra;
-    intra.cycle = s >= 2 ? s - 1 : 0;
+    intra.share = levels[0].share;
+    intra.cycle = levels[0].cycle;
     intra.kind = SlotKind::kIntra;
     intra.at = [pods](std::int64_t t) { return intra_matching(pods, t); };
     streams.push_back(std::move(intra));
@@ -561,8 +601,8 @@ CircuitSchedule ScheduleBuilder::sorn_hierarchical(const Hierarchy& h,
     // rotation rho; all clusters move in lock step so the union is a
     // global permutation.
     Stream inter;
-    inter.share = shares.inter;
-    inter.cycle = p >= 2 ? static_cast<std::int64_t>(p - 1) * s : 0;
+    inter.share = levels[1].share;
+    inter.cycle = levels[1].cycle;
     inter.kind = SlotKind::kInter;
     // The hierarchy is contiguous by construction (node id = cluster,
     // pod-in-cluster, index-in-pod in mixed radix), so this is the shift
@@ -579,10 +619,9 @@ CircuitSchedule ScheduleBuilder::sorn_hierarchical(const Hierarchy& h,
     // Cluster-level round robin: cluster shift K, position rotation over
     // the whole cluster.
     Stream global;
-    global.share = shares.global;
+    global.share = levels[2].share;
+    global.cycle = levels[2].cycle;
     const std::int64_t cluster_size = h.cluster_size();
-    global.cycle =
-        nc >= 2 ? static_cast<std::int64_t>(nc - 1) * cluster_size : 0;
     global.kind = SlotKind::kGlobal;
     // (cluster + K, position + rho): a two-level shift over the
     // contiguous cluster-major layout.
@@ -596,6 +635,30 @@ CircuitSchedule ScheduleBuilder::sorn_hierarchical(const Hierarchy& h,
   }
   (void)n;
   return interleave_multi(std::move(streams), max_period);
+}
+
+std::string ScheduleBuilder::hier_problem(NodeId pod_size,
+                                          CliqueId pods_per_cluster,
+                                          CliqueId clusters, HierShares shares,
+                                          Slot max_period) {
+  const auto levels =
+      hier_levels(pod_size, pods_per_cluster, clusters, shares);
+  const char* const names[] = {"intra", "inter", "global"};
+  const char* const circuits[] = {"pods of >= 2 nodes",
+                                  "clusters of >= 2 pods", ">= 2 clusters"};
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    const std::int64_t share = levels[i].share;
+    if (share < 0 || (share > 0) != (levels[i].cycle > 0)) {
+      return format("the %s share is %lld: it must be >= 0, and positive "
+                    "iff there are %s",
+                    names[i], static_cast<long long>(share), circuits[i]);
+    }
+  }
+  const std::int64_t period = multi_period(levels);
+  if (period <= max_period) return "";
+  return format("the schedule period is %lld slots (cap %lld)",
+                static_cast<long long>(period),
+                static_cast<long long>(max_period));
 }
 
 }  // namespace sorn

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "topo/bvn.h"
@@ -59,6 +60,12 @@ class ScheduleBuilder {
   // but not for Opera's multi-hop short-flow routing. Use rotor_random
   // for an Opera-style fabric.
   static CircuitSchedule rotor(NodeId n, Slot dwell);
+
+  // The longest period rotor() and rotor_random() build: n - 1 rounds of
+  // `dwell` slots each, one 4-byte order entry per slot (256 MB at the
+  // cap). It admits N = 65536 at a 900-slot dwell (58,981,500 slots); a
+  // longer period aborts.
+  static constexpr Slot kMaxDwellPeriod = Slot{1} << 26;
 
   // Opera-style slow rotation: a proper 1-factorization of the complete
   // graph (circle method), randomly relabeled and with rounds in random
@@ -134,6 +141,16 @@ class ScheduleBuilder {
   static CircuitSchedule sorn_hierarchical(const Hierarchy& hierarchy,
                                            HierShares shares,
                                            Slot max_period = 1 << 22);
+
+  // Why sorn_hierarchical() cannot build `clusters` clusters of
+  // `pods_per_cluster` pods of `pod_size` nodes at `shares` within
+  // `max_period` slots, or "" when it can: each share must be >= 0 and
+  // positive iff its level has circuits, and the period (the interleave's
+  // closed form) must fit. sorn_hierarchical() aborts on a problem; a
+  // caller taking user input checks first.
+  static std::string hier_problem(NodeId pod_size, CliqueId pods_per_cluster,
+                                  CliqueId clusters, HierShares shares,
+                                  Slot max_period);
 };
 
 }  // namespace sorn

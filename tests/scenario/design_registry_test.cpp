@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "core/hier_sorn.h"
 #include "core/sorn.h"
 #include "scenario/design.h"
 #include "scenario/scenario_config.h"
@@ -98,6 +99,81 @@ TEST(DesignRegistryTest, InvalidGeometryFailsWithMessage) {
   cfg.radices = {3, 4};  // product 12 != 16 nodes
   EXPECT_FALSE(
       DesignRegistry::instance().build("orn-mixed", cfg, &built, &error));
+
+  // hier: a level gets slots iff it has circuits. Each of these used to
+  // abort in ScheduleBuilder::sorn_hierarchical; the error names the share
+  // and the fields it comes from, and so does a period past the cap.
+  struct HierCase {
+    CliqueId clusters;
+    CliqueId pods_per_cluster;
+    double x1;
+    double x2;
+    const char* share;
+  };
+  for (const HierCase& c : {
+           HierCase{2, 8, 0.5, 0.3, "the intra share"},   // 1-node pods
+           HierCase{2, 2, 0.8, 0.5, "the global share"},  // x1 + x2 > 1
+           HierCase{1, 1, 0.5, 0.3, "the inter share"},   // one pod
+       }) {
+    cfg = small_config();
+    cfg.clusters = c.clusters;
+    cfg.pods_per_cluster = c.pods_per_cluster;
+    cfg.pod_locality_x1 = c.x1;
+    cfg.cluster_locality_x2 = c.x2;
+    EXPECT_FALSE(DesignRegistry::instance().build("hier", cfg, &built, &error));
+    for (const char* part : {c.share, "pod_locality_x1", "cluster_locality_x2",
+                             "clusters", "pods_per_cluster"})
+      EXPECT_NE(error.find(part), std::string::npos) << error;
+  }
+  cfg = small_config();
+  cfg.nodes = 60000;
+  cfg.pods_per_cluster = 3;
+  EXPECT_FALSE(DesignRegistry::instance().build("hier", cfg, &built, &error));
+  EXPECT_NE(error.find("period is 1066560000 slots (cap 262144); nodes 60000"),
+            std::string::npos)
+      << error;
+
+  // rotor and opera: the slot order has (nodes - 1) x dwell_slots entries,
+  // 6.3e9 here; the cap is checked before anything is allocated.
+  for (const char* design : {"rotor", "opera"}) {
+    cfg = small_config();
+    cfg.nodes = 64;
+    cfg.dwell_slots = 100000000;
+    EXPECT_FALSE(DesignRegistry::instance().build(design, cfg, &built, &error));
+    for (const char* part : {"nodes 64", "dwell_slots 100000000",
+                             "period of 6300000000 slots"})
+      EXPECT_NE(error.find(part), std::string::npos) << design << ": " << error;
+  }
+}
+
+// The period hier_problem checks against the cap is the one
+// sorn_hierarchical builds.
+TEST(DesignRegistryTest, HierPeriodCheckIsTheBuiltPeriod) {
+  for (const auto& [clusters, pods] :
+       {std::pair{2, 2}, std::pair{4, 2}, std::pair{2, 8}, std::pair{1, 4}}) {
+    ScenarioConfig cfg = small_config();
+    cfg.nodes = 64;
+    cfg.clusters = clusters;
+    cfg.pods_per_cluster = pods;
+    cfg.cluster_locality_x2 = clusters == 1 ? 0.5 : 0.3;
+    BuiltDesign built;
+    std::string error;
+    ASSERT_TRUE(DesignRegistry::instance().build("hier", cfg, &built, &error))
+        << error;
+    const ScheduleBuilder::HierShares shares =
+        HierSornNetwork::resolve_shares(HierSornConfig{
+            .pod_locality_x1 = cfg.pod_locality_x1,
+            .cluster_locality_x2 = cfg.cluster_locality_x2});
+    const Slot period = built.schedule->period();
+    const NodeId pod_size = 64 / (clusters * pods);
+    EXPECT_EQ(ScheduleBuilder::hier_problem(pod_size, pods, clusters, shares,
+                                            period),
+              "");
+    EXPECT_EQ(ScheduleBuilder::hier_problem(pod_size, pods, clusters, shares,
+                                            period - 1),
+              "the schedule period is " + std::to_string(period) +
+                  " slots (cap " + std::to_string(period - 1) + ")");
+  }
 }
 
 TEST(DesignRegistryTest, SornDesignExposesItsNetworkHandle) {

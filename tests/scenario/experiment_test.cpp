@@ -14,11 +14,13 @@
 namespace sorn {
 namespace {
 
-// Three small points over one base: closed-loop saturation, open-loop
-// flows labeled by clique (so the row carries the per-class values), and
-// a DCTCP incast into capped VOQs that both drops and ECN-marks cells.
+// Four small points over one base: closed-loop saturation, open-loop
+// flows labeled by clique (so the row carries the per-class values), a
+// DCTCP incast into capped VOQs that both drops and ECN-marks cells, and
+// flows through a node failure with retransmission, measured over a
+// window.
 constexpr const char* kPoints = R"({
-  "description": "three points",
+  "description": "four points",
   "base": {"design": "sorn", "nodes": 16, "cliques": 4, "threads": 1,
            "propagation_ns": 0},
   "points": [
@@ -30,7 +32,11 @@ constexpr const char* kPoints = R"({
     {"set": {"workload": "incast", "incast_fanin": 12, "incast_bytes": 8192,
              "incast_period_slots": 200, "slots": 800, "drain_slots": 20000,
              "max_queue_cells": 8, "transport": "dctcp",
-             "ecn_threshold_cells": 2, "retransmit_timeout": 128}}
+             "ecn_threshold_cells": 2, "retransmit_timeout": 128}},
+    {"set": {"workload": "flows", "load": 0.3, "slots": 1500,
+             "fault_script": "300 fail-node 3\n700 heal-node 3\n",
+             "retransmit_timeout": 16},
+     "window": [200, 900]}
   ]})";
 
 double value_of(const ExperimentRow& row, const std::string& name) {
@@ -45,8 +51,8 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
   std::string error;
   ASSERT_TRUE(Experiment::from_json(kPoints, &experiment, &error))
       << error;
-  EXPECT_EQ(experiment.description, "three points");
-  ASSERT_EQ(experiment.points.size(), 3u);
+  EXPECT_EQ(experiment.description, "four points");
+  ASSERT_EQ(experiment.points.size(), 4u);
   EXPECT_EQ(experiment.points[0].label,
             R"({"workload":"saturation","warmup_slots":200,)"
             R"("measure_slots":800})");
@@ -59,6 +65,7 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
   sat.propagation_ns = 0;
   ScenarioConfig flows = sat;
   ScenarioConfig incast = sat;
+  ScenarioConfig faulted = sat;
   sat.workload = WorkloadKind::kSaturation;
   sat.warmup_slots = 200;
   sat.measure_slots = 800;
@@ -77,9 +84,14 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
   incast.transport = "dctcp";
   incast.ecn_threshold_cells = 2;
   incast.retransmit_timeout = 128;
-  const ScenarioConfig direct[] = {sat, flows, incast};
+  faulted.workload = WorkloadKind::kFlows;
+  faulted.load = 0.3;
+  faulted.slots = 1500;
+  faulted.fault_script = "300 fail-node 3\n700 heal-node 3\n";
+  faulted.retransmit_timeout = 16;
+  const ScenarioConfig direct[] = {sat, flows, incast, faulted};
 
-  for (std::size_t i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     const Experiment::Point& point = experiment.points[i];
     EXPECT_EQ(point.config.to_json(), direct[i].to_json()) << i;
     ExperimentRow row;
@@ -88,13 +100,21 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
 
     const auto runner = ScenarioRunner::create(direct[i], &error);
     ASSERT_NE(runner, nullptr) << error;
+    // The window by hand: delivered cells at the start of slots 200 and
+    // 900.
+    std::uint64_t at_200 = 0;
+    std::uint64_t at_900 = 0;
+    runner->set_slot_hook([&](SlottedNetwork& net, Slot now) {
+      if (now == 200) at_200 = net.metrics().delivered_cells();
+      if (now == 900) at_900 = net.metrics().delivered_cells();
+    });
     ASSERT_TRUE(runner->run(&error)) << error;
     const SimMetrics& m = runner->metrics();
     const double predicted = runner->design().predicted_throughput;
 
     std::vector<std::string> names;
     for (const ExperimentRow::Value& v : row.values) names.push_back(v.name);
-    EXPECT_EQ(names, experiment_value_names(point.config));
+    EXPECT_EQ(names, experiment_value_names(point));
     EXPECT_EQ(value_of(row, "predicted_throughput"), predicted);
     EXPECT_EQ(value_of(row, "saturation_r"), runner->saturation_r());
     EXPECT_EQ(value_of(row, "r_over_predicted"),
@@ -108,6 +128,10 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
               static_cast<double>(m.ecn_marked_cells()));
     EXPECT_EQ(value_of(row, "completed_flows"),
               static_cast<double>(m.completed_flows()));
+    EXPECT_EQ(value_of(row, "open_flows"),
+              static_cast<double>(m.open_flows()));
+    EXPECT_EQ(value_of(row, "retransmitted_cells"),
+              static_cast<double>(m.retransmitted_cells()));
     EXPECT_EQ(value_of(row, "cell_latency_p50_us"),
               m.cell_latency_ps().percentile(50.0) / 1e6);
     EXPECT_EQ(value_of(row, "cell_latency_p99_us"),
@@ -115,17 +139,26 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
     EXPECT_EQ(value_of(row, "fct_p50_us"), m.fct_ps().percentile(50.0) / 1e6);
     EXPECT_EQ(value_of(row, "fct_p99_us"), m.fct_ps().percentile(99.0) / 1e6);
     if (i == 0) {
-      EXPECT_EQ(names.size(), 12u);  // no flow classes
+      EXPECT_EQ(names.size(), 14u);  // no flow classes
       EXPECT_GT(runner->saturation_r(), 0.0);
       continue;
     }
     if (i == 2) {
-      EXPECT_EQ(names.size(), 12u);
+      EXPECT_EQ(names.size(), 14u);
       EXPECT_GT(m.dropped_cells(), 0u);
       EXPECT_GT(m.ecn_marked_cells(), 0u);
       continue;
     }
-    EXPECT_EQ(names.size(), 18u);
+    if (i == 3) {
+      EXPECT_EQ(names.size(), 15u);
+      EXPECT_EQ(names.back(), "window_cells_per_slot");
+      EXPECT_GT(at_900, at_200);
+      EXPECT_EQ(value_of(row, "window_cells_per_slot"),
+                static_cast<double>(at_900 - at_200) / 700.0);
+      EXPECT_GT(m.retransmitted_cells(), 0u);
+      continue;
+    }
+    EXPECT_EQ(names.size(), 20u);
     for (int c = 0; c < 2; ++c) {
       const Percentiles& fct = m.fct_ps_class(c);
       const std::string prefix = "class" + std::to_string(c) + "_";
@@ -202,6 +235,23 @@ TEST(ExperimentTest, MalformedExperimentsAreErrors) {
            R"( "mean_hops": [1, 3]}}]})"},
       {"", "[1, 2]"},
       {"", "{"},
+      // Windows: two integer slots 0 <= from < to, on a flow-driver point.
+      {"window must be",
+       std::string("{") + base + R"(, "points": [{"window": [900, 900]}]})"},
+      {"window must be",
+       std::string("{") + base + R"(, "points": [{"window": [-1, 900]}]})"},
+      {"window must be",
+       std::string("{") + base + R"(, "points": [{"window": [0, 900.5]}]})"},
+      {"window must be",
+       std::string("{") + base + R"(, "points": [{"window": [0]}]})"},
+      {"flow-driver",
+       std::string("{") + base +
+           R"(, "points": [{"set": {"workload": "saturation"},)"
+           R"( "window": [0, 900]}]})"},
+      // Only a point with a window reports its rate.
+      {"'window_cells_per_slot'",
+       std::string("{") + base +
+           R"(, "points": [{"expect": {"window_cells_per_slot": [0, 1]}}]})"},
   };
   for (const auto& [needle, doc] : docs) {
     Experiment out;
@@ -228,6 +278,22 @@ TEST(ExperimentTest, PointThatCreateRejectsIsAnError) {
   EXPECT_NE(error.find("cliques"), std::string::npos) << error;
 }
 
+TEST(ExperimentTest, WindowTheRunNeverReachesIsAnError) {
+  Experiment experiment;
+  std::string error;
+  // 200 arrival slots of a light load drain long before slot 100000.
+  ASSERT_TRUE(Experiment::from_json(
+      R"({"base": {"nodes": 16, "cliques": 4, "threads": 1},
+          "points": [{"set": {"load": 0.05, "slots": 200},
+                      "window": [100, 100000]}]})",
+      &experiment, &error))
+      << error;
+  ExperimentRow row;
+  EXPECT_FALSE(run_experiment_point(experiment.points[0], &row, &error));
+  EXPECT_NE(error.find("window [100, 100000) not reached"), std::string::npos)
+      << error;
+}
+
 TEST(ExperimentTest, CheckedInExperimentsParseAndBuild) {
   int files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
@@ -246,24 +312,38 @@ TEST(ExperimentTest, CheckedInExperimentsParseAndBuild) {
           << path << " point " << i << ": " << error;
     }
   }
-  EXPECT_GE(files, 7);
+  EXPECT_GE(files, 9);
 }
 
-// ci/scenarios/incast_dctcp.json, which CI byte-diffs across thread
-// counts, is exactly the DCTCP point of experiments/incast.json.
-TEST(ExperimentTest, IncastScenarioIsTheDctcpPoint) {
+// Two checked-in scenarios, which CI byte-diffs across thread counts, are
+// exactly points of experiments: incast_dctcp.json is the DCTCP point of
+// incast.json, and degradation_vlb.json the outage point of
+// degradation.json where safe mode swaps to VLB.
+TEST(ExperimentTest, CiScenariosAreExperimentPoints) {
   const std::string root = SORN_SOURCE_DIR;
-  Experiment experiment;
-  ScenarioConfig scenario;
-  std::string error;
-  ASSERT_TRUE(Experiment::load_file(root + "/experiments/incast.json",
-                                    &experiment, &error))
-      << error;
-  ASSERT_TRUE(ScenarioConfig::load_file(
-      root + "/ci/scenarios/incast_dctcp.json", &scenario, &error))
-      << error;
-  ASSERT_EQ(experiment.points.size(), 2u);
-  EXPECT_EQ(experiment.points[1].config.to_json(), scenario.to_json());
+  const struct {
+    const char* experiment;
+    std::size_t points;
+    std::size_t point;
+    const char* scenario;
+  } cases[] = {
+      {"incast", 2, 1, "incast_dctcp"},
+      {"degradation", 4, 2, "degradation_vlb"},
+  };
+  for (const auto& c : cases) {
+    Experiment experiment;
+    ScenarioConfig scenario;
+    std::string error;
+    ASSERT_TRUE(Experiment::load_file(
+        root + "/experiments/" + c.experiment + ".json", &experiment, &error))
+        << error;
+    ASSERT_TRUE(ScenarioConfig::load_file(
+        root + "/ci/scenarios/" + c.scenario + ".json", &scenario, &error))
+        << error;
+    ASSERT_EQ(experiment.points.size(), c.points) << c.experiment;
+    EXPECT_EQ(experiment.points[c.point].config.to_json(), scenario.to_json())
+        << c.scenario;
+  }
 }
 
 }  // namespace
