@@ -1,18 +1,23 @@
 // Engine microbenchmarks (google-benchmark): schedule construction and
 // lookup, the control loop's estimator epoch, noise filter and replan,
-// route selection, VOQ push/pop, and simulator slot throughput.
+// route selection, VOQ push/pop, the transport pump, and simulator slot
+// throughput.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "control/control_faults.h"
 #include "control/estimator.h"
 #include "control/optimizer.h"
 #include "core/sorn.h"
+#include "routing/direct.h"
 #include "routing/vlb.h"
 #include "sim/saturation.h"
 #include "sim/voq.h"
 #include "topo/schedule_builder.h"
 #include "traffic/patterns.h"
 #include "traffic/sparse_demand.h"
+#include "transport/transport.h"
 
 namespace {
 
@@ -133,15 +138,22 @@ BENCHMARK(BM_EstimatorObserve)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ScheduleLookup(benchmark::State& state) {
-  const CircuitSchedule s = ScheduleBuilder::round_robin(1024);
+// One dst_of at N = 1024. round_robin's slots are pure cyclic shifts;
+// a SORN schedule over 32 contiguous cliques mixes them with block-local
+// intra-clique shifts, whose lookup splits the node id into digits.
+void BM_ScheduleLookup(benchmark::State& state, bool sorn) {
+  const CircuitSchedule s =
+      sorn ? ScheduleBuilder::sorn(CliqueAssignment::contiguous(1024, 32),
+                                   Rational{9, 2})
+           : ScheduleBuilder::round_robin(1024);
   Slot t = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(s.dst_of(static_cast<NodeId>(t % 1024), t));
     ++t;
   }
 }
-BENCHMARK(BM_ScheduleLookup);
+BENCHMARK_CAPTURE(BM_ScheduleLookup, round_robin, false);
+BENCHMARK_CAPTURE(BM_ScheduleLookup, sorn, true);
 
 void BM_SornRoute(benchmark::State& state) {
   const auto cliques = CliqueAssignment::contiguous(128, 8);
@@ -233,6 +245,71 @@ void BM_VoqPushPop(benchmark::State& state, NodeId fanout, int depth) {
 }
 BENCHMARK_CAPTURE(BM_VoqPushPop, fanout, 256, 1);
 BENCHMARK_CAPTURE(BM_VoqPushPop, deep, 1, 1024);
+
+// One pop_ready toward a hop the node has no queue for, on a node holding
+// one cell toward each of k next hops spread over 4096 ids (arg: k) — most
+// transmit opportunities in a run. The absent hops cycle through the other
+// ids, so searches end all over the index, and a share of them hit a
+// filter bit a present hop holds.
+void BM_VoqPopAbsent(benchmark::State& state) {
+  const auto k = static_cast<NodeId>(state.range(0));
+  constexpr NodeId kNodes = 4096;
+  const NodeId stride = kNodes / k;
+  VoqSet voqs(kNodes);
+  std::vector<NodeId> absent;
+  for (NodeId hop = 1; hop < kNodes; ++hop) {
+    if (hop % stride == stride / 2) {
+      voqs.push(0, Cell(/*flow=*/1, /*seq=*/0, Path::of({0, hop, 1}), 0));
+    } else {
+      absent.push_back(hop);
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(voqs.pop_ready(0, absent[i], 0));
+    i = i + 1 == absent.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VoqPopAbsent)->Arg(16)->Arg(64)->Arg(256);
+
+// One DctcpTransport::pump() with n open flows (arg: n), every window
+// full, after four acks — the incast shape, where most open flows wait on
+// acks. Queues hold one cell each (a cap of 1), so the released cells are
+// tail-dropped and the network stays the same size across iterations. A
+// fixed iteration count keeps every flow below its 16384 cells (the
+// receiver's per-flow delivery bitmap is sized by them).
+void BM_DctcpPump(benchmark::State& state) {
+  const auto flows = static_cast<FlowId>(state.range(0));
+  constexpr NodeId kNodes = 64;
+  const CircuitSchedule schedule = ScheduleBuilder::round_robin(kNodes);
+  const DirectRouter router;
+  NetworkConfig config;
+  config.max_queue_cells = 1;
+  SlottedNetwork network(&schedule, &router, config);
+  DctcpTransport transport;
+  for (FlowId f = 1; f <= flows; ++f) {
+    const auto src = static_cast<NodeId>(f % kNodes);
+    transport.open_flow(network, nullptr, f, src, (src + 1) % kNodes,
+                        /*bytes=*/16384 * config.cell_bytes,
+                        /*flow_class=*/0);
+  }
+  transport.pump(network);
+  FlowId next = 1;
+  for (auto _ : state) {
+    for (int ack = 0; ack < 4; ++ack) {
+      const auto src = static_cast<NodeId>(next % kNodes);
+      const Cell cell(next, /*seq=*/0, Path::of({src, (src + 1) % kNodes}),
+                      /*now=*/0);
+      transport.on_deliver(0, cell, /*first_copy=*/true);
+      next = next == flows ? 1 : next + 1;
+    }
+    benchmark::DoNotOptimize(transport.pump(network));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+// 4 x 100000 acks leave each of 100 flows 4000 acks short of completion.
+BENCHMARK(BM_DctcpPump)->Arg(100)->Arg(2000)->Iterations(100000);
 
 }  // namespace
 

@@ -399,6 +399,22 @@ bool ScenarioConfig::validate(std::string* error) const {
   if (nodes < 2) return fail("nodes must be >= 2");
   // Cells carry node ids in 16 bits (sim/cell.h).
   if (nodes > Cell::kMaxNodes) return fail("nodes must be <= 65536");
+  if (overrides.traffic == nullptr &&
+      traffic_backend != DemandBackend::kProcedural) {
+    const auto n = static_cast<std::uint64_t>(nodes);
+    const std::uint64_t entries =
+        traffic_backend == DemandBackend::kDense ? n * n : n * (n - 1);
+    if (entries > kMaxDemandEntries) {
+      if (error != nullptr) {
+        *error = std::string("traffic_backend \"") +
+                 demand_backend_name(traffic_backend) + "\" would store " +
+                 std::to_string(entries) +
+                 " demand entries, past the cap of 2^28 (N = 16384); set "
+                 "\"traffic_backend\": \"procedural\"";
+      }
+      return false;
+    }
+  }
   if (cliques < 1) return fail("cliques must be >= 1");
   if (lanes < 1) return fail("lanes must be >= 1");
   if (threads < 0) return fail("threads must be >= 0");

@@ -129,6 +129,11 @@ struct ScenarioConfig {
   // layout is not contiguous equal blocks). All three produce
   // byte-identical artifacts; only memory/speed differ.
   DemandBackend traffic_backend = DemandBackend::kDense;
+  // The most (src, dst) demand entries a backend may materialize: dense
+  // stores nodes^2, sparse up to nodes x (nodes - 1), procedural none.
+  // 2^28 is N = 16384 dense, 2 GiB of doubles; validate() rejects a
+  // scenario past it instead of letting the allocation abort.
+  static constexpr std::uint64_t kMaxDemandEntries = std::uint64_t{1} << 28;
 
   // ---- workload ----
   WorkloadKind workload = WorkloadKind::kFlows;

@@ -54,7 +54,12 @@ class Transport : public SimObserver {
 
   // Release every flow's available window into the network (ascending
   // flow id). Call between slots on the coordinating thread; returns the
-  // number of cells injected.
+  // number of cells injected. An implementation may visit only the flows
+  // whose window can have opened since the last pump — those opened or
+  // acked since, if a pump leaves each flow it releases blocked and only
+  // an ack moves a window — as long as it injects what visiting every
+  // flow in ascending id would: the same segments in the same order, so
+  // the router draws the same random numbers.
   virtual std::uint64_t pump(SlottedNetwork& network) = 0;
 
   // True while any registered flow still has unsent or unacked cells —

@@ -29,9 +29,9 @@ Matching::Matching(std::vector<NodeId> dst_map)
 }
 
 NodeId Matching::shift_dst(NodeId src) const {
-  const NodeId a = src / stride1_;
+  const NodeId a = by_stride1_.divide(src);
   const NodeId r = static_cast<NodeId>(src - a * stride1_);
-  const NodeId b = r / n3_;
+  const NodeId b = by_n3_.divide(r);
   const NodeId c = static_cast<NodeId>(r - b * n3_);
   NodeId da = static_cast<NodeId>(a + k1_);
   if (da >= n1_) da = static_cast<NodeId>(da - n1_);
@@ -45,9 +45,9 @@ NodeId Matching::shift_dst(NodeId src) const {
 NodeId Matching::src_of(NodeId dst) const {
   if (form_ == Form::kShift) {
     if (n_ == 0) return kNoNode;
-    const NodeId a = dst / stride1_;
+    const NodeId a = by_stride1_.divide(dst);
     const NodeId r = static_cast<NodeId>(dst - a * stride1_);
-    const NodeId b = r / n3_;
+    const NodeId b = by_n3_.divide(r);
     const NodeId c = static_cast<NodeId>(r - b * n3_);
     NodeId sa = static_cast<NodeId>(a - k1_);
     if (sa < 0) sa = static_cast<NodeId>(sa + n1_);
@@ -113,6 +113,8 @@ Matching Matching::radix_shift(NodeId n1, NodeId k1, NodeId n2, NodeId k2,
   m.n3_ = out[2].n;
   m.k3_ = out[2].k;
   m.stride1_ = static_cast<NodeId>(m.n2_ * m.n3_);
+  m.by_stride1_ = Divisor::of(m.stride1_);
+  m.by_n3_ = Divisor::of(m.n3_);
   return m;
 }
 

@@ -26,6 +26,7 @@
 // simulator's per-slot hot loop never touches O(n) matching state.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -111,6 +112,28 @@ class Matching {
  private:
   enum class Form : std::uint8_t { kShift, kExplicit };
 
+  // Division by a fixed divisor d >= 1 as a multiply and a shift, so the
+  // shift form's digit split divides by nothing per lookup:
+  // x / d == (x * m) >> s with s = 31 + ceil(log2 d) and m = ceil(2^s / d)
+  // < 2^32, for every node id 0 <= x < 2^31. The rounding error
+  // x·(m − 2^s/d)/2^s stays below 2^31 / 2^s <= 1/d, less than the gap to
+  // the next multiple of d, and x·m < 2^63.
+  struct Divisor {
+    std::uint32_t m = std::uint32_t{1} << 31;
+    std::uint8_t s = 31;
+
+    static constexpr Divisor of(NodeId d) {
+      const int s = 31 + std::bit_width(static_cast<std::uint32_t>(d - 1));
+      const auto dd = static_cast<std::uint64_t>(d);
+      return Divisor{
+          static_cast<std::uint32_t>(((std::uint64_t{1} << s) + dd - 1) / dd),
+          static_cast<std::uint8_t>(s)};
+    }
+    constexpr NodeId divide(NodeId x) const {
+      return static_cast<NodeId>((static_cast<std::uint64_t>(x) * m) >> s);
+    }
+  };
+
   NodeId shift_dst(NodeId src) const;
 
   Form form_ = Form::kShift;
@@ -121,6 +144,8 @@ class Matching {
   NodeId n1_ = 1, n2_ = 1, n3_ = 1;
   NodeId k1_ = 0, k2_ = 0, k3_ = 0;
   NodeId stride1_ = 1;  // n2_ * n3_
+  Divisor by_stride1_;  // Divisor::of(stride1_)
+  Divisor by_n3_;       // Divisor::of(n3_)
   std::vector<NodeId> dst_;  // explicit form only
 };
 

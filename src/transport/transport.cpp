@@ -21,11 +21,17 @@ void DctcpTransport::open_flow(SlottedNetwork& network,
                       CongestionControl(options_.congestion)});
   if (!inserted) return;
   ++stats_.flows_opened;
+  ready_.push_back(flow);
 }
 
 std::uint64_t DctcpTransport::pump(SlottedNetwork& network) {
+  std::sort(ready_.begin(), ready_.end());
+  ready_.erase(std::unique(ready_.begin(), ready_.end()), ready_.end());
   std::uint64_t injected = 0;
-  for (auto& [flow, st] : flows_) {
+  for (const FlowId flow : ready_) {
+    const auto it = flows_.find(flow);
+    if (it == flows_.end()) continue;  // completed since it was queued
+    FlowState& st = it->second;
     const std::uint64_t inflight = st.sent_cells - st.acked_cells;
     const std::uint64_t window = st.congestion.window_cells();
     if (window <= inflight || st.sent_cells >= st.total_cells) continue;
@@ -38,6 +44,7 @@ std::uint64_t DctcpTransport::pump(SlottedNetwork& network) {
     st.sent_cells += count;
     injected += count;
   }
+  ready_.clear();
   stats_.cells_sent += injected;
   return injected;
 }
@@ -60,7 +67,9 @@ void DctcpTransport::on_deliver(Slot /*slot*/, const Cell& cell,
   if (st.acked_cells == st.total_cells) {
     ++stats_.flows_completed;
     flows_.erase(it);
+    return;
   }
+  ready_.push_back(cell.flow());
 }
 
 TransportStats DctcpTransport::stats() const { return stats_; }
@@ -69,7 +78,8 @@ std::uint64_t DctcpTransport::memory_bytes() const {
   // Red-black tree node: key + state + parent/left/right pointers + color
   // word (libstdc++ layout approximation).
   return flows_.size() *
-         (sizeof(FlowId) + sizeof(FlowState) + 4 * sizeof(void*));
+             (sizeof(FlowId) + sizeof(FlowState) + 4 * sizeof(void*)) +
+         ready_.capacity() * sizeof(FlowId);
 }
 
 }  // namespace sorn

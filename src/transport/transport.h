@@ -10,6 +10,14 @@
 // flow map iterated in ascending id order, so runs stay byte-identical at
 // any thread count.
 //
+// pump() visits only flows that can send: those opened or acked since the
+// last pump (ready_). A pump leaves every flow it releases blocked (its
+// window full or its cells all sent), and only an ack moves a window
+// (CongestionControl::on_ack) or the in-flight count, so every other open
+// flow would inject nothing. Sorted and de-duplicated, the ready list is
+// the subsequence of the full map scan that injects: same segments, same
+// order, same router RNG draws.
+//
 // Losses are recovered by the network-level stall-timeout retransmission
 // (SlottedNetwork::retransmit_stalled), which re-admits only cells the
 // transport already released (FlowRecord::cells_sent); the retransmitted
@@ -19,6 +27,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "sim/network.h"
 #include "sim/transport_hook.h"
@@ -47,7 +56,8 @@ class DctcpTransport : public Transport {
 
   std::uint64_t open_flow_count() const { return flows_.size(); }
   TransportStats stats() const;
-  // Per-flow window/ack state, for the profiler's memory gauge.
+  // Per-flow window/ack state and the ready list, for the profiler's
+  // memory gauge.
   std::uint64_t memory_bytes() const;
 
  private:
@@ -67,6 +77,9 @@ class DctcpTransport : public Transport {
   // Ordered map: pump() must release windows in ascending flow id so the
   // injection (and its RNG draws) replays identically across runs.
   std::map<FlowId, FlowState> flows_;
+  // Flows opened or acked since the last pump(), in event order and with
+  // repeats; pump() sorts and de-duplicates them.
+  std::vector<FlowId> ready_;
   TransportStats stats_;
 };
 

@@ -163,25 +163,95 @@ std::string digest_of(const std::string& text) {
   return buf;
 }
 
-TEST(GoldenMetricsTest, ControlReplanScenarioMatchesPinnedArtifacts) {
+ScenarioConfig ci_scenario(const std::string& file) {
   ScenarioConfig cfg;
   std::string error;
-  ASSERT_TRUE(ScenarioConfig::load_file(
-      std::string(SORN_SOURCE_DIR) + "/ci/scenarios/control_replan.json",
-      &cfg, &error))
+  EXPECT_TRUE(ScenarioConfig::load_file(
+      std::string(SORN_SOURCE_DIR) + "/ci/scenarios/" + file, &cfg, &error))
       << error;
+  return cfg;
+}
+
+// A one-thread run of `cfg` with its metrics JSON and trace written to
+// temporary files, and the digests of both.
+struct DigestedRun {
+  std::unique_ptr<ScenarioRunner> runner;
+  std::string metrics;
+  std::string trace;
+};
+
+DigestedRun run_digested(ScenarioConfig cfg, const std::string& name) {
   cfg.threads = 1;
-  const std::string stem = testing::TempDir() + "control_replan_" +
-                           std::to_string(::getpid());
+  const std::string stem =
+      testing::TempDir() + name + "_" + std::to_string(::getpid());
   cfg.trace_path = stem + ".jsonl";
   cfg.metrics_json_path = stem + ".json";
-  auto runner = run_pinned(cfg);
-  ASSERT_NE(runner, nullptr);
-  EXPECT_EQ(runner->control()->replans(), 3u);
-  EXPECT_EQ(digest_of(slurp(cfg.metrics_json_path)), "fb023c3530f92e18");
-  EXPECT_EQ(digest_of(slurp(cfg.trace_path)), "802437345e85a80c");
+  DigestedRun run;
+  run.runner = run_pinned(cfg);
+  run.metrics = digest_of(slurp(cfg.metrics_json_path));
+  run.trace = digest_of(slurp(cfg.trace_path));
   std::remove(cfg.trace_path.c_str());
   std::remove(cfg.metrics_json_path.c_str());
+  return run;
+}
+
+TEST(GoldenMetricsTest, ControlReplanScenarioMatchesPinnedArtifacts) {
+  const DigestedRun run =
+      run_digested(ci_scenario("control_replan.json"), "control_replan");
+  ASSERT_NE(run.runner, nullptr);
+  EXPECT_EQ(run.runner->control()->replans(), 3u);
+  EXPECT_EQ(run.metrics, "fb023c3530f92e18");
+  EXPECT_EQ(run.trace, "802437345e85a80c");
+}
+
+// ---- The closed-loop transport, pinned across commits ----
+//
+// DctcpTransport::pump() decides every injection of a DCTCP run, and so
+// every router RNG draw and every queue the ECN mark and the cap see. The
+// transport equivalence tests compare the engine with itself across
+// thread counts; these digests compare it with the commit they were
+// captured at. Both runs drop cells at a capped queue, ECN-mark others
+// and retransmit the drops, so each part of the loop feeds the next.
+
+TEST(GoldenMetricsTest, IncastDctcpScenarioMatchesPinnedArtifacts) {
+  // ci/scenarios/incast_dctcp.json: 32:1 incast into 32-cell queues,
+  // marking at 8 cells, a 256-slot retransmit timeout.
+  const DigestedRun run =
+      run_digested(ci_scenario("incast_dctcp.json"), "incast_dctcp");
+  ASSERT_NE(run.runner, nullptr);
+  const SimMetrics& m = run.runner->metrics();
+  EXPECT_GT(m.dropped_cells(), 0u);
+  EXPECT_GT(m.ecn_marked_cells(), 0u);
+  EXPECT_GT(m.retransmitted_cells(), 0u);
+  EXPECT_EQ(run.metrics, "aa7b1e259644d1f2");
+  EXPECT_EQ(run.trace, "b15409b45d0a42ee");
+}
+
+TEST(GoldenMetricsTest, WebSearchDctcpRunMatchesPinnedArtifacts) {
+  // 204 web-search flows (capped at 64 KiB) among 32 nodes on two lanes,
+  // into 8-cell queues marking at 4 cells: many windows open at once, cut
+  // and regrow, and the 128-slot stall timeout re-sends what the cap
+  // dropped.
+  ScenarioConfig cfg;
+  std::string error;
+  ASSERT_TRUE(ScenarioConfig::from_json(
+      R"({"design": "sorn", "nodes": 32, "cliques": 4, "locality": 0.6,
+          "lanes": 2, "propagation_ns": 0, "workload": "flows",
+          "flow_size": "pfabric-web-search", "flow_size_cap": 65536,
+          "load": 10, "slots": 3000, "drain_slots": 20000,
+          "max_queue_cells": 8, "ecn_threshold_cells": 4,
+          "transport": "dctcp", "init_cwnd_cells": 8, "max_cwnd_cells": 64,
+          "retransmit_timeout": 128, "retransmit_max_attempts": 16})",
+      &cfg, &error))
+      << error;
+  const DigestedRun run = run_digested(cfg, "websearch_dctcp");
+  ASSERT_NE(run.runner, nullptr);
+  const SimMetrics& m = run.runner->metrics();
+  EXPECT_GT(m.dropped_cells(), 0u);
+  EXPECT_GT(m.ecn_marked_cells(), 0u);
+  EXPECT_GT(m.retransmitted_cells(), 0u);
+  EXPECT_EQ(run.metrics, "7ebc2dd84da72e47");
+  EXPECT_EQ(run.trace, "72ea96630a1cd238");
 }
 
 }  // namespace

@@ -525,16 +525,52 @@ TEST(ScenarioConfigTest, ValidateRejectsBadRanges) {
   EXPECT_FALSE(cfg.validate(&error));
   EXPECT_NE(error.find("incast_fanin"), std::string::npos) << error;
 
-  // Cells store node ids in 16 bits: 65536 nodes is the largest network.
+  // Cells store node ids in 16 bits: 65536 nodes is the largest network
+  // (whose demand only the procedural backend can hold).
   cfg = ScenarioConfig{};
   cfg.nodes = 65537;
   EXPECT_FALSE(cfg.validate(&error));
   EXPECT_NE(error.find("nodes"), std::string::npos) << error;
   cfg.nodes = 65536;
+  cfg.traffic_backend = DemandBackend::kProcedural;
   EXPECT_TRUE(cfg.validate(&error)) << error;
 
   cfg = ScenarioConfig{};
   EXPECT_TRUE(cfg.validate(&error)) << error;
+}
+
+TEST(ScenarioConfigTest, ValidateCapsMaterializedDemandEntries) {
+  // Dense demand stores nodes^2 entries and sparse up to nodes x
+  // (nodes - 1); past 2^28 the allocation would abort, so validate()
+  // names the backend that holds any N.
+  std::string error;
+  ScenarioConfig cfg;
+  cfg.nodes = 16384;  // 2^28 dense entries: at the cap
+  EXPECT_TRUE(cfg.validate(&error)) << error;
+  cfg.nodes = 16385;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("\"traffic_backend\": \"procedural\""),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("\"dense\""), std::string::npos) << error;
+  cfg.traffic_backend = DemandBackend::kSparse;  // 16385 x 16384 > 2^28
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("\"sparse\""), std::string::npos) << error;
+  cfg.traffic_backend = DemandBackend::kProcedural;
+  EXPECT_TRUE(cfg.validate(&error)) << error;
+
+  // The scenario that used to die in std::bad_alloc is rejected with the
+  // message on load, and by the runner.
+  cfg = ScenarioConfig{};
+  EXPECT_FALSE(ScenarioConfig::from_json(
+      R"({"design": "rotor", "nodes": 65536, "slots": 2})", &cfg, &error));
+  EXPECT_NE(error.find("procedural"), std::string::npos) << error;
+  cfg = ScenarioConfig{};
+  cfg.design = "rotor";
+  cfg.nodes = 65536;
+  error.clear();
+  EXPECT_EQ(ScenarioRunner::create(cfg, &error), nullptr);
+  EXPECT_NE(error.find("procedural"), std::string::npos) << error;
 }
 
 TEST(ScenarioConfigTest, ValidateRejectsBadControlFaultFields) {

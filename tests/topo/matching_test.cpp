@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "topo/matching_set.h"
 
 namespace sorn {
@@ -113,6 +116,42 @@ TEST(MatchingTest, CompactFormOwnsNoHeap) {
   // >100x is the profiled-smoke gate at N=4096; at the unit level the
   // compact form is strictly free.
   EXPECT_GT(explicit_copy.memory_bytes(), 100u * (compact.memory_bytes() + 1));
+}
+
+// Every factorization n = n1 * n2 * n3 (each level's radix a divisor).
+std::vector<std::array<NodeId, 3>> factorizations(NodeId n) {
+  std::vector<std::array<NodeId, 3>> out;
+  for (NodeId n1 = 1; n1 <= n; ++n1) {
+    if (n % n1 != 0) continue;
+    for (NodeId n2 = 1; n2 <= n / n1; ++n2)
+      if ((n / n1) % n2 == 0) out.push_back({n1, n2, n / n1 / n2});
+  }
+  return out;
+}
+
+TEST(MatchingTest, ShiftDigitsMatchTheDivisionForm) {
+  // The shift form splits a node id into digits by multiplying with a
+  // reciprocal instead of dividing. Against the digit formula written
+  // with `/` and `%`, every node of every factorization of these N —
+  // powers of two up to the simulator's 65536-node cap, N with odd and
+  // prime factors, and N past the cap — maps to the same destination,
+  // and src_of inverts it.
+  for (const NodeId n :
+       {2, 3, 96, 4095, 4096, 65521, 65534, 65535, 65536, 65537, 196611}) {
+    for (const auto& [n1, n2, n3] : factorizations(n)) {
+      const NodeId k1 = n1 / 2, k2 = n2 - 1, k3 = n3 > 2 ? 1 : 0;
+      const Matching m = Matching::radix_shift(n1, k1, n2, k2, n3, k3);
+      for (NodeId i = 0; i < n; ++i) {
+        const NodeId a = i / (n2 * n3), b = i / n3 % n2, c = i % n3;
+        const NodeId want = (a + k1) % n1 * (n2 * n3) +
+                            (b + k2) % n2 * n3 + (c + k3) % n3;
+        ASSERT_EQ(m.dst_of(i), want)
+            << n1 << "x" << n2 << "x" << n3 << " node " << i;
+        ASSERT_EQ(m.src_of(want), i)
+            << n1 << "x" << n2 << "x" << n3 << " node " << i;
+      }
+    }
+  }
 }
 
 TEST(MatchingTest, ShiftFormIsIdleAllOrNothing) {
