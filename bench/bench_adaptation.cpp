@@ -8,9 +8,10 @@
 //
 // The fabrics come from the scenario layer: the SORN is built through a
 // ScenarioRunner with the control plane's clique assignment as an
-// override (then adapted live via the runner's SornNetwork handle), and
-// the flat 1D ORN baseline is the registry's "vlb" design driven through
-// a full saturation scenario.
+// override, and every plan the control plane stages is swapped into it by
+// ControlPlane::tick, as in a scenario with a control loop. The flat 1D
+// ORN baseline is the registry's "vlb" design driven through a full
+// saturation scenario.
 //
 // Reported: saturation throughput in each phase, plus the flat baseline.
 // Per the paper, the flat ORN's 50% is the throughput ceiling — SORN's
@@ -26,7 +27,6 @@
 
 #include "analysis/models.h"
 #include "control/control_plane.h"
-#include "core/sorn.h"
 #include "obs/export.h"
 #include "scenario/scenario_runner.h"
 #include "sim/saturation.h"
@@ -115,34 +115,32 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "scenario failed: %s\n", error.c_str());
     return 1;
   }
-  SornNetwork& net = *runner->design().sorn_network;
   SlottedNetwork& sim = runner->network();
-  net.adapt(cp.last_plan().cliques, cp.last_plan().q);
-  sim.reconfigure(&net.schedule(), &net.router());
+  // Install the staged plan (its q as well as its cliques).
+  cp.tick(sim, sim.now());
   sim.add_observer(&telemetry);
+  const auto locality = [&cp](const TrafficMatrix& tm) {
+    return format("%.3f", tm.locality_ratio(*cp.reconfig().cliques()));
+  };
 
   TablePrinter table({"Phase", "locality under plan", "throughput r"});
 
   const TrafficMatrix before = current_demand();
-  table.add_row({"matched (pre-shift)",
-                 format("%.3f", before.locality_ratio(net.cliques())),
+  table.add_row({"matched (pre-shift)", locality(before),
                  format("%.4f", sat_throughput(sim, before))});
 
   // The shift: jobs migrate; co-location changes entirely.
   trace.shuffle_placement();
   const TrafficMatrix after = current_demand();
-  table.add_row({"shifted, not adapted",
-                 format("%.3f", after.locality_ratio(net.cliques())),
+  table.add_row({"shifted, not adapted", locality(after),
                  format("%.4f", sat_throughput(sim, after))});
 
   const bool replanned = observe_epochs(3);
   std::printf("control plane re-planned after shift: %s (replans=%llu)\n\n",
               replanned ? "yes" : "no",
               static_cast<unsigned long long>(cp.replans()));
-  net.adapt(cp.last_plan().cliques, cp.last_plan().q);
-  sim.reconfigure(&net.schedule(), &net.router());
-  table.add_row({"shifted, adapted",
-                 format("%.3f", after.locality_ratio(net.cliques())),
+  cp.tick(sim, sim.now());
+  table.add_row({"shifted, adapted", locality(after),
                  format("%.4f", sat_throughput(sim, after))});
 
   // Flat 1D ORN baseline, driven end to end through the scenario layer.
@@ -180,7 +178,8 @@ int main(int argc, char** argv) {
       "throughput drops toward the 1/((1-x)(q+1)) inter-link bound;\n"
       "adaptation restores r to ~1/(3-x) = %.3f. The 1D ORN holds 0.5 but\n"
       "pays delta_m = %d circuits vs SORN's intra %.0f (theory: %.3f).\n",
-      analysis::sorn_throughput(kLocality), kNodes - 1, net.delta_m_intra(),
+      analysis::sorn_throughput(kLocality), kNodes - 1,
+      cp.last_plan().predicted_delta_m_intra,
       analysis::sorn_throughput(kLocality));
   return 0;
 }

@@ -9,7 +9,7 @@
 #include "control/control_faults.h"
 #include "control/estimator.h"
 #include "control/optimizer.h"
-#include "core/sorn.h"
+#include "control/reconfig.h"
 #include "routing/direct.h"
 #include "routing/vlb.h"
 #include "sim/saturation.h"
@@ -194,16 +194,14 @@ BENCHMARK(BM_VlbRoute);
 void BM_NetworkSlot(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   const auto lanes = static_cast<int>(state.range(1));
-  SornConfig cfg;
-  cfg.nodes = n;
-  cfg.cliques = 8;
-  cfg.locality_x = 0.56;
-  cfg.q = Rational{9, 2};  // near q*(0.56) with a short schedule period
-  cfg.uplinks = lanes;
-  cfg.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(cfg);
-  SlottedNetwork sim = net.make_network();
-  const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.56);
+  // q = 9/2: near q*(0.56) with a short schedule period.
+  const SornFabric net =
+      build_sorn_fabric(CliqueAssignment::contiguous(n, 8), Rational{9, 2});
+  NetworkConfig ncfg;
+  ncfg.lanes = lanes;
+  ncfg.propagation_per_hop = 0;
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
+  const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.56);
   SaturationConfig scfg;
   scfg.cells_per_node_per_slot = 2 * lanes;  // outrun delivery on u lanes
   SaturationSource source(&tm, scfg);

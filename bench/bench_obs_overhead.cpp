@@ -28,7 +28,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/sorn.h"
+#include "control/reconfig.h"
 #include "obs/export.h"
 #include "obs/prof/profiler.h"
 #include "sim/saturation.h"
@@ -47,16 +47,14 @@ Slot g_slots = 20000;
 int g_reps = 5;
 
 double run_once(Telemetry* telemetry, Profiler* profiler) {
-  SornConfig cfg;
-  cfg.nodes = kNodes;
-  cfg.cliques = 8;
-  cfg.locality_x = 0.6;
-  cfg.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(cfg);
-  SlottedNetwork sim = net.make_network();
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(kNodes, 8), optimal_q(0.6, 12));
+  NetworkConfig ncfg;
+  ncfg.propagation_per_hop = 0;
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
   if (telemetry != nullptr) sim.add_observer(telemetry);
   if (profiler != nullptr) sim.set_profiler(profiler);
-  const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.6);
+  const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.6);
   SaturationSource source(&tm, SaturationConfig{});
   for (Slot s = 0; s < g_warmup_slots; ++s) {
     source.pump(sim);

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "control/control_plane.h"
-#include "core/sorn.h"
 #include "sim/saturation.h"
 #include "traffic/patterns.h"
 #include "traffic/trace.h"
@@ -24,13 +23,13 @@ int main() {
   SyntheticTrace trace(tcfg);
 
   // Bootstrap network: flat SORN (singleton cliques) until the control
-  // plane has learned something.
-  SornConfig cfg;
-  cfg.nodes = kNodes;
-  cfg.cliques = kNodes;  // flat
-  cfg.propagation_per_hop = 0;
-  SornNetwork net = SornNetwork::build(cfg);
-  SlottedNetwork sim = net.make_network();
+  // plane has learned something. Every swap builds its fabric the same
+  // way (build_sorn_fabric).
+  const SornFabric flat = build_sorn_fabric(
+      CliqueAssignment::contiguous(kNodes, kNodes), optimal_q(0.5, 12));
+  NetworkConfig sim_config;
+  sim_config.propagation_per_hop = 0;
+  SlottedNetwork sim(flat.schedule.get(), flat.router.get(), sim_config);
 
   ControlPlane::Options opts;
   opts.optimizer.candidate_nc = {4, 8};

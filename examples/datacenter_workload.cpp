@@ -15,7 +15,6 @@
 #include <string>
 
 #include "control/control_plane.h"
-#include "core/sorn.h"
 #include "scenario/scenario_runner.h"
 #include "traffic/trace.h"
 #include "util/table.h"
@@ -120,15 +119,11 @@ int main() {
   scfg.q_num = plan.q.num;
   scfg.q_den = plan.q.den;
   scfg.lb_first_available = true;  // latency-oriented LB choice
-  auto sorn_runner = create_or_die(scfg);
-  const double delta_m_intra =
-      sorn_runner->design().sorn_network->delta_m_intra();
-  const RunResult s = run_workload(*sorn_runner);
+  const RunResult s = run_workload(*create_or_die(scfg));
 
   ScenarioConfig ocfg = base;
   ocfg.design = "vlb";
-  auto flat_runner = create_or_die(ocfg);
-  const RunResult o = run_workload(*flat_runner);
+  const RunResult o = run_workload(*create_or_die(ocfg));
 
   TablePrinter table({"Design", "flows", "intra FCT p50 (us)",
                       "intra FCT p99 (us)", "inter FCT p50 (us)",
@@ -149,6 +144,6 @@ int main() {
       "\nIntra-clique flows ride circuits that recur every ~%.0f slots on\n"
       "SORN vs %d on the flat schedule, so their completion times drop;\n"
       "inter-clique flows pay the third hop (SORN mean hops %.2f vs %.2f).\n",
-      delta_m_intra, kNodes - 1, s.mean_hops, o.mean_hops);
+      plan.predicted_delta_m_intra, kNodes - 1, s.mean_hops, o.mean_hops);
   return 0;
 }

@@ -5,7 +5,7 @@
 // of diagnosis.
 #include <cstdio>
 
-#include "core/sorn.h"
+#include "control/reconfig.h"
 #include "util/table.h"
 
 namespace {
@@ -49,13 +49,11 @@ void run_probes(SlottedNetwork& net, TablePrinter& table, const char* phase) {
 }  // namespace
 
 int main() {
-  SornConfig cfg;
-  cfg.nodes = kNodes;
-  cfg.cliques = kCliques;
-  cfg.locality_x = 0.6;
-  cfg.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(cfg);
-  SlottedNetwork sim = net.make_network();
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(kNodes, kCliques), optimal_q(0.6, 12));
+  NetworkConfig sim_config;
+  sim_config.propagation_per_hop = 0;
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), sim_config);
 
   std::printf(
       "Failure drill: %d nodes, %d cliques. Probes: intra c0, c0->c1, "

@@ -7,27 +7,36 @@
 //   4. Run the slot-level simulator and read latency metrics.
 #include <cstdio>
 
-#include "core/sorn.h"
+#include "analysis/models.h"
+#include "scenario/design.h"
+#include "scenario/scenario_config.h"
+#include "sim/network.h"
+#include "topo/logical_topology.h"
 #include "util/table.h"
 
 int main() {
   using namespace sorn;
 
-  // 1. Build.
-  SornConfig config;
+  // 1. Build through the design registry (the one path every tool uses).
+  ScenarioConfig config;
   config.nodes = 8;
   config.cliques = 2;
-  config.q = Rational{3, 1};  // topology A: intra gets 3x inter bandwidth
-  config.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(config);
+  config.locality_x = 0.5;
+  config.q_num = 3;  // topology A: intra gets 3x inter bandwidth
+  BuiltDesign net;
+  std::string error;
+  if (!DesignRegistry::instance().build("sorn", config, &net, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+  const Rational q = config.sorn_q();
 
   std::printf("SORN quickstart: %d nodes, %d cliques, q = %lld/%lld\n\n",
-              config.nodes, config.cliques,
-              static_cast<long long>(net.q().num),
-              static_cast<long long>(net.q().den));
+              config.nodes, config.cliques, static_cast<long long>(q.num),
+              static_cast<long long>(q.den));
 
   // 2. The circuit schedule (one period).
-  const CircuitSchedule& sched = net.schedule();
+  const CircuitSchedule& sched = *net.schedule;
   std::printf("schedule period: %lld slots (intra share %.0f%%)\n",
               static_cast<long long>(sched.period()),
               sched.kind_fraction(SlotKind::kIntra) * 100.0);
@@ -43,29 +52,31 @@ int main() {
   grid.print();
 
   // Virtual-edge bandwidth (Fig. 2d: intra edges 3x the inter edges).
-  const LogicalTopology topo = net.logical_topology();
+  const LogicalTopology topo(sched);
   std::printf(
       "\nvirtual edge bandwidth (fraction of node bandwidth):\n"
       "  0 -> 1 (intra): %.3f\n"
       "  0 -> 4 (inter): %.3f\n"
       "  node 0 intra total: %.2f, inter total: %.2f\n",
       topo.edge_fraction(0, 1), topo.edge_fraction(0, 4),
-      topo.intra_fraction(0, net.cliques()),
-      topo.inter_fraction(0, net.cliques()));
+      topo.intra_fraction(0, *net.cliques),
+      topo.inter_fraction(0, *net.cliques));
 
   // 3. Routing: intra is 2 hops, inter is 3 (paper: 0->3->7->6 and
   // 0->1->4->6 are both possible for 0 -> 6).
   Rng rng(1);
   std::printf("\nsample routes:\n");
   for (int k = 0; k < 4; ++k) {
-    const Path p = net.router().route(0, 6, k, rng);
+    const Path p = net.router->route(0, 6, k, rng);
     std::string s = "  0 -> 6 via";
     for (int h = 0; h < p.size(); ++h) s += format(" %d", p.at(h));
     std::printf("%s\n", s.c_str());
   }
 
   // 4. Simulate.
-  SlottedNetwork sim = net.make_network();
+  NetworkConfig sim_config;
+  sim_config.propagation_per_hop = 0;
+  SlottedNetwork sim(net.schedule, net.router, sim_config);
   sim.inject_flow(/*flow=*/1, /*src=*/0, /*dst=*/3, /*bytes=*/2048);  // intra
   sim.inject_flow(/*flow=*/2, /*src=*/0, /*dst=*/6, /*bytes=*/2048);  // inter
   sim.run(200);
@@ -81,7 +92,9 @@ int main() {
   std::printf(
       "\npredicted (closed form): throughput %.1f%%, delta_m intra %.0f, "
       "inter %.0f\n",
-      net.predicted_throughput() * 100.0, net.delta_m_intra(),
-      net.delta_m_inter());
+      net.predicted_throughput * 100.0,
+      analysis::sorn_delta_m_intra(config.nodes, config.cliques, q.value()),
+      analysis::sorn_delta_m_inter_table(config.nodes, config.cliques,
+                                         q.value()));
   return 0;
 }

@@ -35,8 +35,8 @@
 //       flag accepts exactly what its JSON key accepts), and
 //       --save-scenario writes the effective config back out (the
 //       reproducible artifact). --threads shards the slot engine across
-//       N workers (0, the default: hardware threads) with byte-identical
-//       output at any N. The telemetry flags additionally write a JSONL
+//       N workers (default 1; 0 = every hardware thread) with
+//       byte-identical output at any N. The telemetry flags additionally write a JSONL
 //       event trace, a full-run JSON summary, and/or a per-slot
 //       time-series CSV (decimated to every k-th slot). The fault flags inject a scripted
 //       and/or stochastic (MTBF/MTTR, in slots) failure timeline; with
@@ -73,7 +73,6 @@
 #include "control/hier_optimizer.h"
 #include "control/optimizer.h"
 #include "control/safe_mode.h"
-#include "core/sorn.h"
 #include "fault/fault_injector.h"
 #include "obs/export.h"
 #include "obs/timeseries.h"
@@ -222,7 +221,7 @@ int cmd_schedule(ArgParser& args) {
   const NodeId nodes = cfg.nodes;
   const CircuitSchedule& sched = *design.schedule;
   std::printf("SORN schedule: %d nodes, %d cliques, q = %.3f, period %lld\n\n",
-              nodes, cfg.cliques, design.sorn_network->q().value(),
+              nodes, cfg.cliques, cfg.sorn_q().value(),
               static_cast<long long>(sched.period()));
   std::vector<std::string> headers{"slot", "kind"};
   for (NodeId i = 0; i < nodes; ++i) headers.push_back(format("%d", i));
@@ -298,12 +297,12 @@ int cmd_simulate(ArgParser& args) {
 
   const SimMetrics& metrics = runner->metrics();
   const SlottedNetwork& sim = runner->network();
-  if (cfg.design == "sorn" && runner->design().sorn_network != nullptr) {
+  if (cfg.design == "sorn") {
     std::printf(
         "simulated %lld slots, %d nodes, %d cliques, x=%.2f, q=%.3f, "
         "load=%.2f, threads=%d\n",
         static_cast<long long>(metrics.slots_run()), cfg.nodes, cfg.cliques,
-        cfg.locality_x, runner->design().sorn_network->q().value(), cfg.load,
+        cfg.locality_x, cfg.sorn_q().value(), cfg.load,
         sim.threads());
   } else {
     std::printf(
@@ -672,8 +671,8 @@ int usage() {
       "                     [--ecn-threshold 8] [--init-cwnd 8]\n"
       "                     [--max-cwnd 256] [--dctcp-gain 0.0625]\n"
       "                     [--load 0.3] [--slots 30000] [--seed 42]\n"
-      "                     [--threads N]  (0, the default: all hardware\n"
-      "                      threads; same seed => same bytes at any N)\n"
+      "                     [--threads 1]  (0: all hardware threads;\n"
+      "                      same seed => same bytes at any N)\n"
       "                     [--trace run.jsonl] [--metrics-json run.json]\n"
       "                     [--timeseries-csv run.csv] [--sample-every 10]\n"
       "                     [--profile] [--profile-json profile.json]\n"

@@ -7,6 +7,11 @@
 
 namespace sorn {
 
+Rational optimal_q(double locality_x, std::int64_t max_q_denominator) {
+  return Rational::approximate(
+      std::max(1.0, analysis::sorn_optimal_q(locality_x)), max_q_denominator);
+}
+
 SornOptimizer::SornOptimizer(Options options) : options_(std::move(options)) {}
 
 SornPlan SornOptimizer::plan_for_nc(const DemandModel& estimate,
@@ -24,9 +29,7 @@ SornPlan SornOptimizer::plan_for_nc(const DemandModel& estimate,
   p.locality_x = estimate.locality_ratio(p.cliques);
   if (options_.weighted_inter && nc >= 2 && n / nc >= 2)
     p.inter_weights = estimate.aggregate(p.cliques);
-  p.q = Rational::approximate(
-      std::max(1.0, analysis::sorn_optimal_q(p.locality_x)),
-      options_.max_q_denominator);
+  p.q = optimal_q(p.locality_x, options_.max_q_denominator);
   p.predicted_throughput =
       analysis::sorn_throughput_at_q(p.locality_x, p.q.value());
   if (nc >= 2 && n / nc >= 2) {

@@ -32,6 +32,12 @@ struct SornPlan {
   double predicted_mean_delta_m = 0.0;
 };
 
+// q* = 2/(1-x) (analysis::sorn_optimal_q) as the rational a schedule
+// realizes: the nearest one with a denominator of at most
+// max_q_denominator, and at least 1. The optimizer's plans, the sorn
+// design and the tools that print q all take q* from here.
+Rational optimal_q(double locality_x, std::int64_t max_q_denominator);
+
 class SornOptimizer {
  public:
   struct Options {

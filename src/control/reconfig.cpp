@@ -4,6 +4,20 @@
 
 namespace sorn {
 
+SornFabric build_sorn_fabric(CliqueAssignment cliques, Rational q,
+                             const std::vector<double>& inter_weights,
+                             LbMode lb_mode,
+                             const ScheduleBuilder::WeightedOptions& weighted) {
+  SornFabric fabric;
+  fabric.cliques = std::make_unique<CliqueAssignment>(std::move(cliques));
+  fabric.schedule = std::make_unique<CircuitSchedule>(
+      ScheduleBuilder::sorn_weighted(*fabric.cliques, q, inter_weights,
+                                     weighted));
+  fabric.router = std::make_unique<SornRouter>(
+      fabric.schedule.get(), fabric.cliques.get(), lb_mode);
+  return fabric;
+}
+
 ReconfigManager::ReconfigManager(Options options) : options_(options) {}
 
 void ReconfigManager::set_failure_view(const FailureView* view) {
@@ -20,17 +34,9 @@ std::uint64_t ReconfigManager::standby_memory_bytes() const {
 }
 
 void ReconfigManager::request_swap(SornPlan plan, Slot now) {
-  auto gen = std::make_unique<Generation>();
-  gen->cliques = std::make_unique<CliqueAssignment>(std::move(plan.cliques));
-  gen->schedule = std::make_unique<CircuitSchedule>(
-      ScheduleBuilder::sorn_weighted(*gen->cliques, plan.q,
-                                     plan.inter_weights, options_.weighted,
-                                     options_.max_period));
-  gen->router = std::make_unique<SornRouter>(gen->schedule.get(),
-                                             gen->cliques.get(),
-                                             options_.lb_mode);
-  gen->router->set_failure_view(failures_);
-  pending_ = std::move(gen);
+  pending_ = std::make_unique<SornFabric>(build_sorn_fabric(
+      std::move(plan.cliques), plan.q, plan.inter_weights, options_.lb_mode));
+  pending_->router->set_failure_view(failures_);
   swap_due_ = now + options_.update_delay_slots + extra_delay_;
   if (tracer_ != nullptr) {
     tracer_->reconfig_staged(now, swap_due_,
@@ -45,7 +51,7 @@ bool ReconfigManager::tick(SlottedNetwork& network, Slot now) {
   current_ = std::move(*pending_);
   pending_.reset();
   if (options_.track_nic_rollout) {
-    const UpdateCoordinator coordinator(options_.nic);
+    const UpdateCoordinator coordinator;
     if (nics_.empty()) {
       nics_ = coordinator.bootstrap(*current_.schedule);
       last_rollout_ = UpdateCoordinator::Report{};

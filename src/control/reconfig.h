@@ -1,12 +1,12 @@
 // Epoch-synchronous reconfiguration of a running network (paper Sec. 5).
 //
-// The manager materializes a SornPlan into a schedule + router, then swaps
-// them into the SlottedNetwork after a modeled control-plane update delay
-// (state distribution to all NICs, a few seconds in practice — here a
-// configurable number of slots). The previous generation's objects are
-// kept alive until the next swap so in-flight cells routed under them can
-// finish; this is safe because every generated schedule keeps the full
-// neighbor superset reachable.
+// The manager materializes a SornPlan into a SORN fabric (cliques,
+// schedule, router), then swaps it into the SlottedNetwork after a
+// modeled control-plane update delay (state distribution to all NICs, a
+// few seconds in practice — here a configurable number of slots). The
+// previous generation's objects are kept alive until the next swap so
+// in-flight cells routed under them can finish; this is safe because
+// every generated schedule keeps the full neighbor superset reachable.
 #pragma once
 
 #include <memory>
@@ -21,27 +21,50 @@
 
 namespace sorn {
 
+// A flat SORN fabric: a clique assignment, the schedule that realizes q on
+// it and the router over both. Held by pointer, so the router's borrowed
+// references survive a move.
+struct SornFabric {
+  std::unique_ptr<CliqueAssignment> cliques;
+  std::unique_ptr<CircuitSchedule> schedule;
+  std::unique_ptr<SornRouter> router;
+
+  std::uint64_t memory_bytes() const {
+    return (cliques != nullptr ? cliques->memory_bytes() : 0) +
+           (schedule != nullptr ? schedule->memory_bytes() : 0);
+  }
+};
+
+// The one construction of a flat SORN fabric: the sorn design builds a
+// run's first fabric with it and ReconfigManager every replan's. Non-empty
+// inter_weights (a cliques x cliques aggregate) apportion the inter slots
+// through ScheduleBuilder::sorn_weighted; empty ones build the uniform
+// inter round robin. Aborts on a period past
+// ScheduleBuilder::kMaxSornPeriod (a caller taking user input checks
+// ScheduleBuilder::sorn_period first).
+SornFabric build_sorn_fabric(
+    CliqueAssignment cliques, Rational q,
+    const std::vector<double>& inter_weights = {},
+    LbMode lb_mode = LbMode::kRandom,
+    const ScheduleBuilder::WeightedOptions& weighted = {});
+
 class ReconfigManager {
  public:
   struct Options {
     // Slots between request_swap() and the swap becoming effective.
     Slot update_delay_slots = 0;
     LbMode lb_mode = LbMode::kRandom;
-    Slot max_period = 1 << 22;
-    // Used when the plan carries inter_weights (weighted schedules).
-    ScheduleBuilder::WeightedOptions weighted;
     // Model the NIC-level rollout (Fig. 2c banked tables) on every swap
     // and expose the cost via last_rollout(). Adds O(N * period) work per
     // swap.
     bool track_nic_rollout = false;
-    UpdateCoordinator::Options nic;
   };
 
   ReconfigManager() : ReconfigManager(Options()) {}
   explicit ReconfigManager(Options options);
 
-  // Materialize the plan (builds the schedule and router; O(N * period)).
-  // The swap itself happens in tick() once the delay elapses.
+  // Materialize the plan with build_sorn_fabric (O(N * period)). The swap
+  // itself happens in tick() once the delay elapses.
   void request_swap(SornPlan plan, Slot now);
 
   // Call every slot; performs the pending swap when due. Returns true on
@@ -82,22 +105,11 @@ class ReconfigManager {
   std::uint64_t standby_memory_bytes() const;
 
  private:
-  struct Generation {
-    std::unique_ptr<CliqueAssignment> cliques;
-    std::unique_ptr<CircuitSchedule> schedule;
-    std::unique_ptr<Router> router;
-
-    std::uint64_t memory_bytes() const {
-      return (cliques != nullptr ? cliques->memory_bytes() : 0) +
-             (schedule != nullptr ? schedule->memory_bytes() : 0);
-    }
-  };
-
   Options options_;
   const FailureView* failures_ = nullptr;
-  Generation current_;
-  Generation previous_;  // kept alive for in-flight traffic
-  std::unique_ptr<Generation> pending_;
+  SornFabric current_;
+  SornFabric previous_;  // kept alive for in-flight traffic
+  std::unique_ptr<SornFabric> pending_;
   Slot swap_due_ = 0;
   Slot extra_delay_ = 0;
   std::uint64_t swaps_applied_ = 0;

@@ -57,9 +57,9 @@ bool DesignRegistry::build(const std::string& name,
     }
     return false;
   }
-  // Hand the factory a fresh value so no field of a previous build (an
-  // old sorn_network handle, a stale bulk_router) can leak through, and
-  // so *out really is untouched on failure.
+  // Hand the factory a fresh value so no field of a previous build (a
+  // stale bulk_router or hierarchy) can leak through, and so *out really
+  // is untouched on failure.
   BuiltDesign built;
   if (!design->build(config, &built, error)) return false;
   *out = std::move(built);

@@ -25,7 +25,6 @@
 namespace sorn {
 
 struct ScenarioConfig;
-class SornNetwork;
 
 // A built fabric: borrowed pointers into design-owned state, kept alive
 // by `owner`. The pointers stay valid for the lifetime of the BuiltDesign
@@ -49,10 +48,6 @@ struct BuiltDesign {
   // Route around the given live failure state (nullptr restores oblivious
   // routing). Always callable.
   std::function<void(const FailureView*)> set_failure_view;
-  // Set only by the "sorn" design: the full facade, for callers that
-  // drive macro-reconfiguration (SornNetwork::adapt) on top of the
-  // scenario machinery. Shares ownership with `owner`.
-  std::shared_ptr<SornNetwork> sorn_network;
   // Keeps everything the pointers reference alive.
   std::shared_ptr<void> owner;
 };

@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "analysis/models.h"
-#include "core/hier_sorn.h"
-#include "core/sorn.h"
+#include "control/reconfig.h"
+#include "routing/hier_routing.h"
 #include "routing/orn_mixed_routing.h"
 #include "routing/rotor_routing.h"
 #include "routing/vlb.h"
@@ -60,45 +60,41 @@ class SornDesign final : public Design {
                          config.inter_clique_weights.size()));
     }
 
-    SornConfig cfg;
-    cfg.nodes = config.nodes;
-    cfg.cliques = config.cliques;
-    cfg.locality_x = config.locality_x;
-    cfg.q = Rational{config.q_num, config.q_den};
-    cfg.max_q_denominator = config.max_q_denominator;
-    cfg.uplinks = config.lanes;
-    cfg.slot_duration = config.slot_ns * 1000;
-    cfg.propagation_per_hop = config.propagation_ns * 1000;
-    cfg.lb_mode = lb_mode_of(config);
-    cfg.inter_clique_weights = config.inter_clique_weights;
-    cfg.weighted_options.demand_alpha = config.weighted_alpha;
-
-    if (cfg.q.num > 0 && cfg.q.num < cfg.q.den) {
+    const Rational q = config.sorn_q();
+    if (q.num < q.den) {
       return fail(error, format("sorn: q (%lld/%lld) must be >= 1",
-                                static_cast<long long>(cfg.q.num),
-                                static_cast<long long>(cfg.q.den)));
+                                static_cast<long long>(q.num),
+                                static_cast<long long>(q.den)));
     }
-    const CliqueId nc = config.overrides.cliques != nullptr
-                            ? config.overrides.cliques->clique_count()
-                            : config.cliques;
-    if (!cfg.inter_clique_weights.empty()) {
+    CliqueAssignment cliques =
+        config.overrides.cliques != nullptr
+            ? *config.overrides.cliques
+            : CliqueAssignment::contiguous(config.nodes, config.cliques);
+    if (cliques.node_count() != config.nodes) {
+      return fail(error, format("sorn: the clique override covers %lld "
+                                "nodes, not %lld",
+                                static_cast<long long>(cliques.node_count()),
+                                static_cast<long long>(config.nodes)));
+    }
+    const CliqueId nc = cliques.clique_count();
+    ScheduleBuilder::WeightedOptions weighted;
+    weighted.demand_alpha = config.weighted_alpha;
+    if (!config.inter_clique_weights.empty()) {
       if (nc < 2 || config.nodes / nc < 2)
         return fail(error, "sorn: inter_clique_weights need at least 2 "
                            "cliques of at least 2 nodes");
       if (!(config.weighted_alpha >= 0.0 && config.weighted_alpha < 1.0))
         return fail(error, "sorn: weighted_alpha must be in [0, 1)");
-      for (const double w : cfg.inter_clique_weights)
+      for (const double w : config.inter_clique_weights)
         if (!(w >= 0.0 && std::isfinite(w)))
           return fail(error, "sorn: inter_clique_weights must be finite "
                              "and >= 0");
     }
     // The schedule's period, checked before the builder would abort on it.
-    const Rational q = SornNetwork::resolve_q(cfg);
     const std::int64_t period =
         ScheduleBuilder::sorn_period(nc, config.nodes / nc, q,
-                                     cfg.inter_clique_weights,
-                                     cfg.weighted_options);
-    if (period > cfg.max_period) {
+                                     config.inter_clique_weights, weighted);
+    if (period > ScheduleBuilder::kMaxSornPeriod) {
       return fail(error,
                   format("sorn: %lld nodes in %lld cliques at q = %lld/%lld "
                          "need a schedule period of %lld slots (cap %lld)",
@@ -107,26 +103,26 @@ class SornDesign final : public Design {
                          static_cast<long long>(q.num),
                          static_cast<long long>(q.den),
                          static_cast<long long>(period),
-                         static_cast<long long>(cfg.max_period)));
+                         static_cast<long long>(
+                             ScheduleBuilder::kMaxSornPeriod)));
     }
 
-    auto net = std::make_shared<SornNetwork>(
-        config.overrides.cliques != nullptr
-            ? SornNetwork::build_with_assignment(cfg, *config.overrides.cliques)
-            : SornNetwork::build(cfg));
-    out->schedule = &net->schedule();
-    out->router = &net->router();
-    out->cliques = &net->cliques();
-    out->predicted_throughput = net->predicted_throughput();
+    auto fabric = std::make_shared<SornFabric>(
+        build_sorn_fabric(std::move(cliques), q, config.inter_clique_weights,
+                          lb_mode_of(config), weighted));
+    out->schedule = fabric->schedule.get();
+    out->router = fabric->router.get();
+    out->cliques = fabric->cliques.get();
+    out->predicted_throughput =
+        analysis::sorn_throughput_at_q(config.locality_x, q.value());
     out->summary = format("q = %lld/%lld, period %lld slots",
-                          static_cast<long long>(net->q().num),
-                          static_cast<long long>(net->q().den),
-                          static_cast<long long>(net->schedule().period()));
-    out->set_failure_view = [net](const FailureView* view) {
-      net->set_failure_view(view);
+                          static_cast<long long>(q.num),
+                          static_cast<long long>(q.den),
+                          static_cast<long long>(fabric->schedule->period()));
+    out->set_failure_view = [fabric](const FailureView* view) {
+      fabric->router->set_failure_view(view);
     };
-    out->sorn_network = net;
-    out->owner = net;
+    out->owner = std::move(fabric);
     return true;
   }
 };
@@ -157,24 +153,15 @@ class HierDesign final : public Design {
       return fail(error, "hier: pod_locality_x1 and cluster_locality_x2 "
                          "must be in [0, 1]");
 
-    HierSornConfig cfg;
-    cfg.nodes = config.nodes;
-    cfg.clusters = config.clusters;
-    cfg.pods_per_cluster = config.pods_per_cluster;
-    cfg.pod_locality_x1 = config.pod_locality_x1;
-    cfg.cluster_locality_x2 = config.cluster_locality_x2;
-    cfg.uplinks = config.lanes;
-    cfg.slot_duration = config.slot_ns * 1000;
-    cfg.propagation_per_hop = config.propagation_ns * 1000;
-    cfg.lb_mode = lb_mode_of(config);
-
     // The shares come from the locality split; the schedule builder would
     // abort on ones the geometry cannot take, or on too long a period.
-    const ScheduleBuilder::HierShares shares =
-        HierSornNetwork::resolve_shares(cfg);
+    const auto optimal = analysis::hier_optimal_shares(x1, x2);
+    const ScheduleBuilder::HierShares shares{optimal.intra, optimal.inter,
+                                             optimal.global};
     const std::string problem = ScheduleBuilder::hier_problem(
         static_cast<NodeId>(nodes / (clusters * pods)),
-        config.pods_per_cluster, config.clusters, shares, cfg.max_period);
+        config.pods_per_cluster, config.clusters, shares,
+        ScheduleBuilder::kMaxHierPeriod);
     if (!problem.empty()) {
       return fail(error, format("hier: %s; nodes %lld, clusters %lld, "
                                 "pods_per_cluster %lld, pod_locality_x1 %g, "
@@ -184,27 +171,34 @@ class HierDesign final : public Design {
     }
 
     struct Holder {
-      HierSornNetwork net;
+      Hierarchy hierarchy;
       CliqueAssignment pods;
-      explicit Holder(HierSornNetwork n)
-          : net(std::move(n)), pods(net.hierarchy().pods()) {}
+      CircuitSchedule schedule;
+      HierSornRouter router;
+      Holder(Hierarchy h, ScheduleBuilder::HierShares shares, LbMode mode)
+          : hierarchy(std::move(h)),
+            pods(hierarchy.pods()),
+            schedule(ScheduleBuilder::sorn_hierarchical(hierarchy, shares)),
+            router(&schedule, &hierarchy, mode) {}
     };
-    auto holder = std::make_shared<Holder>(HierSornNetwork::build(cfg));
-    out->schedule = &holder->net.schedule();
-    out->router = &holder->net.router();
+    auto holder = std::make_shared<Holder>(
+        Hierarchy::regular(config.nodes, config.clusters,
+                           config.pods_per_cluster),
+        shares, lb_mode_of(config));
+    out->schedule = &holder->schedule;
+    out->router = &holder->router;
     out->cliques = &holder->pods;
-    out->hierarchy = &holder->net.hierarchy();
-    out->predicted_throughput = holder->net.predicted_throughput();
-    out->summary =
-        format("shares %lld:%lld:%lld, period %lld slots",
-               static_cast<long long>(shares.intra),
-               static_cast<long long>(shares.inter),
-               static_cast<long long>(shares.global),
-               static_cast<long long>(holder->net.schedule().period()));
+    out->hierarchy = &holder->hierarchy;
+    out->predicted_throughput = analysis::hier_throughput(x1, x2);
+    out->summary = format("shares %lld:%lld:%lld, period %lld slots",
+                          static_cast<long long>(shares.intra),
+                          static_cast<long long>(shares.inter),
+                          static_cast<long long>(shares.global),
+                          static_cast<long long>(holder->schedule.period()));
     out->set_failure_view = [holder](const FailureView* view) {
-      holder->net.set_failure_view(view);
+      holder->router.set_failure_view(view);
     };
-    out->owner = holder;
+    out->owner = std::move(holder);
     return true;
   }
 };

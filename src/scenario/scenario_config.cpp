@@ -9,6 +9,7 @@
 #include <utility>
 #include <variant>
 
+#include "control/optimizer.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/json_parse.h"
@@ -501,6 +502,11 @@ bool ScenarioConfig::validate(std::string* error) const {
   if (dctcp_gain <= 0.0 || dctcp_gain > 1.0)
     return fail("dctcp_gain must be in (0, 1]");
   return true;
+}
+
+Rational ScenarioConfig::sorn_q() const {
+  return q_num > 0 ? Rational{q_num, q_den}
+                   : optimal_q(locality_x, max_q_denominator);
 }
 
 }  // namespace sorn

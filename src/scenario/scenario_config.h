@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "topo/clique.h"
+#include "topo/schedule_builder.h"
 #include "traffic/demand_model.h"
 #include "util/time.h"
 #include "util/types.h"
@@ -116,9 +117,10 @@ struct ScenarioConfig {
   std::uint64_t cell_bytes = 256;
   std::uint64_t max_queue_cells = 0;  // 0 = unbounded
   std::uint64_t seed = 42;            // network RNG (routing spray)
-  // Engine threads; 0 = hardware default. Artifacts are byte-identical
-  // at any value (parallel engine equivalence).
-  int threads = 0;
+  // Engine threads; 0 = every hardware thread. One is the default: the
+  // pool pays only at large N (thousands of nodes). Artifacts are
+  // byte-identical at any value (parallel engine equivalence).
+  int threads = 1;
 
   // ---- traffic ----
   TrafficKind traffic = TrafficKind::kLocality;
@@ -292,6 +294,10 @@ struct ScenarioConfig {
   // counts, mtbf/mttr pairing, known design name not checked here — the
   // registry owns that). Returns false and sets *error on problems.
   bool validate(std::string* error) const;
+
+  // The q the sorn design builds: q_num/q_den when q_num > 0, else
+  // optimal_q(locality_x, max_q_denominator).
+  Rational sorn_q() const;
 };
 
 }  // namespace sorn

@@ -67,6 +67,17 @@ class ScheduleBuilder {
   // longer period aborts.
   static constexpr Slot kMaxDwellPeriod = Slot{1} << 26;
 
+  // The default cap on the period of sorn() and sorn_weighted(), the one
+  // every SORN fabric is built within. AWGR-realizable slots are stored in
+  // the compact shift form, so a long period costs only its 4-byte order
+  // entries; the cap guards against a q whose denominator blows the
+  // period up into the millions. N = 65536 in 256 cliques at q = 5 needs
+  // 391,680 slots.
+  static constexpr Slot kMaxSornPeriod = Slot{1} << 22;
+  // The default cap on sorn_hierarchical()'s period, the one the hier
+  // design builds within.
+  static constexpr Slot kMaxHierPeriod = Slot{1} << 18;
+
   // Opera-style slow rotation: a proper 1-factorization of the complete
   // graph (circle method), randomly relabeled and with rounds in random
   // order, each round held for `dwell` slots. Every ordered pair appears
@@ -86,7 +97,7 @@ class ScheduleBuilder {
   // Degenerate cases: one clique -> pure intra round robin; cliques of
   // size 1 -> pure inter (clique-level) round robin.
   static CircuitSchedule sorn(const CliqueAssignment& cliques, Rational q,
-                              Slot max_period = 1 << 22);
+                              Slot max_period = kMaxSornPeriod);
 
   // Weighted-inter SORN schedule (paper Sec. 5, "Expressivity"): the
   // inter-clique slots are apportioned to clique pairs in proportion to
@@ -110,7 +121,7 @@ class ScheduleBuilder {
                                        Rational q,
                                        const std::vector<double>& clique_weights,
                                        const WeightedOptions& options,
-                                       Slot max_period = 1 << 22);
+                                       Slot max_period = kMaxSornPeriod);
   static CircuitSchedule sorn_weighted(
       const CliqueAssignment& cliques, Rational q,
       const std::vector<double>& clique_weights) {
@@ -120,7 +131,7 @@ class ScheduleBuilder {
   // The period sorn_weighted() builds for `cliques` equal cliques of
   // `clique_size` nodes at ratio q (sorn()'s when clique_weights is
   // empty), from the closed form its interleave asserts on; INT64_MAX
-  // when that overflows. A caller checks it against max_period before
+  // when that overflows. A caller checks it against kMaxSornPeriod before
   // building. Non-empty weights must be ones sorn_weighted() accepts.
   static std::int64_t sorn_period(CliqueId cliques, NodeId clique_size,
                                   Rational q,
@@ -140,7 +151,7 @@ class ScheduleBuilder {
 
   static CircuitSchedule sorn_hierarchical(const Hierarchy& hierarchy,
                                            HierShares shares,
-                                           Slot max_period = 1 << 22);
+                                           Slot max_period = kMaxHierPeriod);
 
   // Why sorn_hierarchical() cannot build `clusters` clusters of
   // `pods_per_cluster` pods of `pod_size` nodes at `shares` within

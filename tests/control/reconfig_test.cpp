@@ -41,6 +41,33 @@ TEST(ReconfigTest, SwapAppliesAfterDelay) {
   EXPECT_EQ(mgr.cliques()->clique_count(), 4);
 }
 
+// A swap replaces the running fabric's cliques and q: the current
+// generation has the plan's clique count and slot shares, and carries
+// traffic.
+TEST(ReconfigTest, SwapRebuildsCliquesAndQ) {
+  const SornFabric initial = build_sorn_fabric(
+      CliqueAssignment::contiguous(16, 4), Rational{4, 1});
+  NetworkConfig cfg;
+  cfg.propagation_per_hop = 0;
+  SlottedNetwork net(initial.schedule.get(), initial.router.get(), cfg);
+
+  SornPlan plan;
+  plan.cliques = CliqueAssignment::contiguous(16, 2);
+  plan.q = Rational{5, 1};
+  ReconfigManager mgr;
+  mgr.request_swap(std::move(plan), net.now());
+  ASSERT_TRUE(mgr.tick(net, net.now()));
+  EXPECT_EQ(mgr.cliques()->clique_count(), 2);
+  // q = 5: five intra slots to each inter slot.
+  EXPECT_NEAR(mgr.schedule()->kind_fraction(SlotKind::kIntra), 5.0 / 6.0,
+              1e-12);
+  EXPECT_NE(mgr.schedule()->period(), initial.schedule->period());
+
+  net.inject_cell(0, 9);
+  net.run(300);
+  EXPECT_EQ(net.metrics().delivered_cells(), 1u);
+}
+
 TEST(ReconfigTest, InFlightCellsSurviveSwap) {
   const CircuitSchedule initial = ScheduleBuilder::round_robin(16);
   const VlbRouter vlb(&initial, LbMode::kRandom);

@@ -2,8 +2,8 @@
 // manager builds a weighted schedule, and gravity traffic benefits.
 #include <gtest/gtest.h>
 
+#include "analysis/models.h"
 #include "control/reconfig.h"
-#include "core/sorn.h"
 #include "sim/saturation.h"
 #include "traffic/patterns.h"
 
@@ -50,18 +50,12 @@ TEST(WeightedPlanTest, ReconfigBuildsWeightedSchedule) {
   const SornOptimizer optimizer(oopts);
   SornPlan plan = optimizer.plan_for_nc(tm, 4);
 
-  const CircuitSchedule initial = ScheduleBuilder::round_robin(32);
-  const SornRouter* unused = nullptr;
-  (void)unused;
+  // Bootstrap on the flat SORN (singleton cliques).
+  const SornFabric flat = build_sorn_fabric(
+      CliqueAssignment::contiguous(32, 32), optimal_q(0.5, 12));
   NetworkConfig ncfg;
   ncfg.propagation_per_hop = 0;
-  // Bootstrap with a VLB-ish direct router via a SORN flat build instead:
-  SornConfig bootstrap;
-  bootstrap.nodes = 32;
-  bootstrap.cliques = 32;
-  bootstrap.propagation_per_hop = 0;
-  const SornNetwork flat = SornNetwork::build(bootstrap);
-  SlottedNetwork net = flat.make_network();
+  SlottedNetwork net(flat.schedule.get(), flat.router.get(), ncfg);
 
   ReconfigManager mgr;
   mgr.request_swap(std::move(plan), net.now());
@@ -84,20 +78,16 @@ TEST(WeightedPlanTest, WeightedBeatsUniformOnSkewedPairTraffic) {
   const double x = tm.locality_ratio(cliques);
   const Rational q = Rational::approximate(analysis::sorn_optimal_q(x), 6);
 
-  SornConfig uniform_cfg;
-  uniform_cfg.nodes = 32;
-  uniform_cfg.cliques = 4;
-  uniform_cfg.q = q;
-  uniform_cfg.propagation_per_hop = 0;
-  const SornNetwork uniform_net = SornNetwork::build(uniform_cfg);
+  const SornFabric uniform_net = build_sorn_fabric(cliques, q);
+  ScheduleBuilder::WeightedOptions options;
+  options.demand_alpha = 0.8;
+  const SornFabric weighted_net = build_sorn_fabric(
+      cliques, q, tm.aggregate(cliques), LbMode::kRandom, options);
 
-  SornConfig weighted_cfg = uniform_cfg;
-  weighted_cfg.inter_clique_weights = tm.aggregate(cliques);
-  weighted_cfg.weighted_options.demand_alpha = 0.8;
-  const SornNetwork weighted_net = SornNetwork::build(weighted_cfg);
-
-  auto measure = [&](const SornNetwork& net) {
-    SlottedNetwork sim = net.make_network();
+  auto measure = [&](const SornFabric& net) {
+    NetworkConfig ncfg;
+    ncfg.propagation_per_hop = 0;
+    SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
     SaturationSource source(&tm, SaturationConfig{});
     return source.measure(sim, 5000, 6000);
   };

@@ -3,8 +3,8 @@
 // infer cliques and reconfigure, and verify performance follows.
 #include <gtest/gtest.h>
 
+#include "analysis/models.h"
 #include "control/control_plane.h"
-#include "core/sorn.h"
 #include "sim/saturation.h"
 #include "traffic/patterns.h"
 #include "traffic/trace.h"
@@ -75,23 +75,22 @@ TEST(EndToEndTest, AdaptationRestoresThroughputAfterShift) {
   const double x = 0.7;
   const TrafficMatrix tm = patterns::locality_mix(truth, x);
 
-  SornConfig cfg;
-  cfg.nodes = 32;
-  cfg.cliques = 4;  // contiguous: mismatched with `truth`
-  cfg.locality_x = x;
+  // Contiguous cliques: mismatched with `truth`.
+  const SornFabric built = build_sorn_fabric(
+      CliqueAssignment::contiguous(32, 4), optimal_q(x, 12));
+  NetworkConfig cfg;
   cfg.propagation_per_hop = 0;
-  SornNetwork net = SornNetwork::build(cfg);
-
-  SlottedNetwork sim = net.make_network();
+  SlottedNetwork sim(built.schedule.get(), built.router.get(), cfg);
   SaturationSource source(&tm, SaturationConfig{});
   const double before = source.measure(sim, 3000, 5000);
 
-  // Control-plane step: cluster the (true) demand and adapt. The long
-  // warmup lets backlog routed under the mismatched schedule drain.
+  // Control-plane step: cluster the (true) demand and swap the plan in.
+  // The long warmup lets backlog routed under the mismatched schedule
+  // drain.
   SornOptimizer optimizer;
-  const SornPlan plan = optimizer.plan_for_nc(tm, 4);
-  net.adapt(plan.cliques, plan.q);
-  sim.reconfigure(&net.schedule(), &net.router());
+  ReconfigManager reconfig;
+  reconfig.request_swap(optimizer.plan_for_nc(tm, 4), sim.now());
+  ASSERT_TRUE(reconfig.tick(sim, sim.now()));
   const double after = source.measure(sim, 12000, 8000);
 
   EXPECT_GT(after, before + 0.05);

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sorn.h"
+#include "control/reconfig.h"
 #include "obs/export.h"
 #include "sim/workload_driver.h"
 #include "traffic/flow_size.h"
@@ -25,20 +25,18 @@ struct RunArtifacts {
 };
 
 RunArtifacts run_workload(bool with_telemetry) {
-  SornConfig cfg;
-  cfg.nodes = 16;
-  cfg.cliques = 4;
-  cfg.locality_x = 0.5;
-  cfg.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(cfg);
-  SlottedNetwork sim = net.make_network();
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(16, 4), optimal_q(0.5, 12));
+  NetworkConfig ncfg;
+  ncfg.propagation_per_hop = 0;
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
 
   Telemetry telemetry(TelemetryOptions{.sample_every = 5});
   MemoryTraceSink sink;
   telemetry.set_trace_sink(&sink);
   if (with_telemetry) sim.add_observer(&telemetry);
 
-  const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.5);
+  const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.5);
   const FlowSizeDist sizes = FlowSizeDist::pfabric_web_search();
   const double node_bw =
       static_cast<double>(sim.config().cell_bytes) * 8.0 /
@@ -49,7 +47,7 @@ RunArtifacts run_workload(bool with_telemetry) {
 
   RunArtifacts out;
   ExportOptions eopts;
-  eopts.nodes = cfg.nodes;
+  eopts.nodes = sim.node_count();
   out.metrics_json =
       run_to_json(sim.metrics(), with_telemetry ? &telemetry : nullptr, eopts);
   if (with_telemetry) out.timeseries_csv = telemetry.timeseries()->to_csv();

@@ -1,6 +1,8 @@
 // DesignRegistry: every builtin design is listed and builds a working
 // schedule/router pair from a ScenarioConfig; unknown names fail with the
-// available set; private registries support custom designs.
+// available set; private registries support custom designs. The sorn and
+// hier fabrics it builds derive q and shares from the locality, carry every
+// traffic class and match the closed-form predictions at their geometry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,11 +10,12 @@
 #include <string>
 #include <utility>
 
-#include "core/hier_sorn.h"
-#include "core/sorn.h"
+#include "analysis/models.h"
+#include "control/reconfig.h"
 #include "scenario/design.h"
 #include "scenario/scenario_config.h"
 #include "scenario/scenario_runner.h"
+#include "topo/logical_topology.h"
 #include "topo/schedule.h"
 #include "topo/schedule_builder.h"
 
@@ -30,6 +33,15 @@ ScenarioConfig small_config() {
   cfg.pods_per_cluster = 2;
   cfg.orn_dims = 2;
   return cfg;
+}
+
+BuiltDesign build_or_fail(const std::string& design,
+                          const ScenarioConfig& cfg) {
+  BuiltDesign built;
+  std::string error;
+  EXPECT_TRUE(DesignRegistry::instance().build(design, cfg, &built, &error))
+      << error;
+  return built;
 }
 
 TEST(DesignRegistryTest, ListsEveryBuiltinDesign) {
@@ -83,7 +95,8 @@ TEST(DesignRegistryTest, InvalidGeometryFailsWithMessage) {
   ScenarioConfig cfg = small_config();
   cfg.nodes = 15;  // not divisible into 4 cliques
   EXPECT_FALSE(DesignRegistry::instance().build("sorn", cfg, &built, &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_NE(error.find("must divide into 4 equal cliques"), std::string::npos)
+      << error;
 
   cfg = small_config();
   cfg.nodes = 15;  // odd: opera needs a perfect matching per slot
@@ -160,10 +173,10 @@ TEST(DesignRegistryTest, HierPeriodCheckIsTheBuiltPeriod) {
     std::string error;
     ASSERT_TRUE(DesignRegistry::instance().build("hier", cfg, &built, &error))
         << error;
-    const ScheduleBuilder::HierShares shares =
-        HierSornNetwork::resolve_shares(HierSornConfig{
-            .pod_locality_x1 = cfg.pod_locality_x1,
-            .cluster_locality_x2 = cfg.cluster_locality_x2});
+    const auto optimal = analysis::hier_optimal_shares(
+        cfg.pod_locality_x1, cfg.cluster_locality_x2);
+    const ScheduleBuilder::HierShares shares{optimal.intra, optimal.inter,
+                                             optimal.global};
     const Slot period = built.schedule->period();
     const NodeId pod_size = 64 / (clusters * pods);
     EXPECT_EQ(ScheduleBuilder::hier_problem(pod_size, pods, clusters, shares,
@@ -176,20 +189,241 @@ TEST(DesignRegistryTest, HierPeriodCheckIsTheBuiltPeriod) {
   }
 }
 
+// Without explicit shares the hier design takes the optimal split
+// intra : inter : global = 2 : (x2 + x3) : x3, scaled by 12.
+TEST(DesignRegistryTest, HierSharesFromLocalitySplit) {
+  ScenarioConfig cfg = small_config();
+  cfg.nodes = 64;
+  cfg.clusters = 4;
+  cfg.pods_per_cluster = 4;
+  cfg.pod_locality_x1 = 0.5;
+  cfg.cluster_locality_x2 = 0.3;
+  const BuiltDesign built = build_or_fail("hier", cfg);
+  // 2 : 0.5 : 0.2 (x3 = 0.2), scaled by 12.
+  EXPECT_EQ(built.summary.rfind("shares 24:6:2,", 0), 0u) << built.summary;
+  EXPECT_NEAR(built.predicted_throughput, 1.0 / 2.7, 1e-12);
+  ASSERT_NE(built.hierarchy, nullptr);
+  EXPECT_EQ(built.cliques->clique_count(), 16);  // the pods
+}
+
+TEST(DesignRegistryTest, HierFabricDeliversAllClasses) {
+  ScenarioConfig cfg = small_config();
+  cfg.nodes = 64;
+  cfg.clusters = 4;
+  cfg.pods_per_cluster = 4;
+  const BuiltDesign built = build_or_fail("hier", cfg);
+  NetworkConfig ncfg;
+  ncfg.propagation_per_hop = 0;
+  SlottedNetwork sim(built.schedule, built.router, ncfg);
+  sim.inject_cell(0, 2);   // same pod
+  sim.inject_cell(0, 9);   // same cluster
+  sim.inject_cell(0, 40);  // cross cluster
+  sim.run(2000);
+  EXPECT_EQ(sim.metrics().delivered_cells(), 3u);
+}
+
+// At the built pod, cluster and global geometry and the design's shares,
+// a farther class waits on more circuits.
+TEST(HierSornNetworkTest, DeltaMOrdering) {
+  ScenarioConfig cfg;
+  cfg.nodes = 64;
+  cfg.clusters = 4;
+  cfg.pods_per_cluster = 4;
+  const BuiltDesign built = build_or_fail("hier", cfg);
+  ASSERT_NE(built.hierarchy, nullptr);
+  const auto shares = analysis::hier_optimal_shares(cfg.pod_locality_x1,
+                                                    cfg.cluster_locality_x2);
+  const std::string shares_text = "shares " + std::to_string(shares.intra) +
+                                  ":" + std::to_string(shares.inter) + ":" +
+                                  std::to_string(shares.global) + ",";
+  EXPECT_EQ(built.summary.rfind(shares_text, 0), 0u) << built.summary;
+
+  const Hierarchy& h = *built.hierarchy;
+  const double pod = analysis::hier_delta_m_pod(h.pod_size(), shares);
+  const double cluster = analysis::hier_delta_m_cluster(
+      h.pod_size(), h.pods_per_cluster(), shares);
+  const double global = analysis::hier_delta_m_global(
+      h.pod_size(), h.pods_per_cluster(), h.cluster_count(), shares);
+  EXPECT_LT(pod, cluster);
+  EXPECT_LT(cluster, global);
+}
+
+// The sorn design's handle on its fabric carries the clique assignment
+// traffic is generated over; a design without cliques carries none.
 TEST(DesignRegistryTest, SornDesignExposesItsNetworkHandle) {
   BuiltDesign built;
   std::string error;
   ASSERT_TRUE(DesignRegistry::instance().build("sorn", small_config(), &built,
                                                &error))
       << error;
-  ASSERT_NE(built.sorn_network, nullptr);
   ASSERT_NE(built.cliques, nullptr);
   EXPECT_EQ(built.cliques->clique_count(), 4);
+  EXPECT_EQ(built.cliques->node_count(), 16);
 
   ASSERT_TRUE(DesignRegistry::instance().build("vlb", small_config(), &built,
                                                &error))
       << error;
-  EXPECT_EQ(built.sorn_network, nullptr);
+  EXPECT_EQ(built.cliques, nullptr);
+}
+
+// Without an explicit q the design takes q*(x) rationalized at
+// max_q_denominator; its predicted throughput is the closed form at that q.
+TEST(SornNetworkTest, BuildDerivesOptimalQFromLocality) {
+  ScenarioConfig cfg;
+  cfg.nodes = 32;
+  cfg.cliques = 4;
+  cfg.locality_x = 0.5;
+  const BuiltDesign built = build_or_fail("sorn", cfg);
+  EXPECT_EQ(built.summary.rfind("q = 4/1,", 0), 0u) << built.summary;
+  EXPECT_NEAR(built.predicted_throughput, 0.4, 1e-9);
+}
+
+// Table 1's 4096-node row at a 128-node instance with the same ratios:
+// q*(0.56) is 50/11 at denominator 11 (9/2 at the default 6), and the
+// table-calibrated inter delta_m at the built clique count and q exceeds
+// the intra one.
+TEST(SornNetworkTest, PredictionsUseTableCalibratedForms) {
+  ScenarioConfig cfg;
+  cfg.nodes = 128;
+  cfg.cliques = 8;
+  cfg.locality_x = 0.56;
+  cfg.lanes = 16;
+  cfg.max_q_denominator = 11;
+  const BuiltDesign built = build_or_fail("sorn", cfg);
+  EXPECT_EQ(built.summary.rfind("q = 50/11,", 0), 0u) << built.summary;
+  ASSERT_NE(built.cliques, nullptr);
+
+  const double q = 50.0 / 11.0;
+  const CliqueId nc = built.cliques->clique_count();
+  const double intra = analysis::sorn_delta_m_intra(cfg.nodes, nc, q);
+  const double inter = analysis::sorn_delta_m_inter_table(cfg.nodes, nc, q);
+  EXPECT_GT(inter, intra);
+  const double slot_ns = static_cast<double>(cfg.slot_ns);
+  const double prop_ns = static_cast<double>(cfg.propagation_ns);
+  EXPECT_GT(analysis::min_latency_us(inter, cfg.lanes, slot_ns, 3, prop_ns),
+            analysis::min_latency_us(intra, cfg.lanes, slot_ns, 2, prop_ns));
+
+  cfg.max_q_denominator = 6;
+  const BuiltDesign coarse = build_or_fail("sorn", cfg);
+  EXPECT_EQ(coarse.summary.rfind("q = 9/2,", 0), 0u) << coarse.summary;
+}
+
+TEST(SornNetworkTest, RejectsIndivisibleCliques) {
+  ScenarioConfig cfg;
+  cfg.nodes = 10;
+  cfg.cliques = 4;
+  BuiltDesign built;
+  std::string error;
+  EXPECT_FALSE(DesignRegistry::instance().build("sorn", cfg, &built, &error));
+  EXPECT_NE(error.find("nodes (10) must divide into 4 equal cliques"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(built.schedule, nullptr);
+}
+
+TEST(DesignRegistryTest, SornExplicitQOverridesLocality) {
+  ScenarioConfig cfg = small_config();
+  cfg.cliques = 2;
+  cfg.locality_x = 0.5;
+  cfg.q_num = 3;
+  const BuiltDesign built = build_or_fail("sorn", cfg);
+  EXPECT_EQ(built.summary.rfind("q = 3/1,", 0), 0u) << built.summary;
+  EXPECT_NEAR(built.predicted_throughput,
+              analysis::sorn_throughput_at_q(0.5, 3.0), 1e-12);
+}
+
+// Fig. 2(d): two cliques of four at q = 3 give intra edges 3x the inter.
+TEST(DesignRegistryTest, SornLogicalTopologyReflectsOversubscription) {
+  ScenarioConfig cfg = small_config();
+  cfg.nodes = 8;
+  cfg.cliques = 2;
+  cfg.q_num = 3;
+  const BuiltDesign built = build_or_fail("sorn", cfg);
+  const LogicalTopology topo(*built.schedule);
+  EXPECT_NEAR(topo.intra_fraction(0, *built.cliques), 0.75, 1e-12);
+  EXPECT_NEAR(topo.inter_fraction(0, *built.cliques), 0.25, 1e-12);
+}
+
+TEST(DesignRegistryTest, SornFabricDeliversIntraAndInterCells) {
+  ScenarioConfig cfg = small_config();
+  cfg.locality_x = 0.5;
+  const BuiltDesign built = build_or_fail("sorn", cfg);
+  NetworkConfig ncfg;
+  ncfg.propagation_per_hop = 0;
+  SlottedNetwork sim(built.schedule, built.router, ncfg);
+  sim.inject_cell(0, 3);   // intra
+  sim.inject_cell(0, 12);  // inter
+  sim.run(300);
+  EXPECT_EQ(sim.metrics().delivered_cells(), 2u);
+}
+
+// A clique override (a clusterer's assignment) need not be contiguous.
+TEST(DesignRegistryTest, SornTakesANonContiguousOverride) {
+  std::vector<CliqueId> map(16);
+  for (NodeId i = 0; i < 16; ++i) map[static_cast<std::size_t>(i)] = i % 4;
+  const CliqueAssignment scattered(map);
+  ScenarioConfig cfg = small_config();
+  cfg.overrides.cliques = &scattered;
+  const BuiltDesign built = build_or_fail("sorn", cfg);
+  EXPECT_TRUE(built.cliques->same_clique(0, 4));
+  EXPECT_FALSE(built.cliques->same_clique(0, 1));
+
+  const CliqueAssignment too_small = CliqueAssignment::contiguous(8, 4);
+  cfg.overrides.cliques = &too_small;
+  BuiltDesign rejected;
+  std::string error;
+  EXPECT_FALSE(
+      DesignRegistry::instance().build("sorn", cfg, &rejected, &error));
+  EXPECT_NE(error.find("covers 8 nodes, not 16"), std::string::npos) << error;
+}
+
+// The design's first fabric and a ReconfigManager swap are one
+// construction: for the same assignment, q and weights they realize the
+// same matching in every slot and route the same paths from the same seed.
+TEST(DesignRegistryTest, SornDesignAndReconfigSwapBuildOneFabric) {
+  std::vector<CliqueId> map(16);
+  for (NodeId i = 0; i < 16; ++i) map[static_cast<std::size_t>(i)] = i % 4;
+  const CliqueAssignment scattered(map);
+  for (const bool weighted : {false, true}) {
+    ScenarioConfig cfg = small_config();
+    cfg.overrides.cliques = &scattered;
+    cfg.q_num = 5;
+    cfg.q_den = 2;
+    if (weighted) {
+      cfg.inter_clique_weights = {0, 5, 1, 1, 1, 0, 5, 1,
+                                  1, 1, 0, 5, 5, 1, 1, 0};
+    }
+    const BuiltDesign built = build_or_fail("sorn", cfg);
+
+    SornPlan plan;
+    plan.cliques = scattered;
+    plan.q = Rational{5, 2};
+    plan.inter_weights = cfg.inter_clique_weights;
+    SlottedNetwork sim(built.schedule, built.router, NetworkConfig{});
+    ReconfigManager reconfig;
+    reconfig.request_swap(std::move(plan), 0);
+    ASSERT_TRUE(reconfig.tick(sim, 0));
+
+    const CircuitSchedule& a = *built.schedule;
+    const CircuitSchedule& b = *reconfig.schedule();
+    ASSERT_EQ(a.period(), b.period()) << "weighted " << weighted;
+    for (Slot t = 0; t < a.period(); ++t) {
+      ASSERT_EQ(a.kind_at(t), b.kind_at(t)) << "slot " << t;
+      for (NodeId i = 0; i < 16; ++i)
+        ASSERT_EQ(a.dst_of(i, t), b.dst_of(i, t)) << "slot " << t;
+    }
+    Rng rng_a(9);
+    Rng rng_b(9);
+    for (Slot t = 0; t < 2 * a.period(); ++t) {
+      const auto src = static_cast<NodeId>(t % 16);
+      const auto dst = static_cast<NodeId>((t * 7 + 3) % 16);
+      if (src == dst) continue;
+      const Path pa = built.router->route(src, dst, t, rng_a);
+      const Path pb = reconfig.router()->route(src, dst, t, rng_b);
+      ASSERT_EQ(pa.size(), pb.size()) << src << " -> " << dst;
+      for (int h = 0; h < pa.size(); ++h) ASSERT_EQ(pa.at(h), pb.at(h));
+    }
+  }
 }
 
 // At x = 1 the optimum q* = 2/(1-x) diverges. The design takes the one
@@ -205,9 +439,8 @@ TEST(DesignRegistryTest, FullLocalitySornRunsAtTheQCap) {
   std::string error;
   const auto runner = ScenarioRunner::create(cfg, &error);
   ASSERT_NE(runner, nullptr) << error;
-  const Rational q = runner->design().sorn_network->q();
-  EXPECT_EQ(q.num, 64);
-  EXPECT_EQ(q.den, 1);
+  EXPECT_EQ(runner->design().summary.rfind("q = 64/1,", 0), 0u)
+      << runner->design().summary;
   ASSERT_TRUE(runner->run(&error)) << error;
   EXPECT_GT(runner->saturation_r(), 0.0);
 }
@@ -227,7 +460,7 @@ TEST(DesignRegistryTest, SornPeriodPastTheCapFailsWithMessage) {
     ASSERT_TRUE(DesignRegistry::instance().build("sorn", cfg, &built, &error))
         << error;
     EXPECT_EQ(ScheduleBuilder::sorn_period(cliques, nodes / cliques,
-                                           built.sorn_network->q(), {}, {}),
+                                           cfg.sorn_q(), {}, {}),
               built.schedule->period())
         << nodes << " nodes, " << cliques << " cliques";
   }
@@ -253,8 +486,7 @@ TEST(DesignRegistryTest, SornPeriodPastTheCapFailsWithMessage) {
       DesignRegistry::instance().build("sorn", weighted, &built, &error))
       << error;
   EXPECT_EQ(ScheduleBuilder::sorn_period(
-                4, 4, built.sorn_network->q(), weighted.inter_clique_weights,
-                built.sorn_network->config().weighted_options),
+                4, 4, weighted.sorn_q(), weighted.inter_clique_weights, {}),
             built.schedule->period());
   weighted.nodes = 60000;
   EXPECT_FALSE(

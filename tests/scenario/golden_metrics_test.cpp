@@ -13,7 +13,6 @@
 #include <string>
 
 #include "control/control_plane.h"
-#include "core/sorn.h"
 #include "scenario/scenario_runner.h"
 #include "sim/saturation.h"
 #include "traffic/patterns.h"
@@ -112,18 +111,15 @@ TEST(GoldenMetricsTest, RunnerMatchesHandBuiltSorn) {
   auto runner = run_pinned(cfg);
   ASSERT_NE(runner, nullptr);
 
-  SornConfig scfg;
-  scfg.nodes = cfg.nodes;
-  scfg.cliques = cfg.cliques;
-  scfg.locality_x = cfg.locality_x;
-  scfg.max_q_denominator = cfg.max_q_denominator;
-  const SornNetwork net = SornNetwork::build(scfg);
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(cfg.nodes, cfg.cliques),
+      optimal_q(cfg.locality_x, cfg.max_q_denominator));
   NetworkConfig ncfg;
   ncfg.slot_duration = cfg.slot_ns * 1000;
   ncfg.propagation_per_hop = cfg.propagation_ns * 1000;
-  SlottedNetwork sim(&net.schedule(), &net.router(), ncfg);
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
   sim.set_threads(1);
-  const TrafficMatrix tm = patterns::locality_mix(net.cliques(),
+  const TrafficMatrix tm = patterns::locality_mix(*net.cliques,
                                                   cfg.locality_x);
   SaturationSource source(&tm, SaturationConfig{});
   const double by_hand = source.measure(sim, 1000, 2000);

@@ -117,7 +117,7 @@ constexpr const char* kDefaultJson =
     R"("schedule_seed":17,"max_short_hops":6,"bulk_cutoff_bytes":0,)"
     R"("orn_dims":2,"radices":[],"lanes":1,"slot_ns":100,)"
     R"("propagation_ns":0,"cell_bytes":256,"max_queue_cells":0,)"
-    R"("seed":42,"threads":0,"traffic":"locality",)"
+    R"("seed":42,"threads":1,"traffic":"locality",)"
     R"("ring_heavy_share":0.84999999999999998,)"
     R"("traffic_backend":"dense","workload":"flows",)"
     R"("load":0.29999999999999999,"slots":30000,"drain_slots":200000,)"

@@ -18,7 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/sorn.h"
+#include "control/reconfig.h"
 #include "fault/fault_injector.h"
 #include "obs/export.h"
 #include "routing/vlb.h"
@@ -46,13 +46,11 @@ struct Artifacts {
 // Full pipeline: SORN fabric, open-loop pFabric workload, telemetry with
 // trace + time series, exported artifacts.
 Artifacts run_workload(int threads) {
-  SornConfig cfg;
-  cfg.nodes = 32;
-  cfg.cliques = 8;
-  cfg.locality_x = 0.5;
-  cfg.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(cfg);
-  SlottedNetwork sim = net.make_network();
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(32, 8), optimal_q(0.5, 12));
+  NetworkConfig ncfg;
+  ncfg.propagation_per_hop = 0;
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
   sim.set_threads(threads);
 
   Telemetry telemetry(TelemetryOptions{.sample_every = 5});
@@ -60,7 +58,7 @@ Artifacts run_workload(int threads) {
   telemetry.set_trace_sink(&sink);
   sim.add_observer(&telemetry);
 
-  const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.5);
+  const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.5);
   const FlowSizeDist sizes = FlowSizeDist::pfabric_web_search();
   const double node_bw =
       static_cast<double>(sim.config().cell_bytes) * 8.0 /
@@ -71,7 +69,7 @@ Artifacts run_workload(int threads) {
 
   Artifacts out;
   ExportOptions eopts;
-  eopts.nodes = cfg.nodes;
+  eopts.nodes = sim.node_count();
   out.metrics_json = run_to_json(sim.metrics(), &telemetry, eopts);
   out.timeseries_csv = telemetry.timeseries()->to_csv();
   out.trace_lines = sink.lines();
@@ -221,15 +219,13 @@ Artifacts run_large_reconfigure(int threads) {
 // slot hook), so the artifacts must stay byte-identical at any thread
 // count even with faults firing mid-run.
 Artifacts run_faulted_workload(int threads) {
-  SornConfig cfg;
-  cfg.nodes = 32;
-  cfg.cliques = 8;
-  cfg.locality_x = 0.5;
-  cfg.propagation_per_hop = 0;
-  SornNetwork net = SornNetwork::build(cfg);
-  SlottedNetwork sim = net.make_network();
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(32, 8), optimal_q(0.5, 12));
+  NetworkConfig ncfg;
+  ncfg.propagation_per_hop = 0;
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
   sim.set_threads(threads);
-  net.set_failure_view(&sim.failure_view());
+  net.router->set_failure_view(&sim.failure_view());
 
   Telemetry telemetry(TelemetryOptions{.sample_every = 5});
   MemoryTraceSink sink;
@@ -242,7 +238,7 @@ Artifacts run_faulted_workload(int threads) {
   fopts.seed = 17;
   FaultInjector injector(FaultScript{}, fopts);
 
-  const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.5);
+  const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.5);
   const FlowSizeDist sizes = FlowSizeDist::pfabric_web_search();
   const double node_bw =
       static_cast<double>(sim.config().cell_bytes) * 8.0 /
@@ -261,7 +257,7 @@ Artifacts run_faulted_workload(int threads) {
 
   Artifacts out;
   ExportOptions eopts;
-  eopts.nodes = cfg.nodes;
+  eopts.nodes = sim.node_count();
   out.metrics_json = run_to_json(sim.metrics(), &telemetry, eopts);
   out.timeseries_csv = telemetry.timeseries()->to_csv();
   out.trace_lines = sink.lines();

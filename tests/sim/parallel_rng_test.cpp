@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sorn.h"
+#include "control/reconfig.h"
 #include "obs/export.h"
 #include "sim/workload_driver.h"
 #include "traffic/flow_size.h"
@@ -33,13 +33,11 @@ struct InjectLog {
 };
 
 InjectLog run(int threads) {
-  SornConfig cfg;
-  cfg.nodes = 24;
-  cfg.cliques = 4;
-  cfg.locality_x = 0.4;
-  cfg.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(cfg);
-  SlottedNetwork sim = net.make_network();
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(24, 4), optimal_q(0.4, 12));
+  NetworkConfig ncfg;
+  ncfg.propagation_per_hop = 0;
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
   sim.set_threads(threads);
 
   Telemetry telemetry;
@@ -47,7 +45,7 @@ InjectLog run(int threads) {
   telemetry.set_trace_sink(&sink);
   sim.add_observer(&telemetry);
 
-  const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.4);
+  const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.4);
   const FlowSizeDist sizes = FlowSizeDist::pfabric_web_search();
   const double node_bw =
       static_cast<double>(sim.config().cell_bytes) * 8.0 /
@@ -62,7 +60,7 @@ InjectLog run(int threads) {
       out.inject_events.push_back(line);
   out.flows_injected = driver.flows_injected();
   ExportOptions eopts;
-  eopts.nodes = cfg.nodes;
+  eopts.nodes = sim.node_count();
   out.metrics_json = run_to_json(sim.metrics(), &telemetry, eopts);
   return out;
 }

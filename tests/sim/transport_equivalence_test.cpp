@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sorn.h"
+#include "control/reconfig.h"
 #include "obs/export.h"
 #include "sim/workload_driver.h"
 #include "traffic/flow_size.h"
@@ -38,17 +38,13 @@ struct Artifacts {
 // before the drain.
 Artifacts run_gray_blast(int threads, std::uint64_t max_queue_cells,
                          std::uint64_t ecn_threshold_cells) {
-  SornConfig cfg;
-  cfg.nodes = 32;
-  cfg.cliques = 8;
-  cfg.locality_x = 0.5;
-  cfg.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(cfg);
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(32, 8), optimal_q(0.5, 12));
   NetworkConfig net_cfg;
   net_cfg.propagation_per_hop = 0;
   net_cfg.max_queue_cells = max_queue_cells;
   net_cfg.ecn_threshold_cells = ecn_threshold_cells;
-  SlottedNetwork sim(&net.schedule(), &net.router(), net_cfg);
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), net_cfg);
   sim.set_threads(threads);
 
   Telemetry telemetry(TelemetryOptions{.sample_every = 10});
@@ -61,8 +57,8 @@ Artifacts run_gray_blast(int threads, std::uint64_t max_queue_cells,
   topts.congestion.gain = 0.25;
   DctcpTransport transport(topts);
 
-  IncastArrivals arrivals(cfg.nodes, /*fanin=*/12, /*bytes_per_sender=*/8192,
-                          /*period_slots=*/200,
+  IncastArrivals arrivals(sim.node_count(), /*fanin=*/12,
+                          /*bytes_per_sender=*/8192, /*period_slots=*/200,
                           sim.config().slot_duration, Rng(21));
   WorkloadDriver driver(&arrivals);
   driver.set_transport(&transport);
@@ -80,7 +76,7 @@ Artifacts run_gray_blast(int threads, std::uint64_t max_queue_cells,
 
   Artifacts out;
   ExportOptions eopts;
-  eopts.nodes = cfg.nodes;
+  eopts.nodes = sim.node_count();
   const TransportStats tstats = transport.stats();
   eopts.transport = &tstats;
   out.metrics_json = run_to_json(sim.metrics(), &telemetry, eopts);

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sorn.h"
+#include "control/reconfig.h"
 #include "obs/export.h"
 #include "sim/telemetry.h"
 #include "sim/workload_driver.h"
@@ -43,24 +43,20 @@ struct GoldenRun {
 };
 
 GoldenRun run_n128(int threads) {
-  SornConfig cfg;
-  cfg.nodes = 128;
-  cfg.cliques = 8;
-  cfg.locality_x = 0.5;
-  cfg.propagation_per_hop = 0;
-  const SornNetwork net = SornNetwork::build(cfg);
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(128, 8), optimal_q(0.5, 12));
 
   NetworkConfig ncfg;
   ncfg.lanes = 2;
   ncfg.propagation_per_hop = 0;
   ncfg.max_queue_cells = 8;  // overload must tail-drop
-  SlottedNetwork sim(&net.schedule(), &net.router(), ncfg);
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
   sim.set_threads(threads);
 
   Telemetry telemetry(TelemetryOptions{.sample_every = 25});
   sim.add_observer(&telemetry);
 
-  const TrafficMatrix tm = patterns::locality_mix(net.cliques(), 0.5);
+  const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.5);
   const FlowSizeDist sizes = FlowSizeDist::fixed(2560);  // 10 cells per flow
   const double node_bw =
       static_cast<double>(sim.config().cell_bytes) * 8.0 /
@@ -88,7 +84,7 @@ GoldenRun run_n128(int threads) {
     start = end + 1;
   }
   ExportOptions eopts;
-  eopts.nodes = cfg.nodes;
+  eopts.nodes = sim.node_count();
   eopts.lanes = ncfg.lanes;
   out.metrics_json = run_to_json(sim.metrics(), &telemetry, eopts);
   return out;
