@@ -1,12 +1,15 @@
 // Engine microbenchmarks (google-benchmark): schedule construction and
-// lookup, the control loop's estimator epoch, noise filter and replan,
+// lookup, the control loop's epoch, clustering and replan,
 // route selection, VOQ push/pop, the transport pump, and simulator slot
 // throughput.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
+#include "control/clustering.h"
 #include "control/control_faults.h"
+#include "control/control_plane.h"
 #include "control/estimator.h"
 #include "control/optimizer.h"
 #include "control/reconfig.h"
@@ -66,12 +69,10 @@ BENCHMARK_CAPTURE(BM_BuildSornSchedule, clustered, true)
     ->Args({384, 16})
     ->Unit(benchmark::kMillisecond);
 
-// One SornOptimizer::plan (cluster at every candidate Nc, pick the best)
-// on a noisy estimate: locality 0.6 over 16 scattered cliques, each
-// nonzero scaled by a seeded factor in [0.5, 1.5], normalized to unit
-// peak node load like the estimator's output.
-void BM_SornPlan(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
+// A noisy estimate as the optimizer sees one: locality 0.6 over 16
+// scattered cliques, each nonzero scaled by a seeded factor in [0.5, 1.5],
+// normalized to unit peak node load like the estimator's output.
+std::unique_ptr<SparseDemand> noisy_estimate(NodeId n) {
   const TrafficMatrix base =
       patterns::locality_mix(shuffled_cliques(n, 16), 0.6);
   Rng rng(11);
@@ -79,7 +80,13 @@ void BM_SornPlan(benchmark::State& state) {
   base.for_each_nonzero([&](NodeId i, NodeId j, double d) {
     builder.set(i, j, d * (1.0 + 0.5 * (2.0 * rng.next_double() - 1.0)));
   });
-  const auto estimate = builder.build(true);
+  return builder.build(true);
+}
+
+// One SornOptimizer::plan (the affinity, then a clustering at every
+// candidate Nc, the best one kept) on a noisy estimate.
+void BM_SornPlan(benchmark::State& state) {
+  const auto estimate = noisy_estimate(static_cast<NodeId>(state.range(0)));
   const SornOptimizer optimizer;
   for (auto _ : state) {
     SornPlan plan = optimizer.plan(*estimate);
@@ -90,6 +97,27 @@ BENCHMARK(BM_SornPlan)
     ->Arg(384)
     ->Arg(1024)
     ->Arg(2048)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
+
+// One CliqueClusterer::cluster at one clique count (args: N, Nc), from an
+// affinity built once: greedy growth and swap refinement alone. At N = 384
+// these are the five candidates of a control-replan plan.
+void BM_Cluster(benchmark::State& state) {
+  const auto estimate = noisy_estimate(static_cast<NodeId>(state.range(0)));
+  const CliqueClusterer::Affinity affinity(*estimate);
+  const auto nc = static_cast<CliqueId>(state.range(1));
+  const CliqueClusterer clusterer;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(clusterer.cluster(affinity, nc).clique_count());
+  }
+}
+BENCHMARK(BM_Cluster)
+    ->Args({384, 4})
+    ->Args({384, 8})
+    ->Args({384, 16})
+    ->Args({384, 32})
+    ->Args({384, 64})
     ->Unit(benchmark::kMillisecond);
 
 // The control loop's epoch input: a procedural locality mix (0.6 over 16
@@ -134,6 +162,32 @@ void BM_EstimatorObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EstimatorObserve)
+    ->Arg(384)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+// One epoch of the control loop that does not replan, on the same input,
+// by a control plane that has planned once. ControlPlane::on_epoch makes the
+// noise overlay of the demand, the estimator's normalized copy and its
+// EWMA, the clique aggregate of the change test and the locality of the
+// current plan.
+void BM_ControlEpoch(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  const auto demand = epoch_demand(n);
+  ControlFaultModel faults(noisy_estimates());
+  ControlPlane control(n, ControlPlane::Options());
+  control.set_fault_model(&faults);
+  Slot now = 0;
+  control.on_epoch(*demand, now);  // the first plan
+  for (auto _ : state) {
+    now += 250;
+    if (control.on_epoch(*demand, now)) {
+      state.SkipWithError("a steady epoch replanned");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_ControlEpoch)
     ->Arg(384)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);

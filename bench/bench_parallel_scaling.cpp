@@ -20,12 +20,20 @@
 // With --min-speedup, exits nonzero unless the --gate-threads row reaches
 // that speedup over the single-thread row (the CI scaling gate; the
 // generous 1.3x floor at 4 threads absorbs shared-runner noise).
+//
+// After the timed reps each thread count runs one more rep, untimed, with
+// a profiler attached, and reports the shards each worker ran (worker 0
+// is the calling thread): the rows' "shards per worker" column and the
+// metrics shards_t<T>_w<W>. An even split over the workers with no
+// speedup means the per-slot work is too small; a lopsided one means the
+// workers did not get to run.
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/prof/profiler.h"
 #include "scenario/scenario_runner.h"
 #include "sim/parallel.h"
 #include "sim/saturation.h"
@@ -41,6 +49,8 @@ struct Row {
   double slots_per_sec = 0.0;
   double speedup = 1.0;
   std::uint64_t delivered = 0;
+  // From the profiled rep; empty without a pool (one thread).
+  std::vector<std::uint64_t> worker_shards;
 };
 
 }  // namespace
@@ -79,7 +89,46 @@ int main(int argc, char** argv) {
       nodes, cliques, static_cast<long long>(slots), reps,
       ThreadPool::default_threads());
 
+  // One rep at t threads: warmup, then `slots` slots with only step()
+  // inside the timer. Returns false when the scenario fails to build.
+  auto run_rep = [&](int t, Profiler* profiler, double* ns,
+                     std::uint64_t* delivered) {
+    ScenarioConfig run = cfg;
+    run.threads = t;
+    std::string error;
+    auto runner = ScenarioRunner::create(run, &error);
+    if (runner == nullptr) {
+      std::fprintf(stderr, "scenario failed: %s\n", error.c_str());
+      return false;
+    }
+    SlottedNetwork& sim = runner->network();
+    if (profiler != nullptr) sim.set_profiler(profiler);
+    SaturationSource source(&runner->traffic(), SaturationConfig{});
+    for (Slot s = 0; s < warmup; ++s) {
+      source.pump(sim);
+      sim.step();
+    }
+    // Pump outside the timer: only the slot engine is measured.
+    *ns = 0.0;
+    for (Slot s = 0; s < slots; ++s) {
+      source.pump(sim);
+      const auto t0 = std::chrono::steady_clock::now();
+      sim.step();
+      const auto t1 = std::chrono::steady_clock::now();
+      *ns += static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count());
+    }
+    *delivered = sim.metrics().delivered_cells();
+    if (profiler != nullptr) {
+      sim.snapshot_pool_utilization();
+      sim.set_profiler(nullptr);
+    }
+    return true;
+  };
+
   std::vector<Row> rows;
+  bool profiled_equivalent = true;
   for (const int t : thread_counts) {
     if (t < 1) {
       std::fprintf(stderr, "thread counts must be >= 1\n");
@@ -88,33 +137,9 @@ int main(int argc, char** argv) {
     double best_ns = 1e18;
     std::uint64_t delivered = 0;
     for (int rep = 0; rep < reps; ++rep) {
-      ScenarioConfig run = cfg;
-      run.threads = t;
-      std::string error;
-      auto runner = ScenarioRunner::create(run, &error);
-      if (runner == nullptr) {
-        std::fprintf(stderr, "scenario failed: %s\n", error.c_str());
-        return 1;
-      }
-      SlottedNetwork& sim = runner->network();
-      SaturationSource source(&runner->traffic(), SaturationConfig{});
-      for (Slot s = 0; s < warmup; ++s) {
-        source.pump(sim);
-        sim.step();
-      }
-      // Pump outside the timer: only the slot engine is measured.
       double ns = 0.0;
-      for (Slot s = 0; s < slots; ++s) {
-        source.pump(sim);
-        const auto t0 = std::chrono::steady_clock::now();
-        sim.step();
-        const auto t1 = std::chrono::steady_clock::now();
-        ns += static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count());
-      }
+      if (!run_rep(t, nullptr, &ns, &delivered)) return 1;
       if (ns < best_ns) best_ns = ns;
-      delivered = sim.metrics().delivered_cells();
     }
     Row row;
     row.threads = t;
@@ -122,22 +147,41 @@ int main(int argc, char** argv) {
     row.delivered = delivered;
     row.speedup = rows.empty() ? 1.0
                                : row.slots_per_sec / rows.front().slots_per_sec;
+    // Profiling only reads clocks: the profiled rep must deliver the same.
+    Profiler profiler;
+    double untimed_ns = 0.0;
+    std::uint64_t profiled_delivered = 0;
+    if (!run_rep(t, &profiler, &untimed_ns, &profiled_delivered)) return 1;
+    if (profiled_delivered != delivered) profiled_equivalent = false;
+    if (profiler.has_pool_utilization()) {
+      for (const PoolWorkerStats& worker :
+           profiler.pool_utilization().workers)
+        row.worker_shards.push_back(worker.shards);
+    }
     rows.push_back(row);
   }
 
   // Byte-equivalence spot check: the same seed must deliver the same
   // cells at every thread count.
-  bool equivalent = true;
+  bool equivalent = profiled_equivalent;
   for (const Row& row : rows)
     if (row.delivered != rows.front().delivered) equivalent = false;
 
-  TablePrinter table({"threads", "slots/sec", "speedup vs 1", "delivered"});
+  TablePrinter table({"threads", "slots/sec", "speedup vs 1", "delivered",
+                      "shards per worker"});
   for (const Row& row : rows) {
+    std::string shards = row.worker_shards.empty() ? "-" : "";
+    for (std::size_t w = 0; w < row.worker_shards.size(); ++w) {
+      shards += format(
+          w == 0 ? "%llu" : "/%llu",
+          static_cast<unsigned long long>(row.worker_shards[w]));
+    }
     table.add_row({format("%d", row.threads),
                    format("%.0f", row.slots_per_sec),
                    format("%.2fx", row.speedup),
                    format("%llu",
-                          static_cast<unsigned long long>(row.delivered))});
+                          static_cast<unsigned long long>(row.delivered)),
+                   shards});
   }
   table.print();
   std::printf("\nequivalence across thread counts: %s\n",
@@ -157,6 +201,12 @@ int main(int argc, char** argv) {
       if (row.threads != 1)
         metrics += ", \"speedup_t" + format("%d", row.threads) +
                    "\": " + format("%.3f", row.speedup);
+      for (std::size_t w = 0; w < row.worker_shards.size(); ++w) {
+        metrics += ", \"shards_t" + format("%d", row.threads) + "_w" +
+                   format("%zu", w) + "\": " +
+                   format("%llu", static_cast<unsigned long long>(
+                                      row.worker_shards[w]));
+      }
     }
     metrics += "}";
     const std::string doc =

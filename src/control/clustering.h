@@ -25,14 +25,17 @@ class CliqueClusterer {
   // a(i, j) = d(i, j) + d(j, i) as a dense N x N array, and each node's
   // row weight (its affinity summed over j ascending). Built once per
   // demand, it serves every clique count clustered from that demand.
+  // a(i, j) and a(j, i) receive the same two addends in the same order, so
+  // the array is exactly symmetric: row i is also column i.
   class Affinity {
    public:
     explicit Affinity(const DemandModel& tm);
 
     NodeId node_count() const { return n_; }
-    double at(NodeId i, NodeId j) const {
-      return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
-                static_cast<std::size_t>(j)];
+    // Row i: a(i, j) for j = 0 .. N - 1.
+    const double* row(NodeId i) const {
+      return a_.data() +
+             static_cast<std::size_t>(i) * static_cast<std::size_t>(n_);
     }
     double row_weight(NodeId i) const {
       return row_weight_[static_cast<std::size_t>(i)];

@@ -84,12 +84,16 @@ const DemandModel& ControlFaultModel::filter(const DemandModel& observed) {
   // Seeded multiplicative noise as a sparse overlay of the source, copied
   // straight from its row-major visit. The historical dense loop skipped
   // rate <= 0 cells without drawing, so one draw per visited nonzero
-  // consumes the noise RNG identically on every backend.
+  // consumes the noise RNG identically on every backend. The overlay is
+  // written into the last one's arrays.
+  const double noise = options_.estimate_noise;
+  Rng& rng = noise_rng_;
   degraded_ = SparseDemand::from_model(
-      *source, /*normalize=*/false, [this](NodeId, NodeId, double rate) {
-        return rate * (1.0 + options_.estimate_noise *
-                                 (2.0 * noise_rng_.next_double() - 1.0));
-      });
+      *source, /*normalize=*/false,
+      [noise, &rng](NodeId, NodeId, double rate) {
+        return rate * (1.0 + noise * (2.0 * rng.next_double() - 1.0));
+      },
+      std::move(degraded_));
   return *degraded_;
 }
 

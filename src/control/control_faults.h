@@ -124,7 +124,7 @@ class ControlFaultModel {
   // Observation history for staleness; back = newest. Bounded by
   // estimate_stale_epochs + 1.
   std::deque<std::unique_ptr<const DemandModel>> history_;
-  std::unique_ptr<const SparseDemand> degraded_;
+  std::unique_ptr<SparseDemand> degraded_;
   Tracer* tracer_ = nullptr;
 };
 

@@ -1,6 +1,8 @@
 #include "control/control_plane.h"
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 namespace sorn {
 
@@ -57,18 +59,17 @@ bool ControlPlane::on_epoch(const DemandModel& observed, Slot now) {
   // Mask failed nodes out of the demand before clustering: a dead node
   // carries no traffic, so letting its stale rows/columns steer the
   // clusterer would keep granting it clique slots.
-  const DemandModel* demand = &estimator_.estimate();
+  const SparseDemand* demand = &estimator_.estimate();
   std::unique_ptr<SparseDemand> masked;
   if (failures_ != nullptr && failures_->failed_node_count() > 0) {
     // Copy the estimate without the failed nodes' rows/columns. The dense
     // predecessor zeroed them in a full copy; dropping the entries is the
     // same thing (exact zeros are no-ops in every optimizer fold).
-    masked = SparseDemand::from_model(
-        *demand, /*normalize=*/false, [this](NodeId i, NodeId j, double d) {
-          return failures_->is_node_failed(i) || failures_->is_node_failed(j)
-                     ? 0.0
-                     : d;
-        });
+    std::vector<std::uint8_t> failed(
+        static_cast<std::size_t>(demand->node_count()));
+    for (NodeId i = 0; i < demand->node_count(); ++i)
+      failed[static_cast<std::size_t>(i)] = failures_->is_node_failed(i);
+    masked = demand->without_nodes(failed);
     demand = masked.get();
   }
 

@@ -19,14 +19,19 @@ TrafficEstimator::TrafficEstimator(NodeId nodes, double alpha)
 
 void TrafficEstimator::observe(const DemandModel& epoch) {
   SORN_ASSERT(epoch.node_count() == nodes_, "observation size mismatch");
-  // Normalize the observation so magnitudes are comparable across epochs.
-  auto obs = SparseDemand::from_model(epoch, /*normalize=*/true);
+  // Normalize the observation so magnitudes are comparable across epochs,
+  // in the arrays of the observation it replaces.
+  auto obs =
+      SparseDemand::from_model(epoch, /*normalize=*/true, std::move(latest_));
   const double keep = observations_ == 0 ? 0.0 : 1.0 - alpha_;
   const double add = observations_ == 0 ? 1.0 : alpha_;
 
-  // The dense per-cell EWMA keep * s + add * o, merged row by row over
-  // the union of the two supports.
-  smoothed_ = SparseDemand::blend(keep, *smoothed_, add, *obs);
+  // The dense per-cell EWMA keep * s + add * o over the union of the two
+  // supports, in the arrays of the estimate the blend before replaced.
+  auto next = SparseDemand::blend(keep, *smoothed_, add, *obs,
+                                  std::move(spare_));
+  spare_ = std::move(smoothed_);
+  smoothed_ = std::move(next);
   latest_ = std::move(obs);
   ++observations_;
 
@@ -47,7 +52,8 @@ void TrafficEstimator::observe(const DemandModel& epoch) {
 
 void TrafficEstimator::reset_to_latest() {
   SORN_ASSERT(observations_ > 0, "nothing observed yet");
-  smoothed_ = SparseDemand::from_model(*latest_);
+  smoothed_ = SparseDemand::from_model(*latest_, /*normalize=*/false,
+                                       std::move(smoothed_));
 }
 
 double TrafficEstimator::locality(const CliqueAssignment& cliques) const {

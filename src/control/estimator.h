@@ -10,11 +10,11 @@
 // Storage is sparse-delta: the smoothed and latest estimates live in
 // SparseDemand (CSR over the union of observed supports) instead of two
 // dense N^2 matrices. An epoch touches the demand once per copy: the
-// observation is normalized into a CSR straight from its row-major visit,
-// and the EWMA update merges the two CSRs row by row into the next one
-// (SparseDemand::blend), evaluating keep * s + add * o per union entry —
-// bit-identical to the dense per-cell loop because absent entries
-// contribute an exact 0.0.
+// observation is normalized into a CSR (an array copy when it is one
+// already, as the fault model's noisy overlay is), and the EWMA update
+// blends the two CSRs into the next one (SparseDemand::blend), evaluating
+// keep * s + add * o per union entry — bit-identical to the dense per-cell
+// loop because absent entries contribute an exact 0.0.
 #pragma once
 
 #include <memory>
@@ -38,10 +38,10 @@ class TrafficEstimator {
 
   // The smoothed demand estimate (normalized to unit peak node load).
   // All-zero until the first observation.
-  const DemandModel& estimate() const { return *smoothed_; }
+  const SparseDemand& estimate() const { return *smoothed_; }
 
   // The most recent (normalized) observation, un-smoothed.
-  const DemandModel& latest() const { return *latest_; }
+  const SparseDemand& latest() const { return *latest_; }
 
   // Discard the smoothed history and restart from the latest observation.
   // Called after change-point detection: once the macro pattern has
@@ -61,9 +61,11 @@ class TrafficEstimator {
   // The grouping against which macro_change() aggregates are computed.
   void set_reference_grouping(const CliqueAssignment& cliques);
 
-  // Heap bytes held by the smoothed/latest estimates (profiler gauge).
+  // Heap bytes held by the smoothed/latest estimates and the spare arrays
+  // the next blend writes (profiler gauge).
   std::size_t memory_bytes() const {
-    return smoothed_->memory_bytes() + latest_->memory_bytes();
+    return smoothed_->memory_bytes() + latest_->memory_bytes() +
+           (spare_ != nullptr ? spare_->memory_bytes() : 0);
   }
 
  private:
@@ -71,6 +73,8 @@ class TrafficEstimator {
   double alpha_;
   std::unique_ptr<SparseDemand> smoothed_;
   std::unique_ptr<SparseDemand> latest_;
+  // The estimate the last blend replaced; the next blend writes into it.
+  std::unique_ptr<SparseDemand> spare_;
   std::uint64_t observations_ = 0;
   std::optional<CliqueAssignment> reference_;
   std::vector<double> last_aggregate_;

@@ -443,6 +443,23 @@ bool ScenarioConfig::validate(std::string* error) const {
   if (!fault_script.empty() && !fault_script_path.empty())
     return fail("give fault_script or fault_script_path, not both");
   if (epoch_slots < 0) return fail("epoch_slots must be >= 0");
+  if (epoch_slots > 0) {
+    // Whatever the backend, the control loop copies the demand it observes
+    // into CSR estimates (up to N x (N - 1) entries each) and clusters
+    // from a dense N x N affinity.
+    const auto n = static_cast<std::uint64_t>(nodes);
+    if (n * n > kMaxDemandEntries) {
+      if (error != nullptr) {
+        *error = "epoch_slots (the control loop) would hold a " +
+                 std::to_string(n) + " x " + std::to_string(n) +
+                 " affinity and estimates of up to " +
+                 std::to_string(n * (n - 1)) +
+                 " demand entries, past the cap of 2^28 entries (N = "
+                 "16384)";
+      }
+      return false;
+    }
+  }
   if (update_delay_slots < 0) return fail("update_delay_slots must be >= 0");
   if (control_outages.size() % 2 != 0)
     return fail("control_outages must be flattened [start, end) pairs");

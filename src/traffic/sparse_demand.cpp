@@ -46,62 +46,120 @@ SparseDemand::SparseDemand(NodeId n)
   SORN_ASSERT(n >= 1, "sparse demand needs at least one node");
 }
 
-void SparseDemand::append(NodeId src, NodeId dst, double rate) {
-  if (rate == 0.0) return;
-  SORN_ASSERT(rate > 0.0, "demand must be nonnegative");
-  SORN_ASSERT(src != dst, "diagonal demand is invalid");
-  cols_.push_back(dst);
-  vals_.push_back(rate);
-  ++row_ptr_[static_cast<std::size_t>(src) + 1];
-  row_sums_[static_cast<std::size_t>(src)] += rate;
-  col_sums_[static_cast<std::size_t>(dst)] += rate;
-}
-
 void SparseDemand::close(bool normalize_node_load) {
   for (NodeId i = 0; i < n_; ++i) {
     row_ptr_[static_cast<std::size_t>(i) + 1] +=
         row_ptr_[static_cast<std::size_t>(i)];
   }
+  finalize();
   if (normalize_node_load) {
     // Replicate TrafficMatrix::normalize_node_load(1.0): the raw row folds
     // (columns ascending) and column folds (rows ascending, realized by
-    // accumulating row-major) that append() took, their max across
+    // accumulating row-major) that finalize() just took, their max across
     // nodes, then every stored value scaled by 1/load. Skipped zeros are
     // bit-exact no-ops in the dense folds, so these folds have the same
     // bits.
-    const double load = max_node_load();
-    if (load > 0.0) {
-      const double factor = 1.0 / load;
+    const double factor = unit_load_factor();
+    if (factor != 1.0) {
       for (double& v : vals_) v *= factor;
+      finalize();
     }
   }
-  finalize();
 }
 
-std::unique_ptr<SparseDemand> SparseDemand::from_model(
-    const DemandModel& model, bool normalize, const EntryMap& map) {
-  auto out = std::make_unique<SparseDemand>(model.node_count());
-  NodeId row = 0;
-  NodeId col = kNoNode;  // the last visited entry
-  model.for_each_nonzero([&](NodeId i, NodeId j, double d) {
-    SORN_ASSERT(i > row || (i == row && j > col),
-                "for_each_nonzero must visit rows ascending and columns "
-                "strictly ascending within a row");
-    row = i;
-    col = j;
-    out->append(i, j, map ? map(i, j, d) : d);
-  });
-  out->close(normalize);
+double SparseDemand::unit_load_factor() const {
+  const double load = max_node_load();
+  return load > 0.0 ? 1.0 / load : 1.0;
+}
+
+std::unique_ptr<SparseDemand> SparseDemand::blank(
+    NodeId n, std::unique_ptr<SparseDemand>& reuse, const DemandModel* source,
+    const DemandModel* other) {
+  if (reuse == nullptr || reuse->n_ != n || reuse.get() == source ||
+      reuse.get() == other)
+    return std::make_unique<SparseDemand>(n);
+  auto out = std::move(reuse);
+  out->row_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
+  out->cols_.clear();
+  out->vals_.clear();
+  out->pair_cdf_.clear();
+  out->row_cdf_.clear();
   return out;
 }
 
-std::unique_ptr<SparseDemand> SparseDemand::blend(double keep,
-                                                  const SparseDemand& a,
-                                                  double add,
-                                                  const SparseDemand& b) {
+std::unique_ptr<SparseDemand> SparseDemand::from_model(
+    const DemandModel& model, bool normalize,
+    std::unique_ptr<SparseDemand> reuse) {
+  if (const auto* csr = dynamic_cast<const SparseDemand*>(&model)) {
+    return copy_of(*csr, nullptr, normalize ? csr->unit_load_factor() : 1.0,
+                   std::move(reuse));
+  }
+  return from_model(
+      model, normalize, [](NodeId, NodeId, double d) { return d; },
+      std::move(reuse));
+}
+
+std::unique_ptr<SparseDemand> SparseDemand::without_nodes(
+    const std::vector<std::uint8_t>& dropped) const {
+  SORN_ASSERT(dropped.size() == static_cast<std::size_t>(n_),
+              "one flag per node");
+  return copy_of(*this, dropped.data(), 1.0, nullptr);
+}
+
+std::unique_ptr<SparseDemand> SparseDemand::copy_of(
+    const SparseDemand& src, const std::uint8_t* dropped, double factor,
+    std::unique_ptr<SparseDemand> reuse) {
+  auto out = blank(src.n_, reuse, &src);
+  if (dropped == nullptr && !src.stored_zero_) {
+    // Every stored entry is kept: plain array copies.
+    out->row_ptr_ = src.row_ptr_;
+    out->cols_ = src.cols_;
+    out->vals_.resize(src.vals_.size());
+    for (std::size_t m = 0; m < src.vals_.size(); ++m)
+      out->vals_[m] = src.vals_[m] * factor;
+  } else {
+    out->cols_.resize(src.vals_.size());
+    out->vals_.resize(src.vals_.size());
+    auto is_dropped = [dropped](NodeId node) {
+      return dropped != nullptr && dropped[static_cast<std::size_t>(node)] != 0;
+    };
+    std::size_t k = 0;
+    for (NodeId i = 0; i < src.n_; ++i) {
+      if (!is_dropped(i)) {
+        for (std::size_t m = src.row_ptr_[static_cast<std::size_t>(i)];
+             m < src.row_ptr_[static_cast<std::size_t>(i) + 1]; ++m) {
+          if (src.vals_[m] == 0.0 || is_dropped(src.cols_[m])) continue;
+          out->cols_[k] = src.cols_[m];
+          out->vals_[k] = src.vals_[m] * factor;
+          ++k;
+        }
+      }
+      out->row_ptr_[static_cast<std::size_t>(i) + 1] = k;
+    }
+    out->cols_.resize(k);
+    out->vals_.resize(k);
+  }
+  out->finalize();
+  return out;
+}
+
+std::unique_ptr<SparseDemand> SparseDemand::blend(
+    double keep, const SparseDemand& a, double add, const SparseDemand& b,
+    std::unique_ptr<SparseDemand> reuse) {
   SORN_ASSERT(a.n_ == b.n_, "blended matrices differ in size");
-  auto out = std::make_unique<SparseDemand>(a.n_);
-  // Equal supports, the steady state, fill this exactly.
+  auto out = blank(a.n_, reuse, &a, &b);
+  if (!a.stored_zero_ && !b.stored_zero_ && a.row_ptr_ == b.row_ptr_ &&
+      a.cols_ == b.cols_) {
+    // Equal supports, the steady state: the merge below would pair every
+    // entry with its twin and skip none.
+    out->row_ptr_ = a.row_ptr_;
+    out->cols_ = a.cols_;
+    out->vals_.resize(a.vals_.size());
+    for (std::size_t m = 0; m < a.vals_.size(); ++m)
+      out->vals_[m] = keep * a.vals_[m] + add * b.vals_[m];
+    out->finalize();
+    return out;
+  }
   const std::size_t reserve = std::max(a.vals_.size(), b.vals_.size());
   out->cols_.reserve(reserve);
   out->vals_.reserve(reserve);
@@ -141,6 +199,7 @@ void SparseDemand::finalize() {
   row_sums_.assign(static_cast<std::size_t>(n_), 0.0);
   col_sums_.assign(static_cast<std::size_t>(n_), 0.0);
   double acc = 0.0;
+  bool zero = false;
   for (NodeId i = 0; i < n_; ++i) {
     double row_acc = 0.0;
     for (std::size_t m = row_ptr_[static_cast<std::size_t>(i)];
@@ -149,10 +208,12 @@ void SparseDemand::finalize() {
       acc += v;
       row_acc += v;
       col_sums_[static_cast<std::size_t>(cols_[m])] += v;
+      zero |= v == 0.0;
     }
     row_sums_[static_cast<std::size_t>(i)] = row_acc;
   }
   total_ = acc;
+  stored_zero_ = zero;
 }
 
 void SparseDemand::ensure_cdfs() const {
@@ -200,17 +261,16 @@ void SparseDemand::for_each_nonzero(const NonzeroVisitor& visit) const {
 double SparseDemand::locality_ratio(const CliqueAssignment& cliques) const {
   SORN_ASSERT(cliques.node_count() == n_, "assignment size mismatch");
   // The generic fold over the stored entries; a stored 0.0 adds nothing.
+  // Its fold of every entry is finalize()'s total_.
   double intra = 0.0;
-  double all = 0.0;
   for (NodeId i = 0; i < n_; ++i) {
     const CliqueId ci = cliques.clique_of(i);
     for (std::size_t m = row_ptr_[static_cast<std::size_t>(i)];
          m < row_ptr_[static_cast<std::size_t>(i) + 1]; ++m) {
-      all += vals_[m];
       if (cliques.clique_of(cols_[m]) == ci) intra += vals_[m];
     }
   }
-  return all > 0.0 ? intra / all : 0.0;
+  return total_ > 0.0 ? intra / total_ : 0.0;
 }
 
 std::vector<double> SparseDemand::aggregate(

@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "control/hier_optimizer.h"
 #include "traffic/patterns.h"
+#include "traffic/same_demand.h"
 #include "traffic/sparse_demand.h"
 #include "util/rng.h"
 
@@ -194,6 +196,26 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<ReferenceCase>& info) {
       return case_name(info.param);
     });
+
+// A PermutedDemandView reports its base's backend, sparse here, but is not
+// a CSR: the affinity and from_model must read it through its visit, the
+// same entries as the permuted matrix.
+TEST(ClusteringTest, PermutedViewOfACsrIsReadThroughItsVisit) {
+  const auto tm = noisy_estimate(24, 6, 5, /*normalize=*/true, false);
+  std::vector<NodeId> reversed(24);
+  for (NodeId i = 0; i < 24; ++i) reversed[static_cast<std::size_t>(i)] = 23 - i;
+  const PermutedDemandView view(*tm, reversed);
+  ASSERT_EQ(view.backend(), DemandBackend::kSparse);
+  const TrafficMatrix permuted = permute_matrix(*tm, reversed);
+  const CliqueClusterer clusterer;
+  for (const CliqueId nc : {2, 4, 6}) {
+    EXPECT_TRUE(clusterer.cluster(view, nc) == clusterer.cluster(permuted, nc))
+        << "nc=" << nc;
+  }
+  expect_same_demand(*SparseDemand::from_model(view, /*normalize=*/true),
+                     *SparseDemand::from_model(permuted, /*normalize=*/true),
+                     "normalized copy of the view");
+}
 
 // Build a locality-mix matrix over a "hidden" non-contiguous grouping and
 // check the clusterer recovers it.

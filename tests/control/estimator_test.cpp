@@ -300,6 +300,78 @@ TEST(EstimatorTest, EwmaMatchesTheCooMergeBitForBit) {
   }
 }
 
+// blend() adds two CSRs elementwise when their supports are equal with no
+// stored 0.0 on either side, and merges any other pair row by row. Each
+// input below picks one path; the result must equal the COO merge bit for
+// bit, stored zeros counted.
+TEST(EstimatorTest, BlendMatchesTheCooMergeOnEveryPath) {
+  constexpr NodeId kNodes = 12;
+  auto csr = [](const DemandModel& model) {
+    return builder_copy(model, /*normalize=*/false);
+  };
+  auto check = [](double keep, const SparseDemand& a, double add,
+                  const SparseDemand& b, const std::string& what) {
+    const auto got = SparseDemand::blend(keep, a, add, b);
+    const Coo merged = coo_merge(keep, a, add, b);
+    SparseDemand::Builder builder(kNodes);
+    for (std::size_t k = 0; k < merged.vals.size(); ++k)
+      builder.set(merged.rows[k], merged.cols[k], merged.vals[k]);
+    EXPECT_EQ(got->nonzero_count(), merged.vals.size()) << what;
+    expect_same_demand(static_cast<const DemandModel&>(*got),
+                       *builder.build(false), what);
+  };
+  Rng rng(41);
+  const TrafficMatrix none(kNodes);
+  const TrafficMatrix dense = random_epoch(kNodes, Support::kDense, none, rng);
+  const TrafficMatrix dense_again =
+      random_epoch(kNodes, Support::kSameAsLast, dense, rng);
+  const TrafficMatrix sparse =
+      random_epoch(kNodes, Support::kSparseRows, none, rng);
+  const TrafficMatrix sparse_again =
+      random_epoch(kNodes, Support::kSameAsLast, sparse, rng);
+  // Equal supports, no stored 0.0: the elementwise path.
+  check(0.7, *csr(dense), 0.3, *csr(dense_again), "equal dense supports");
+  check(0.7, *csr(sparse), 0.3, *csr(sparse_again), "equal sparse supports");
+  // A column present on one side only, either side: merged.
+  TrafficMatrix one_more = sparse_again;
+  TrafficMatrix one_less = sparse_again;
+  for (NodeId j = 1; j < kNodes; ++j) {
+    if (sparse.at(0, j) == 0.0) one_more.set(0, j, 0.25);
+  }
+  bool dropped = false;
+  sparse.for_each_nonzero([&](NodeId i, NodeId j, double) {
+    if (!dropped) one_less.set(i, j, 0.0);
+    dropped = true;
+  });
+  check(0.7, *csr(sparse), 0.3, *csr(one_more), "a column only in b");
+  check(0.7, *csr(one_more), 0.3, *csr(sparse), "a column only in a");
+  check(0.7, *csr(sparse), 0.3, *csr(one_less), "a column missing from b");
+  // Equal stored supports holding a 0.0 (half a denormal blended with
+  // nothing): merged, which skips the 0.0 on both sides.
+  const TrafficMatrix planted =
+      random_epoch(kNodes, Support::kPlanted, none, rng);
+  const SparseDemand empty(kNodes);
+  const auto zero_a = SparseDemand::blend(0.5, *csr(planted), 0.5, empty);
+  const auto zero_b = SparseDemand::blend(0.5, *csr(planted), 0.3, empty);
+  ASSERT_EQ(zero_a->nonzero_count(), 2u);
+  check(0.7, *zero_a, 0.3, *zero_b, "equal supports with a stored 0.0");
+  check(0.7, *zero_a, 0.3, *csr(planted), "a stored 0.0 against a nonzero");
+
+  // Through the estimator: after a reset its estimate has the latest
+  // observation's support, so a same-support epoch is blended elementwise.
+  TrafficEstimator est(kNodes, 0.3);
+  ReferenceEstimator ref(kNodes, 0.3);
+  for (const TrafficMatrix* epoch : {&sparse, &dense, &dense_again}) {
+    est.observe(*epoch);
+    ref.observe(*epoch);
+    if (epoch == &dense) {
+      est.reset_to_latest();
+      ref.reset_to_latest();
+    }
+    expect_matches_reference(est, ref, "estimator sequence");
+  }
+}
+
 TEST(EstimatorTest, RejectsAlphaOutOfRange) {
   EXPECT_DEATH(TrafficEstimator(4, 0.0), "EWMA");
   EXPECT_DEATH(TrafficEstimator(4, 1.5), "EWMA");

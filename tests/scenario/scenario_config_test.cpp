@@ -573,6 +573,27 @@ TEST(ScenarioConfigTest, ValidateCapsMaterializedDemandEntries) {
   EXPECT_NE(error.find("procedural"), std::string::npos) << error;
 }
 
+TEST(ScenarioConfigTest, ValidateCapsTheControlLoopAtTheDemandCap) {
+  // The control loop copies the observed demand into CSR estimates and
+  // clusters from a dense N x N affinity on any backend, procedural
+  // included: past 2^28 entries its first epoch or replan would abort.
+  std::string error;
+  ScenarioConfig cfg;
+  cfg.traffic_backend = DemandBackend::kProcedural;
+  cfg.nodes = 65536;
+  cfg.cliques = 64;
+  cfg.slots = 2;
+  EXPECT_TRUE(cfg.validate(&error)) << error;  // no control loop
+  cfg.epoch_slots = 1;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("epoch_slots"), std::string::npos) << error;
+  EXPECT_NE(error.find("2^28"), std::string::npos) << error;
+  cfg.nodes = 16384;  // N^2 = 2^28: at the cap
+  EXPECT_TRUE(cfg.validate(&error)) << error;
+  cfg.nodes = 16400;
+  EXPECT_FALSE(cfg.validate(&error));
+}
+
 TEST(ScenarioConfigTest, ValidateRejectsBadControlFaultFields) {
   std::string error;
   ScenarioConfig cfg;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -288,6 +290,52 @@ TEST(DemandModelGolden, SparseFromModelRoundTripsTheDenseMatrix) {
   expect_same_demand(*SparseDemand::from_model(raw, /*normalize=*/true),
                      normalized, "raw normalized vs the dense normalization");
   check(TrafficMatrix(24), "all zero");
+
+  // A CSR source is copied array by array, scaled by its own folds; the
+  // overload with a map always visits. Both must store the same arrays,
+  // from a CSR with no stored 0.0 and from one holding a 0.0 (a blend of
+  // half a denormal with nothing: the array copy must drop it as the
+  // visit skips it), written fresh or into a reused matrix whose sampling
+  // caches were built.
+  auto visit_copy = [](const DemandModel& model, bool normalize) {
+    return SparseDemand::from_model(model, normalize,
+                                    [](NodeId, NodeId, double d) { return d; });
+  };
+  TrafficMatrix planted = raw;
+  planted.set(23, 22, std::numeric_limits<double>::denorm_min());
+  const auto with_zero = SparseDemand::blend(
+      0.5, *SparseDemand::from_model(planted), 0.5, SparseDemand(24));
+  ASSERT_EQ(with_zero->nonzero_count(),
+            SparseDemand::from_model(raw)->nonzero_count() + 1);
+  const auto no_zero = SparseDemand::from_model(raw);
+  for (const SparseDemand* csr : {no_zero.get(), with_zero.get()}) {
+    const std::string what =
+        csr == no_zero.get() ? "csr" : "csr with a stored 0.0";
+    for (const bool normalize : {false, true}) {
+      const std::string label = what + (normalize ? " normalized" : " as is");
+      const auto want = visit_copy(*csr, normalize);
+      expect_same_demand(*SparseDemand::from_model(*csr, normalize), *want,
+                         label);
+      auto reused = SparseDemand::from_model(normalized);
+      Rng rng(3);
+      (void)reused->sample_pair(rng);  // builds the sampling caches
+      expect_same_demand(
+          *SparseDemand::from_model(*csr, normalize, std::move(reused)), *want,
+          label + " into a reused matrix");
+    }
+    // The failure mask's array pass against the visit whose map zeroes
+    // every entry of a dropped node.
+    std::vector<std::uint8_t> dropped(24, 0);
+    dropped[1] = dropped[22] = 1;
+    auto zero_dropped = [&dropped](NodeId i, NodeId j, double d) {
+      const bool gone = dropped[static_cast<std::size_t>(i)] != 0 ||
+                        dropped[static_cast<std::size_t>(j)] != 0;
+      return gone ? 0.0 : d;
+    };
+    expect_same_demand(*csr->without_nodes(dropped),
+                       *SparseDemand::from_model(*csr, false, zero_dropped),
+                       what + " without nodes 1 and 22");
+  }
 }
 
 }  // namespace
