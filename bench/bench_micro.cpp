@@ -1,5 +1,5 @@
-// Engine microbenchmarks (google-benchmark): schedule construction and
-// lookup, the control loop's epoch, clustering and replan,
+// Engine microbenchmarks (google-benchmark): schedule construction,
+// lookup and inverse, the control loop's epoch, clustering and replan,
 // route selection, VOQ push/pop, the transport pump, and simulator slot
 // throughput.
 #include <benchmark/benchmark.h>
@@ -298,32 +298,53 @@ void BM_VoqPushPop(benchmark::State& state, NodeId fanout, int depth) {
 BENCHMARK_CAPTURE(BM_VoqPushPop, fanout, 256, 1);
 BENCHMARK_CAPTURE(BM_VoqPushPop, deep, 1, 1024);
 
-// One pop_ready toward a hop the node has no queue for, on a node holding
-// one cell toward each of k next hops spread over 4096 ids (arg: k) — most
-// transmit opportunities in a run. The absent hops cycle through the other
-// ids, so searches end all over the index, and a share of them hit a
-// filter bit a present hop holds.
-void BM_VoqPopAbsent(benchmark::State& state) {
-  const auto k = static_cast<NodeId>(state.range(0));
-  constexpr NodeId kNodes = 4096;
-  const NodeId stride = kNodes / k;
-  VoqSet voqs(kNodes);
-  std::vector<NodeId> absent;
-  for (NodeId hop = 1; hop < kNodes; ++hop) {
-    if (hop % stride == stride / 2) {
-      voqs.push(0, Cell(/*flow=*/1, /*seq=*/0, Path::of({0, hop, 1}), 0));
-    } else {
-      absent.push_back(hop);
-    }
-  }
-  std::size_t i = 0;
+// One carriers() lookup, the inverse the wake lists are filled from: the
+// distinct matchings carrying src -> dst, over pairs that sweep the id
+// space. Contiguous SORN at N = 4096 with 64 cliques answers by shift
+// arithmetic (4,095 shift matchings, 2 radix groups); clustered SORN at
+// N = 384 with 16 scattered cliques answers from the per-node index of
+// its 383 explicit matchings, built before the timing starts.
+void BM_ScheduleCarriers(benchmark::State& state, bool clustered) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  const auto nc = static_cast<CliqueId>(state.range(1));
+  const CircuitSchedule s = ScheduleBuilder::sorn(
+      clustered ? shuffled_cliques(n, nc) : CliqueAssignment::contiguous(n, nc),
+      Rational{9, 2});
+  std::vector<std::uint32_t> out;
+  s.carriers(0, 1, &out);
+  std::int64_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(voqs.pop_ready(0, absent[i], 0));
-    i = i + 1 == absent.size() ? 0 : i + 1;
+    const auto src = static_cast<NodeId>(k % n);
+    const auto dst = static_cast<NodeId>((k * 37 + 1) % n);
+    s.carriers(src, dst, &out);
+    benchmark::DoNotOptimize(out.data());
+    ++k;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_VoqPopAbsent)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK_CAPTURE(BM_ScheduleCarriers, contiguous, false)->Args({4096, 64});
+BENCHMARK_CAPTURE(BM_ScheduleCarriers, clustered, true)->Args({384, 16});
+
+// The first carriers() on a fresh copy of the clustered schedule above:
+// the explicit index build plus one lookup (a replan pays this once per
+// new schedule).
+void BM_ScheduleCarriersFirstUse(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  const auto nc = static_cast<CliqueId>(state.range(1));
+  const CircuitSchedule built =
+      ScheduleBuilder::sorn(shuffled_cliques(n, nc), Rational{9, 2});
+  std::vector<std::uint32_t> out;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const CircuitSchedule s = built;
+    state.ResumeTiming();
+    s.carriers(0, 1, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_ScheduleCarriersFirstUse)
+    ->Args({384, 16})
+    ->Unit(benchmark::kMillisecond);
 
 // One DctcpTransport::pump() with n open flows (arg: n), every window
 // full, after four acks — the incast shape, where most open flows wait on

@@ -20,13 +20,20 @@
 //                accountant's cadence. Measured and reported, not gated:
 //                attaching the profiler is an explicit opt-in.
 //
-// Saturated 64-node SORN fabric; best of `kReps` repetitions to shed
-// scheduler noise. Pump cost is part of every mode equally. With --json,
-// the per-mode ns/slot and overhead percentages are written
-// machine-readably under a "metrics" key.
+// Saturated 64-node SORN fabric. Each repetition runs the five modes in
+// turn (in reverse on odd repetitions), so a change in the host's speed
+// between repetitions moves every mode of that repetition alike. The gate
+// is the median over repetitions of each repetition's idle / detached
+// ratio, and each mode's ns/slot is its median. Pump cost is part of
+// every mode equally. With --json, the per-mode ns/slot and overhead
+// percentages are written machine-readably under a "metrics" key.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "control/reconfig.h"
 #include "obs/export.h"
@@ -71,17 +78,10 @@ double run_once(Telemetry* telemetry, Profiler* profiler) {
   return ns / static_cast<double>(g_slots);
 }
 
-double best_of(Telemetry* (*make)(), void (*destroy)(Telemetry*),
-               bool profiled = false) {
-  double best = 1e18;
-  for (int r = 0; r < g_reps; ++r) {
-    Telemetry* t = make();
-    Profiler profiler;  // fresh per rep so counters never carry over
-    const double ns = run_once(t, profiled ? &profiler : nullptr);
-    destroy(t);
-    if (ns < best) best = ns;
-  }
-  return best;
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
 }
 
 NullTraceSink null_sink;
@@ -97,44 +97,54 @@ int main(int argc, char** argv) {
   args.finish();
   std::printf(
       "Telemetry overhead, %d-node saturated SORN fabric, %lld slots/run, "
-      "best of %d:\n\n",
+      "medians of %d repetitions (each runs every mode in turn):\n\n",
       kNodes, static_cast<long long>(g_slots), g_reps);
 
-  const double detached = best_of(
-      [] { return static_cast<Telemetry*>(nullptr); }, [](Telemetry*) {});
-  const double idle = best_of([] { return new Telemetry(); },
-                              [](Telemetry* t) { delete t; });
-  const double sampled = best_of(
-      [] { return new Telemetry(TelemetryOptions{.sample_every = 100}); },
-      [](Telemetry* t) { delete t; });
-  const double traced = best_of(
-      [] {
-        auto* t = new Telemetry(TelemetryOptions{.sample_every = 100});
-        t->set_trace_sink(&null_sink);
-        return t;
-      },
-      [](Telemetry* t) { delete t; });
-  const double profiled =
-      best_of([] { return static_cast<Telemetry*>(nullptr); },
-              [](Telemetry*) {}, /*profiled=*/true);
+  enum Mode { kDetached, kIdle, kSampled, kTraced, kProfiled, kModes };
+  std::array<std::vector<double>, kModes> ns;     // per mode, per rep
+  std::array<std::vector<double>, kModes> ratio;  // per mode, vs detached
+  for (int r = 0; r < g_reps; ++r) {
+    for (int k = 0; k < kModes; ++k) {
+      // Odd repetitions run the modes in reverse, so a drift within a
+      // repetition favours no mode.
+      const int mode = r % 2 == 0 ? k : kModes - 1 - k;
+      std::unique_ptr<Telemetry> t;
+      if (mode == kIdle) t = std::make_unique<Telemetry>();
+      if (mode == kSampled || mode == kTraced)
+        t = std::make_unique<Telemetry>(TelemetryOptions{.sample_every = 100});
+      if (mode == kTraced) t->set_trace_sink(&null_sink);
+      Profiler profiler;  // fresh per run so counters never carry over
+      ns[mode].push_back(
+          run_once(t.get(), mode == kProfiled ? &profiler : nullptr));
+    }
+    for (int mode = 0; mode < kModes; ++mode)
+      ratio[mode].push_back(ns[mode].back() / ns[kDetached].back());
+  }
+  const double detached = median(ns[kDetached]);
+  const double idle = median(ns[kIdle]);
+  const double sampled = median(ns[kSampled]);
+  const double traced = median(ns[kTraced]);
+  const double profiled = median(ns[kProfiled]);
 
   TablePrinter table({"mode", "ns/slot", "overhead vs detached"});
-  auto pct = [&](double v) {
-    return format("%+.2f%%", (v / detached - 1.0) * 100.0);
+  // Overhead: the median of the per-repetition ratios, as a percentage.
+  auto overhead = [&](Mode mode) {
+    return (median(ratio[mode]) - 1.0) * 100.0;
   };
+  auto pct = [&](Mode mode) { return format("%+.2f%%", overhead(mode)); };
   table.add_row({"detached (seed path)", format("%.1f", detached), "-"});
-  table.add_row({"idle (attached, no sink)", format("%.1f", idle), pct(idle)});
   table.add_row(
-      {"sampled (every 100 slots)", format("%.1f", sampled), pct(sampled)});
-  table.add_row(
-      {"traced (null sink + sampling)", format("%.1f", traced), pct(traced)});
-  table.add_row(
-      {"profiled (phase timers + gauges)", format("%.1f", profiled),
-       pct(profiled)});
+      {"idle (attached, no sink)", format("%.1f", idle), pct(kIdle)});
+  table.add_row({"sampled (every 100 slots)", format("%.1f", sampled),
+                 pct(kSampled)});
+  table.add_row({"traced (null sink + sampling)", format("%.1f", traced),
+                 pct(kTraced)});
+  table.add_row({"profiled (phase timers + gauges)",
+                 format("%.1f", profiled), pct(kProfiled)});
   table.print();
 
-  const double idle_overhead = (idle / detached - 1.0) * 100.0;
-  const double profiled_overhead = (profiled / detached - 1.0) * 100.0;
+  const double idle_overhead = overhead(kIdle);
+  const double profiled_overhead = overhead(kProfiled);
   std::printf(
       "\nGate: idle-telemetry overhead %.2f%% (budget 2%%) — %s.\n"
       "Attached-profiler overhead: %.2f%% (reported, not gated — the\n"

@@ -1,7 +1,8 @@
 // Choosing the SORN macro-configuration from a demand estimate.
 //
 // For each candidate clique count Nc the optimizer clusters the estimate
-// (from one symmetric affinity built per plan), reads off the locality x,
+// (from one symmetric affinity built per plan), reads off the locality x
+// (every candidate's from one pass over the estimate),
 // sets q = q*(x) = 2/(1-x) (rationalized so the schedule period stays
 // bounded), and predicts throughput and intrinsic latency from the closed
 // forms. The plan with the best score wins; the score trades predicted
@@ -64,11 +65,9 @@ class SornOptimizer {
   SornPlan plan_for_nc(const DemandModel& estimate, CliqueId nc) const;
 
  private:
-  // plan_for_nc with the estimate's affinity already built; plan() builds
-  // it once and shares it across every candidate Nc.
-  SornPlan plan_for_nc(const DemandModel& estimate,
-                       const CliqueClusterer::Affinity& affinity,
-                       CliqueId nc) const;
+  // The plan for a clustered assignment whose locality ratio is x.
+  SornPlan plan_from(const DemandModel& estimate, CliqueAssignment cliques,
+                     double x) const;
 
   Options options_;
   CliqueClusterer clusterer_;

@@ -6,6 +6,29 @@
 #include "util/assert.h"
 
 namespace sorn {
+namespace {
+
+// Sort the entries appended to `list` after its first `sorted` (ascending,
+// distinct) ones and merge them in, dropping duplicates. Merged backward
+// through `scratch`, which holds the appended entries, so nothing
+// allocates once the scratch has grown.
+template <typename T>
+void merge_appended(std::vector<T>& list, std::size_t sorted,
+                    std::vector<T>& scratch) {
+  scratch.assign(list.begin() + static_cast<std::ptrdiff_t>(sorted),
+                 list.end());
+  std::sort(scratch.begin(), scratch.end());
+  std::size_t i = sorted;
+  std::size_t j = scratch.size();
+  std::size_t out = list.size();
+  while (j > 0) {
+    list[--out] = i > 0 && list[i - 1] > scratch[j - 1] ? list[--i]
+                                                        : scratch[--j];
+  }
+  list.erase(std::unique(list.begin(), list.end()), list.end());
+}
+
+}  // namespace
 
 SlottedNetwork::SlottedNetwork(const CircuitSchedule* schedule,
                                const Router* router, NetworkConfig config)
@@ -29,7 +52,7 @@ SlottedNetwork::SlottedNetwork(const CircuitSchedule* schedule,
   SORN_ASSERT(config_.slot_duration >= 1, "slots must last at least 1 ps");
   prop_slots_ = (config_.propagation_per_hop + config_.slot_duration - 1) /
                 config_.slot_duration;
-  lane_matchings_.assign(static_cast<std::size_t>(config_.lanes), nullptr);
+  lane_matchings_.assign(static_cast<std::size_t>(config_.lanes), 0);
   popped_.assign(static_cast<std::size_t>(n_) *
                      static_cast<std::size_t>(config_.lanes),
                  kNoPop);
@@ -128,12 +151,45 @@ void SlottedNetwork::enqueue_or_drop(NodeId node, Cell& cell, int sent_lane,
       notify(&SimObserver::on_ecn_mark, now_, node, hop, cell.flow());
     }
   }
+  // Woken before the push: if the push throws, the list entry only costs
+  // a visit.
+  if (queue.size == 0) wake(node, hop);
   voqs_.push(node, queue, cell);
 }
 
-// take() and apply() are inlined into the two passes: as calls, once per
-// node per lane, they cost 5-12% of slots/s at N = 4096 with 16 lanes and
-// two threads (4-vCPU x86 host).
+void SlottedNetwork::wake(NodeId node, NodeId hop) {
+  schedule_->carriers(node, hop, &carrier_scratch_);
+  // shard_plan_ is ascending and covers [0, n): node's shard is the first
+  // range ending past it.
+  const auto shard = std::upper_bound(
+      shard_plan_.begin(), shard_plan_.end(), node,
+      [](NodeId v, const ShardRange& r) { return v < r.end; });
+  ShardStage& stage = stages_[static_cast<std::size_t>(
+      shard - shard_plan_.begin())];
+  if (stage.wake.empty()) {
+    stage.wake.resize(schedule_->distinct_count());
+    stage.wake_sorted.assign(schedule_->distinct_count(), 0);
+  }
+  // Appended unsorted: the list's next walk merges it in, and drops it if
+  // the node is listed already (an entry outlives its drained queue until
+  // a visit finds the queue gone).
+  for (const std::uint32_t m : carrier_scratch_)
+    stage.wake[m].push_back(static_cast<WakeNode>(node));
+}
+
+void SlottedNetwork::rebuild_wake_lists() {
+  for (ShardStage& stage : stages_) {
+    stage.wake = std::vector<std::vector<WakeNode>>();
+    stage.wake_sorted = std::vector<std::uint32_t>();
+  }
+  for (NodeId i = 0; i < n_; ++i)
+    voqs_.for_each_queue(i, [this, i](NodeId hop) { wake(i, hop); });
+}
+
+// take() and apply() are inlined into the two passes, which call them once
+// per visit and once per staged event: as calls, when the take pass
+// visited every (node, lane), they cost 5-12% of slots/s at N = 4096 with
+// 16 lanes and two threads (4-vCPU x86 host).
 [[gnu::always_inline]] inline std::optional<SlottedNetwork::StagedEvent>
 SlottedNetwork::take(NodeId node, NodeId peer) {
   if (failures_.any_failures() && !failures_.usable(node, peer))
@@ -193,35 +249,54 @@ SlottedNetwork::take(NodeId node, NodeId peer) {
 
 void SlottedNetwork::take_shard(int s) {
   ShardStage& stage = stages_[static_cast<std::size_t>(s)];
-  for (std::vector<StagedEvent>& events : stage.lanes) events.clear();
+  const auto lanes = static_cast<std::size_t>(config_.lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    std::vector<StagedEvent>& events = stage.lanes[lane];
+    for (const StagedEvent& ev : events)
+      popped_[static_cast<std::size_t>(ev.sender) * lanes + lane] = kNoPop;
+    events.clear();
+  }
   stage.pops = 0;
-  const ShardRange range = shard_plan_[static_cast<std::size_t>(s)];
-  const int lanes = config_.lanes;
-  for (NodeId i = range.begin; i < range.end; ++i) {
-    NodeId* popped = popped_.data() + static_cast<std::size_t>(i) *
-                                          static_cast<std::size_t>(lanes);
-    for (int lane = 0; lane < lanes; ++lane) {
-      popped[lane] = kNoPop;
-      const NodeId peer =
-          lane_matchings_[static_cast<std::size_t>(lane)]->dst_of(i);
-      if (peer == i) continue;
-      std::optional<StagedEvent> ev = take(i, peer);
-      if (!ev) continue;
-      // Counted before the push that could throw, so a failed pass still
-      // settles every pop it made.
-      ++stage.pops;
-      popped[lane] = peer;
-      stage.lanes[static_cast<std::size_t>(lane)].push_back(std::move(*ev));
+  if (stage.wake.empty()) return;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const std::uint32_t m = lane_matchings_[lane];
+    const Matching& matching = schedule_->matching(m);
+    std::vector<WakeNode>& list = stage.wake[m];
+    if (stage.wake_sorted[m] < list.size())
+      merge_appended(list, stage.wake_sorted[m], stage.merge_scratch);
+    std::vector<StagedEvent>& events = stage.lanes[lane];
+    // Room for every entry up front: the walk below cannot throw, so it
+    // always leaves the list whole.
+    events.reserve(list.size());
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      const NodeId i = list[k];
+      const NodeId peer = matching.dst_of(i);
+      if (std::optional<StagedEvent> ev = take(i, peer)) {
+        ++stage.pops;
+        popped_[static_cast<std::size_t>(i) * lanes + lane] = peer;
+        events.push_back(*ev);
+      } else if (voqs_.size_of(i, peer) == 0) {
+        // The queue is gone: drained on an earlier visit. Dropped at the
+        // first visit that finds it so, which a queue refilled between
+        // visits never reaches.
+        continue;
+      }
+      list[kept++] = list[k];
     }
+    list.resize(kept);
+    stage.wake_sorted[m] = static_cast<std::uint32_t>(kept);
   }
 }
 
 // One slot is two passes.
 //
-// Take pass (sharded across the pool): each shard walks its contiguous
-// node range in order and takes every lane of a node back to back, while
-// that node's queue index is still in cache. Node i only ever pops its own
-// queues, so pops are disjoint across shards.
+// Take pass (sharded across the pool): each shard walks, lane by lane, the
+// wake list of the lane's matching: its nodes in ascending order, each
+// holding a queue toward the peer that matching gives it. A node missing
+// from the list has no queue toward its peer, so a visit could take
+// nothing. Node i only ever pops its own queues, so pops are disjoint
+// across shards.
 //
 // Apply pass (coordinating thread): the staged events are replayed lane by
 // lane, and within a lane shard by shard, which is node order. Every side
@@ -239,8 +314,8 @@ void SlottedNetwork::step() {
     const Slot period = schedule_->period();
     for (int lane = 0; lane < config_.lanes; ++lane) {
       lane_matchings_[static_cast<std::size_t>(lane)] =
-          &schedule_->matching_at(now_ +
-                                  lane_phase(period, config_.lanes, lane));
+          schedule_->matching_index_at(
+              now_ + lane_phase(period, config_.lanes, lane));
     }
   }
   try {
@@ -296,8 +371,11 @@ void SlottedNetwork::reconfigure(const CircuitSchedule* schedule,
               "cannot reconfigure to a null schedule/router");
   SORN_ASSERT(schedule->node_count() == n_,
               "reconfiguration must preserve the node count");
-  schedule_ = schedule;
   router_ = router;
+  if (schedule != schedule_) {
+    schedule_ = schedule;
+    rebuild_wake_lists();
+  }
   notify(&SimObserver::on_reconfigure, now_);
 }
 
@@ -334,6 +412,9 @@ void SlottedNetwork::set_threads(int threads) {
   stages_.assign(shard_plan_.size(), ShardStage{});
   for (ShardStage& stage : stages_)
     stage.lanes.resize(static_cast<std::size_t>(config_.lanes));
+  // The old stages took their staged events, which named the pop marks.
+  std::fill(popped_.begin(), popped_.end(), kNoPop);
+  rebuild_wake_lists();
 }
 
 void SlottedNetwork::settle_staged_pops() {
@@ -346,9 +427,14 @@ std::uint64_t SlottedNetwork::sweep_stage_bytes() const {
   std::uint64_t bytes = popped_.capacity() * sizeof(NodeId) +
                         stages_.capacity() * sizeof(ShardStage);
   for (const ShardStage& stage : stages_) {
-    bytes += stage.lanes.capacity() * sizeof(std::vector<StagedEvent>);
+    bytes += stage.lanes.capacity() * sizeof(std::vector<StagedEvent>) +
+             stage.wake.capacity() * sizeof(std::vector<WakeNode>) +
+             stage.wake_sorted.capacity() * sizeof(std::uint32_t) +
+             stage.merge_scratch.capacity() * sizeof(WakeNode);
     for (const std::vector<StagedEvent>& events : stage.lanes)
       bytes += events.capacity() * sizeof(StagedEvent);
+    for (const std::vector<WakeNode>& list : stage.wake)
+      bytes += list.capacity() * sizeof(WakeNode);
   }
   return bytes;
 }

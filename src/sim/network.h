@@ -9,12 +9,17 @@
 //
 // Each rule is coded once. take() decides one node's transmit (failure,
 // gray, head, pop) and apply() performs its ordered side effects. A slot
-// is two passes: the take pass walks each shard's nodes and takes every
-// lane of a node back to back, and the apply pass replays the staged
+// is two passes: the take pass walks, lane by lane, each shard's wake list
+// for the matching the lane applies, and the apply pass replays the staged
 // outcomes lane by lane in node order. One thread is the one-shard case.
-// Every enqueue — injection, relay — goes through enqueue_or_drop, and
-// every injected cell is built by make_cell. Every event leaves through
-// one observer list (sim/observer.h).
+// A wake list holds every node with an occupied queue toward the peer a
+// matching gives it (and, until its next visit, one whose queue drained),
+// so a slot visits only queues whose circuit is up. It is keyed by
+// matching, not by time, so a slot re-keys nothing (the schedule's
+// carriers() inverse fills it). Every enqueue — injection, relay — goes
+// through enqueue_or_drop, and every injected cell is built by
+// make_cell. Every event leaves through one observer list
+// (sim/observer.h).
 #pragma once
 
 #include <cstdint>
@@ -132,7 +137,10 @@ class SlottedNetwork {
   // Swap in a new schedule/router (the control plane's epoch-synchronous
   // update, paper Sec. 5). In-flight cells keep their old paths; this is
   // safe because every schedule built in this library keeps the full
-  // neighbor superset reachable (all pairs recur within a period).
+  // neighbor superset reachable (all pairs recur within a period). A new
+  // schedule rebuilds the wake lists from the occupied queues; the
+  // schedule already in use (a router-only swap) keeps them, so a
+  // schedule must not be changed in place while a network runs it.
   void reconfigure(const CircuitSchedule* schedule, const Router* router);
 
   // ---- Failure injection (paper Sec. 6, blast radius) ----
@@ -250,10 +258,22 @@ class SlottedNetwork {
     bool gray_drop = false;
   };
   static_assert(sizeof(StagedEvent) <= 40, "a staged event is a cell + 8");
-  // One shard's take pass: per lane, its events in ascending node order.
+  // A wake-list entry: a node id (ids fit 16 bits, as in Cell).
+  using WakeNode = std::uint16_t;
+  // One shard's take pass: per lane, its events in ascending node order,
+  // and its wake lists.
   struct ShardStage {
     std::vector<std::vector<StagedEvent>> lanes;
     std::uint64_t pops = 0;  // settled into VoqSet::total_ after the slot
+    // wake[m]: the shard's nodes holding a queue toward the peer distinct
+    // matching m gives them (schedule_->matching(m)). Its first
+    // wake_sorted[m] entries are ascending and distinct; wake() appends
+    // after them, and the take pass merges the rest in before it walks
+    // the list. Allocated by the shard's first insert, so an idle shard
+    // costs none.
+    std::vector<std::vector<WakeNode>> wake;
+    std::vector<std::uint32_t> wake_sorted;
+    std::vector<WakeNode> merge_scratch;
   };
   // popped_ entry of a (node, lane) that popped nothing this slot.
   static constexpr NodeId kNoPop = -1;
@@ -268,9 +288,17 @@ class SlottedNetwork {
   // events) or forward + enqueue. Runs on the coordinating thread, in
   // lane-major node order.
   void apply(StagedEvent& ev, int lane);
-  // The take pass over shard `s`'s node range: every lane of a node back
-  // to back, staging events per lane and marking popped_.
+  // The take pass over shard `s`: per lane, take() every node on the wake
+  // list of the lane's matching, staging events and marking popped_, and
+  // drop each entry whose queue is gone. First it unmarks the shard's
+  // previous slot, whose staged events name every mark it set.
   void take_shard(int s);
+  // Add `node` to the wake list of every matching that carries
+  // node -> hop: its queue toward hop now exists.
+  void wake(NodeId node, NodeId hop);
+  // Empty every wake list and refill them from the occupied queues, after
+  // a new schedule or shard plan.
+  void rebuild_wake_lists();
   // Pops of the queue (relay, hop) that the take pass has made but the
   // lane-major order has not reached when `sender`'s transmit to `relay`
   // on `lane` is applied: the relay's pop this lane when it sweeps after
@@ -281,7 +309,8 @@ class SlottedNetwork {
   // evaluated against one queue size: the FIFO's depth, plus
   // queued_ahead() for a cell `sender` forwarded on `sent_lane` this slot
   // (injections pass -1). The queue is looked up once. Tail drops and
-  // marks are counted and reported to the observers.
+  // marks are counted and reported to the observers; a push that creates
+  // the queue wakes it.
   void enqueue_or_drop(NodeId node, Cell& cell, int sent_lane = -1,
                        NodeId sender = kNoNode);
   // A fresh cell at `src`, routed by `router` as of `route_slot`.
@@ -290,7 +319,8 @@ class SlottedNetwork {
   // Settle the take pass's pops into VoqSet's total: once per slot, after
   // the apply pass, or for a take pass that threw.
   void settle_staged_pops();
-  // Bytes of the slot's staging: staged events and pop marks (capacity).
+  // Bytes of the take pass's state: staged events, pop marks and wake
+  // lists (capacity).
   std::uint64_t sweep_stage_bytes() const;
   // Call `hook` with `args` on every observer, in attach order.
   template <typename... Params, typename... Args>
@@ -323,10 +353,12 @@ class SlottedNetwork {
   std::unique_ptr<ThreadPool> pool_;  // null at one thread
   std::vector<ShardRange> shard_plan_;
   std::vector<ShardStage> stages_;  // one per shard_plan_ range
-  std::vector<const Matching*> lane_matchings_;  // this slot's, per lane
+  // This slot's distinct-matching index, per lane.
+  std::vector<std::uint32_t> lane_matchings_;
   // popped_[node * lanes + lane]: the next hop whose queue `node` popped
   // on `lane` this slot, or kNoPop (read by queued_ahead).
   std::vector<NodeId> popped_;
+  std::vector<std::uint32_t> carrier_scratch_;  // wake()'s carriers()
   bool in_parallel_sweep_ = false;
 };
 

@@ -6,34 +6,10 @@
 
 namespace sorn {
 
-namespace {
-
-// Position of the first index entry whose next hop is not below `hop`.
-// Branch-free: each halving step is a conditional add, so the search
-// costs the same whatever the hop, with no mispredicted branches.
-template <typename Voq>
-std::uint32_t lower(const std::vector<Voq>& index, NodeId hop) {
-  if (index.empty()) return 0;
-  const Voq* base = index.data();
-  std::size_t n = index.size();
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base += base[half].next_hop < hop ? half : 0;
-    n -= half;
-  }
-  return static_cast<std::uint32_t>(base - index.data()) +
-         (base->next_hop < hop ? 1u : 0u);
-}
-
-}  // namespace
-
-VoqSet::VoqSet(NodeId nodes)
-    : nodes_(static_cast<std::size_t>(nodes)),
-      filters_(static_cast<std::size_t>(nodes)) {
+VoqSet::VoqSet(NodeId nodes) : nodes_(static_cast<std::size_t>(nodes)) {
   SORN_ASSERT(nodes > 0, "VOQ set needs at least one node");
   static_assert(sizeof(Voq) == 16,
                 "index entry is {next_hop, head, tail, size}");
-  static_assert(sizeof(Filter) == 32, "one bit per filter bucket");
 }
 
 VoqSet::QueueRef VoqSet::find(NodeId node, NodeId next_hop) const {
@@ -69,9 +45,6 @@ void VoqSet::push(NodeId node, QueueRef queue, const Cell& cell) {
   const auto it = nq.occupied.begin() + queue.index;
   if (queue.size == 0) {
     nq.occupied.insert(it, Voq{cell.next_hop(), slot, slot, 1});
-    const std::uint32_t bucket = filter_bucket(cell.next_hop());
-    filters_[static_cast<std::size_t>(node)].words[bucket / 64] |=
-        std::uint64_t{1} << (bucket % 64);
   } else {
     SORN_ASSERT(it->next_hop == cell.next_hop() && it->size == queue.size,
                 "stale VOQ reference");
@@ -81,37 +54,6 @@ void VoqSet::push(NodeId node, QueueRef queue, const Cell& cell) {
   }
   ++nq.count;
   ++total_;
-}
-
-std::optional<Cell> VoqSet::pop_indexed(NodeId node, NodeId next_hop,
-                                        Slot now) {
-  NodeQueues& nq = nodes_[static_cast<std::size_t>(node)];
-  const std::uint32_t pos = lower(nq.occupied, next_hop);
-  if (pos == nq.occupied.size() || nq.occupied[pos].next_hop != next_hop)
-    return std::nullopt;
-  const auto it = nq.occupied.begin() + pos;
-  const std::uint32_t slot = it->head;
-  if (nq.slab[slot].ready_slot() > now) return std::nullopt;
-  it->head = nq.next[slot];
-  nq.next[slot] = nq.free;
-  nq.free = slot;
-  if (--it->size == 0) {
-    nq.occupied.erase(it);
-    // The bucket stays set while a remaining queue hashes there too.
-    const std::uint32_t bucket = filter_bucket(next_hop);
-    const bool shared =
-        std::any_of(nq.occupied.begin(), nq.occupied.end(),
-                    [bucket](const Voq& v) {
-                      return filter_bucket(v.next_hop) == bucket;
-                    });
-    if (!shared) {
-      filters_[static_cast<std::size_t>(node)].words[bucket / 64] &=
-          ~(std::uint64_t{1} << (bucket % 64));
-    }
-  }
-  --nq.count;
-  // A freed slot keeps its cell until the next push to this node.
-  return nq.slab[slot];
 }
 
 std::uint64_t VoqSet::max_queue_depth() const {
@@ -130,8 +72,7 @@ std::uint64_t VoqSet::occupied_queues() const {
 }
 
 std::uint64_t VoqSet::memory_bytes() const {
-  std::uint64_t bytes = nodes_.capacity() * sizeof(NodeQueues) +
-                        filters_.capacity() * sizeof(Filter);
+  std::uint64_t bytes = nodes_.capacity() * sizeof(NodeQueues);
   for (const NodeQueues& nq : nodes_) {
     // Capacity, not size: the slab keeps every slot it ever grew (live +
     // free-listed) — allocator truth, not an estimate.

@@ -28,22 +28,15 @@
 // Each transmit looks its queue up once: pop_ready() checks the head's
 // ready slot and pops it through one search of the node's index, and a
 // sized enqueue reads the depth from find() and pushes through the same
-// QueueRef. The search is a branch-free lower bound.
-//
-// Most transmit opportunities find no queue: a node is matched to every
-// peer in turn but queues toward a few. A 256-bit occupancy filter per
-// node answers those with one bit test before any search. Bucket
-// filter_bucket(h) of a node's filter is set while some occupied queue of
-// the node has a next hop in that bucket: set when a queue is created,
-// cleared when one is erased and no remaining index entry shares its
-// bucket. So a clear bit proves the queue is absent (no false negatives);
-// a set bit falls through to the search. The filters are 32 bytes per
-// node, in a dense array beside the per-node state.
+// QueueRef. The search is a branch-free lower bound. The simulator asks
+// only about queues that exist or just drained: its wake lists
+// (sim/network.h) name the occupied queues whose circuit is up, so a
+// transmit toward a hop with no queue is not attempted at all.
 //
 // Thread contract (sim/parallel.h): shards of the take pass own disjoint
 // node ranges and only pop_ready() their own nodes. All state a pop
-// touches — the node's queue index, filter, slab and free list, and its
-// cell count — is per-node, so sharded pops stay race-free; the one
+// touches — the node's queue index, slab and free list, and its cell
+// count — is per-node, so sharded pops stay race-free; the one
 // global, total_, is deliberately NOT updated by pop_ready() and is
 // settled once per slot by the coordinating thread (settle_total), at
 // any thread count.
@@ -91,21 +84,30 @@ class VoqSet {
   // transmittable at `now`; nullopt (and no change) otherwise. Per-node
   // state only: total_queued() still counts the cell until the caller
   // settles its pops (settle_total), so shards may pop their own nodes'
-  // queues concurrently. A hop whose filter bit is clear has no queue:
-  // that answer costs one bit test, inlined at the caller.
+  // queues concurrently. Inline: the take pass calls it once per visit.
   std::optional<Cell> pop_ready(NodeId node, NodeId next_hop, Slot now) {
-    const std::uint32_t bucket = filter_bucket(next_hop);
-    const std::uint64_t word =
-        filters_[static_cast<std::size_t>(node)].words[bucket / 64];
-    if ((word >> (bucket % 64) & 1) == 0) return std::nullopt;
-    return pop_indexed(node, next_hop, now);
+    NodeQueues& nq = nodes_[static_cast<std::size_t>(node)];
+    const std::uint32_t pos = lower(nq.occupied, next_hop);
+    if (pos == nq.occupied.size() || nq.occupied[pos].next_hop != next_hop)
+      return std::nullopt;
+    const auto it = nq.occupied.begin() + pos;
+    const std::uint32_t slot = it->head;
+    if (nq.slab[slot].ready_slot() > now) return std::nullopt;
+    it->head = nq.next[slot];
+    nq.next[slot] = nq.free;
+    nq.free = slot;
+    if (--it->size == 0) nq.occupied.erase(it);
+    --nq.count;
+    // A freed slot keeps its cell until the next push to this node.
+    return nq.slab[slot];
   }
   void settle_total(std::uint64_t pops) { total_ -= pops; }
 
-  // The occupancy-filter bucket of a next hop: the top 8 bits of a
-  // multiplicative (Fibonacci) hash, so hops with nearby ids spread.
-  static constexpr std::uint32_t filter_bucket(NodeId next_hop) {
-    return (static_cast<std::uint32_t>(next_hop) * 0x9E3779B1u) >> 24;
+  // Call fn(next_hop) for each occupied queue of `node`, ascending.
+  template <typename Fn>
+  void for_each_queue(NodeId node, Fn&& fn) const {
+    for (const Voq& v : nodes_[static_cast<std::size_t>(node)].occupied)
+      fn(v.next_hop);
   }
 
   std::uint64_t queued_at(NodeId node) const {
@@ -118,9 +120,8 @@ class VoqSet {
   std::uint64_t occupied_queues() const;
 
   // Bytes of queue storage: the per-node index, slab and link capacity
-  // (live and free-listed slots — allocator truth) and the occupancy
-  // filters. O(nodes); a profiler gauge (obs/prof), sampled, not a
-  // hot-path call.
+  // (live and free-listed slots — allocator truth). O(nodes); a profiler
+  // gauge (obs/prof), sampled, not a hot-path call.
   std::uint64_t memory_bytes() const;
 
  private:
@@ -143,16 +144,24 @@ class VoqSet {
     std::uint32_t free = kNil;       // head of the LIFO free list
     std::uint64_t count = 0;         // cells queued at this node
   };
-  // One bit per filter_bucket; see the header comment.
-  struct alignas(32) Filter {
-    std::uint64_t words[4] = {0, 0, 0, 0};
-  };
 
-  // pop_ready() past a set filter bit: the index search and the pop.
-  std::optional<Cell> pop_indexed(NodeId node, NodeId next_hop, Slot now);
+  // Position of the first index entry whose next hop is not below `hop`.
+  // Branch-free: each halving step is a conditional add, so the search
+  // costs the same whatever the hop, with no mispredicted branches.
+  static std::uint32_t lower(const std::vector<Voq>& index, NodeId hop) {
+    if (index.empty()) return 0;
+    const Voq* base = index.data();
+    std::size_t n = index.size();
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base += base[half].next_hop < hop ? half : 0;
+      n -= half;
+    }
+    return static_cast<std::uint32_t>(base - index.data()) +
+           (base->next_hop < hop ? 1u : 0u);
+  }
 
   std::vector<NodeQueues> nodes_;
-  std::vector<Filter> filters_;  // one per node, indexed like nodes_
   std::uint64_t total_ = 0;
 };
 

@@ -28,32 +28,15 @@ Matching::Matching(std::vector<NodeId> dst_map)
   }
 }
 
-NodeId Matching::shift_dst(NodeId src) const {
-  const NodeId a = by_stride1_.divide(src);
-  const NodeId r = static_cast<NodeId>(src - a * stride1_);
-  const NodeId b = by_n3_.divide(r);
-  const NodeId c = static_cast<NodeId>(r - b * n3_);
-  NodeId da = static_cast<NodeId>(a + k1_);
-  if (da >= n1_) da = static_cast<NodeId>(da - n1_);
-  NodeId db = static_cast<NodeId>(b + k2_);
-  if (db >= n2_) db = static_cast<NodeId>(db - n2_);
-  NodeId dc = static_cast<NodeId>(c + k3_);
-  if (dc >= n3_) dc = static_cast<NodeId>(dc - n3_);
-  return static_cast<NodeId>(da * stride1_ + db * n3_ + dc);
-}
-
 NodeId Matching::src_of(NodeId dst) const {
   if (form_ == Form::kShift) {
     if (n_ == 0) return kNoNode;
-    const NodeId a = by_stride1_.divide(dst);
-    const NodeId r = static_cast<NodeId>(dst - a * stride1_);
-    const NodeId b = by_n3_.divide(r);
-    const NodeId c = static_cast<NodeId>(r - b * n3_);
-    NodeId sa = static_cast<NodeId>(a - k1_);
+    const Digits d = digits(dst);
+    NodeId sa = static_cast<NodeId>(d.a - k1_);
     if (sa < 0) sa = static_cast<NodeId>(sa + n1_);
-    NodeId sb = static_cast<NodeId>(b - k2_);
+    NodeId sb = static_cast<NodeId>(d.b - k2_);
     if (sb < 0) sb = static_cast<NodeId>(sb + n2_);
-    NodeId sc = static_cast<NodeId>(c - k3_);
+    NodeId sc = static_cast<NodeId>(d.c - k3_);
     if (sc < 0) sc = static_cast<NodeId>(sc + n3_);
     return static_cast<NodeId>(sa * stride1_ + sb * n3_ + sc);
   }

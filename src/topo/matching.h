@@ -98,6 +98,30 @@ class Matching {
   // True when this matching is stored in the O(1) shift form.
   bool is_compact() const { return form_ == Form::kShift; }
 
+  // The canonical parameters of a shift-form matching: radices n1, n2, n3
+  // and their offsets. Two shift-form matchings with equal parameters
+  // realize the same permutation.
+  struct ShiftParams {
+    NodeId n1 = 1, n2 = 1, n3 = 1;
+    NodeId k1 = 0, k2 = 0, k3 = 0;
+  };
+  ShiftParams shift_params() const {
+    return ShiftParams{n1_, n2_, n3_, k1_, k2_, k3_};
+  }
+  // Shift form only: the parameters of the one shift over this matching's
+  // radices that maps src to dst (each digit's offset is dst's digit minus
+  // src's). The inverse of dst_of over a radix family, in O(1).
+  ShiftParams shift_params_mapping(NodeId src, NodeId dst) const {
+    const Digits s = digits(src);
+    const Digits d = digits(dst);
+    const auto offset = [](NodeId to, NodeId from, NodeId radix) {
+      const NodeId k = static_cast<NodeId>(to - from);
+      return k < 0 ? static_cast<NodeId>(k + radix) : k;
+    };
+    return ShiftParams{n1_, n2_, n3_, offset(d.a, s.a, n1_),
+                       offset(d.b, s.b, n2_), offset(d.c, s.c, n3_)};
+  }
+
   // An explicit-form copy realizing the same permutation. Test hook for
   // pinning the compact path byte-identical against explicit storage.
   Matching materialized() const;
@@ -134,7 +158,28 @@ class Matching {
     }
   };
 
-  NodeId shift_dst(NodeId src) const;
+  // A node id's shift-form digits: x = a·stride1_ + b·n3_ + c.
+  struct Digits {
+    NodeId a, b, c;
+  };
+  Digits digits(NodeId x) const {
+    const NodeId a = by_stride1_.divide(x);
+    const NodeId r = static_cast<NodeId>(x - a * stride1_);
+    const NodeId b = by_n3_.divide(r);
+    return Digits{a, b, static_cast<NodeId>(r - b * n3_)};
+  }
+
+  // Inline: the take pass calls it once per wake-list visit.
+  NodeId shift_dst(NodeId src) const {
+    const Digits s = digits(src);
+    NodeId da = static_cast<NodeId>(s.a + k1_);
+    if (da >= n1_) da = static_cast<NodeId>(da - n1_);
+    NodeId db = static_cast<NodeId>(s.b + k2_);
+    if (db >= n2_) db = static_cast<NodeId>(db - n2_);
+    NodeId dc = static_cast<NodeId>(s.c + k3_);
+    if (dc >= n3_) dc = static_cast<NodeId>(dc - n3_);
+    return static_cast<NodeId>(da * stride1_ + db * n3_ + dc);
+  }
 
   Form form_ = Form::kShift;
   NodeId n_ = 0;

@@ -14,6 +14,11 @@
 // Each matching is tagged with its role so that routing can ask for e.g.
 // the "first available intra-clique link" without re-deriving the clique
 // structure from the matching.
+//
+// The schedule also answers the inverse question the simulator's wake
+// lists ask (sim/network.h): which distinct matchings carry circuit
+// i -> h. It depends only on which matchings the order walks, never on
+// when, so a slot order of any length costs it nothing.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +53,28 @@ class CircuitSchedule {
   Slot period() const { return static_cast<Slot>(order_.size()); }
 
   const Matching& matching_at(Slot t) const {
-    return matchings_[order_[static_cast<std::size_t>(wrap(t))]];
+    return matchings_[matching_index_at(t)];
   }
-  SlotKind kind_at(Slot t) const {
-    return kinds_[order_[static_cast<std::size_t>(wrap(t))]];
-  }
+  SlotKind kind_at(Slot t) const { return kinds_[matching_index_at(t)]; }
 
   // Number of distinct matchings the slot order walks.
   std::size_t distinct_count() const { return matchings_.size(); }
+  // Index of the distinct matching slot t applies, and the matching an
+  // index names: matching_at(t) is matching(matching_index_at(t)).
+  std::uint32_t matching_index_at(Slot t) const {
+    return order_[static_cast<std::size_t>(wrap(t))];
+  }
+  const Matching& matching(std::uint32_t m) const { return matchings_[m]; }
+
+  // Every distinct matching that carries circuit src -> dst (m with
+  // matching(m).dst_of(src) == dst), ascending, written to *out (cleared
+  // first). Shift-form matchings answer by arithmetic: they are grouped by
+  // radices, and each group's one shift mapping src to dst is looked up in
+  // a hash of canonical parameters, O(distinct) bytes. Explicit ones answer
+  // from a per-node peer -> matching index, O(N) bytes per explicit
+  // matching, like their storage. Both are built on the first call and
+  // counted in memory_bytes(); that call must not race another.
+  void carriers(NodeId src, NodeId dst, std::vector<std::uint32_t>* out) const;
 
   // Whom node transmits to in slot t (== node when idle).
   NodeId dst_of(NodeId node, Slot t) const {
@@ -91,8 +110,8 @@ class CircuitSchedule {
   bool realizable_with(const MatchingSet& available) const;
 
   // Estimated bytes of stored schedule state (distinct matchings, their
-  // kinds and the slot order). O(distinct); sampled by the profiler's
-  // MemoryAccountant, not hot-path.
+  // kinds, the slot order and, once built, the carriers() index).
+  // O(distinct); sampled by the profiler's MemoryAccountant, not hot-path.
   std::uint64_t memory_bytes() const;
 
   // Invariant checks (O(distinct * n)):
@@ -106,10 +125,38 @@ class CircuitSchedule {
  private:
   Slot wrap(Slot t) const { return t % period(); }
 
+  // The inverse carriers() reads.
+  struct CarrierIndex {
+    bool built = false;
+    // One shift-form matching per distinct radix triple.
+    std::vector<std::uint32_t> shift_groups;
+    // Shift-form matchings by their packed parameters (shift_keys, all
+    // ones when free; shift_ids, the matching), open-addressed with linear
+    // probing from a Fibonacci hash of the key; equal parameters take
+    // several slots.
+    std::vector<std::uint64_t> shift_keys;
+    std::vector<std::uint32_t> shift_ids;
+    int shift_bits = 0;
+    std::size_t shift_slot(std::uint64_t key) const {
+      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                      (64 - shift_bits));
+    }
+    // Explicit-form matchings: node i's circuits are the `explicit_count`
+    // entries from i * explicit_count, sorted by (peer, matching).
+    struct Circuit {
+      NodeId peer;
+      std::uint32_t matching;
+    };
+    std::uint32_t explicit_count = 0;
+    std::vector<Circuit> explicit_circuits;
+  };
+  void build_carriers() const;
+
   NodeId n_ = 0;
   std::vector<Matching> matchings_;
   std::vector<SlotKind> kinds_;       // one per distinct matching
   std::vector<std::uint32_t> order_;  // one index per slot
+  mutable CarrierIndex carriers_;     // built by the first carriers()
 };
 
 // Phase offset of uplink `lane` out of `lanes` for a schedule of the given

@@ -82,6 +82,14 @@ double DemandModel::locality_ratio(const CliqueAssignment& cliques) const {
   return all > 0.0 ? intra / all : 0.0;
 }
 
+std::vector<double> DemandModel::locality_ratios(
+    const std::vector<const CliqueAssignment*>& cliques) const {
+  std::vector<double> ratios;
+  ratios.reserve(cliques.size());
+  for (const CliqueAssignment* c : cliques) ratios.push_back(locality_ratio(*c));
+  return ratios;
+}
+
 std::vector<double> DemandModel::aggregate(
     const CliqueAssignment& cliques) const {
   SORN_ASSERT(cliques.node_count() == node_count(),

@@ -73,6 +73,11 @@ class DemandModel {
 
   // Fraction of total demand that stays within a clique (the paper's x).
   virtual double locality_ratio(const CliqueAssignment& cliques) const;
+  // locality_ratio of each assignment, with its bits. The default calls
+  // it once per assignment; a backend may fold the demand once with one
+  // accumulator per assignment, each added to in locality_ratio's order.
+  virtual std::vector<double> locality_ratios(
+      const std::vector<const CliqueAssignment*>& cliques) const;
 
   // Clique-level aggregate: entry (a, b) sums demand from clique a to b.
   virtual std::vector<double> aggregate(const CliqueAssignment& cliques) const;

@@ -273,6 +273,46 @@ double SparseDemand::locality_ratio(const CliqueAssignment& cliques) const {
   return total_ > 0.0 ? intra / total_ : 0.0;
 }
 
+std::vector<double> SparseDemand::locality_ratios(
+    const std::vector<const CliqueAssignment*>& cliques) const {
+  // One pass per block of up to kBlock assignments (one pass for the
+  // optimizer's five candidates), with the block's accumulators in
+  // registers. Node-major clique ids, so an entry reads each endpoint's
+  // ids from one place. A block's unused accumulators fold padding and
+  // are never read.
+  constexpr std::size_t kBlock = 8;
+  std::vector<double> ratios;
+  ratios.reserve(cliques.size());
+  std::vector<CliqueId> of(static_cast<std::size_t>(n_) * kBlock, 0);
+  for (std::size_t first = 0; first < cliques.size(); first += kBlock) {
+    const std::size_t k = std::min(kBlock, cliques.size() - first);
+    for (std::size_t c = 0; c < k; ++c) {
+      const CliqueAssignment& a = *cliques[first + c];
+      SORN_ASSERT(a.node_count() == n_, "assignment size mismatch");
+      for (NodeId i = 0; i < n_; ++i)
+        of[static_cast<std::size_t>(i) * kBlock + c] = a.clique_of(i);
+    }
+    // Each accumulator takes the entries locality_ratio adds, in its
+    // order; an entry across cliques adds +0.0, which leaves every value
+    // but -0.0 unchanged, and a sum that starts at +0.0 is never -0.0.
+    double intra[kBlock] = {};
+    for (NodeId i = 0; i < n_; ++i) {
+      const CliqueId* row = of.data() + static_cast<std::size_t>(i) * kBlock;
+      for (std::size_t m = row_ptr_[static_cast<std::size_t>(i)];
+           m < row_ptr_[static_cast<std::size_t>(i) + 1]; ++m) {
+        const CliqueId* col =
+            of.data() + static_cast<std::size_t>(cols_[m]) * kBlock;
+        const double v = vals_[m];
+        for (std::size_t c = 0; c < kBlock; ++c)
+          intra[c] += row[c] == col[c] ? v : 0.0;
+      }
+    }
+    for (std::size_t c = 0; c < k; ++c)
+      ratios.push_back(total_ > 0.0 ? intra[c] / total_ : 0.0);
+  }
+  return ratios;
+}
+
 std::vector<double> SparseDemand::aggregate(
     const CliqueAssignment& cliques) const {
   SORN_ASSERT(cliques.node_count() == n_, "assignment size mismatch");

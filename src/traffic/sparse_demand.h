@@ -123,8 +123,11 @@ class SparseDemand : public DemandModel {
   double max_node_load() const override;
 
   // The generic folds, looping over the stored arrays instead of a
-  // callback per entry.
+  // callback per entry. locality_ratios folds the arrays once for up to
+  // eight assignments.
   double locality_ratio(const CliqueAssignment& cliques) const override;
+  std::vector<double> locality_ratios(
+      const std::vector<const CliqueAssignment*>& cliques) const override;
   std::vector<double> aggregate(
       const CliqueAssignment& cliques) const override;
 

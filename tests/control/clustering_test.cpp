@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "control/hier_optimizer.h"
+#include "control/optimizer.h"
 #include "traffic/patterns.h"
 #include "traffic/same_demand.h"
 #include "traffic/sparse_demand.h"
@@ -180,6 +183,61 @@ TEST_P(ClusteringReferenceTest, CachedSumsMatchReference) {
       EXPECT_GE(ref.swap_passes, 2);
     }
   }
+}
+
+// SornOptimizer::plan clusters every candidate first, then folds the
+// estimate once for all their locality ratios. Each ratio, and the plan
+// chosen from them, must have the bits that per-candidate locality_ratio
+// calls give.
+TEST_P(ClusteringReferenceTest, OnePassLocalityRatiosMatchPerCandidate) {
+  const ReferenceCase& rc = GetParam();
+  const auto tm = noisy_estimate(rc.n, std::max<NodeId>(6, rc.n / 16),
+                                 static_cast<std::uint64_t>(rc.n) * 7 + 3,
+                                 rc.normalize, rc.mask);
+  SornOptimizer::Options options;
+  options.candidate_nc = {2, 3, 4, 6, 8, 12, 16, 32, 64};
+  const CliqueClusterer clusterer;
+  const CliqueClusterer::Affinity affinity(*tm);
+  std::vector<CliqueAssignment> assignments;
+  for (const CliqueId nc : options.candidate_nc)
+    if (rc.n % nc == 0) assignments.push_back(clusterer.cluster(affinity, nc));
+  std::vector<const CliqueAssignment*> views;
+  for (const CliqueAssignment& a : assignments) views.push_back(&a);
+  const std::vector<double> ratios = tm->locality_ratios(views);
+  ASSERT_EQ(ratios.size(), assignments.size());
+  for (std::size_t k = 0; k < assignments.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ratios[k]),
+              std::bit_cast<std::uint64_t>(
+                  tm->locality_ratio(assignments[k])))
+        << "nc=" << assignments[k].clique_count();
+  }
+
+  const SornOptimizer optimizer(options);
+  SornPlan best;
+  double best_score = 0.0;
+  bool found = false;
+  for (const CliqueId nc : options.candidate_nc) {
+    if (rc.n % nc != 0) continue;
+    SornPlan p = optimizer.plan_for_nc(*tm, nc);
+    const double score = p.predicted_throughput -
+                         options.latency_weight * p.predicted_mean_delta_m /
+                             static_cast<double>(rc.n);
+    if (!found || score > best_score) {
+      best = std::move(p);
+      best_score = score;
+      found = true;
+    }
+  }
+  const SornPlan chosen = optimizer.plan(*tm);
+  EXPECT_TRUE(chosen.cliques == best.cliques);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(chosen.locality_x),
+            std::bit_cast<std::uint64_t>(best.locality_x));
+  EXPECT_EQ(chosen.q.num, best.q.num);
+  EXPECT_EQ(chosen.q.den, best.q.den);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(chosen.predicted_throughput),
+            std::bit_cast<std::uint64_t>(best.predicted_throughput));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(chosen.predicted_mean_delta_m),
+            std::bit_cast<std::uint64_t>(best.predicted_mean_delta_m));
 }
 
 INSTANTIATE_TEST_SUITE_P(

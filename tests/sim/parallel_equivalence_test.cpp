@@ -7,7 +7,8 @@
 // diverge from one shard: multi-hop relaying (deferred pushes), bounded
 // queues with tail drops (queued_ahead's size reconstruction), multiple
 // lanes, failures, and a full open-loop workload with telemetry attached.
-// One case also pins artifacts captured from the lane-by-lane sweep.
+// One case also pins artifacts captured from the lane-by-lane sweep, and
+// one pins a run through what the take pass's wake lists must survive.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -462,6 +463,130 @@ TEST(ParallelEquivalenceTest, CrossLaneQueueSizingMatchesPinnedArtifacts) {
       EXPECT_EQ(run.trace_jsonl, pins.trace_jsonl);
       EXPECT_EQ(run.timeseries_csv, pins.timeseries_csv);
     }
+  }
+}
+
+// ---- Wake lists, pinned ----
+//
+// A pinned run through what the sornbench workloads never do to the take
+// pass's wake lists:
+//
+//  - weighted SORN, whose BvN inter slots carry one circuit in several
+//    distinct matchings, so one queue sits in several lists;
+//  - a mid-run schedule swap to a round robin whose period (15) is below
+//    the lane count (16), so lanes share a matching and walk one list
+//    twice a slot, and a swap back;
+//  - a thread-count switch while queues are occupied, and a switch back;
+//  - a node failure, a circuit failure, a lossy and a throttled circuit;
+//  - 5-cell queues with ECN at 2 under DCTCP, so queued_ahead() decides
+//    drops and marks.
+//
+// The digests were captured from the node sweep the wake lists replaced,
+// and every thread count must reproduce them.
+
+ScenarioConfig pinned_config() {
+  ScenarioConfig cfg;
+  cfg.design = "sorn";
+  cfg.nodes = 16;
+  cfg.cliques = 4;
+  cfg.locality_x = 0.5;
+  for (CliqueId a = 0; a < 4; ++a)
+    for (CliqueId b = 0; b < 4; ++b)
+      cfg.inter_clique_weights.push_back(a == b ? 0.0 : 1.0 + a * 4 + b);
+  cfg.lanes = 16;
+  cfg.load = 2.0;
+  cfg.flow_size = FlowSizeKind::kFixed;
+  cfg.fixed_flow_bytes = 4096;
+  cfg.slots = 400;
+  cfg.drain_slots = 20000;
+  cfg.max_queue_cells = 5;
+  cfg.ecn_threshold_cells = 2;
+  cfg.transport = "dctcp";
+  cfg.retransmit_timeout = 64;
+  cfg.sample_every = 25;
+  cfg.fault_script =
+      "90 fail-node 3\n100 fail-circuit 4 9\n110 degrade-circuit 1 6 0.3\n"
+      "110 throttle-circuit 5 12 0.4\n200 heal-node 3\n"
+      "230 heal-circuit 4 9\n300 restore-circuit 1 6\n"
+      "300 restore-circuit 5 12\n";
+  return cfg;
+}
+
+Pins run_pinned(int threads) {
+  // PID-unique paths: ctest runs each TEST of this binary as its own
+  // concurrent process.
+  const std::string stem = testing::TempDir() + "wake_list_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(threads);
+  ScenarioConfig cfg = pinned_config();
+  cfg.threads = threads;
+  cfg.trace_path = stem + ".jsonl";
+  cfg.metrics_json_path = stem + ".json";
+  cfg.timeseries_csv_path = stem + ".csv";
+  std::string error;
+  auto runner = ScenarioRunner::create(cfg, &error);
+  EXPECT_NE(runner, nullptr) << error;
+  if (runner == nullptr) return {};
+
+  const CircuitSchedule round_robin = ScheduleBuilder::round_robin(16);
+  VlbRouter vlb(&round_robin, LbMode::kRandom);
+  vlb.set_failure_view(&runner->network().failure_view());
+  const CircuitSchedule* sorn_schedule = nullptr;
+  const Router* sorn_router = nullptr;
+  std::uint64_t queued_at_switch = 0;
+  std::uint64_t queued_at_swap = 0;
+  runner->set_slot_hook([&](SlottedNetwork& net, Slot slot) {
+    if (slot == 120 || slot == 300) {
+      if (slot == 120) queued_at_switch = net.cells_in_flight();
+      net.set_threads(slot == 120 ? threads % 3 + 1 : threads);
+    }
+    if (slot == 150) {
+      queued_at_swap = net.cells_in_flight();
+      sorn_schedule = net.schedule();
+      sorn_router = net.router();
+      net.reconfigure(&round_robin, &vlb);
+    }
+    if (slot == 260) net.reconfigure(sorn_schedule, sorn_router);
+  });
+  EXPECT_TRUE(runner->run(&error)) << error;
+  EXPECT_GT(queued_at_switch, 0u) << "switch threads with queues occupied";
+  EXPECT_GT(queued_at_swap, 0u) << "swap schedules with queues occupied";
+  // Some circuit of the weighted schedule rides several BvN slots, so its
+  // queue sits in several wake lists.
+  const CircuitSchedule& weighted = *runner->network().schedule();
+  EXPECT_EQ(&weighted, sorn_schedule);
+  std::vector<std::uint32_t> carriers;
+  int shared = 0;
+  for (NodeId i = 0; i < 16; ++i) {
+    for (NodeId h = 0; h < 16; ++h) {
+      weighted.carriers(i, h, &carriers);
+      shared += carriers.size() > 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(shared, 0);
+  const SimMetrics& m = runner->metrics();
+  EXPECT_GT(m.dropped_cells() - m.gray_dropped_cells(), 0u)
+      << "the cap must tail-drop";
+  EXPECT_GT(m.gray_dropped_cells(), 0u);
+  EXPECT_GT(m.ecn_marked_cells(), 0u);
+  Pins pins{pin_of(slurp(cfg.metrics_json_path)),
+            pin_of(slurp(cfg.trace_path)),
+            pin_of(slurp(cfg.timeseries_csv_path))};
+  for (const std::string& path :
+       {cfg.trace_path, cfg.metrics_json_path, cfg.timeseries_csv_path})
+    std::remove(path.c_str());
+  return pins;
+}
+
+TEST(WakeListPinnedTest, WeightedSwapReshardAndFaultsMatchPinnedArtifacts) {
+  const Pins golden{"2982:55498f6c4210145a", "313644:d2c5a3817ce9c52b",
+                    "792:5a834b8b44ace56c"};
+  for (const int threads : {1, 2, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Pins run = run_pinned(threads);
+    EXPECT_EQ(run.metrics_json, golden.metrics_json);
+    EXPECT_EQ(run.trace_jsonl, golden.trace_jsonl);
+    EXPECT_EQ(run.timeseries_csv, golden.timeseries_csv);
   }
 }
 

@@ -261,28 +261,15 @@ std::uint64_t pop_stamp(VoqSet& voqs, NodeId node, NodeId hop) {
   return head->flow();
 }
 
-// The first hop at or above `from` that shares an occupancy-filter bucket
-// with `hop`.
-NodeId bucket_mate(NodeId hop, NodeId from) {
-  NodeId mate = from;
-  while (mate == hop ||
-         VoqSet::filter_bucket(mate) != VoqSet::filter_bucket(hop))
-    ++mate;
-  return mate;
-}
-
 TEST(VoqTest, SeededInterleaveMatchesDequeModel) {
   // The merge phase's shape: many next hops at a few nodes, pushes and
   // pops interleaved in a seeded adversarial order, queues drained to
   // empty (their index entry erased) and re-created, checked against
   // std::deque references at every step. The hop set holds 41 adjacent
-  // hops plus a bucket-mate of each of the first 12, so queues that share
-  // an occupancy-filter bit drain and re-create around each other.
+  // hops.
   constexpr NodeId kNodes = 3;
   std::vector<NodeId> hops;
   for (NodeId h = kNodes; h < kNodes + 41; ++h) hops.push_back(h);
-  for (std::size_t i = 0; i < 12; ++i)
-    hops.push_back(bucket_mate(hops[i], kNodes + 41));
   VoqSet voqs(*std::max_element(hops.begin(), hops.end()) + 1);
   std::map<std::pair<NodeId, NodeId>, std::deque<std::uint64_t>> model;
   Rng rng(1234);
@@ -335,47 +322,14 @@ TEST(VoqTest, SeededInterleaveMatchesDequeModel) {
   EXPECT_EQ(voqs.occupied_queues(), 0u);
 }
 
-TEST(VoqTest, FilterKeepsABucketMateOfADrainedQueue) {
-  // Two hops share a filter bit. Draining one erases its index entry but
-  // must leave the bit set for the other, which still pops; re-creating
-  // the drained queue sets it again.
-  const NodeId a = 1;
-  const NodeId b = bucket_mate(a, 2);
-  ASSERT_EQ(VoqSet::filter_bucket(a), VoqSet::filter_bucket(b));
-  VoqSet voqs(b + 1);
-  push_stamp(voqs, 0, a, 10);
-  push_stamp(voqs, 0, b, 20);
-  push_stamp(voqs, 0, b, 21);
-  EXPECT_EQ(pop_stamp(voqs, 0, a), 10u);
-  EXPECT_EQ(voqs.size_of(0, a), 0u);
-  EXPECT_FALSE(voqs.pop_ready(0, a, 0).has_value());
-  EXPECT_EQ(pop_stamp(voqs, 0, b), 20u);
-  push_stamp(voqs, 0, a, 11);
-  EXPECT_EQ(pop_stamp(voqs, 0, b), 21u);
-  EXPECT_EQ(pop_stamp(voqs, 0, a), 11u);
-  // Both drained, in the other order: neither hop pops, and either queue
-  // can be re-created.
-  EXPECT_FALSE(voqs.pop_ready(0, a, 0).has_value());
-  EXPECT_FALSE(voqs.pop_ready(0, b, 0).has_value());
-  push_stamp(voqs, 0, b, 22);
-  EXPECT_EQ(pop_stamp(voqs, 0, b), 22u);
-  EXPECT_EQ(voqs.total_queued(), 0u);
-  EXPECT_EQ(voqs.occupied_queues(), 0u);
-}
-
 TEST(VoqTest, PopTowardAnAbsentHopChangesNothing) {
-  // Absent hops whose filter bit is clear (answered by the bit) and one
-  // whose bit a present bucket-mate holds (answered by the search) leave
-  // every count, depth and byte of the node as it was.
-  const NodeId present = 5;
-  const NodeId mate = bucket_mate(present, 6);
-  VoqSet voqs(mate + 1);
+  // Absent hops below and above the present ones, at a node with queues
+  // and at one without, leave every count, depth and byte as it was.
+  VoqSet voqs(10);
   for (NodeId hop = 5; hop < 9; ++hop)
     for (std::uint64_t i = 0; i < 3; ++i) push_stamp(voqs, 0, hop, i);
   const std::uint64_t bytes = voqs.memory_bytes();
-  for (const NodeId absent : {NodeId{1}, NodeId{2}, NodeId{9}, mate}) {
-    for (NodeId hop = 5; hop < 9 && absent != mate; ++hop)
-      EXPECT_NE(VoqSet::filter_bucket(absent), VoqSet::filter_bucket(hop));
+  for (const NodeId absent : {NodeId{1}, NodeId{2}, NodeId{9}}) {
     EXPECT_FALSE(voqs.pop_ready(0, absent, 0).has_value()) << absent;
     EXPECT_FALSE(voqs.pop_ready(1, absent, 0).has_value()) << absent;
     EXPECT_EQ(voqs.queued_at(0), 12u);
