@@ -20,18 +20,21 @@
 //                accountant's cadence. Measured and reported, not gated:
 //                attaching the profiler is an explicit opt-in.
 //
-// Saturated 64-node SORN fabric. Each repetition runs the five modes in
-// turn (in reverse on odd repetitions), so a change in the host's speed
-// between repetitions moves every mode of that repetition alike. The gate
-// is the median over repetitions of each repetition's idle / detached
-// ratio, and each mode's ns/slot is its median. Pump cost is part of
-// every mode equally. With --json, the per-mode ns/slot and overhead
-// percentages are written machine-readably under a "metrics" key.
+// One saturated 64-node SORN fabric, warmed once, then run in rounds.
+// Each round runs one block of --slots slots (default 500) per mode,
+// attaching the mode's instrument before its block and detaching it
+// after, in forward order on even rounds and reverse order on odd ones,
+// so drift in the host's speed within a round favours no mode. A mode's
+// overhead is the median over the --reps rounds (default 200) of its
+// block's time over the same round's detached block; the gate reads the
+// idle mode's. Each mode's ns/slot is the median of its blocks. Pump
+// cost is part of every block equally. With --json, the per-mode ns/slot
+// and overhead percentages are written machine-readably under a
+// "metrics" key.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,34 +52,6 @@ namespace {
 using namespace sorn;
 
 constexpr NodeId kNodes = 64;
-Slot g_warmup_slots = 2000;
-Slot g_slots = 20000;
-int g_reps = 5;
-
-double run_once(Telemetry* telemetry, Profiler* profiler) {
-  const SornFabric net = build_sorn_fabric(
-      CliqueAssignment::contiguous(kNodes, 8), optimal_q(0.6, 12));
-  NetworkConfig ncfg;
-  ncfg.propagation_per_hop = 0;
-  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
-  if (telemetry != nullptr) sim.add_observer(telemetry);
-  if (profiler != nullptr) sim.set_profiler(profiler);
-  const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.6);
-  SaturationSource source(&tm, SaturationConfig{});
-  for (Slot s = 0; s < g_warmup_slots; ++s) {
-    source.pump(sim);
-    sim.step();
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (Slot s = 0; s < g_slots; ++s) {
-    source.pump(sim);
-    sim.step();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-  return ns / static_cast<double>(g_slots);
-}
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -90,35 +65,60 @@ NullTraceSink null_sink;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  g_slots = args.get_long("--slots", g_slots, 1);
-  g_warmup_slots = args.get_long("--warmup", g_warmup_slots, 0);
-  g_reps = static_cast<int>(args.get_long("--reps", g_reps, 1));
+  const Slot block_slots = args.get_long("--slots", 500, 1);
+  const Slot warmup_slots = args.get_long("--warmup", 2000, 0);
+  const int rounds = static_cast<int>(args.get_long("--reps", 200, 1));
   const std::string json_path = args.get_string("--json", "");
   args.finish();
   std::printf(
-      "Telemetry overhead, %d-node saturated SORN fabric, %lld slots/run, "
-      "medians of %d repetitions (each runs every mode in turn):\n\n",
-      kNodes, static_cast<long long>(g_slots), g_reps);
+      "Telemetry overhead, %d-node saturated SORN fabric, %d rounds of one "
+      "%lld-slot block per mode on one network (medians over rounds):\n\n",
+      kNodes, rounds, static_cast<long long>(block_slots));
+
+  const SornFabric net = build_sorn_fabric(
+      CliqueAssignment::contiguous(kNodes, 8), optimal_q(0.6, 12));
+  NetworkConfig ncfg;
+  ncfg.propagation_per_hop = 0;
+  SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
+  const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.6);
+  SaturationSource source(&tm, SaturationConfig{});
+  auto run_slots = [&](Slot slots) {
+    for (Slot s = 0; s < slots; ++s) {
+      source.pump(sim);
+      sim.step();
+    }
+  };
+  run_slots(warmup_slots);
 
   enum Mode { kDetached, kIdle, kSampled, kTraced, kProfiled, kModes };
-  std::array<std::vector<double>, kModes> ns;     // per mode, per rep
+  Telemetry idle_telemetry;
+  Telemetry sampled_telemetry(TelemetryOptions{.sample_every = 100});
+  Telemetry traced_telemetry(TelemetryOptions{.sample_every = 100});
+  traced_telemetry.set_trace_sink(&null_sink);
+  const std::array<Telemetry*, kModes> telemetry = {
+      nullptr, &idle_telemetry, &sampled_telemetry, &traced_telemetry,
+      nullptr};
+  std::array<std::vector<double>, kModes> ns;     // per mode, per round
   std::array<std::vector<double>, kModes> ratio;  // per mode, vs detached
-  for (int r = 0; r < g_reps; ++r) {
+  for (int r = 0; r < rounds; ++r) {
+    std::array<double, kModes> round_ns{};
     for (int k = 0; k < kModes; ++k) {
-      // Odd repetitions run the modes in reverse, so a drift within a
-      // repetition favours no mode.
       const int mode = r % 2 == 0 ? k : kModes - 1 - k;
-      std::unique_ptr<Telemetry> t;
-      if (mode == kIdle) t = std::make_unique<Telemetry>();
-      if (mode == kSampled || mode == kTraced)
-        t = std::make_unique<Telemetry>(TelemetryOptions{.sample_every = 100});
-      if (mode == kTraced) t->set_trace_sink(&null_sink);
-      Profiler profiler;  // fresh per run so counters never carry over
-      ns[mode].push_back(
-          run_once(t.get(), mode == kProfiled ? &profiler : nullptr));
+      Profiler profiler;  // fresh per block so counters never carry over
+      if (telemetry[mode] != nullptr) sim.add_observer(telemetry[mode]);
+      if (mode == kProfiled) sim.set_profiler(&profiler);
+      const auto t0 = std::chrono::steady_clock::now();
+      run_slots(block_slots);
+      const auto t1 = std::chrono::steady_clock::now();
+      if (mode == kProfiled) sim.set_profiler(nullptr);
+      if (telemetry[mode] != nullptr) sim.remove_observer(telemetry[mode]);
+      round_ns[mode] = static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count());
+      ns[mode].push_back(round_ns[mode] / static_cast<double>(block_slots));
     }
     for (int mode = 0; mode < kModes; ++mode)
-      ratio[mode].push_back(ns[mode].back() / ns[kDetached].back());
+      ratio[mode].push_back(round_ns[mode] / round_ns[kDetached]);
   }
   const double detached = median(ns[kDetached]);
   const double idle = median(ns[kIdle]);
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   const double profiled = median(ns[kProfiled]);
 
   TablePrinter table({"mode", "ns/slot", "overhead vs detached"});
-  // Overhead: the median of the per-repetition ratios, as a percentage.
+  // Overhead: the median of the per-round ratios, as a percentage.
   auto overhead = [&](Mode mode) {
     return (median(ratio[mode]) - 1.0) * 100.0;
   };
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
         "\"sampled_ns_per_slot\": %.1f, \"traced_ns_per_slot\": %.1f, "
         "\"profiled_ns_per_slot\": %.1f, \"idle_overhead_pct\": %.2f, "
         "\"profiled_overhead_pct\": %.2f}}\n",
-        kNodes, static_cast<long long>(g_slots), g_reps, detached, idle,
+        kNodes, static_cast<long long>(block_slots), rounds, detached, idle,
         sampled, traced, profiled, idle_overhead, profiled_overhead);
     if (!write_text_file(json_path, doc)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

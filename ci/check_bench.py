@@ -13,10 +13,8 @@ compare
   against the current run under a per-metric tolerance class chosen by
   name:
 
-    equivalent                      exact match (the bool-as-0/1 gate)
     *slots_per_sec*                 higher is better; current must reach
                                     0.5x baseline (shared-runner noise)
-    speedup_*                       higher is better; 0.6x baseline
     peak_rss_mb                     lower is better; at most 1.25x baseline
     *_ns_per_slot                   lower is better; at most 2.0x baseline
     *_overhead_pct                  at most baseline + 3.0 points
@@ -39,7 +37,8 @@ write-baseline
 --schema
   Validates a profile.json against the sorn-profile-v1 layout: the nine
   slot phases in enum order with per-slot percentile stats, the pool
-  utilization block, and the memory gauge block.
+  block (one thread, no workers, since the engine runs every slot on one
+  thread) and the memory gauge block.
 
 Exit status: 0 on pass, 1 on any regression / schema violation.
 """
@@ -65,12 +64,8 @@ def fail(message):
 
 def classify(name):
     """Return (kind, default_bound) for a metric name."""
-    if name == "equivalent":
-        return "exact", 0.0
     if "slots_per_sec" in name:
         return "min_ratio", 0.5
-    if name.startswith("speedup"):
-        return "min_ratio", 0.6
     if name == "peak_rss_mb":
         return "max_ratio", 1.25
     if name.endswith("_ns_per_slot"):
@@ -95,10 +90,6 @@ def check_metric(name, current, baseline, bound_override):
         # the baseline is broken, not the run.
         return (f"{name}: baseline {baseline:g} makes the {kind} gate "
                 f"meaningless — regenerate the baseline")
-    if kind == "exact":
-        if current != baseline:
-            return f"{name}: {current} != baseline {baseline} (exact)"
-        return None
     if kind == "min_ratio":
         floor = bound * baseline
         if current < floor:
@@ -287,10 +278,6 @@ def check_profile(doc):
         for w in workers:
             for key in ("worker", "busy_ns", "idle_ns", "shards"):
                 need(w, key, int, f"pool worker {w.get('worker')}")
-        if pool.get("threads", 1) > 1 and pool.get("batches", 0) > 0 \
-                and len(workers) != pool["threads"]:
-            errors.append(f"pool ran {pool['threads']} threads but "
-                          f"reports {len(workers)} workers")
 
     memory = need(doc, "memory", dict, "top-level")
     if memory is not None:
@@ -328,9 +315,8 @@ def cmd_schema(path):
 def cmd_self_test():
     baseline = {
         "bench": "bench_large_n", "nodes": 4096, "slots": 400,
-        "metrics": {"slots_per_sec_t1": 100.0, "slots_per_sec_t4": 250.0,
-                    "peak_rss_mb": 800.0, "delivered_cells": 123456,
-                    "equivalent": 1},
+        "metrics": {"slots_per_sec": 100.0, "peak_rss_mb": 800.0,
+                    "delivered_cells": 123456},
     }
 
     def clone(**metric_changes):
@@ -341,17 +327,16 @@ def cmd_self_test():
     cases = [
         ("identical run passes", clone(), {}, 0),
         ("noise within tolerance passes",
-         clone(slots_per_sec_t1=60.0, peak_rss_mb=900.0), {}, 0),
+         clone(slots_per_sec=60.0, peak_rss_mb=900.0), {}, 0),
         ("slots/sec regression fails",
-         clone(slots_per_sec_t4=50.0), {}, 1),
+         clone(slots_per_sec=40.0), {}, 1),
         ("RSS blow-up fails", clone(peak_rss_mb=2000.0), {}, 1),
         ("deterministic count drift fails",
          clone(delivered_cells=123956), {}, 1),
-        ("equivalence break fails", clone(equivalent=0), {}, 1),
         ("--tol override tightens the gate",
-         clone(slots_per_sec_t1=60.0), {"slots_per_sec_t1": 0.9}, 1),
+         clone(slots_per_sec=60.0), {"slots_per_sec": 0.9}, 1),
         ("zero ratio baseline is an explicit error, not a vacuous pass",
-         clone(), {}, 1, {"slots_per_sec_t1": 0.0}),
+         clone(), {}, 1, {"slots_per_sec": 0.0}),
         ("non-numeric baseline is an explicit error",
          clone(), {}, 1, {"delivered_cells": "123456"}),
         ("non-numeric current value is an explicit error",
@@ -420,8 +405,8 @@ def cmd_self_test():
     # rejected.
     import os
     import tempfile
-    run_doc = clone(slots_per_sec_t1=140.0, peak_rss_mb=750.0)
-    run_doc["rows"] = [{"threads": "1", "slots/sec": "140"}]
+    run_doc = clone(slots_per_sec=140.0, peak_rss_mb=750.0)
+    run_doc["rows"] = [{"seconds": "2.86", "slots/sec": "140"}]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "BENCH_test.json")
         if write_baseline(run_doc, path, baseline):

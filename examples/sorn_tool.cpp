@@ -15,8 +15,7 @@
 //   sorn_tool simulate [--design sorn] [--scenario file.json]
 //                      [--save-scenario out.json]
 //                      [--nodes 64] [--cliques 8] [--locality 0.56]
-//                      [--load 0.3] [--slots 30000] [--threads N]
-//                      [--seed 42]
+//                      [--load 0.3] [--slots 30000] [--seed 42]
 //                      [--trace run.jsonl] [--metrics-json run.json]
 //                      [--timeseries-csv run.csv] [--sample-every 10]
 //                      [--profile] [--profile-json profile.json]
@@ -34,21 +33,19 @@
 //       JSON first; explicit flags then override individual fields (each
 //       flag accepts exactly what its JSON key accepts), and
 //       --save-scenario writes the effective config back out (the
-//       reproducible artifact). --threads shards the slot engine across
-//       N workers (default 1; 0 = every hardware thread) with
-//       byte-identical output at any N. The telemetry flags additionally write a JSONL
+//       reproducible artifact). The telemetry flags additionally write a JSONL
 //       event trace, a full-run JSON summary, and/or a per-slot
 //       time-series CSV (decimated to every k-th slot). The fault flags inject a scripted
 //       and/or stochastic (MTBF/MTTR, in slots) failure timeline; with
 //       --retransmit-timeout, stalled flows re-admit their missing cells
-//       with exponential backoff. Fault RNG lives on the coordinating
-//       thread, so faulted runs stay byte-identical at any --threads.
+//       with exponential backoff. Fault RNG is seeded, so a faulted run
+//       reproduces byte for byte.
 //
 //   sorn_tool chaos [--seed 1] [--runs 1] [--nodes 32] [--slots 3000]
 //                   [--json chaos.json]
 //       Seeded randomized fault-soup runs (gray failures, controller
 //       outages, safe mode) with invariants asserted every slot and a
-//       thread-count byte-equivalence cross-check. A failing seed prints
+//       run-to-run byte-equivalence cross-check. A failing seed prints
 //       a one-line replay recipe; --json writes the campaign summary
 //       (seeds passed, fault totals, or the failing seed and its replay).
 //
@@ -300,17 +297,14 @@ int cmd_simulate(ArgParser& args) {
   if (cfg.design == "sorn") {
     std::printf(
         "simulated %lld slots, %d nodes, %d cliques, x=%.2f, q=%.3f, "
-        "load=%.2f, threads=%d\n",
+        "load=%.2f\n",
         static_cast<long long>(metrics.slots_run()), cfg.nodes, cfg.cliques,
-        cfg.locality_x, cfg.sorn_q().value(), cfg.load,
-        sim.threads());
+        cfg.locality_x, cfg.sorn_q().value(), cfg.load);
   } else {
     std::printf(
-        "simulated %lld slots, design %s (%s), %d nodes, load=%.2f, "
-        "threads=%d\n",
+        "simulated %lld slots, design %s (%s), %d nodes, load=%.2f\n",
         static_cast<long long>(metrics.slots_run()), cfg.design.c_str(),
-        runner->design().summary.c_str(), cfg.nodes, cfg.load,
-        sim.threads());
+        runner->design().summary.c_str(), cfg.nodes, cfg.load);
   }
   if (workload_uses_flow_driver(cfg.workload)) {
     std::printf("  flows injected:   %llu (completed %llu)\n",
@@ -587,8 +581,6 @@ int cmd_chaos(ArgParser& args) {
   ChaosKnobs knobs;
   knobs.nodes = static_cast<NodeId>(args.get_long("--nodes", 32, 4));
   knobs.slots = args.get_long("--slots", 3000, 500);
-  knobs.compare_threads =
-      static_cast<int>(args.get_long("--compare-threads", 3, 0));
   const std::string json_path = args.get_string("--json", "");
   args.finish();
 
@@ -671,8 +663,6 @@ int usage() {
       "                     [--ecn-threshold 8] [--init-cwnd 8]\n"
       "                     [--max-cwnd 256] [--dctcp-gain 0.0625]\n"
       "                     [--load 0.3] [--slots 30000] [--seed 42]\n"
-      "                     [--threads 1]  (0: all hardware threads;\n"
-      "                      same seed => same bytes at any N)\n"
       "                     [--trace run.jsonl] [--metrics-json run.json]\n"
       "                     [--timeseries-csv run.csv] [--sample-every 10]\n"
       "                     [--profile] [--profile-json profile.json]\n"
@@ -695,10 +685,10 @@ int usage() {
       "                     [--estimate-noise 0.2]\n"
       "                     [--safe-mode hold|vlb] [--check-invariants]\n"
       "  sorn_tool chaos [--seed 1] [--runs 1] [--nodes 32] [--slots 3000]\n"
-      "                  [--compare-threads 3] [--json chaos.json]\n"
+      "                  [--json chaos.json]\n"
       "      Seeded randomized fault-soup campaign: gray failures,\n"
       "      controller outages, safe mode, invariants every slot, and a\n"
-      "      1-vs-N-thread byte-equivalence cross-check per seed. Prints\n"
+      "      run-to-run byte-equivalence cross-check per seed. Prints\n"
       "      a one-line replay recipe on failure (also in the --json\n"
       "      summary).\n"
       "  sorn_tool sweep --experiment FILE.json [--json rows.json]\n"

@@ -22,9 +22,9 @@
 //   lies.
 //
 // Determinism contract: tick() once per slot and filter() once per epoch,
-// both from the coordinating thread. All randomness comes from the model's
-// own Rng streams, so the outage timeline and the noise are functions of
-// the seed alone — byte-identical at any --threads setting.
+// both between slots. All randomness comes from the model's own Rng
+// streams, so the outage timeline and the noise are functions of the seed
+// alone — byte-identical on every run.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +67,8 @@ class ControlFaultModel {
  public:
   explicit ControlFaultModel(ControlFaultOptions options);
 
-  // Advance the outage state machine to `now`. Call once per slot from
-  // the coordinating thread, before the control plane's epoch/tick work.
+  // Advance the outage state machine to `now`. Call once per slot,
+  // between slots, before the control plane's epoch/tick work.
   // Returns true when the controller's up/down state changed this slot
   // (also fires the tracer's controller_down / controller_up events).
   bool tick(Slot now);

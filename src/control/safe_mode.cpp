@@ -1,7 +1,5 @@
 #include "control/safe_mode.h"
 
-#include "util/assert.h"
-
 namespace sorn {
 
 SafeModeGuard::SafeModeGuard(NodeId nodes, SafeModePolicy policy)
@@ -11,8 +9,6 @@ SafeModeGuard::SafeModeGuard(NodeId nodes, SafeModePolicy policy)
 
 void SafeModeGuard::on_controller_state(SlottedNetwork& net,
                                         bool controller_up, Slot now) {
-  SORN_ASSERT(!net.in_parallel_sweep(),
-              "safe-mode transition during parallel sweep");
   if (active_) ++safe_slots_;
   if (!controller_up && !active_) {
     active_ = true;

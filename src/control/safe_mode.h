@@ -19,9 +19,9 @@
 // while the controller is down: the saved generation's objects stay alive
 // in the ReconfigManager (or the design) for the whole outage.
 //
-// Call on_controller_state() once per slot from the coordinating thread,
-// after ControlFaultModel::tick and before the network steps. The guard
-// performs no RNG draws, so attaching it never perturbs seeded runs.
+// Call on_controller_state() once per slot, after ControlFaultModel::tick
+// and before the network steps. The guard performs no RNG draws, so
+// attaching it never perturbs seeded runs.
 #pragma once
 
 #include <cstdint>

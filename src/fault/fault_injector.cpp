@@ -418,10 +418,8 @@ void FaultInjector::apply_stochastic(SlottedNetwork& net) {
 }
 
 void FaultInjector::tick(SlottedNetwork& net) {
-  // All fault RNG and fail/heal mutation happens here, between slots on
-  // the coordinating thread — that is what keeps --threads N runs
-  // byte-identical under stochastic fault injection.
-  SORN_ASSERT(!net.in_parallel_sweep(), "fault tick during parallel sweep");
+  // All fault RNG and fail/heal mutation happens here, between slots, so
+  // a seeded run replays the same fault timeline.
   const Slot now = net.now();
   bool changed = false;
   const std::vector<FaultEvent>& events = script_.events();

@@ -13,11 +13,10 @@
 //   transition slot, one uniform draw picks the transition, so RNG cost is
 //   per fault event, not per slot x entity.
 //
-// Determinism contract: tick(net) must be called once per slot from the
-// coordinating thread, before net.step() — never from inside the parallel
-// sweep (asserted). All fault randomness comes from the injector's own
-// Rng, so a seeded run produces the identical fault timeline — and hence
-// byte-identical metrics/traces — at any --threads setting.
+// Determinism contract: tick(net) must be called once per slot, before
+// net.step(). All fault randomness comes from the injector's own Rng, so
+// a seeded run produces the identical fault timeline — and hence
+// byte-identical metrics/traces — on every run.
 //
 // Faults drive SlottedNetwork::fail_*/heal_* and therefore fire the
 // existing telemetry events (node_fail, node_heal, circuit_fail,
@@ -120,7 +119,7 @@ class FaultInjector {
                          FaultInjectorOptions options = {});
 
   // Apply all faults due at the network's current slot. Call once per
-  // slot, before step(), from the coordinating thread.
+  // slot, before step().
   void tick(SlottedNetwork& net);
 
   bool stochastic() const;

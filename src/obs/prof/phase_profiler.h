@@ -30,7 +30,7 @@ namespace sorn {
 // prof_phase_name() and kProfPhaseCount in sync when extending.
 enum class ProfPhase : int {
   kScheduleAdvance = 0,  // the slot's matching per lane
-  kLaneSweep,            // take pass: every lane of every node, sharded
+  kLaneSweep,            // take pass: the wake lists of every lane
   kMergeReplay,          // apply pass: staged events replayed lane-major
   kVoqSettle,            // settling the global queued-cell total
   kRetransmit,           // end-host stall scan + re-admission

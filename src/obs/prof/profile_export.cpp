@@ -28,36 +28,16 @@ std::string profile_to_json(const Profiler& profiler) {
   }
   w.end_array();
 
+  // The engine runs every slot on the calling thread, so the pool block
+  // is fixed: one thread, no dispatches, no workers. Its keys stay so the
+  // profile's schema does not change.
   w.key("pool").begin_object();
-  if (profiler.has_pool_utilization()) {
-    const PoolUtilization& pool = profiler.pool_utilization();
-    w.field("threads", pool.threads);
-    w.field("batches", pool.batches);
-    w.field("shards", pool.shards);
-    w.field("owner_wait_ns", pool.owner_wait_ns);
-    w.field("window_ns", pool.window_ns);
-    w.key("workers").begin_array();
-    for (std::size_t i = 0; i < pool.workers.size(); ++i) {
-      const PoolWorkerStats& ws = pool.workers[i];
-      w.begin_object();
-      w.field("worker", static_cast<std::uint64_t>(i));
-      w.field("busy_ns", ws.busy_ns);
-      const std::uint64_t idle =
-          pool.window_ns > ws.busy_ns ? pool.window_ns - ws.busy_ns : 0;
-      w.field("idle_ns", idle);
-      w.field("shards", ws.shards);
-      w.end_object();
-    }
-    w.end_array();
-  } else {
-    // Single-threaded engine: no pool, the sweep runs on the caller.
-    w.field("threads", std::int64_t{1});
-    w.field("batches", std::uint64_t{0});
-    w.field("shards", std::uint64_t{0});
-    w.field("owner_wait_ns", std::uint64_t{0});
-    w.field("window_ns", std::uint64_t{0});
-    w.key("workers").begin_array().end_array();
-  }
+  w.field("threads", std::int64_t{1});
+  w.field("batches", std::uint64_t{0});
+  w.field("shards", std::uint64_t{0});
+  w.field("owner_wait_ns", std::uint64_t{0});
+  w.field("window_ns", std::uint64_t{0});
+  w.key("workers").begin_array().end_array();
   w.end_object();
 
   const MemoryAccountant& memory = profiler.memory();

@@ -1,4 +1,4 @@
-// The profiling facade: phase timers + memory gauges + pool utilization.
+// The profiling facade: phase timers + memory gauges.
 //
 // A borrowed Profiler* is attached to the engine
 // (SlottedNetwork::set_profiler) and every instrumentation site is one
@@ -13,11 +13,8 @@
 // determinism contract by design.
 #pragma once
 
-#include <utility>
-
 #include "obs/prof/memory_accountant.h"
 #include "obs/prof/phase_profiler.h"
-#include "obs/prof/pool_stats.h"
 
 namespace sorn {
 
@@ -29,21 +26,9 @@ class Profiler {
   MemoryAccountant& memory() { return memory_; }
   const MemoryAccountant& memory() const { return memory_; }
 
-  // Pool utilization is snapshotted by whoever owns the engine (the pool's
-  // counters live in sim/parallel.h; the engine copies them over at the
-  // end of a profiled run). Absent for single-threaded runs.
-  void set_pool_utilization(PoolUtilization u) {
-    pool_ = std::move(u);
-    has_pool_ = true;
-  }
-  bool has_pool_utilization() const { return has_pool_; }
-  const PoolUtilization& pool_utilization() const { return pool_; }
-
  private:
   PhaseProfiler phases_;
   MemoryAccountant memory_;
-  PoolUtilization pool_;
-  bool has_pool_ = false;
 };
 
 }  // namespace sorn

@@ -169,8 +169,7 @@ ChaosResult run_chaos(std::uint64_t seed, const ChaosKnobs& knobs) {
       static_cast<long long>(knobs.nodes),
       static_cast<long long>(knobs.slots));
 
-  ScenarioConfig cfg = make_chaos_config(seed, knobs);
-  cfg.threads = 1;
+  const ScenarioConfig cfg = make_chaos_config(seed, knobs);
   std::string error;
   auto runner = ScenarioRunner::create(cfg, &error);
   if (runner == nullptr) {
@@ -196,29 +195,18 @@ ChaosResult run_chaos(std::uint64_t seed, const ChaosKnobs& knobs) {
   result.flows_injected = runner->flows_injected();
   result.delivered_cells = runner->metrics().delivered_cells();
 
-  // Determinism cross-check: the identical scenario at another thread
-  // count must produce the byte-identical metrics artifact.
-  if (knobs.compare_threads > 1) {
-    ScenarioConfig cfg2 = make_chaos_config(seed, knobs);
-    cfg2.threads = knobs.compare_threads;
-    auto runner2 = ScenarioRunner::create(cfg2, &error);
-    if (runner2 == nullptr) {
-      result.error = "create (threads=" +
-                     std::to_string(knobs.compare_threads) + "): " + error;
-      return result;
-    }
-    if (!runner2->run(&error)) {
-      result.error = "threads=" + std::to_string(knobs.compare_threads) +
-                     ": " + error;
-      return result;
-    }
-    if (runner2->metrics_json() != runner->metrics_json()) {
-      result.error = format(
-          "metrics artifact differs between --threads 1 and --threads %d "
-          "(determinism contract broken)",
-          knobs.compare_threads);
-      return result;
-    }
+  // Determinism cross-check: the identical scenario, run again, must
+  // produce the byte-identical metrics artifact.
+  auto again = ScenarioRunner::create(cfg, &error);
+  if (again == nullptr || !again->run(&error)) {
+    result.error = "second run: " + error;
+    return result;
+  }
+  if (again->metrics_json() != runner->metrics_json()) {
+    result.error =
+        "metrics artifact differs between two runs of the same config "
+        "(determinism contract broken)";
+    return result;
   }
 
   result.ok = true;

@@ -6,8 +6,8 @@
 // stochastic MTBF/MTTR), a closed-loop control plane with outage windows,
 // stochastic controller crashes, degraded telemetry and a safe-mode
 // policy, plus retransmission with jitter — runs it with the invariant
-// checker attached, and re-runs it at a different thread count to
-// byte-compare the metrics artifact. A seed therefore indicts itself: any
+// checker attached, and runs it a second time to byte-compare the metrics
+// artifact (run-to-run determinism). A seed therefore indicts itself: any
 // failure reproduces from `sorn_tool chaos --seed S` alone, and the
 // result carries that one-line replay recipe.
 //
@@ -26,16 +26,13 @@ struct ChaosKnobs {
   NodeId nodes = 32;
   Slot slots = 3000;        // arrival horizon per run
   Slot drain_slots = 60000;  // bounded drain budget
-  // Second leg of the determinism cross-check; the first always runs at
-  // 1 thread. <= 1 skips the cross-check.
-  int compare_threads = 3;
 };
 
 struct ChaosResult {
   std::uint64_t seed = 0;
   bool ok = false;
-  // Failure detail: invariant violations, a runner error, or the
-  // thread-count mismatch. Empty when ok.
+  // Failure detail: invariant violations, a runner error, or a second
+  // run whose metrics differ. Empty when ok.
   std::string error;
   // One-line reproduction command for this seed.
   std::string replay;
@@ -53,8 +50,8 @@ struct ChaosResult {
 // The randomized scenario for one seed (deterministic; no global state).
 ScenarioConfig make_chaos_config(std::uint64_t seed, const ChaosKnobs& knobs);
 
-// Run one seed: scenario + invariants at 1 thread, then byte-compare the
-// metrics artifact against compare_threads.
+// Run one seed: scenario + invariants, then byte-compare the metrics
+// artifact against a second run of the same config.
 ChaosResult run_chaos(std::uint64_t seed, const ChaosKnobs& knobs);
 
 }  // namespace sorn

@@ -12,7 +12,7 @@
 // point takes exactly the scenario keys and values. Each key of `expect`
 // names a value of the point's row (experiment_value_names) and gives an
 // inclusive [lo, hi] band. Points run one after another, each through
-// ScenarioRunner::create/run at the scenario's own thread count.
+// ScenarioRunner::create/run.
 //
 // A point of a flow-driver workload may also give "window": [from, to],
 // two integer slots with 0 <= from < to. Its row then reports

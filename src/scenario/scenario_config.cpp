@@ -125,7 +125,6 @@ constexpr Field kFields[] = {
     {"cell_bytes", &C::cell_bytes},
     {"max_queue_cells", &C::max_queue_cells},
     {"seed", &C::seed, "--seed"},
-    {"threads", &C::threads, "--threads"},
     {"traffic", &C::traffic},
     {"ring_heavy_share", &C::ring_heavy_share},
     {"traffic_backend", &C::traffic_backend, "--traffic-backend"},
@@ -326,6 +325,15 @@ bool ScenarioConfig::from_json(const JsonValue& doc, ScenarioConfig* out,
   ScenarioConfig cfg = *out;  // *out untouched until full success
   bool seen[std::size(kFields)] = {};
   for (const auto& [key, v] : doc.fields()) {
+    // A retired key (scenario_config.h): checked, then dropped.
+    if (key == "threads") {
+      std::int32_t threads = 0;
+      if (!v.get_integer(&threads) || threads < 0) {
+        *error = "field 'threads' must be an integer >= 0";
+        return false;
+      }
+      continue;
+    }
     const Field* f =
         std::find_if(std::begin(kFields), std::end(kFields),
                      [&](const Field& field) { return key == field.key; });
@@ -418,7 +426,6 @@ bool ScenarioConfig::validate(std::string* error) const {
   }
   if (cliques < 1) return fail("cliques must be >= 1");
   if (lanes < 1) return fail("lanes must be >= 1");
-  if (threads < 0) return fail("threads must be >= 0");
   if (slot_ns <= 0) return fail("slot_ns must be positive");
   if (propagation_ns < 0) return fail("propagation_ns must be >= 0");
   if (cell_bytes < 1) return fail("cell_bytes must be >= 1");

@@ -4,8 +4,13 @@
 // reproducible artifact (`sorn_tool simulate --scenario file.json`).
 //
 // Determinism contract: two runs of the same config (same seeds) produce
-// byte-identical metrics/trace/CSV artifacts at any thread count; the
-// scenario smoke job in CI byte-diffs --threads 1 vs 4 to keep this true.
+// byte-identical metrics/trace/CSV artifacts; the scenario tests pin
+// those bytes, and CI byte-diffs artifacts across traffic backends and
+// with profiling on or off.
+//
+// The reader still accepts "threads", a key older files carry: it must
+// be an integer >= 0 and sets nothing, since the engine runs every slot
+// on one thread. to_json does not write it.
 #pragma once
 
 #include <cstdint>
@@ -117,10 +122,6 @@ struct ScenarioConfig {
   std::uint64_t cell_bytes = 256;
   std::uint64_t max_queue_cells = 0;  // 0 = unbounded
   std::uint64_t seed = 42;            // network RNG (routing spray)
-  // Engine threads; 0 = every hardware thread. One is the default: the
-  // pool pays only at large N (thousands of nodes). Artifacts are
-  // byte-identical at any value (parallel engine equivalence).
-  int threads = 1;
 
   // ---- traffic ----
   TrafficKind traffic = TrafficKind::kLocality;
@@ -183,8 +184,7 @@ struct ScenarioConfig {
   Slot sample_every = 1;
 
   // ---- profiling (obs/prof) ----
-  // Attach the profiler: slot-phase timers, pool utilization, memory
-  // gauges. Implied by a non-empty profile_json_path. Sim artifacts stay
+  // Attach the profiler: slot-phase timers and memory gauges. Implied by a non-empty profile_json_path. Sim artifacts stay
   // byte-identical with profiling on or off; profile.json itself is wall
   // clock and outside the determinism contract.
   bool profile = false;

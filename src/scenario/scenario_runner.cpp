@@ -8,7 +8,6 @@
 #include "fault/fault_injector.h"
 #include "obs/export.h"
 #include "obs/prof/profile_export.h"
-#include "sim/parallel.h"
 #include "sim/saturation.h"
 #include "sim/telemetry.h"
 #include "traffic/arrivals.h"
@@ -66,7 +65,7 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
     return nullptr;
   }
 
-  // Simulator, engine threads, failure-aware routing. Routing always
+  // Simulator and failure-aware routing. Routing always
   // consults the live failure state; with no faults the view stays empty
   // and the fast path is untouched.
   NetworkConfig net_cfg;
@@ -79,9 +78,6 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
   net_cfg.seed = config.seed;
   runner->network_ = std::make_unique<SlottedNetwork>(
       runner->design_.schedule, runner->design_.router, net_cfg);
-  runner->network_->set_threads(config.threads > 0
-                                    ? config.threads
-                                    : ThreadPool::default_threads());
   runner->design_.set_failure_view(&runner->network_->failure_view());
 
   // Faults: scripted timeline (override > inline text > file) plus the
@@ -222,9 +218,8 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
 
   // Closed-loop transport: arrivals become open_flow() calls and the
   // window paces injection. The flow driver attaches it to the network
-  // for the run, so first-copy deliveries reach it as acks on the
-  // coordinating thread and artifacts stay byte-identical at any thread
-  // count.
+  // for the run, so first-copy deliveries reach it as acks in the apply
+  // pass's order.
   if (config.transport == "dctcp") {
     DctcpTransport::Options topt;
     topt.congestion.init_cwnd_cells = config.init_cwnd_cells;
@@ -421,11 +416,8 @@ bool ScenarioRunner::run(std::string* error) {
   }
 
   // Close out the profile: a final gauge sample (end-of-run state + peak
-  // RSS) and the pool's utilization counters.
-  if (profiler_ != nullptr) {
-    profiler_->memory().sample();
-    network_->snapshot_pool_utilization();
-  }
+  // RSS).
+  if (profiler_ != nullptr) profiler_->memory().sample();
 
   // Flush artifacts. The trace sink is detached and closed first so the
   // JSONL file is complete as soon as run() returns.

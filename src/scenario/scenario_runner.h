@@ -1,5 +1,5 @@
 // ScenarioRunner: owns the full lifecycle of one scenario — build the
-// design through the registry, wire the simulator (threads, failure view,
+// design through the registry, wire the simulator (failure view,
 // telemetry sinks, fault injector, retransmission), generate traffic, run
 // the configured workload, and flush the artifacts — so every tool, bench
 // and example drives an experiment through one code path.
@@ -81,7 +81,7 @@ class ScenarioRunner {
   // transport (window/ack counters live here, not in SimMetrics).
   const DctcpTransport* transport() const { return transport_.get(); }
 
-  // Runs on the coordinating thread at the start of every slot, before
+  // Runs at the start of every slot, before
   // the fault injector's tick. Set before run().
   void set_slot_hook(WorkloadDriver::SlotHook hook) {
     user_hook_ = std::move(hook);

@@ -12,14 +12,12 @@
 //
 // Determinism contract: both decisions are *stateless* — a splitmix64
 // hash of (seed, slot, circuit, cell identity) compared against the
-// probability — so they can be evaluated inside the parallel lane sweep
-// by any shard without drawing the shared Rng or keeping per-thread
-// state. The same (seed, slot, cell) always gives the same verdict, which
-// keeps runs byte-identical at any thread count (see DESIGN.md §12).
+// probability — so the take pass can evaluate them without drawing the
+// shared Rng. The same (seed, slot, cell) always gives the same verdict,
+// which keeps runs byte-identical (see DESIGN.md §12).
 //
-// Mutation happens only between slots on the coordinating thread
-// (FaultInjector::tick); the sweep reads the map concurrently, which is
-// safe because readers never co-exist with writers.
+// Mutation happens only between slots (FaultInjector::tick); the take
+// pass only reads the map.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +49,7 @@ class GrayFailureView {
   void set_seed(std::uint64_t seed) { seed_ = seed; }
   std::uint64_t seed() const { return seed_; }
 
-  // ---- Mutators (coordinating thread, between slots) ----
+  // ---- Mutators (between slots) ----
   // Idempotent: the return value reports whether state actually changed,
   // so injectors can skip duplicate telemetry.
   bool degrade_circuit(NodeId src, NodeId dst, double loss_p) {

@@ -23,9 +23,8 @@
 //     retransmission; phantom or out-of-range cells are not). Tracking
 //     is independent of SimMetrics, so a dedup bug there is caught here.
 //
-// Threading contract: like every observer, the checker is called on the
-// coordinating thread only, so it needs no synchronization and results
-// are byte-identical at any thread count.
+// Like every observer, the checker only reads, so results are
+// byte-identical with it attached or not.
 #pragma once
 
 #include <cstdint>

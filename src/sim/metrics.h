@@ -112,7 +112,7 @@ class SimMetrics {
   // flagged, its backoff advanced, and its missing cell seqs returned,
   // sorted by flow id so re-admission order is deterministic. Mutates the
   // flow records (attempts, stall bookkeeping); call once per check
-  // interval, on the coordinating thread.
+  // interval, between slots.
   //
   // jitter_frac > 0 scales each flow's wait by a stateless per-(flow,
   // round) hash factor in [1 - jitter/2, 1 + jitter/2] (seeded by

@@ -56,7 +56,8 @@ SlottedNetwork::SlottedNetwork(const CircuitSchedule* schedule,
   popped_.assign(static_cast<std::size_t>(n_) *
                      static_cast<std::size_t>(config_.lanes),
                  kNoPop);
-  set_threads(1);
+  stage_.lanes.resize(static_cast<std::size_t>(config_.lanes));
+  rebuild_wake_lists();
 }
 
 void SlottedNetwork::inject_flow(FlowId flow, NodeId src, NodeId dst,
@@ -68,9 +69,6 @@ Cell SlottedNetwork::make_cell(const Router& router, FlowId flow,
                                std::uint32_t seq, NodeId src, NodeId dst,
                                Slot route_slot) {
   SORN_ASSERT(src != dst, "cell endpoints must differ");
-  // Routing draws from rng_; a draw inside a pooled take pass would make
-  // the stream depend on thread scheduling (see DESIGN.md).
-  SORN_ASSERT(!in_parallel_sweep_, "inject during parallel sweep");
   return Cell(flow, seq, router.route(src, dst, route_slot, rng_), now_);
 }
 
@@ -159,29 +157,16 @@ void SlottedNetwork::enqueue_or_drop(NodeId node, Cell& cell, int sent_lane,
 
 void SlottedNetwork::wake(NodeId node, NodeId hop) {
   schedule_->carriers(node, hop, &carrier_scratch_);
-  // shard_plan_ is ascending and covers [0, n): node's shard is the first
-  // range ending past it.
-  const auto shard = std::upper_bound(
-      shard_plan_.begin(), shard_plan_.end(), node,
-      [](NodeId v, const ShardRange& r) { return v < r.end; });
-  ShardStage& stage = stages_[static_cast<std::size_t>(
-      shard - shard_plan_.begin())];
-  if (stage.wake.empty()) {
-    stage.wake.resize(schedule_->distinct_count());
-    stage.wake_sorted.assign(schedule_->distinct_count(), 0);
-  }
   // Appended unsorted: the list's next walk merges it in, and drops it if
   // the node is listed already (an entry outlives its drained queue until
   // a visit finds the queue gone).
   for (const std::uint32_t m : carrier_scratch_)
-    stage.wake[m].push_back(static_cast<WakeNode>(node));
+    stage_.wake[m].push_back(static_cast<WakeNode>(node));
 }
 
 void SlottedNetwork::rebuild_wake_lists() {
-  for (ShardStage& stage : stages_) {
-    stage.wake = std::vector<std::vector<WakeNode>>();
-    stage.wake_sorted = std::vector<std::uint32_t>();
-  }
+  stage_.wake = std::vector<std::vector<WakeNode>>(schedule_->distinct_count());
+  stage_.wake_sorted.assign(schedule_->distinct_count(), 0);
   for (NodeId i = 0; i < n_; ++i)
     voqs_.for_each_queue(i, [this, i](NodeId hop) { wake(i, hop); });
 }
@@ -189,13 +174,14 @@ void SlottedNetwork::rebuild_wake_lists() {
 // take() and apply() are inlined into the two passes, which call them once
 // per visit and once per staged event: as calls, when the take pass
 // visited every (node, lane), they cost 5-12% of slots/s at N = 4096 with
-// 16 lanes and two threads (4-vCPU x86 host).
+// 16 lanes (4-vCPU x86 host).
 [[gnu::always_inline]] inline std::optional<SlottedNetwork::StagedEvent>
 SlottedNetwork::take(NodeId node, NodeId peer) {
   if (failures_.any_failures() && !failures_.usable(node, peer))
     return std::nullopt;
-  // Gray decisions are stateless seeded hashes (no shared Rng), so shards
-  // can evaluate them; apply() replays the outcome in lane-major order.
+  // Gray decisions are stateless seeded hashes (no shared Rng), so the
+  // take pass can evaluate them; apply() replays the outcome in lane-major
+  // order.
   const GrayCircuit* gray = nullptr;
   if (gray_.any()) {
     gray = gray_.find(node, peer);
@@ -247,24 +233,22 @@ SlottedNetwork::take(NodeId node, NodeId peer) {
   }
 }
 
-void SlottedNetwork::take_shard(int s) {
-  ShardStage& stage = stages_[static_cast<std::size_t>(s)];
+void SlottedNetwork::take_pass() {
   const auto lanes = static_cast<std::size_t>(config_.lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    std::vector<StagedEvent>& events = stage.lanes[lane];
+    std::vector<StagedEvent>& events = stage_.lanes[lane];
     for (const StagedEvent& ev : events)
       popped_[static_cast<std::size_t>(ev.sender) * lanes + lane] = kNoPop;
     events.clear();
   }
-  stage.pops = 0;
-  if (stage.wake.empty()) return;
+  stage_.pops = 0;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const std::uint32_t m = lane_matchings_[lane];
     const Matching& matching = schedule_->matching(m);
-    std::vector<WakeNode>& list = stage.wake[m];
-    if (stage.wake_sorted[m] < list.size())
-      merge_appended(list, stage.wake_sorted[m], stage.merge_scratch);
-    std::vector<StagedEvent>& events = stage.lanes[lane];
+    std::vector<WakeNode>& list = stage_.wake[m];
+    if (stage_.wake_sorted[m] < list.size())
+      merge_appended(list, stage_.wake_sorted[m], stage_.merge_scratch);
+    std::vector<StagedEvent>& events = stage_.lanes[lane];
     // Room for every entry up front: the walk below cannot throw, so it
     // always leaves the list whole.
     events.reserve(list.size());
@@ -273,7 +257,7 @@ void SlottedNetwork::take_shard(int s) {
       const NodeId i = list[k];
       const NodeId peer = matching.dst_of(i);
       if (std::optional<StagedEvent> ev = take(i, peer)) {
-        ++stage.pops;
+        ++stage_.pops;
         popped_[static_cast<std::size_t>(i) * lanes + lane] = peer;
         events.push_back(*ev);
       } else if (voqs_.size_of(i, peer) == 0) {
@@ -285,27 +269,25 @@ void SlottedNetwork::take_shard(int s) {
       list[kept++] = list[k];
     }
     list.resize(kept);
-    stage.wake_sorted[m] = static_cast<std::uint32_t>(kept);
+    stage_.wake_sorted[m] = static_cast<std::uint32_t>(kept);
   }
 }
 
 // One slot is two passes.
 //
-// Take pass (sharded across the pool): each shard walks, lane by lane, the
-// wake list of the lane's matching: its nodes in ascending order, each
-// holding a queue toward the peer that matching gives it. A node missing
-// from the list has no queue toward its peer, so a visit could take
-// nothing. Node i only ever pops its own queues, so pops are disjoint
-// across shards.
+// Take pass: walk, lane by lane, the wake list of the lane's matching: its
+// nodes in ascending order, each holding a queue toward the peer that
+// matching gives it. A node missing from the list has no queue toward its
+// peer, so a visit could take nothing.
 //
-// Apply pass (coordinating thread): the staged events are replayed lane by
-// lane, and within a lane shard by shard, which is node order. Every side
-// effect — metrics, observer events, pushes, drops — lands in the
-// lane-major order DESIGN §5 specifies. Taking every lane first pops the
-// same heads that order would: a cell pushed this slot has ready_slot >
-// now, so no lane can pop it, and failure and gray state cannot change
-// within a slot. Only queue sizes differ, and queued_ahead() restores the
-// size the capacity check and the ECN mark observe.
+// Apply pass: the staged events are replayed lane by lane, each lane in
+// node order. Every side effect — metrics, observer events, pushes,
+// drops — lands in the lane-major order DESIGN §5 specifies. Taking every
+// lane first pops the same heads that order would: a cell pushed this
+// slot has ready_slot > now, so no lane can pop it, and failure and gray
+// state cannot change within a slot. Only queue sizes differ, and
+// queued_ahead() restores the size the capacity check and the ECN mark
+// observe.
 void SlottedNetwork::step() {
   PhaseProfiler* const prof =
       profiler_ != nullptr ? &profiler_->phases() : nullptr;
@@ -320,29 +302,19 @@ void SlottedNetwork::step() {
   }
   try {
     ScopedPhase sweep(prof, ProfPhase::kLaneSweep);
-    if (pool_ == nullptr) {
-      take_shard(0);
-    } else {
-      in_parallel_sweep_ = true;
-      pool_->run_shards(static_cast<int>(stages_.size()),
-                        [this](int s) { take_shard(s); });
-      in_parallel_sweep_ = false;
-    }
+    take_pass();
   } catch (...) {
     // The staged cells are discarded — the network stays usable but this
     // slot under-delivers — and the pops are settled so the VoqSet size
     // invariant holds for the partial pass.
-    in_parallel_sweep_ = false;
     settle_staged_pops();
     throw;
   }
   {
     ScopedPhase merge(prof, ProfPhase::kMergeReplay);
     for (int lane = 0; lane < config_.lanes; ++lane) {
-      for (ShardStage& stage : stages_) {
-        for (StagedEvent& ev : stage.lanes[static_cast<std::size_t>(lane)])
-          apply(ev, lane);
-      }
+      for (StagedEvent& ev : stage_.lanes[static_cast<std::size_t>(lane)])
+        apply(ev, lane);
     }
   }
   {
@@ -398,50 +370,24 @@ void SlottedNetwork::remove_observer(SimObserver* observer) {
                    observers_.end());
 }
 
-void SlottedNetwork::set_threads(int threads) {
-  SORN_ASSERT(threads >= 1, "need at least one engine thread");
-  pool_.reset();
-  if (threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-    // A pool created while a profiler is attached starts accounting
-    // immediately (set_threads after set_profiler and vice versa both
-    // work).
-    if (profiler_ != nullptr) pool_->enable_profiling(true);
-  }
-  shard_plan_ = shard_ranges(n_, threads);
-  stages_.assign(shard_plan_.size(), ShardStage{});
-  for (ShardStage& stage : stages_)
-    stage.lanes.resize(static_cast<std::size_t>(config_.lanes));
-  // The old stages took their staged events, which named the pop marks.
-  std::fill(popped_.begin(), popped_.end(), kNoPop);
-  rebuild_wake_lists();
-}
-
-void SlottedNetwork::settle_staged_pops() {
-  std::uint64_t pops = 0;
-  for (const ShardStage& stage : stages_) pops += stage.pops;
-  voqs_.settle_total(pops);
-}
+void SlottedNetwork::settle_staged_pops() { voqs_.settle_total(stage_.pops); }
 
 std::uint64_t SlottedNetwork::sweep_stage_bytes() const {
-  std::uint64_t bytes = popped_.capacity() * sizeof(NodeId) +
-                        stages_.capacity() * sizeof(ShardStage);
-  for (const ShardStage& stage : stages_) {
-    bytes += stage.lanes.capacity() * sizeof(std::vector<StagedEvent>) +
-             stage.wake.capacity() * sizeof(std::vector<WakeNode>) +
-             stage.wake_sorted.capacity() * sizeof(std::uint32_t) +
-             stage.merge_scratch.capacity() * sizeof(WakeNode);
-    for (const std::vector<StagedEvent>& events : stage.lanes)
-      bytes += events.capacity() * sizeof(StagedEvent);
-    for (const std::vector<WakeNode>& list : stage.wake)
-      bytes += list.capacity() * sizeof(WakeNode);
-  }
+  std::uint64_t bytes =
+      popped_.capacity() * sizeof(NodeId) +
+      stage_.lanes.capacity() * sizeof(std::vector<StagedEvent>) +
+      stage_.wake.capacity() * sizeof(std::vector<WakeNode>) +
+      stage_.wake_sorted.capacity() * sizeof(std::uint32_t) +
+      stage_.merge_scratch.capacity() * sizeof(WakeNode);
+  for (const std::vector<StagedEvent>& events : stage_.lanes)
+    bytes += events.capacity() * sizeof(StagedEvent);
+  for (const std::vector<WakeNode>& list : stage_.wake)
+    bytes += list.capacity() * sizeof(WakeNode);
   return bytes;
 }
 
 void SlottedNetwork::set_profiler(Profiler* profiler) {
   profiler_ = profiler;
-  if (pool_ != nullptr) pool_->enable_profiling(profiler != nullptr);
   if (profiler == nullptr) return;
   // Register this network's byte gauges. The lambdas borrow `this`; the
   // attachment must be cleared (set_profiler(nullptr) does not unregister
@@ -459,11 +405,6 @@ void SlottedNetwork::set_profiler(Profiler* profiler) {
     return metrics_.distributions_bytes();
   });
   mem.register_provider("sweep_stage", [this] { return sweep_stage_bytes(); });
-}
-
-void SlottedNetwork::snapshot_pool_utilization() {
-  if (profiler_ != nullptr && pool_ != nullptr)
-    profiler_->set_pool_utilization(pool_->utilization());
 }
 
 bool SlottedNetwork::fail_node(NodeId node) {
@@ -536,9 +477,6 @@ std::uint64_t SlottedNetwork::heal_all() {
 std::uint64_t SlottedNetwork::retransmit_stalled(
     const RetransmitPolicy& policy) {
   if (policy.timeout_slots <= 0) return 0;
-  // Re-admission routes with rng_; a draw inside a pooled take pass would
-  // break cross-thread-count determinism (same contract as injection).
-  SORN_ASSERT(!in_parallel_sweep_, "retransmit during parallel sweep");
   // Runs between slots; the interval lands in the next slot's breakdown.
   ScopedPhase scope(profiler_ != nullptr ? &profiler_->phases() : nullptr,
                     ProfPhase::kRetransmit);

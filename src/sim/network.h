@@ -9,10 +9,10 @@
 //
 // Each rule is coded once. take() decides one node's transmit (failure,
 // gray, head, pop) and apply() performs its ordered side effects. A slot
-// is two passes: the take pass walks, lane by lane, each shard's wake list
-// for the matching the lane applies, and the apply pass replays the staged
-// outcomes lane by lane in node order. One thread is the one-shard case.
-// A wake list holds every node with an occupied queue toward the peer a
+// is two passes on the calling thread: the take pass walks, lane by lane,
+// the wake list of the matching the lane applies, and the apply pass
+// replays the staged outcomes lane by lane in node order. A wake list
+// holds every node with an occupied queue toward the peer a
 // matching gives it (and, until its next visit, one whose queue drained),
 // so a slot visits only queues whose circuit is up. It is keyed by
 // matching, not by time, so a slot re-keys nothing (the schedule's
@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -34,7 +33,6 @@
 #include "sim/gray_failures.h"
 #include "sim/metrics.h"
 #include "sim/observer.h"
-#include "sim/parallel.h"
 #include "sim/voq.h"
 #include "topo/schedule.h"
 #include "util/rng.h"
@@ -57,8 +55,7 @@ struct NetworkConfig {
   // this many cells is marked (Cell::ecn) and counted in
   // SimMetrics::ecn_marked_cells; the mark is echoed to an attached
   // transport at delivery. 0 disables. The mark decision observes the
-  // same sequential-order queue size the capacity check does, so results
-  // stay byte-identical at any thread count.
+  // same lane-major queue size the capacity check does (queued_ahead).
   std::uint64_t ecn_threshold_cells = 0;
   std::uint64_t seed = 42;
 };
@@ -122,17 +119,9 @@ class SlottedNetwork {
   void step();
   void run(Slot slots);
 
-  // ---- Parallel slot engine ----
-  // Shard each slot's take pass across `threads` threads (the caller and
-  // threads - 1 persistent workers), one pool dispatch per slot. Results
-  // — metrics, traces, time-series rows — are byte-identical at any
-  // thread count: shards stage their transmit outcomes per lane in node
-  // order and the apply pass replays every side effect (metrics, pushes,
-  // drops, observer events) in lane-major, node order (see DESIGN.md, "Parallel
-  // slot engine"). threads == 1 tears the pool down and takes every node
-  // on the calling thread, the default every caller starts with.
-  void set_threads(int threads);
-  int threads() const { return pool_ != nullptr ? pool_->thread_count() : 1; }
+  // Engine threads: always 1, since every slot runs on the thread that
+  // calls step(). Run reports print it.
+  int threads() const { return 1; }
 
   // Swap in a new schedule/router (the control plane's epoch-synchronous
   // update, paper Sec. 5). In-flight cells keep their old paths; this is
@@ -174,8 +163,8 @@ class SlottedNetwork {
   // end-host retransmission); a throttled circuit serves only a
   // `capacity` fraction of its slots (head cells stay queued in inactive
   // slots, like a fail-stop outage). Both decisions are stateless seeded
-  // hashes, so results stay byte-identical at any thread count. Mutators
-  // are idempotent like fail_*/heal_*.
+  // hashes that draw nothing from the network's Rng. Mutators are
+  // idempotent like fail_*/heal_*.
   bool degrade_circuit(NodeId src, NodeId dst, double loss_p);
   bool throttle_circuit(NodeId src, NodeId dst, double capacity);
   bool restore_circuit(NodeId src, NodeId dst);
@@ -188,7 +177,7 @@ class SlottedNetwork {
   // current router — which, if failure-aware, detours around the outage
   // that stranded the originals. Duplicate copies are discarded at the
   // receiver (Cell::seq), so FCT accounting stays exact. Call between
-  // slots from the coordinating thread; returns cells re-admitted.
+  // slots; returns cells re-admitted.
   struct RetransmitPolicy {
     Slot timeout_slots = 0;  // 0 disables
     std::uint32_t max_attempts = 8;
@@ -199,14 +188,10 @@ class SlottedNetwork {
     // otherwise all fire into the source VOQs on the same slot. 0 (the
     // default) reproduces the exact pre-jitter timeline. The factor is a
     // stateless hash seeded from the network seed — no draw from the
-    // shared Rng, so determinism at any thread count is preserved.
+    // shared Rng, so the routing stream is unchanged.
     double jitter_frac = 0.0;
   };
   std::uint64_t retransmit_stalled(const RetransmitPolicy& policy);
-
-  // True while a pooled take pass is running; anything that draws rng_ or
-  // mutates shared state (injection, fault ticks) must see false.
-  bool in_parallel_sweep() const { return in_parallel_sweep_; }
 
   // Reset counters but keep queued cells and open-flow records (used to
   // exclude warmup; flows straddling the boundary still complete and are
@@ -226,18 +211,14 @@ class SlottedNetwork {
 
   // ---- Profiling (src/obs/prof) ----
   // Attach a borrowed profiler: step() wraps each engine phase in a
-  // scoped timer, the pool (if any) starts utilization accounting, and
-  // the network registers its byte gauges (VOQ storage, stored matchings,
-  // flow records, retransmit state, distributions) with the profiler's
-  // MemoryAccountant. Profiling only reads clocks and sizes — sim results
+  // scoped timer, and the network registers its byte gauges (VOQ
+  // storage, stored matchings, flow records, retransmit state,
+  // distributions) with the profiler's MemoryAccountant. Profiling only reads clocks and sizes — sim results
   // stay byte-identical with a profiler attached or not. Pass nullptr to
   // detach; detached sites cost one null check (bench_obs_overhead gates
   // this at <= 2%). The profiler must outlive the attachment.
   void set_profiler(Profiler* profiler);
   Profiler* profiler() const { return profiler_; }
-  // Copy the pool's utilization counters into the attached profiler
-  // (no-op without both a profiler and a pool). Call at end of run.
-  void snapshot_pool_utilization();
 
   // The schedule currently driving the network (reconfigure() may have
   // swapped it since construction).
@@ -260,17 +241,16 @@ class SlottedNetwork {
   static_assert(sizeof(StagedEvent) <= 40, "a staged event is a cell + 8");
   // A wake-list entry: a node id (ids fit 16 bits, as in Cell).
   using WakeNode = std::uint16_t;
-  // One shard's take pass: per lane, its events in ascending node order,
-  // and its wake lists.
-  struct ShardStage {
+  // The take pass's state: per lane, its events in ascending node order,
+  // and the wake lists.
+  struct TakeStage {
     std::vector<std::vector<StagedEvent>> lanes;
     std::uint64_t pops = 0;  // settled into VoqSet::total_ after the slot
-    // wake[m]: the shard's nodes holding a queue toward the peer distinct
+    // wake[m]: the nodes holding a queue toward the peer distinct
     // matching m gives them (schedule_->matching(m)). Its first
     // wake_sorted[m] entries are ascending and distinct; wake() appends
     // after them, and the take pass merges the rest in before it walks
-    // the list. Allocated by the shard's first insert, so an idle shard
-    // costs none.
+    // the list.
     std::vector<std::vector<WakeNode>> wake;
     std::vector<std::uint32_t> wake_sorted;
     std::vector<WakeNode> merge_scratch;
@@ -280,24 +260,24 @@ class SlottedNetwork {
 
   // Node `node`'s transmit toward `peer`: failure and gray checks, then
   // pop the transmittable head and advance it. Touches only `node`'s own
-  // queues (safe inside a shard); the caller settles the pop into
-  // VoqSet's total. nullopt when nothing is sent.
+  // queues; the caller settles the pop into VoqSet's total. nullopt when
+  // nothing is sent.
   std::optional<StagedEvent> take(NodeId node, NodeId peer);
   // Every ordered side effect of an event taken on `lane`: transmit
   // event, gray drop, delivery (metrics, deliver and flow-complete
-  // events) or forward + enqueue. Runs on the coordinating thread, in
-  // lane-major node order.
+  // events) or forward + enqueue. Runs in lane-major node order.
   void apply(StagedEvent& ev, int lane);
-  // The take pass over shard `s`: per lane, take() every node on the wake
-  // list of the lane's matching, staging events and marking popped_, and
-  // drop each entry whose queue is gone. First it unmarks the shard's
-  // previous slot, whose staged events name every mark it set.
-  void take_shard(int s);
+  // The take pass: per lane, take() every node on the wake list of the
+  // lane's matching, staging events and marking popped_, and drop each
+  // entry whose queue is gone. First it unmarks the previous slot, whose
+  // staged events name every mark it set.
+  void take_pass();
   // Add `node` to the wake list of every matching that carries
   // node -> hop: its queue toward hop now exists.
   void wake(NodeId node, NodeId hop);
-  // Empty every wake list and refill them from the occupied queues, after
-  // a new schedule or shard plan.
+  // Size one wake list per distinct matching of the schedule and fill
+  // them from the occupied queues: at construction and after a new
+  // schedule.
   void rebuild_wake_lists();
   // Pops of the queue (relay, hop) that the take pass has made but the
   // lane-major order has not reached when `sender`'s transmit to `relay`
@@ -347,19 +327,14 @@ class SlottedNetwork {
   Profiler* profiler_ = nullptr;
   std::vector<SimObserver*> observers_;  // borrowed, in attach order
 
-  // Slot engine state. rng_ must never be drawn inside a pooled take
-  // pass (injection — the only RNG consumer — happens between slots);
-  // in_parallel_sweep_ guards against that ever regressing.
-  std::unique_ptr<ThreadPool> pool_;  // null at one thread
-  std::vector<ShardRange> shard_plan_;
-  std::vector<ShardStage> stages_;  // one per shard_plan_ range
+  // Slot engine state.
+  TakeStage stage_;
   // This slot's distinct-matching index, per lane.
   std::vector<std::uint32_t> lane_matchings_;
   // popped_[node * lanes + lane]: the next hop whose queue `node` popped
   // on `lane` this slot, or kNoPop (read by queued_ahead).
   std::vector<NodeId> popped_;
   std::vector<std::uint32_t> carrier_scratch_;  // wake()'s carriers()
-  bool in_parallel_sweep_ = false;
 };
 
 }  // namespace sorn

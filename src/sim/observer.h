@@ -10,11 +10,10 @@
 //
 // The network keeps one list (SlottedNetwork::add_observer) and calls each
 // hook on every attached observer in attach order, always on the thread
-// that calls step() or the mutator that raised the event. Shards stage
-// their transmit outcomes and the apply pass replays them in lane-major
-// node order, so an observer sees the same event sequence at any thread
-// count and needs no synchronization. A hook must not attach or detach
-// observers.
+// that calls step() or the mutator that raised the event. The take pass
+// stages its transmit outcomes and the apply pass replays them in
+// lane-major node order, so an observer sees that order and needs no
+// synchronization. A hook must not attach or detach observers.
 #pragma once
 
 #include <cstdint>

@@ -8,11 +8,10 @@
 // queues directly. Detached, it costs nothing: the network's event sites
 // only walk an empty observer list (bench_obs_overhead).
 //
-// Threading contract: Telemetry is not thread-safe and does not need to
-// be. The slot engine calls every observer hook on the coordinating
-// thread, replaying events in the same lane-major order at any thread
-// count. That is what keeps traces and time series byte-identical across
-// thread counts (sim/observer.h).
+// Telemetry is not thread-safe and does not need to be: the slot engine
+// calls every observer hook on the thread that calls step(), in the
+// lane-major order, which is what keeps traces and time series
+// byte-identical (sim/observer.h).
 #pragma once
 
 #include <array>

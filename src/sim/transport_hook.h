@@ -10,9 +10,9 @@
 //     arrivals, before step()) to release windowed cells.
 //   - For each run_until the driver also attaches the transport to the
 //     network as a SimObserver, so it hears every delivery; a first copy
-//     (on_deliver's first_copy) is its ack. Observers run on the
-//     coordinating thread in the apply pass's order — the §6 determinism
-//     contract (DESIGN.md "Parallel slot engine").
+//     (on_deliver's first_copy) is its ack. Observers run in the apply
+//     pass's order — the §6 determinism contract (DESIGN.md "One-thread
+//     slot engine").
 //
 // TransportStats is the plain snapshot the exporters consume
 // (obs/export.h) without linking the transport library either.
@@ -53,7 +53,7 @@ class Transport : public SimObserver {
                          std::uint64_t bytes, int flow_class) = 0;
 
   // Release every flow's available window into the network (ascending
-  // flow id). Call between slots on the coordinating thread; returns the
+  // flow id). Call between slots; returns the
   // number of cells injected. An implementation may visit only the flows
   // whose window can have opened since the last pump — those opened or
   // acked since, if a pump leaves each flow it releases blocked and only

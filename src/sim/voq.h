@@ -33,13 +33,11 @@
 // (sim/network.h) name the occupied queues whose circuit is up, so a
 // transmit toward a hop with no queue is not attempted at all.
 //
-// Thread contract (sim/parallel.h): shards of the take pass own disjoint
-// node ranges and only pop_ready() their own nodes. All state a pop
-// touches — the node's queue index, slab and free list, and its cell
-// count — is per-node, so sharded pops stay race-free; the one
-// global, total_, is deliberately NOT updated by pop_ready() and is
-// settled once per slot by the coordinating thread (settle_total), at
-// any thread count.
+// Pop accounting: pop_ready() touches only the popping node's state —
+// its queue index, slab, free list and cell count. The one global,
+// total_, is deliberately NOT updated by pop_ready(): the take pass
+// counts its pops and the network settles them once per slot, after the
+// apply pass (settle_total).
 #pragma once
 
 #include <cstdint>
@@ -83,8 +81,8 @@ class VoqSet {
   // Pop and return the head cell queued at `node` for `next_hop` if it is
   // transmittable at `now`; nullopt (and no change) otherwise. Per-node
   // state only: total_queued() still counts the cell until the caller
-  // settles its pops (settle_total), so shards may pop their own nodes'
-  // queues concurrently. Inline: the take pass calls it once per visit.
+  // settles its pops (settle_total). Inline: the take pass calls it once
+  // per visit.
   std::optional<Cell> pop_ready(NodeId node, NodeId next_hop, Slot now) {
     NodeQueues& nq = nodes_[static_cast<std::size_t>(node)];
     const std::uint32_t pos = lower(nq.occupied, next_hop);

@@ -19,9 +19,9 @@ class WorkloadDriver {
  public:
   // Maps an arrival to a flow class for split FCT percentiles.
   using Classifier = std::function<int(const FlowArrival&)>;
-  // Called once per slot on the coordinating thread, before that slot's
-  // arrivals are injected and before step(). Fault injectors hook in here
-  // (FaultInjector::tick), keeping all fault RNG off the parallel sweep.
+  // Called once per slot, before that slot's arrivals are injected and
+  // before step(). Fault injectors hook in here (FaultInjector::tick),
+  // keeping all fault RNG between slots.
   using SlotHook = std::function<void(SlottedNetwork&, Slot)>;
 
   // End-host retransmission: when timeout_slots > 0, the driver checks
@@ -50,7 +50,7 @@ class WorkloadDriver {
   // Attach a closed-loop transport (borrowed; must outlive the driver).
   // Arrivals are registered via Transport::open_flow instead of injected
   // directly, and the transport is pumped once per slot — after that
-  // slot's arrivals, before step() — on the coordinating thread. Each
+  // slot's arrivals, before step(). Each
   // run_until attaches it to the network as an observer for the run, so
   // deliveries are acked; the caller must not attach it as well. The
   // drain phase also waits on the transport's backlog: a windowed flow can

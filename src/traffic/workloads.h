@@ -18,7 +18,7 @@
 //                         worth of servers behind each uplink.
 //
 // All streams own their Rng (or are RNG-free), emit nondecreasing times,
-// and run on the coordinating thread only.
+// and are drawn between slots only.
 #pragma once
 
 #include <cstdint>

@@ -11,8 +11,8 @@
 //   marked round:   cwnd <- cwnd * (1 - alpha / 2)
 //   clean round:    cwnd <- cwnd + additive_increase
 //
-// All arithmetic is plain double on the coordinating thread — no RNG, no
-// wall clock — so a run's windows are byte-identical at any thread count.
+// All arithmetic is plain double — no RNG, no wall clock — so a run's
+// windows are byte-identical on every run.
 #pragma once
 
 #include <cstdint>

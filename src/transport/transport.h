@@ -2,13 +2,12 @@
 //
 // DctcpTransport holds one CongestionControl per open flow and releases
 // cells into the network in window-sized segments: pump() — called by the
-// WorkloadDriver once per slot, between slots on the coordinating thread
-// — injects each flow's available window via
+// WorkloadDriver once per slot, between slots — injects each flow's
+// available window via
 // SlottedNetwork::inject_flow_segment, and every first-copy delivery the
 // network reports to on_deliver (sim/transport_hook.h) is an ack that
-// advances the window. Everything runs on the coordinating thread over a
-// flow map iterated in ascending id order, so runs stay byte-identical at
-// any thread count.
+// advances the window. Everything iterates the flow map in ascending id
+// order, so runs stay byte-identical.
 //
 // pump() visits only flows that can send: those opened or acked since the
 // last pump (ready_). A pump leaves every flow it releases blocked (its

@@ -12,8 +12,7 @@
 // storage).
 //
 // Queued cells do not use this arena: VoqSet (sim/voq.h) keeps one cell
-// slab per node so the take pass's shards never share allocator
-// state, and its slots may move when the slab grows.
+// slab per node, and its slots may move when the slab grows.
 //
 // Thread contract: not thread-safe.
 #pragma once

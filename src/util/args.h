@@ -11,8 +11,8 @@
 //   sorn::ArgParser args(argc, argv);            // or (argc, argv, first)
 //   const std::string json = args.get_string("--json", "");
 //   const long slots = args.get_long("--slots", 20000, 1);
-//   const double floor = args.get_double("--min-speedup", 0.0, 0.0);
-//   const std::vector<int> threads = args.get_int_list("--threads", {1, 2});
+//   const double rss = args.get_double("--max-rss-mb", 0.0, 0.0);
+//   const std::vector<int> nc = args.get_int_list("--nc", {}, 1);
 //   const bool weighted = args.get_flag("--weighted");
 //   args.finish();  // rejects anything not consumed above
 //

@@ -1,16 +1,14 @@
 // Unit tests for the self-profiling layer: PhaseProfiler aggregation,
-// ScopedPhase nesting, MemoryAccountant gauges/cadence, ThreadPool
-// utilization counters, and the profile.json export shape.
+// ScopedPhase nesting, MemoryAccountant gauges/cadence, and the
+// profile.json export shape.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 
 #include "obs/prof/memory_accountant.h"
 #include "obs/prof/phase_profiler.h"
 #include "obs/prof/profile_export.h"
 #include "obs/prof/profiler.h"
-#include "sim/parallel.h"
 
 namespace sorn {
 namespace {
@@ -135,58 +133,12 @@ TEST(MemoryAccountantTest, TickSamplesOnTheCadence) {
   EXPECT_EQ(mem.samples(), 3u);  // slots 0, 4, 8
 }
 
-TEST(ThreadPoolProfilingTest, DisabledByDefaultAndCountersAccumulate) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.profiling_enabled());
-  pool.enable_profiling(true);
-
-  std::atomic<int> ran{0};
-  pool.run_shards(8, [&ran](int) {
-    // Enough work that at least some busy time registers on most clocks.
-    volatile double x = 1.0;
-    for (int i = 0; i < 20000; ++i) x = x * 1.0000001 + 0.5;
-    ran.fetch_add(1);
-  });
-  EXPECT_EQ(ran.load(), 8);
-
-  const PoolUtilization u = pool.utilization();
-  EXPECT_EQ(u.threads, 2);
-  EXPECT_EQ(u.batches, 1u);
-  EXPECT_EQ(u.shards, 8u);
-  EXPECT_GT(u.window_ns, 0u);
-  ASSERT_EQ(u.workers.size(), 2u);
-  std::uint64_t worker_shards = 0;
-  std::uint64_t busy = 0;
-  for (const PoolWorkerStats& w : u.workers) {
-    worker_shards += w.shards;
-    busy += w.busy_ns;
-  }
-  EXPECT_EQ(worker_shards, 8u);
-  EXPECT_GT(busy, 0u);
-}
-
-TEST(ThreadPoolProfilingTest, InlinePoolAttributesToWorkerZero) {
-  ThreadPool pool(1);
-  pool.enable_profiling(true);
-  pool.run_shards(3, [](int) {});
-  const PoolUtilization u = pool.utilization();
-  EXPECT_EQ(u.threads, 1);
-  EXPECT_EQ(u.shards, 3u);
-  ASSERT_EQ(u.workers.size(), 1u);
-  EXPECT_EQ(u.workers[0].shards, 3u);
-}
-
 TEST(ProfileExportTest, JsonCarriesSchemaPhasesPoolAndGauges) {
   Profiler prof;
   prof.phases().record(ProfPhase::kLaneSweep, 1000);
   prof.phases().end_slot();
   prof.memory().set_bytes("schedule_matchings", 4096);
   prof.memory().sample();
-  PoolUtilization pool;
-  pool.threads = 2;
-  pool.batches = 5;
-  pool.workers.resize(2);
-  prof.set_pool_utilization(pool);
 
   const std::string json = profile_to_json(prof);
   EXPECT_NE(json.find("\"schema\":\"sorn-profile-v1\""), std::string::npos);
@@ -194,17 +146,18 @@ TEST(ProfileExportTest, JsonCarriesSchemaPhasesPoolAndGauges) {
   EXPECT_NE(json.find("\"phase\":\"telemetry_flush\""), std::string::npos);
   EXPECT_NE(json.find("\"schedule_matchings\""), std::string::npos);
   EXPECT_NE(json.find("\"peak_rss_bytes\""), std::string::npos);
-  EXPECT_NE(json.find("\"threads\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"workers\":["), std::string::npos);
+  EXPECT_NE(json.find("\"pool\":{"), std::string::npos);
 }
 
 TEST(ProfileExportTest, SingleThreadedProfileHasEmptyPoolBlock) {
   Profiler prof;
   prof.phases().end_slot();
   const std::string json = profile_to_json(prof);
-  EXPECT_FALSE(prof.has_pool_utilization());
-  EXPECT_NE(json.find("\"threads\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"workers\":[]"), std::string::npos);
+  // One thread and no workers: every slot runs on the calling thread.
+  EXPECT_NE(json.find("\"pool\":{\"threads\":1,\"batches\":0,\"shards\":0,"
+                      "\"owner_wait_ns\":0,\"window_ns\":0,\"workers\":[]}"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Backend equivalence at the scenario level: the demand backend is a
 // memory-layout choice, never a semantics choice. The same scenario run
-// with dense, sparse, and procedural demand — across thread counts, with
-// a fault blast, a mid-run reconfigure, and the closed-loop control plane
+// with dense, sparse, and procedural demand — with a fault blast, a
+// mid-run reconfigure, and the closed-loop control plane
 // (including the degraded-estimate filter) in play — must produce
 // byte-identical metrics JSON, time-series CSV and trace JSONL.
 #include <gtest/gtest.h>
@@ -32,13 +32,12 @@ struct Artifacts {
   std::uint64_t delivered = 0;
 };
 
-Artifacts run_scenario(DemandBackend backend, int threads) {
+Artifacts run_scenario(DemandBackend backend) {
   // PID-unique path: ctest runs each TEST of this binary as its own
   // concurrent process, so a fixed name would collide.
-  const std::string trace_path =
-      testing::TempDir() + "backend_eq_" + std::to_string(::getpid()) + "_" +
-      demand_backend_name(backend) + "_" + std::to_string(threads) +
-      ".jsonl";
+  const std::string trace_path = testing::TempDir() + "backend_eq_" +
+                                 std::to_string(::getpid()) + "_" +
+                                 demand_backend_name(backend) + ".jsonl";
 
   ScenarioConfig cfg;
   cfg.design = "sorn";
@@ -47,7 +46,6 @@ Artifacts run_scenario(DemandBackend backend, int threads) {
   cfg.locality_x = 0.6;
   cfg.traffic_backend = backend;
   cfg.propagation_ns = 0;
-  cfg.threads = threads;
   cfg.load = 0.4;
   cfg.slots = 400;
   cfg.drain_slots = 2000;
@@ -85,21 +83,16 @@ Artifacts run_scenario(DemandBackend backend, int threads) {
 }
 
 TEST(BackendEquivalenceTest, ArtifactsAreByteIdenticalAcrossBackends) {
-  const Artifacts want = run_scenario(DemandBackend::kDense, 1);
+  const Artifacts want = run_scenario(DemandBackend::kDense);
   EXPECT_GT(want.delivered, 0u);
   EXPECT_FALSE(want.trace_jsonl.empty());
   for (const DemandBackend backend :
-       {DemandBackend::kDense, DemandBackend::kSparse,
-        DemandBackend::kProcedural}) {
-    for (const int threads : {1, 4, 7}) {
-      if (backend == DemandBackend::kDense && threads == 1) continue;
-      const Artifacts got = run_scenario(backend, threads);
-      const std::string label = std::string(demand_backend_name(backend)) +
-                                "/" + std::to_string(threads) + " threads";
-      EXPECT_EQ(got.metrics_json, want.metrics_json) << label;
-      EXPECT_EQ(got.timeseries_csv, want.timeseries_csv) << label;
-      EXPECT_EQ(got.trace_jsonl, want.trace_jsonl) << label;
-    }
+       {DemandBackend::kSparse, DemandBackend::kProcedural}) {
+    const Artifacts got = run_scenario(backend);
+    const char* label = demand_backend_name(backend);
+    EXPECT_EQ(got.metrics_json, want.metrics_json) << label;
+    EXPECT_EQ(got.timeseries_csv, want.timeseries_csv) << label;
+    EXPECT_EQ(got.trace_jsonl, want.trace_jsonl) << label;
   }
 }
 
@@ -114,7 +107,6 @@ TEST(BackendEquivalenceTest, SaturationWorkloadMatchesAcrossBackends) {
     cfg.locality_x = 0.7;
     cfg.traffic_backend = backend;
     cfg.propagation_ns = 0;
-    cfg.threads = 1;
     cfg.workload = WorkloadKind::kSaturation;
     cfg.warmup_slots = 500;
     cfg.measure_slots = 1000;

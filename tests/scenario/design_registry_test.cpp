@@ -432,7 +432,6 @@ TEST(DesignRegistryTest, SornDesignAndReconfigSwapBuildOneFabric) {
 TEST(DesignRegistryTest, FullLocalitySornRunsAtTheQCap) {
   ScenarioConfig cfg = small_config();
   cfg.locality_x = 1.0;
-  cfg.threads = 1;
   cfg.workload = WorkloadKind::kSaturation;
   cfg.warmup_slots = 200;
   cfg.measure_slots = 800;

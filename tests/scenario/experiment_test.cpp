@@ -21,7 +21,7 @@ namespace {
 // window.
 constexpr const char* kPoints = R"({
   "description": "four points",
-  "base": {"design": "sorn", "nodes": 16, "cliques": 4, "threads": 1,
+  "base": {"design": "sorn", "nodes": 16, "cliques": 4,
            "propagation_ns": 0},
   "points": [
     {"set": {"workload": "saturation", "warmup_slots": 200,
@@ -61,7 +61,6 @@ TEST(ExperimentTest, RowsEqualDirectRunnerRuns) {
   ScenarioConfig sat;
   sat.nodes = 16;
   sat.cliques = 4;
-  sat.threads = 1;
   sat.propagation_ns = 0;
   ScenarioConfig flows = sat;
   ScenarioConfig incast = sat;
@@ -283,7 +282,7 @@ TEST(ExperimentTest, WindowTheRunNeverReachesIsAnError) {
   std::string error;
   // 200 arrival slots of a light load drain long before slot 100000.
   ASSERT_TRUE(Experiment::from_json(
-      R"({"base": {"nodes": 16, "cliques": 4, "threads": 1},
+      R"({"base": {"nodes": 16, "cliques": 4},
           "points": [{"set": {"load": 0.05, "slots": 200},
                       "window": [100, 100000]}]})",
       &experiment, &error))
@@ -315,8 +314,8 @@ TEST(ExperimentTest, CheckedInExperimentsParseAndBuild) {
   EXPECT_GE(files, 9);
 }
 
-// Two checked-in scenarios, which CI byte-diffs across thread counts, are
-// exactly points of experiments: incast_dctcp.json is the DCTCP point of
+// Two checked-in scenarios, which CI's scenario smoke runs, are exactly
+// points of experiments: incast_dctcp.json is the DCTCP point of
 // incast.json, and degradation_vlb.json the outage point of
 // degradation.json where safe mode swaps to VLB.
 TEST(ExperimentTest, CiScenariosAreExperimentPoints) {

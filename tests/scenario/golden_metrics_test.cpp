@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "control/control_plane.h"
 #include "scenario/scenario_runner.h"
@@ -19,6 +20,27 @@
 
 namespace sorn {
 namespace {
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// FNV-1a with sornbench's offset basis (its digest_of), so a pin here
+// reads the same as a digest computed there.
+std::string digest_of(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
 
 // 16 nodes fits every design: even (opera), 4^2 (orn-hd), 4x4
 // (orn-mixed), 4 cliques (sorn), 2 clusters x 2 pods (hier).
@@ -35,7 +57,6 @@ ScenarioConfig pinned_config(const std::string& design) {
   cfg.load = 0.3;
   cfg.flow_size = FlowSizeKind::kFixed;
   cfg.fixed_flow_bytes = 2560;  // 10 cells per flow
-  cfg.threads = 1;
   return cfg;
 }
 
@@ -47,8 +68,7 @@ struct Golden {
   double cell_lat_p50_ps;
 };
 
-// Captured from a --threads 1 run of pinned_config(); identical at any
-// thread count (parallel engine byte-equivalence).
+// Captured from a run of pinned_config().
 constexpr Golden kGolden[] = {
     {"hier", 961u, 9610u, 2.256400, 4550000},
     {"opera", 961u, 9610u, 1.000000, 13000000},
@@ -87,17 +107,24 @@ TEST(GoldenMetricsTest, EveryDesignMatchesPinnedMetrics) {
   }
 }
 
-TEST(GoldenMetricsTest, MetricsIdenticalAtFourThreads) {
-  for (const Golden& g : kGolden) {
-    ScenarioConfig cfg = pinned_config(g.design);
-    auto one = run_pinned(cfg);
-    cfg.threads = 4;
-    auto four = run_pinned(cfg);
-    ASSERT_NE(one, nullptr);
-    ASSERT_NE(four, nullptr);
-    // The full exported document — every counter, histogram and
-    // percentile — must be byte-identical across thread counts.
-    EXPECT_EQ(one->metrics_json(), four->metrics_json()) << g.design;
+TEST(GoldenMetricsTest, EveryDesignMatchesPinnedMetricsJson) {
+  // The full exported document — every counter, histogram and percentile
+  // — of each design's pinned_config() run, captured from an earlier
+  // build.
+  const std::pair<const char*, const char*> golden[] = {
+      {"hier", "d4689522fb2e5d83"},
+      {"opera", "8a4ede56ab4d8688"},
+      {"orn-hd", "11d68528b9418834"},
+      {"orn-mixed", "74837c58493d3539"},
+      {"rotor", "c340a20b0534e9db"},
+      {"sorn", "11194ca4748e4d9d"},
+      {"vlb", "48ed700be04c1bf4"},
+  };
+  ASSERT_EQ(std::size(golden), std::size(kGolden));
+  for (const auto& [design, digest] : golden) {
+    auto runner = run_pinned(pinned_config(design));
+    ASSERT_NE(runner, nullptr);
+    EXPECT_EQ(digest_of(runner->metrics_json()), digest) << design;
   }
 }
 
@@ -118,7 +145,6 @@ TEST(GoldenMetricsTest, RunnerMatchesHandBuiltSorn) {
   ncfg.slot_duration = cfg.slot_ns * 1000;
   ncfg.propagation_per_hop = cfg.propagation_ns * 1000;
   SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
-  sim.set_threads(1);
   const TrafficMatrix tm = patterns::locality_mix(*net.cliques,
                                                   cfg.locality_x);
   SaturationSource source(&tm, SaturationConfig{});
@@ -131,33 +157,12 @@ TEST(GoldenMetricsTest, RunnerMatchesHandBuiltSorn) {
 
 // ---- The control loop, pinned across commits ----
 //
-// ci/scenarios/control_replan.json at one thread: N = 96 with a noisy
-// (0.5) estimate every 200 slots, two nodes failing at slot 500 and
-// healing at 1000, so three replans. Its trace's replan events carry the
+// ci/scenarios/control_replan.json: N = 96 with a noisy (0.5) estimate
+// every 200 slots, two nodes failing at slot 500 and healing at 1000, so
+// three replans. Its trace's replan events carry the
 // estimator's macro_change, locality_estimate and planned_locality at
 // full precision, so any change to the estimator, the noise filter, the
 // failure mask or the optimizer that moves one bit moves these digests.
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-// FNV-1a with sornbench's offset basis (its digest_of), so a pin here
-// reads the same as a digest computed there.
-std::string digest_of(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
 
 ScenarioConfig ci_scenario(const std::string& file) {
   ScenarioConfig cfg;
@@ -168,8 +173,8 @@ ScenarioConfig ci_scenario(const std::string& file) {
   return cfg;
 }
 
-// A one-thread run of `cfg` with its metrics JSON and trace written to
-// temporary files, and the digests of both.
+// A run of `cfg` with its metrics JSON and trace written to temporary
+// files, and the digests of both.
 struct DigestedRun {
   std::unique_ptr<ScenarioRunner> runner;
   std::string metrics;
@@ -177,7 +182,6 @@ struct DigestedRun {
 };
 
 DigestedRun run_digested(ScenarioConfig cfg, const std::string& name) {
-  cfg.threads = 1;
   const std::string stem =
       testing::TempDir() + name + "_" + std::to_string(::getpid());
   cfg.trace_path = stem + ".jsonl";
@@ -203,11 +207,10 @@ TEST(GoldenMetricsTest, ControlReplanScenarioMatchesPinnedArtifacts) {
 // ---- The closed-loop transport, pinned across commits ----
 //
 // DctcpTransport::pump() decides every injection of a DCTCP run, and so
-// every router RNG draw and every queue the ECN mark and the cap see. The
-// transport equivalence tests compare the engine with itself across
-// thread counts; these digests compare it with the commit they were
-// captured at. Both runs drop cells at a capped queue, ECN-mark others
-// and retransmit the drops, so each part of the loop feeds the next.
+// every router RNG draw and every queue the ECN mark and the cap see.
+// These digests compare it with the commit they were captured at. Both
+// runs drop cells at a capped queue, ECN-mark others and retransmit the
+// drops, so each part of the loop feeds the next.
 
 TEST(GoldenMetricsTest, IncastDctcpScenarioMatchesPinnedArtifacts) {
   // ci/scenarios/incast_dctcp.json: 32:1 incast into 32-cell queues,

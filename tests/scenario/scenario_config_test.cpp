@@ -51,7 +51,6 @@ ScenarioConfig non_default_config() {
   cfg.cell_bytes = 512;
   cfg.max_queue_cells = 64;
   cfg.seed = 1234;
-  cfg.threads = 4;
   cfg.traffic = TrafficKind::kRing;
   cfg.ring_heavy_share = 0.75;
   cfg.traffic_backend = DemandBackend::kProcedural;
@@ -117,7 +116,7 @@ constexpr const char* kDefaultJson =
     R"("schedule_seed":17,"max_short_hops":6,"bulk_cutoff_bytes":0,)"
     R"("orn_dims":2,"radices":[],"lanes":1,"slot_ns":100,)"
     R"("propagation_ns":0,"cell_bytes":256,"max_queue_cells":0,)"
-    R"("seed":42,"threads":1,"traffic":"locality",)"
+    R"("seed":42,"traffic":"locality",)"
     R"("ring_heavy_share":0.84999999999999998,)"
     R"("traffic_backend":"dense","workload":"flows",)"
     R"("load":0.29999999999999999,"slots":30000,"drain_slots":200000,)"
@@ -150,7 +149,7 @@ constexpr const char* kNonDefaultJson =
     R"("cluster_locality_x2":0.25,"dwell_slots":64,"schedule_seed":99,)"
     R"("max_short_hops":4,"bulk_cutoff_bytes":1048576,"orn_dims":3,)"
     R"("radices":[4,6],"lanes":2,"slot_ns":200,"propagation_ns":500,)"
-    R"("cell_bytes":512,"max_queue_cells":64,"seed":1234,"threads":4,)"
+    R"("cell_bytes":512,"max_queue_cells":64,"seed":1234,)"
     R"("traffic":"ring","ring_heavy_share":0.75,)"
     R"("traffic_backend":"procedural","workload":"incast",)"
     R"("load":0.55000000000000004,"slots":12345,"drain_slots":42,)"
@@ -242,6 +241,42 @@ TEST(ScenarioConfigTest, UnknownKeyIsAnError) {
   EXPECT_FALSE(
       ScenarioConfig::from_json(R"({"nodez": 16})", &back, &error));
   EXPECT_NE(error.find("nodez"), std::string::npos) << error;
+}
+
+// "threads" is retired: the engine runs every slot on one thread. The
+// reader still takes a non-negative integer there and drops it, so
+// sornbench's large-n-t2 config (written with "threads": 2) loads, saves
+// without the key and runs on one thread; anything else is an error.
+TEST(ScenarioConfigTest, RetiredThreadsKeyIsCheckedThenDropped) {
+  constexpr const char* kLargeNT2 = R"({
+   "design": "sorn", "propagation_ns": 0, "traffic_backend": "procedural",
+   "nodes": 4096, "cliques": 64, "locality": 0.6, "lanes": 16,
+   "workload": "flows", "flow_size": "fixed", "fixed_flow_bytes": 40960,
+   "load": 2.0, "slots": 15, "drain_slots": 150, "threads": 2,
+   "arrival_seed": 1, "seed": 1, "workload_seed": 1, "fault_seed": 1,
+   "control_fault_seed": 1})";
+  ScenarioConfig cfg;
+  std::string error;
+  ASSERT_TRUE(ScenarioConfig::from_json(kLargeNT2, &cfg, &error)) << error;
+  const std::string saved = cfg.to_json();
+  EXPECT_EQ(saved.find("threads"), std::string::npos) << saved;
+  ScenarioConfig back;
+  ASSERT_TRUE(ScenarioConfig::from_json(saved, &back, &error)) << error;
+  EXPECT_EQ(back.to_json(), saved);
+  auto runner = ScenarioRunner::create(cfg, &error);
+  ASSERT_NE(runner, nullptr) << error;
+  ASSERT_TRUE(runner->run(&error)) << error;
+  EXPECT_EQ(runner->network().threads(), 1);
+  EXPECT_GT(runner->metrics().delivered_cells(), 0u);
+
+  for (const char* doc : {R"({"threads": -1})", R"({"threads": "2"})"}) {
+    ScenarioConfig rejected;
+    rejected.design = "sentinel";
+    error.clear();
+    EXPECT_FALSE(ScenarioConfig::from_json(doc, &rejected, &error)) << doc;
+    EXPECT_NE(error.find("'threads'"), std::string::npos) << error;
+    EXPECT_EQ(rejected.design, "sentinel");
+  }
 }
 
 TEST(ScenarioConfigTest, TypeMismatchIsAnError) {
@@ -365,7 +400,7 @@ struct FakeCommandLine {
   }
 };
 
-// simulate's 49 field flags, name for name.
+// simulate's 48 field flags, name for name.
 TEST(ScenarioConfigTest, FlagSetsMatchTheCli) {
   FakeCommandLine cli;
   ScenarioConfig cfg;
@@ -375,7 +410,7 @@ TEST(ScenarioConfigTest, FlagSetsMatchTheCli) {
       cli.asked,
       (std::vector<std::string>{
           "--design", "--nodes", "--cliques", "--locality", "--seed",
-          "--threads", "--traffic-backend", "--workload", "--load", "--slots",
+          "--traffic-backend", "--workload", "--load", "--slots",
           "--incast-fanin", "--incast-bytes", "--incast-period",
           "--collective", "--collective-bytes", "--collective-gap",
           "--rack-local-frac", "--oversub-factor", "--transport",
@@ -397,7 +432,6 @@ TEST(ScenarioConfigTest, FlagsReadLikeTheirJsonKeys) {
   cli.given = {{"--nodes", "96"},
                {"--locality", "0.71"},
                {"--seed", "18446744073709551615"},
-               {"--threads", "0"},
                {"--workload", "incast"},
                {"--trace", "run.jsonl"},
                {"--fault-script", "faults.txt"},
@@ -409,7 +443,6 @@ TEST(ScenarioConfigTest, FlagsReadLikeTheirJsonKeys) {
   EXPECT_EQ(cfg.nodes, 96);
   EXPECT_DOUBLE_EQ(cfg.locality_x, 0.71);
   EXPECT_EQ(cfg.seed, std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(cfg.threads, 0);
   EXPECT_EQ(cfg.workload, WorkloadKind::kIncast);
   EXPECT_EQ(cfg.trace_path, "run.jsonl");
   EXPECT_EQ(cfg.fault_script_path, "faults.txt");
@@ -731,7 +764,6 @@ TEST(ScenarioConfigTest, RunFailsWhenAnArtifactCannotBeWritten) {
     cfg.nodes = 16;
     cfg.cliques = 4;
     cfg.slots = 300;
-    cfg.threads = 1;
     cfg.*sink = "/dev/full";
     std::string error;
     auto runner = ScenarioRunner::create(cfg, &error);

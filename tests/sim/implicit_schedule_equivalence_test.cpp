@@ -2,7 +2,7 @@
 // seed, a simulation driven by a builder-emitted compact schedule must
 // produce byte-identical artifacts — metrics JSON, per-slot time-series
 // CSV, JSONL trace — to the same simulation driven by an explicitly
-// materialized copy of that schedule, at any thread count.
+// materialized copy of that schedule.
 //
 // This is the acceptance pin of the implicit-schedule PR (DESIGN.md §11):
 // the compact representation changes *where* dst_of comes from, never
@@ -36,7 +36,6 @@
 namespace sorn {
 namespace {
 
-constexpr int kThreadCounts[] = {1, 4, 7};
 constexpr NodeId kBlastNodes = 64;
 
 // An explicit-storage copy of a schedule: every slot's matching is
@@ -87,14 +86,13 @@ void expect_identical(const Artifacts& base, const Artifacts& other,
 // circuit each slot realizes, so a compact slot computing even one wrong
 // dst would shift deliveries, drops, and the trace.
 Artifacts run_sorn_blast(const CircuitSchedule& schedule,
-                         const CliqueAssignment& cliques, int threads) {
+                         const CliqueAssignment& cliques) {
   constexpr NodeId kNodes = kBlastNodes;
   const SornRouter router(&schedule, &cliques, LbMode::kRandom);
   NetworkConfig config;
   config.lanes = 2;
   config.propagation_per_hop = 0;
   SlottedNetwork net(&schedule, &router, config);
-  net.set_threads(threads);
 
   Telemetry telemetry(TelemetryOptions{.sample_every = 5});
   MemoryTraceSink sink;
@@ -142,7 +140,7 @@ Artifacts run_sorn_blast(const CircuitSchedule& schedule,
 // from the AWGR round robin onto the orn-hd digit-shift family — both
 // compact in the implicit run, both materialized in the explicit run.
 Artifacts run_large_reconfigure(const CircuitSchedule& rr,
-                                const CircuitSchedule& orn, int threads) {
+                                const CircuitSchedule& orn) {
   constexpr NodeId kNodes = 1024;
   const VlbRouter vlb_rr(&rr, LbMode::kRandom);
   const VlbRouter vlb_orn(&orn, LbMode::kRandom);
@@ -150,7 +148,6 @@ Artifacts run_large_reconfigure(const CircuitSchedule& rr,
   config.propagation_per_hop = 0;
   config.max_queue_cells = 2;
   SlottedNetwork net(&rr, &vlb_rr, config);
-  net.set_threads(threads);
 
   Telemetry telemetry(TelemetryOptions{.sample_every = 25});
   MemoryTraceSink sink;
@@ -192,17 +189,11 @@ TEST(ImplicitScheduleEquivalenceTest, SornFaultBlastArtifactsMatch) {
   const CircuitSchedule explicit_copy = materialize(compact);
   ASSERT_EQ(explicit_copy.period(), compact.period());
 
-  const Artifacts base = run_sorn_blast(compact, cliques, 1);
+  const Artifacts base = run_sorn_blast(compact, cliques);
   ASSERT_GT(base.delivered, 0u);
   ASSERT_GT(base.forwarded, 0u);
   ASSERT_FALSE(base.trace_lines.empty());
-  for (const int threads : kThreadCounts) {
-    expect_identical(base, run_sorn_blast(explicit_copy, cliques, threads),
-                     "explicit threads=" + std::to_string(threads));
-    if (threads != 1)
-      expect_identical(base, run_sorn_blast(compact, cliques, threads),
-                       "compact threads=" + std::to_string(threads));
-  }
+  expect_identical(base, run_sorn_blast(explicit_copy, cliques), "explicit");
 }
 
 TEST(ImplicitScheduleEquivalenceTest, FailureMaskedReplanArtifactsMatch) {
@@ -230,17 +221,11 @@ TEST(ImplicitScheduleEquivalenceTest, FailureMaskedReplanArtifactsMatch) {
             static_cast<std::size_t>(walked.period()));
   ASSERT_LT(walked.distinct_count(), per_slot.distinct_count());
 
-  const Artifacts base = run_sorn_blast(walked, cliques, 1);
+  const Artifacts base = run_sorn_blast(walked, cliques);
   ASSERT_GT(base.delivered, 0u);
   ASSERT_GT(base.forwarded, 0u);
   ASSERT_FALSE(base.trace_lines.empty());
-  for (const int threads : kThreadCounts) {
-    expect_identical(base, run_sorn_blast(per_slot, cliques, threads),
-                     "per-slot threads=" + std::to_string(threads));
-    if (threads != 1)
-      expect_identical(base, run_sorn_blast(walked, cliques, threads),
-                       "walked threads=" + std::to_string(threads));
-  }
+  expect_identical(base, run_sorn_blast(per_slot, cliques), "per-slot");
 }
 
 TEST(ImplicitScheduleEquivalenceTest, LargeNReconfigureArtifactsMatch) {
@@ -255,18 +240,12 @@ TEST(ImplicitScheduleEquivalenceTest, LargeNReconfigureArtifactsMatch) {
   // O(period * n) for its destination vectors, the compact one does not.
   EXPECT_GT(rr_explicit.memory_bytes(), 20 * rr.memory_bytes());
 
-  const Artifacts base = run_large_reconfigure(rr, orn, 1);
+  const Artifacts base = run_large_reconfigure(rr, orn);
   ASSERT_GT(base.delivered, 0u);
   ASSERT_GT(base.dropped, 0u) << "scenario must exercise tail drops";
   ASSERT_GT(base.forwarded, 0u);
-  for (const int threads : kThreadCounts) {
-    expect_identical(base, run_large_reconfigure(rr_explicit, orn_explicit,
-                                                 threads),
-                     "explicit threads=" + std::to_string(threads));
-    if (threads != 1)
-      expect_identical(base, run_large_reconfigure(rr, orn, threads),
-                       "compact threads=" + std::to_string(threads));
-  }
+  expect_identical(base, run_large_reconfigure(rr_explicit, orn_explicit),
+                   "explicit");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The SimObserver contract (sim/observer.h): the network emits one event
-// stream, identical at any thread count, on the thread that calls step(),
+// stream, pinned against bytes captured from an earlier build (pins.h),
 // to every attached observer in attach order; remove_observer stops it.
 // The run has three lanes, node/circuit faults, gray circuits, a queue
 // cap, ECN, retransmission, a reconfigure and a counter reset, so every
@@ -11,29 +11,27 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "routing/vlb.h"
 #include "sim/network.h"
 #include "topo/schedule_builder.h"
 #include "util/rng.h"
+#include "pins.h"
 
 namespace sorn {
 namespace {
 
-// Logs every event as one line, the threads its hooks ran on, and — when
-// given a shared `order` — its id once per event, to expose attach order.
+// Logs every event as one line and — when given a shared `order` — its id
+// once per event, to expose attach order.
 class RecordingObserver final : public SimObserver {
  public:
   explicit RecordingObserver(std::vector<int>* order = nullptr, int id = 0)
       : order_(order), id_(id) {}
 
   const std::vector<std::string>& events() const { return events_; }
-  const std::set<std::thread::id>& threads() const { return threads_; }
   // Events per kind (the first word of each line).
   std::map<std::string, std::uint64_t> kinds() const {
     std::map<std::string, std::uint64_t> out;
@@ -104,7 +102,6 @@ class RecordingObserver final : public SimObserver {
  private:
   template <typename... Fields>
   void log(const char* kind, const Fields&... fields) {
-    threads_.insert(std::this_thread::get_id());
     if (order_ != nullptr) order_->push_back(id_);
     std::ostringstream line;
     line << kind;
@@ -115,15 +112,14 @@ class RecordingObserver final : public SimObserver {
   std::vector<int>* order_;
   int id_;
   std::vector<std::string> events_;
-  std::set<std::thread::id> threads_;
 };
 
 constexpr NodeId kNodes = 16;
 constexpr Slot kSlots = 400;
 
-// Runs the scenario at `threads` engine threads with `observers` attached
-// in order; `dropped`, when set, is removed before slot `drop_at`.
-void run_scenario(int threads, const std::vector<SimObserver*>& observers,
+// Runs the scenario with `observers` attached in order; `dropped`, when
+// set, is removed before slot `drop_at`.
+void run_scenario(const std::vector<SimObserver*>& observers,
                   SimObserver* dropped = nullptr, Slot drop_at = 0) {
   const CircuitSchedule s = ScheduleBuilder::round_robin(kNodes);
   const VlbRouter router(&s, LbMode::kRandom);
@@ -133,7 +129,6 @@ void run_scenario(int threads, const std::vector<SimObserver*>& observers,
   config.max_queue_cells = 4;
   config.ecn_threshold_cells = 2;
   SlottedNetwork net(&s, &router, config);
-  net.set_threads(threads);
   for (SimObserver* o : observers) net.add_observer(o);
 
   Rng rng(5);
@@ -169,9 +164,9 @@ void run_scenario(int threads, const std::vector<SimObserver*>& observers,
   }
 }
 
-TEST(ObserverTest, SequenceIsIdenticalAtAnyThreadCount) {
+TEST(ObserverTest, SequenceMatchesPinnedEvents) {
   RecordingObserver base;
-  run_scenario(1, {&base});
+  run_scenario({&base});
   // The run must put every hook on trial.
   const std::map<std::string, std::uint64_t> kinds = base.kinds();
   for (const char* kind :
@@ -183,33 +178,14 @@ TEST(ObserverTest, SequenceIsIdenticalAtAnyThreadCount) {
   }
   EXPECT_EQ(kinds.at("attach"), 2u) << "add_observer + reset_metrics";
   EXPECT_EQ(kinds.at("slot_end"), static_cast<std::uint64_t>(kSlots));
-
-  for (const int threads : {2, 4}) {
-    RecordingObserver other;
-    run_scenario(threads, {&other});
-    EXPECT_EQ(other.events(), base.events()) << "threads=" << threads;
-  }
-}
-
-TEST(ObserverTest, HooksRunOnTheThreadThatCallsStep) {
-  // Step from a thread other than the test's, with a four-thread pool:
-  // every hook must run on that stepping thread, never on a worker.
-  RecordingObserver rec;
-  std::thread::id stepper;
-  std::thread t([&] {
-    stepper = std::this_thread::get_id();
-    run_scenario(4, {&rec});
-  });
-  t.join();
-  ASSERT_FALSE(rec.events().empty());
-  EXPECT_EQ(rec.threads(), std::set<std::thread::id>{stepper});
+  EXPECT_EQ(pins::pin_of(base.events()), "98140:8e40aec3f8dddeec");
 }
 
 TEST(ObserverTest, ObserversReceiveTheSameSequenceInAttachOrder) {
   std::vector<int> order;
   RecordingObserver first(&order, 0);
   RecordingObserver second(&order, 1);
-  run_scenario(2, {&first, &second});
+  run_scenario({&first, &second});
   ASSERT_FALSE(first.events().empty());
   EXPECT_EQ(first.events(), second.events());
   ASSERT_EQ(order.size(), 2 * first.events().size());
@@ -220,7 +196,7 @@ TEST(ObserverTest, ObserversReceiveTheSameSequenceInAttachOrder) {
 TEST(ObserverTest, RemoveObserverMidRunStopsDelivery) {
   RecordingObserver kept;
   RecordingObserver dropped;
-  run_scenario(2, {&kept, &dropped}, &dropped, /*drop_at=*/100);
+  run_scenario({&kept, &dropped}, &dropped, /*drop_at=*/100);
   const std::vector<std::string>& all = kept.events();
   const std::vector<std::string>& head = dropped.events();
   ASSERT_LT(head.size(), all.size());

@@ -11,9 +11,12 @@
 //
 // The scenario deliberately exercises every VoqSet entry point: two
 // lanes (phase-shifted sweeps), bounded queues under overload
-// (size_of capacity refusals, with the parallel merge's reconstruction),
+// (size_of capacity refusals, with the apply pass's reconstruction),
 // multi-hop relaying (push after pop), and decimated telemetry
 // sampling (max_queue_depth).
+//
+// The full metrics JSON and time-series CSV are pinned too (pins.h),
+// captured from the sparse layout.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,6 +28,7 @@
 #include "sim/workload_driver.h"
 #include "traffic/flow_size.h"
 #include "traffic/patterns.h"
+#include "pins.h"
 
 namespace sorn {
 namespace {
@@ -39,10 +43,11 @@ struct GoldenRun {
   double cell_lat_p50_ps = 0.0;
   std::uint64_t max_depth_seen = 0;  // max over sampled max_voq_depth
   std::vector<std::string> csv_rows;
+  std::string timeseries_csv;
   std::string metrics_json;
 };
 
-GoldenRun run_n128(int threads) {
+GoldenRun run_n128() {
   const SornFabric net = build_sorn_fabric(
       CliqueAssignment::contiguous(128, 8), optimal_q(0.5, 12));
 
@@ -51,7 +56,6 @@ GoldenRun run_n128(int threads) {
   ncfg.propagation_per_hop = 0;
   ncfg.max_queue_cells = 8;  // overload must tail-drop
   SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
-  sim.set_threads(threads);
 
   Telemetry telemetry(TelemetryOptions{.sample_every = 25});
   sim.add_observer(&telemetry);
@@ -76,6 +80,7 @@ GoldenRun run_n128(int threads) {
   for (const SlotSample& s : telemetry.timeseries()->samples())
     out.max_depth_seen = std::max(out.max_depth_seen, s.max_voq_depth);
   const std::string csv = telemetry.timeseries()->to_csv();
+  out.timeseries_csv = csv;
   std::size_t start = 0;
   while (start < csv.size()) {
     std::size_t end = csv.find('\n', start);
@@ -91,7 +96,7 @@ GoldenRun run_n128(int threads) {
 }
 
 TEST(VoqGoldenTest, N128MetricsMatchDenseLayoutCapture) {
-  const GoldenRun run = run_n128(1);
+  const GoldenRun run = run_n128();
   EXPECT_EQ(run.injected, 346690u);
   EXPECT_EQ(run.delivered, 295880u);
   EXPECT_EQ(run.dropped, 50480u);
@@ -107,15 +112,12 @@ TEST(VoqGoldenTest, N128MetricsMatchDenseLayoutCapture) {
   EXPECT_EQ(run.csv_rows[60], "1475,2800,2131,427,3610,32358,8,12922");
 }
 
-TEST(VoqGoldenTest, N128ArtifactsIdenticalAcrossThreadCounts) {
-  const GoldenRun one = run_n128(1);
-  ASSERT_GT(one.dropped, 0u) << "scenario must exercise tail drops";
-  ASSERT_GT(one.forwarded, 0u);
-  for (const int threads : {4, 7}) {
-    const GoldenRun other = run_n128(threads);
-    EXPECT_EQ(one.metrics_json, other.metrics_json) << threads;
-    EXPECT_EQ(one.csv_rows, other.csv_rows) << threads;
-  }
+TEST(VoqGoldenTest, N128ArtifactsMatchPinnedDigests) {
+  const GoldenRun run = run_n128();
+  ASSERT_GT(run.dropped, 0u) << "scenario must exercise tail drops";
+  ASSERT_GT(run.forwarded, 0u);
+  EXPECT_EQ(pins::pin_of(run.metrics_json), "9310:b589400c85d7dacf");
+  EXPECT_EQ(pins::pin_of(run.timeseries_csv), "6948:f923582740a7a36c");
 }
 
 }  // namespace
