@@ -1,7 +1,7 @@
 // Engine microbenchmarks (google-benchmark): schedule construction,
 // lookup and inverse, the control loop's epoch, clustering and replan,
-// route selection, VOQ push/pop, the transport pump, and simulator slot
-// throughput.
+// route selection, VOQ push/pop, a demand draw, the transport pump, and
+// simulator slot throughput.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -297,6 +297,27 @@ void BM_VoqPushPop(benchmark::State& state, NodeId fanout, int depth) {
 }
 BENCHMARK_CAPTURE(BM_VoqPushPop, fanout, 256, 1);
 BENCHMARK_CAPTURE(BM_VoqPushPop, deep, 1, 1024);
+
+// One destination draw, DemandModel::sample_dst, as the saturation
+// source makes one per injected cell: fig2f-saturation's demand (N = 512,
+// 16 cliques, x = 0.6) on each backend, the source sweeping the node ids.
+// The first draw, outside the timing, builds the backend's lazy CDFs.
+void BM_SampleDst(benchmark::State& state, DemandBackend backend) {
+  constexpr NodeId kNodes = 512;
+  const auto demand = patterns::make_locality_mix(
+      CliqueAssignment::contiguous(kNodes, 16), 0.6, backend);
+  Rng rng(1);
+  benchmark::DoNotOptimize(demand->sample_dst(0, rng));
+  NodeId src = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(demand->sample_dst(src, rng));
+    src = src == kNodes - 1 ? 0 : src + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_SampleDst, dense, DemandBackend::kDense);
+BENCHMARK_CAPTURE(BM_SampleDst, sparse, DemandBackend::kSparse);
+BENCHMARK_CAPTURE(BM_SampleDst, procedural, DemandBackend::kProcedural);
 
 // One carriers() lookup, the inverse the wake lists are filled from: the
 // distinct matchings carrying src -> dst, over pairs that sweep the id

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.h"
+#include "util/upper_bound.h"
 
 namespace sorn {
 
@@ -342,9 +343,10 @@ NodeId ProceduralDemand::sample_dst(NodeId src, Rng& rng) const {
   const ClassSpec& spec = classes_[class_of(src)];
   ensure_row_prefix(spec);
   const double u = rng.next_double() * spec.row_sum;
-  const auto it =
-      std::upper_bound(spec.row_prefix.begin(), spec.row_prefix.end(), u);
-  auto m = static_cast<std::size_t>(it - spec.row_prefix.begin());
+  // Branch-free: a saturated slot draws one destination per injected
+  // cell, and std::upper_bound's branch mispredicts on half its steps.
+  auto m = upper_bound_index(spec.row_prefix.data(), spec.row_prefix.size(),
+                             u);
   if (m >= spec.row_seq_len) return n_ - 1;  // dense clamp: column n-1
   // Map the m-th nonzero ordinal to its column, shifting past the row's
   // own diagonal inside the diagonal run.

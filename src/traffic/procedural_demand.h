@@ -13,8 +13,10 @@
 //                   value = raw * factor exactly as scale() computes it,
 //   sample_dst      a lazily built per-class prefix over the class's
 //                   diagonal-less sequence (valid for every row of the
-//                   class), plus an ordinal -> column mapping that skips
-//                   the row's own diagonal,
+//                   class), searched branch-free for the ordinal
+//                   std::upper_bound would return (util/upper_bound.h),
+//                   plus an ordinal -> column mapping that skips the
+//                   row's own diagonal,
 //   sample_pair     a lazily built row-end carry chain (N doubles): the
 //                   dense global CDF evaluated at each row boundary; a
 //                   draw binary-searches the row, then re-simulates that

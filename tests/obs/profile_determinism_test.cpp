@@ -28,12 +28,16 @@ struct Artifacts {
 };
 
 Artifacts run_scenario(bool profile) {
-  // PID-unique path: ctest runs each TEST of this binary as its own
+  // PID-unique paths: ctest runs each TEST of this binary as its own
   // concurrent process, so a fixed name would be written by several
   // processes at once.
-  const std::string trace_path = testing::TempDir() + "prof_det_" +
-                                 std::to_string(::getpid()) +
-                                 (profile ? "_p" : "_np") + ".jsonl";
+  const std::string stem = testing::TempDir() + "prof_det_" +
+                           std::to_string(::getpid()) +
+                           (profile ? "_p" : "_np");
+  const std::string trace_path = stem + ".jsonl";
+  // A CSV path makes the runner sample the time series (and embed it in
+  // the metrics JSON); without one the series is empty on both sides.
+  const std::string csv_path = stem + ".csv";
 
   ScenarioConfig cfg;
   cfg.design = "sorn";
@@ -49,6 +53,7 @@ Artifacts run_scenario(bool profile) {
   cfg.fault_script = "100 fail-node 3\n100 fail-node 17\n"
                      "220 heal-node 3\n220 heal-node 17\n";
   cfg.trace_path = trace_path;
+  cfg.timeseries_csv_path = csv_path;
   cfg.profile = profile;
 
   std::string error;
@@ -69,6 +74,7 @@ Artifacts run_scenario(bool profile) {
   out.profile_json = runner->profile_json();
   out.delivered = runner->metrics().delivered_cells();
   std::remove(trace_path.c_str());
+  std::remove(csv_path.c_str());
   return out;
 }
 
@@ -77,6 +83,7 @@ TEST(ProfileDeterminismTest, ArtifactsByteIdenticalWithProfilingOnOrOff) {
   const Artifacts on = run_scenario(true);
   ASSERT_GT(off.delivered, 0u);
   EXPECT_EQ(on.metrics_json, off.metrics_json);
+  ASSERT_FALSE(off.timeseries_csv.empty());
   EXPECT_EQ(on.timeseries_csv, off.timeseries_csv);
   ASSERT_FALSE(off.trace_jsonl.empty());
   EXPECT_EQ(on.trace_jsonl, off.trace_jsonl);
@@ -85,9 +92,10 @@ TEST(ProfileDeterminismTest, ArtifactsByteIdenticalWithProfilingOnOrOff) {
 }
 
 TEST(ProfileDeterminismTest, ProfiledArtifactsMatchPinnedDigests) {
-  // Captured from an earlier build (the scenario writes no time series).
+  // Captured from an earlier build.
   const Artifacts run = run_scenario(true);
-  EXPECT_EQ(pin_of(run.metrics_json), "1774:01ed3144ce32c4b3");
+  EXPECT_EQ(pin_of(run.metrics_json), "7579:c46519d892243f82");
+  EXPECT_EQ(pin_of(run.timeseries_csv), "5255:f0adde8bac5f8a41");
   EXPECT_EQ(pin_of(run.trace_jsonl), "639:dfa70c182dda4487");
 }
 

@@ -33,11 +33,15 @@ struct Artifacts {
 };
 
 Artifacts run_scenario(DemandBackend backend) {
-  // PID-unique path: ctest runs each TEST of this binary as its own
+  // PID-unique paths: ctest runs each TEST of this binary as its own
   // concurrent process, so a fixed name would collide.
-  const std::string trace_path = testing::TempDir() + "backend_eq_" +
-                                 std::to_string(::getpid()) + "_" +
-                                 demand_backend_name(backend) + ".jsonl";
+  const std::string stem = testing::TempDir() + "backend_eq_" +
+                           std::to_string(::getpid()) + "_" +
+                           demand_backend_name(backend);
+  const std::string trace_path = stem + ".jsonl";
+  // A CSV path makes the runner sample the time series (and embed it in
+  // the metrics JSON); without one the series is empty on both sides.
+  const std::string csv_path = stem + ".csv";
 
   ScenarioConfig cfg;
   cfg.design = "sorn";
@@ -60,6 +64,7 @@ Artifacts run_scenario(DemandBackend backend) {
   cfg.estimate_stale_epochs = 1;
   cfg.estimate_noise = 0.1;
   cfg.trace_path = trace_path;
+  cfg.timeseries_csv_path = csv_path;
 
   std::string error;
   auto runner = ScenarioRunner::create(cfg, &error);
@@ -79,6 +84,7 @@ Artifacts run_scenario(DemandBackend backend) {
   out.trace_jsonl = slurp(trace_path);
   out.delivered = runner->metrics().delivered_cells();
   std::remove(trace_path.c_str());
+  std::remove(csv_path.c_str());
   return out;
 }
 
@@ -86,6 +92,7 @@ TEST(BackendEquivalenceTest, ArtifactsAreByteIdenticalAcrossBackends) {
   const Artifacts want = run_scenario(DemandBackend::kDense);
   EXPECT_GT(want.delivered, 0u);
   EXPECT_FALSE(want.trace_jsonl.empty());
+  EXPECT_FALSE(want.timeseries_csv.empty());
   for (const DemandBackend backend :
        {DemandBackend::kSparse, DemandBackend::kProcedural}) {
     const Artifacts got = run_scenario(backend);

@@ -102,10 +102,13 @@ Artifacts expect_pinned(std::uint64_t max_queue_cells,
 }
 
 TEST(TransportPinnedTest, GrayBlastMatchesPinnedArtifacts) {
-  const Artifacts base = expect_pinned(24, 6, "13547:52c4fa9c2b6c17af",
-                                       "28591:ff1d23862328374d");
+  // A cap of 8 over a mark at 6: both read the same reconstructed depth,
+  // and both bite.
+  const Artifacts base = expect_pinned(8, 6, "12293:b9ae8dc50ae92005",
+                                       "35995:ab1d6275d837cfc8");
   EXPECT_GT(base.delivered, 0u);
   EXPECT_GT(base.ecn_marked, 0u) << "the blast must actually mark cells";
+  EXPECT_GT(base.tail_dropped, 0u) << "the cap must actually drop cells";
   EXPECT_GT(base.acked, 0u);
 }
 

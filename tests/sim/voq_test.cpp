@@ -264,7 +264,7 @@ std::uint64_t pop_stamp(VoqSet& voqs, NodeId node, NodeId hop) {
 TEST(VoqTest, SeededInterleaveMatchesDequeModel) {
   // The merge phase's shape: many next hops at a few nodes, pushes and
   // pops interleaved in a seeded adversarial order, queues drained to
-  // empty (their index entry erased) and re-created, checked against
+  // empty (their table entry erased) and re-created, checked against
   // std::deque references at every step. The hop set holds 41 adjacent
   // hops.
   constexpr NodeId kNodes = 3;
@@ -320,6 +320,129 @@ TEST(VoqTest, SeededInterleaveMatchesDequeModel) {
   }
   EXPECT_EQ(voqs.total_queued(), 0u);
   EXPECT_EQ(voqs.occupied_queues(), 0u);
+}
+
+// Home entry of `hop` in a node's table of 2^bits entries: the top bits
+// of the hop's Fibonacci hash (sim/voq.h).
+std::uint32_t home_of(NodeId hop, int bits) {
+  return static_cast<std::uint32_t>(
+      (static_cast<std::uint64_t>(hop) * 0x9E3779B97F4A7C15ULL) >>
+      (64 - bits));
+}
+
+TEST(VoqTest, CollidingHopsWrapAndShiftBackAgainstDequeModel) {
+  // Eight hops whose hashes share their top four bits share the last
+  // home entry in every table up to 16 entries, so their probe run wraps
+  // past the end to the front, where four hops homed at entries 0 and 1
+  // sit; two more are homed one entry before the end, so an erase there
+  // must not pull a wrapped entry in front of its home. Fourteen queues
+  // fill a 16-entry table to 7/8. A seeded walk grows the table
+  // (4 -> 8 -> 16) while it pushes and pops, then a drain that always
+  // empties the queue in the last entry makes each erase shift the
+  // wrapped entries back across the end. Every step is checked against
+  // std::deque references.
+  constexpr NodeId kNodes = 1 << 12;
+  std::vector<NodeId> hops;    // the fourteen
+  std::vector<NodeId> absent;  // homed at 15 or 0, never pushed
+  std::map<std::uint32_t, int> wanted = {{15, 8}, {14, 2}, {0, 2}, {1, 2}};
+  for (NodeId h = 1; h < kNodes; ++h) {
+    const std::uint32_t home = home_of(h, 4);
+    const auto it = wanted.find(home);
+    if (it != wanted.end() && it->second > 0) {
+      --it->second;
+      hops.push_back(h);
+    } else if ((home == 15 || home == 0) && absent.size() < 6) {
+      absent.push_back(h);
+    }
+  }
+  ASSERT_EQ(hops.size(), 14u);
+  ASSERT_EQ(absent.size(), 6u);
+  VoqSet voqs(kNodes);
+  // The hash the test derives homes from is the one the table uses: a
+  // lone queue sits at its home in the first, 4-entry table.
+  push_stamp(voqs, 0, hops[0], 0);
+  ASSERT_EQ(voqs.find(0, hops[0]).index, home_of(hops[0], 2));
+  ASSERT_EQ(pop_stamp(voqs, 0, hops[0]), 0u);
+
+  std::map<NodeId, std::deque<std::uint64_t>> model;
+  std::uint64_t stamp = 1, total = 0;
+  auto check_all = [&](int step) {
+    std::uint64_t occupied = 0;
+    for (const NodeId hop : hops) {
+      ASSERT_EQ(voqs.size_of(0, hop), model[hop].size())
+          << "hop " << hop << " step " << step;
+      occupied += model[hop].empty() ? 0 : 1;
+    }
+    ASSERT_EQ(voqs.occupied_queues(), occupied) << "step " << step;
+    ASSERT_EQ(voqs.queued_at(0), total) << "step " << step;
+    ASSERT_EQ(voqs.total_queued(), total) << "step " << step;
+  };
+  auto pop_model = [&](NodeId hop, int step) {
+    ASSERT_EQ(pop_stamp(voqs, 0, hop), model[hop].front()) << "step " << step;
+    model[hop].pop_front();
+    --total;
+    check_all(step);
+  };
+  Rng rng(99);
+  std::uint64_t most_occupied = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const NodeId hop = hops[rng.next_below(hops.size())];
+    std::deque<std::uint64_t>& q = model[hop];
+    const bool pop_heavy = (step / 400) % 2 == 1;
+    if (q.empty() || rng.next_below(100) < (pop_heavy ? 35 : 65)) {
+      push_stamp(voqs, 0, hop, stamp);
+      q.push_back(stamp++);
+      ++total;
+      check_all(step);
+    } else {
+      pop_model(hop, step);
+    }
+    most_occupied = std::max(most_occupied, voqs.occupied_queues());
+  }
+  ASSERT_EQ(most_occupied, 14u) << "the walk must fill the table to 7/8";
+
+  // Every queue holds a cell: the table is 7/8 full (it never shrinks).
+  for (const NodeId hop : hops) {
+    if (model[hop].empty()) {
+      push_stamp(voqs, 0, hop, stamp);
+      model[hop].push_back(stamp++);
+      ++total;
+    }
+  }
+  check_all(-1);
+  for (const NodeId hop : hops) ASSERT_LT(voqs.find(0, hop).index, 16u);
+  // Absent hops homed last probe the whole wrapped run; none changes
+  // anything.
+  const std::uint64_t bytes = voqs.memory_bytes();
+  for (const NodeId hop : absent) {
+    EXPECT_EQ(voqs.find(0, hop).size, 0u) << hop;
+    EXPECT_FALSE(voqs.pop_ready(0, hop, 0).has_value()) << hop;
+    EXPECT_EQ(voqs.memory_bytes(), bytes);
+    check_all(-2);
+  }
+
+  // Drain the queue in the last entry while there is one: each erase
+  // there shifts the run that wrapped to the front back across the end.
+  int wrapped_back = 0;
+  for (;;) {
+    NodeId last = kNoNode;
+    std::map<NodeId, std::uint32_t> before;
+    for (const NodeId hop : hops) {
+      if (model[hop].empty()) continue;
+      before[hop] = voqs.find(0, hop).index;
+      if (before[hop] == 15) last = hop;
+    }
+    if (last == kNoNode) break;
+    while (!model[last].empty()) pop_model(last, -3);
+    for (const auto& [hop, index] : before)
+      if (hop != last && index < 15 && voqs.find(0, hop).index == 15)
+        ++wrapped_back;
+  }
+  EXPECT_GE(wrapped_back, 7) << "erases must shift entries across the end";
+  for (const NodeId hop : hops)
+    while (!model[hop].empty()) pop_model(hop, -4);
+  EXPECT_EQ(voqs.occupied_queues(), 0u);
+  EXPECT_EQ(voqs.memory_bytes(), bytes) << "neither table nor slab shrinks";
 }
 
 TEST(VoqTest, PopTowardAnAbsentHopChangesNothing) {
@@ -453,8 +576,9 @@ TEST(VoqTest, DeepQueueKeepsFifoOrder) {
 }
 
 TEST(VoqTest, IndexInsertKeepsOtherQueuesIntact) {
-  // New next hops inserted below existing ones shift the sorted index
-  // entries; the shifted queues must keep their heads, tails and sizes.
+  // New next hops inserted around an existing queue double the node's
+  // table three times (4 -> 32 entries), re-inserting every entry; the
+  // moved queues must keep their heads, tails and sizes.
   VoqSet voqs(32);
   for (std::uint64_t i = 0; i < 5; ++i) push_stamp(voqs, 0, 20, i);
   for (NodeId hop = 19; hop >= 1; --hop) push_stamp(voqs, 0, hop, 100u + hop);
@@ -467,7 +591,8 @@ TEST(VoqTest, IndexInsertKeepsOtherQueuesIntact) {
 
 TEST(VoqTest, SlabGrowsByAQuarter) {
   // Slab and links grow to capacity + capacity / 4 + 1, so one deep queue
-  // costs its index entry plus at most a quarter of slack per slot.
+  // costs the smallest table (4 entries of 16 bytes) plus at most a
+  // quarter of slack per slot.
   VoqSet voqs(4);
   const std::uint64_t fixed = voqs.memory_bytes();
   const std::uint64_t slot_bytes = sizeof(Cell) + sizeof(std::uint32_t);
@@ -475,17 +600,17 @@ TEST(VoqTest, SlabGrowsByAQuarter) {
   for (std::uint64_t cells = 1; cells <= 5000; ++cells) {
     push_stamp(voqs, 0, 1, cells);
     if (cells > capacity) capacity += capacity / 4 + 1;
-    ASSERT_EQ(voqs.memory_bytes() - fixed, 16 + capacity * slot_bytes)
+    ASSERT_EQ(voqs.memory_bytes() - fixed, 4 * 16 + capacity * slot_bytes)
         << cells << " cells";
   }
   EXPECT_LE(capacity, 5000 + 5000 / 4 + 1);
 }
 
 TEST(VoqTest, OneCellQueuesCostNoChunkSlack) {
-  // K one-cell queues cost at most 2 * K * (cell slot + link + index
+  // K one-cell queues cost at most 2 * K * (cell slot + link + table
   // entry) on top of the per-node fixed cost: the slab grows by a quarter,
-  // the index at most doubles, and nothing is reserved per queue beyond
-  // its entry.
+  // a node's 50 queues take a 64-entry table, and nothing is reserved per
+  // queue beyond its entry.
   constexpr NodeId kNodes = 256;
   VoqSet voqs(kNodes);
   const std::uint64_t fixed = voqs.memory_bytes();
