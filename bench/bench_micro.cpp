@@ -256,9 +256,7 @@ void BM_NetworkSlot(benchmark::State& state) {
   ncfg.propagation_per_hop = 0;
   SlottedNetwork sim(net.schedule.get(), net.router.get(), ncfg);
   const TrafficMatrix tm = patterns::locality_mix(*net.cliques, 0.56);
-  SaturationConfig scfg;
-  scfg.cells_per_node_per_slot = 2 * lanes;  // outrun delivery on u lanes
-  SaturationSource source(&tm, scfg);
+  SaturationSource source(&tm, SaturationConfig{});
   // Pre-fill queues so every slot does real work.
   for (int i = 0; i < 200; ++i) {
     source.pump(sim);

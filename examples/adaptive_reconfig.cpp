@@ -6,6 +6,7 @@
 
 #include "control/control_plane.h"
 #include "sim/saturation.h"
+#include "sim/workload_driver.h"
 #include "traffic/patterns.h"
 #include "traffic/trace.h"
 #include "util/table.h"
@@ -55,13 +56,11 @@ int main() {
     const TrafficMatrix demand =
         patterns::locality_mix(trace.ground_truth_cliques(), 0.7);
     SaturationSource source(&demand, SaturationConfig{});
-    sim.reset_metrics();
-    for (Slot s = 0; s < kEpochSlots; ++s) {
-      cp.tick(sim, sim.now());
-      source.pump(sim);
-      sim.step();
-    }
-    const double r = sim.metrics().delivered_per_slot(kNodes, 1);
+    WorkloadDriver driver(&source);
+    driver.set_slot_hook([&cp](SlottedNetwork& net, Slot now) {
+      cp.tick(net, now);
+    });
+    const double r = driver.measure(sim, 0, kEpochSlots);
 
     std::string event;
     if (epoch == 5) event = "WORKLOAD SHIFT";

@@ -306,7 +306,7 @@ int cmd_simulate(ArgParser& args) {
         static_cast<long long>(metrics.slots_run()), cfg.design.c_str(),
         runner->design().summary.c_str(), cfg.nodes, cfg.load);
   }
-  if (workload_uses_flow_driver(cfg.workload)) {
+  if (workload_is_arrival_driven(cfg.workload)) {
     std::printf("  flows injected:   %llu (completed %llu)\n",
                 static_cast<unsigned long long>(runner->flows_injected()),
                 static_cast<unsigned long long>(metrics.completed_flows()));
@@ -320,7 +320,7 @@ int cmd_simulate(ArgParser& args) {
   std::printf("  cell latency p50: %.2f us, p99 %.2f us\n",
               metrics.cell_latency_ps().percentile(50.0) / 1e6,
               metrics.cell_latency_ps().percentile(99.0) / 1e6);
-  if (workload_uses_flow_driver(cfg.workload)) {
+  if (workload_is_arrival_driven(cfg.workload)) {
     std::printf("  FCT p50:          %.2f us, p99 %.2f us\n",
                 metrics.fct_ps().percentile(50.0) / 1e6,
                 metrics.fct_ps().percentile(99.0) / 1e6);

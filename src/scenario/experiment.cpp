@@ -220,10 +220,11 @@ bool read_point(const JsonValue& doc, const ScenarioConfig& base,
     if (!read_window(*window, &w))
       return fail(error, where + ": window must be [from, to], two integer "
                                  "slots with 0 <= from < to");
-    if (!workload_uses_flow_driver(point.config.workload))
-      return fail(error, where + ": a window needs a flow-driver workload "
-                                 "(flows, incast, collective or "
-                                 "oversub-rack)");
+    if (!workload_is_arrival_driven(point.config.workload))
+      return fail(error, where + ": a window needs an arrival-driven "
+                                 "workload (flows, incast, collective or "
+                                 "oversub-rack); a closed-loop one resets "
+                                 "its counters at warmup_slots");
     point.window = w;
   }
 

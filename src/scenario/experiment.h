@@ -14,8 +14,9 @@
 // inclusive [lo, hi] band. Points run one after another, each through
 // ScenarioRunner::create/run.
 //
-// A point of a flow-driver workload may also give "window": [from, to],
-// two integer slots with 0 <= from < to. Its row then reports
+// A point of an arrival-driven workload may also give "window":
+// [from, to], two integer slots with 0 <= from < to (a closed-loop point
+// resets its counters at warmup_slots, so it takes none). Its row then reports
 // window_cells_per_slot: the delivered-cell count read at the start of
 // slot `to` less the count at the start of slot `from`, over to - from.
 // A run that never starts slot `to` (the drain ended first) is an error.
@@ -55,7 +56,7 @@ struct Experiment {
   // Parse an experiment document. A malformed document, an unknown key at
   // any level, a missing `base` or `points`, a `set` the scenario reader
   // rejects, a window that is not two integers 0 <= from < to or that is
-  // on a workload without the flow driver, an `expect` name the point does
+  // on a closed-loop workload, an `expect` name the point does
   // not report, and a band that is not two finite numbers with lo <= hi
   // are errors naming the point.
   // On failure returns false and sets *error; *out is untouched.

@@ -17,7 +17,7 @@
 
 namespace sorn {
 
-bool workload_uses_flow_driver(WorkloadKind k) {
+bool workload_is_arrival_driven(WorkloadKind k) {
   return k == WorkloadKind::kFlows || k == WorkloadKind::kIncast ||
          k == WorkloadKind::kCollective || k == WorkloadKind::kOversubRack;
 }
@@ -519,8 +519,8 @@ bool ScenarioConfig::validate(std::string* error) const {
     return fail("oversub-rack inter-rack traffic needs cliques >= 2");
   if (transport != "open-loop" && transport != "dctcp")
     return fail("transport must be \"open-loop\" or \"dctcp\"");
-  if (transport == "dctcp" && !workload_uses_flow_driver(workload))
-    return fail("transport \"dctcp\" requires a flow-driver workload");
+  if (transport == "dctcp" && !workload_is_arrival_driven(workload))
+    return fail("transport \"dctcp\" requires an arrival-driven workload");
   if (init_cwnd_cells < 1 || max_cwnd_cells < init_cwnd_cells)
     return fail("need 1 <= init_cwnd_cells <= max_cwnd_cells");
   if (dctcp_gain <= 0.0 || dctcp_gain > 1.0)

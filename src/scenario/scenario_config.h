@@ -51,10 +51,11 @@ enum class WorkloadKind {
   kOversubRack,
 };
 
-// True for the workloads the flow driver runs (arrivals + FCTs + drain):
-// these all support faults, the control loop, retransmission and the
-// closed-loop transport; the saturation workloads do not.
-bool workload_uses_flow_driver(WorkloadKind k);
+// True for the workloads an arrival stream drives (flows up to `slots`,
+// then a drain); false for the closed-loop saturation sources (warmup,
+// reset_metrics, then `measure_slots`). Only arrivals open the flows the
+// dctcp transport and retransmission act on.
+bool workload_is_arrival_driven(WorkloadKind k);
 
 // Traffic matrix family (patterns.h) the scenario draws demand from.
 enum class TrafficKind {

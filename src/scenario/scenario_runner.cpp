@@ -105,27 +105,16 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
   runner->faults_enabled_ = !script.empty() ||
                             fopts.node_mtbf_slots > 0.0 ||
                             fopts.circuit_mtbf_slots > 0.0;
-  if (runner->faults_enabled_ &&
-      !workload_uses_flow_driver(config.workload)) {
-    *error = "faults require a flow-driver workload (the closed-loop "
-             "saturation sources do not tick the injector)";
-    return nullptr;
-  }
   runner->injector_ =
       std::make_unique<FaultInjector>(std::move(script), fopts);
 
   // Closed-loop control plane: epoch_slots > 0 turns on periodic
   // replanning over the scenario's demand (perfect telemetry unless the
   // control-fault knobs degrade it). Only the sorn design can consume the
-  // resulting SornPlans, and only the flows workload ticks slot hooks.
+  // resulting SornPlans.
   if (config.epoch_slots > 0) {
     if (config.design != "sorn") {
       *error = "epoch_slots (the control loop) requires the sorn design";
-      return nullptr;
-    }
-    if (!workload_uses_flow_driver(config.workload)) {
-      *error =
-          "epoch_slots (the control loop) requires a flow-driver workload";
       return nullptr;
     }
     ControlPlane::Options copts;
@@ -217,9 +206,9 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
   }
 
   // Closed-loop transport: arrivals become open_flow() calls and the
-  // window paces injection. The flow driver attaches it to the network
-  // for the run, so first-copy deliveries reach it as acks in the apply
-  // pass's order.
+  // window paces injection. The workload driver attaches it to the
+  // network for the run, so first-copy deliveries reach it as acks in the
+  // apply pass's order.
   if (config.transport == "dctcp") {
     DctcpTransport::Options topt;
     topt.congestion.init_cwnd_cells = config.init_cwnd_cells;
@@ -285,14 +274,24 @@ std::unique_ptr<ScenarioRunner> ScenarioRunner::create(
   return runner;
 }
 
-bool ScenarioRunner::run_flows(std::string* error) {
+void ScenarioRunner::run_workload() {
   const FlowSizeDist sizes = flow_sizes_of(config_);
   const Picoseconds slot_ps = network_->config().slot_duration;
   const double node_bw =
       static_cast<double>(network_->config().cell_bytes) * 8.0 /
       (static_cast<double>(slot_ps) * 1e-12);
+  SaturationConfig sat;
+  sat.seed = config_.workload_seed;
+  std::unique_ptr<ClosedLoopSource> source;
   std::unique_ptr<ArrivalStream> arrivals;
   switch (config_.workload) {
+    case WorkloadKind::kSaturation:
+      source = std::make_unique<SaturationSource>(traffic_.get(), sat);
+      break;
+    case WorkloadKind::kFlowSaturation:
+      source =
+          std::make_unique<FlowSaturationSource>(traffic_.get(), &sizes, sat);
+      break;
     case WorkloadKind::kIncast:
       arrivals = std::make_unique<IncastArrivals>(
           config_.nodes, config_.incast_fanin, config_.incast_bytes,
@@ -312,7 +311,7 @@ bool ScenarioRunner::run_flows(std::string* error) {
           config_.rack_local_frac, config_.oversub_factor,
           Rng(config_.arrival_seed));
       break;
-    default:
+    case WorkloadKind::kFlows:
       arrivals = std::make_unique<FlowArrivals>(traffic_.get(), &sizes,
                                                 node_bw, config_.load,
                                                 Rng(config_.arrival_seed));
@@ -331,7 +330,10 @@ bool ScenarioRunner::run_flows(std::string* error) {
       return a.bytes > cutoff ? 1 : 0;
     };
   }
-  WorkloadDriver driver(arrivals.get(), std::move(classifier));
+  WorkloadDriver driver =
+      source != nullptr
+          ? WorkloadDriver(source.get())
+          : WorkloadDriver(arrivals.get(), std::move(classifier));
   if (config_.flow_size_cap > 0)
     driver.set_flow_size_cap(config_.flow_size_cap);
   if (design_.bulk_router != nullptr && config_.bulk_cutoff_bytes > 0)
@@ -367,44 +369,27 @@ bool ScenarioRunner::run_flows(std::string* error) {
     });
   }
   if (config_.retransmit_timeout > 0) {
-    WorkloadDriver::RetransmitOptions ropts;
-    ropts.timeout_slots = config_.retransmit_timeout;
-    ropts.max_attempts = config_.retransmit_max_attempts;
-    ropts.jitter_frac = config_.retransmit_jitter;
-    driver.set_retransmit(ropts);
+    SlottedNetwork::RetransmitPolicy policy;
+    policy.timeout_slots = config_.retransmit_timeout;
+    policy.max_attempts = config_.retransmit_max_attempts;
+    policy.jitter_frac = config_.retransmit_jitter;
+    driver.set_retransmit(policy);
   }
-  driver.run_until(*network_,
-                   config_.slots * network_->config().slot_duration,
-                   config_.drain_slots);
-  flows_injected_ = driver.flows_injected();
-  (void)error;
-  return true;
-}
-
-void ScenarioRunner::run_saturation() {
-  SaturationConfig sat;
-  sat.seed = config_.workload_seed;
-  if (config_.workload == WorkloadKind::kSaturation) {
-    SaturationSource source(traffic_.get(), sat);
-    saturation_r_ = source.measure(*network_, config_.warmup_slots,
+  if (source != nullptr) {
+    saturation_r_ = driver.measure(*network_, config_.warmup_slots,
                                    config_.measure_slots);
   } else {
-    const FlowSizeDist sizes = flow_sizes_of(config_);
-    FlowSaturationSource source(traffic_.get(), &sizes, sat);
-    saturation_r_ = source.measure(*network_, config_.warmup_slots,
-                                   config_.measure_slots);
+    driver.run_until(*network_, config_.slots * slot_ps,
+                     config_.drain_slots);
   }
+  flows_injected_ = driver.flows_injected();
 }
 
 bool ScenarioRunner::run(std::string* error) {
   if (ran_) return fail(error, "scenario already ran (one-shot)");
   ran_ = true;
 
-  if (workload_uses_flow_driver(config_.workload)) {
-    if (!run_flows(error)) return false;
-  } else {
-    run_saturation();
-  }
+  run_workload();
 
   // Invariant verdict: any violation fails the run, naming the first few.
   // The checker's full list stays inspectable via invariant_checker().

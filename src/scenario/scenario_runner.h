@@ -81,8 +81,9 @@ class ScenarioRunner {
   // transport (window/ack counters live here, not in SimMetrics).
   const DctcpTransport* transport() const { return transport_.get(); }
 
-  // Runs at the start of every slot, before
-  // the fault injector's tick. Set before run().
+  // Runs at the start of every slot of every workload (a closed-loop
+  // one's warmup and measured slots alike), before the fault injector's
+  // tick. Set before run().
   void set_slot_hook(WorkloadDriver::SlotHook hook) {
     user_hook_ = std::move(hook);
   }
@@ -95,7 +96,7 @@ class ScenarioRunner {
   // ---- results (valid after run()) ----
   const SimMetrics& metrics() const { return network_->metrics(); }
   // Closed-loop delivered throughput r (saturation workloads; 0 for
-  // open-loop flows).
+  // arrival-driven ones).
   double saturation_r() const { return saturation_r_; }
   std::uint64_t flows_injected() const { return flows_injected_; }
 
@@ -110,8 +111,7 @@ class ScenarioRunner {
  private:
   ScenarioRunner() = default;
 
-  bool run_flows(std::string* error);
-  void run_saturation();
+  void run_workload();
 
   ScenarioConfig config_;
   BuiltDesign design_;

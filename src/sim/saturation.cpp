@@ -1,14 +1,15 @@
 #include "sim/saturation.h"
 
-#include <algorithm>
-
+#include "sim/workload_driver.h"
 #include "util/assert.h"
 
 namespace sorn {
 
-SaturationSource::SaturationSource(const DemandModel* tm,
+ClosedLoopSource::ClosedLoopSource(const DemandModel* tm,
                                    SaturationConfig config)
-    : tm_(tm), config_(config), rng_(config.seed) {
+    : tm_(tm),
+      rng_(config.seed),
+      max_in_flight_per_node_(config.max_in_flight_per_node) {
   SORN_ASSERT(tm_ != nullptr, "saturation source needs a traffic matrix");
   const NodeId n = tm_->node_count();
   row_sums_.resize(static_cast<std::size_t>(n));
@@ -16,15 +17,28 @@ SaturationSource::SaturationSource(const DemandModel* tm,
     row_sums_[static_cast<std::size_t>(i)] = tm_->row_sum(i);
 }
 
+int ClosedLoopSource::cells_per_node(const SlottedNetwork& network) const {
+  const std::uint64_t cap = max_in_flight_per_node_ *
+                            static_cast<std::uint64_t>(network.node_count());
+  return network.cells_in_flight() >= cap ? 0 : 2 * network.config().lanes;
+}
+
+double ClosedLoopSource::measure(SlottedNetwork& network, Slot warmup_slots,
+                                 Slot measure_slots) {
+  return WorkloadDriver(this).measure(network, warmup_slots, measure_slots);
+}
+
+SaturationSource::SaturationSource(const DemandModel* tm,
+                                   SaturationConfig config)
+    : ClosedLoopSource(tm, config) {}
+
 void SaturationSource::pump(SlottedNetwork& network) {
+  const int cells = cells_per_node(network);
+  if (cells == 0) return;
   const NodeId n = network.node_count();
-  const std::uint64_t cap =
-      config_.max_in_flight_per_node * static_cast<std::uint64_t>(n);
-  if (network.cells_in_flight() >= cap) return;
   for (NodeId i = 0; i < n; ++i) {
-    if (row_sums_[static_cast<std::size_t>(i)] <= 0.0)
-      continue;  // node sends nothing in this matrix
-    for (int c = 0; c < config_.cells_per_node_per_slot; ++c) {
+    if (!sends(i)) continue;
+    for (int c = 0; c < cells; ++c) {
       const NodeId j = tm_->sample_dst(i, rng_);
       if (j == i) continue;  // zero-demand diagonal draw; skip
       network.inject_cell(i, j);
@@ -32,51 +46,26 @@ void SaturationSource::pump(SlottedNetwork& network) {
   }
 }
 
-double SaturationSource::measure(SlottedNetwork& network, Slot warmup_slots,
-                                 Slot measure_slots) {
-  for (Slot s = 0; s < warmup_slots; ++s) {
-    pump(network);
-    network.step();
-  }
-  network.reset_metrics();
-  for (Slot s = 0; s < measure_slots; ++s) {
-    pump(network);
-    network.step();
-  }
-  return network.metrics().delivered_per_slot(network.node_count(),
-                                              network.config().lanes);
-}
-
 FlowSaturationSource::FlowSaturationSource(const DemandModel* tm,
                                            const FlowSizeDist* sizes,
                                            SaturationConfig config,
                                            int concurrency)
-    : tm_(tm),
-      sizes_(sizes),
-      config_(config),
-      concurrency_(concurrency),
-      rng_(config.seed) {
-  SORN_ASSERT(tm_ != nullptr && sizes_ != nullptr,
-              "flow saturation source needs a matrix and sizes");
+    : ClosedLoopSource(tm, config), sizes_(sizes), concurrency_(concurrency) {
+  SORN_ASSERT(sizes_ != nullptr, "flow saturation source needs sizes");
   SORN_ASSERT(concurrency_ >= 1, "need at least one open flow per node");
-  const NodeId n = tm_->node_count();
-  row_sums_.resize(static_cast<std::size_t>(n));
-  open_.resize(static_cast<std::size_t>(n) *
-               static_cast<std::size_t>(concurrency_));
-  cursor_.assign(static_cast<std::size_t>(n), 0);
-  for (NodeId i = 0; i < n; ++i)
-    row_sums_[static_cast<std::size_t>(i)] = tm_->row_sum(i);
+  const auto n = static_cast<std::size_t>(tm_->node_count());
+  open_.resize(n * static_cast<std::size_t>(concurrency_));
+  cursor_.assign(n, 0);
 }
 
 void FlowSaturationSource::pump(SlottedNetwork& network) {
+  const int cells = cells_per_node(network);
+  if (cells == 0) return;
   const NodeId n = network.node_count();
-  const std::uint64_t cap =
-      config_.max_in_flight_per_node * static_cast<std::uint64_t>(n);
-  if (network.cells_in_flight() >= cap) return;
   const std::uint64_t cell_bytes = network.config().cell_bytes;
   for (NodeId i = 0; i < n; ++i) {
-    if (row_sums_[static_cast<std::size_t>(i)] <= 0.0) continue;
-    for (int c = 0; c < config_.cells_per_node_per_slot; ++c) {
+    if (!sends(i)) continue;
+    for (int c = 0; c < cells; ++c) {
       // Round-robin across the node's open flows.
       auto& slot = cursor_[static_cast<std::size_t>(i)];
       auto& flow = open_[static_cast<std::size_t>(i) *
@@ -96,21 +85,6 @@ void FlowSaturationSource::pump(SlottedNetwork& network) {
       --flow.cells_left;
     }
   }
-}
-
-double FlowSaturationSource::measure(SlottedNetwork& network,
-                                     Slot warmup_slots, Slot measure_slots) {
-  for (Slot s = 0; s < warmup_slots; ++s) {
-    pump(network);
-    network.step();
-  }
-  network.reset_metrics();
-  for (Slot s = 0; s < measure_slots; ++s) {
-    pump(network);
-    network.step();
-  }
-  return network.metrics().delivered_per_slot(network.node_count(),
-                                              network.config().lanes);
 }
 
 }  // namespace sorn

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/network.h"
 #include "traffic/flow_size.h"
@@ -17,35 +18,53 @@
 namespace sorn {
 
 struct SaturationConfig {
-  // New cells injected per node per slot while below the caps. Should be
-  // at least lanes (so injection can outrun delivery).
-  int cells_per_node_per_slot = 2;
   // Stop injecting while the network holds more than this many cells per
   // node (bounds memory; does not bias steady-state throughput).
   std::uint64_t max_in_flight_per_node = 512;
   std::uint64_t seed = 7;
 };
 
-class SaturationSource {
+// What both sources share. WorkloadDriver pumps a source once per slot,
+// after the slot hook and the retransmission check, before step().
+class ClosedLoopSource {
  public:
-  // tm rows select destinations per source; must outlive the source.
-  SaturationSource(const DemandModel* tm, SaturationConfig config);
+  virtual ~ClosedLoopSource() = default;
 
   // Inject this slot's new demands into the network.
-  void pump(SlottedNetwork& network);
+  virtual void pump(SlottedNetwork& network) = 0;
 
-  // Run warmup then a measured phase; returns delivered cells per node per
-  // lane per slot over the measured phase (the throughput r).
+  // WorkloadDriver::measure on a driver of this source: the throughput r.
   double measure(SlottedNetwork& network, Slot warmup_slots,
                  Slot measure_slots);
 
- private:
+ protected:
+  // tm rows select destinations per source; must outlive the source.
+  ClosedLoopSource(const DemandModel* tm, SaturationConfig config);
+
+  // New cells each sending node offers this slot: 2 × lanes, so that
+  // injection outruns delivery on every lane, or 0 while the network
+  // holds its in-flight cap.
+  int cells_per_node(const SlottedNetwork& network) const;
+  // False for a node whose demand row is empty.
+  bool sends(NodeId i) const {
+    return row_sums_[static_cast<std::size_t>(i)] > 0.0;
+  }
+
   const DemandModel* tm_;
-  SaturationConfig config_;
+  Rng rng_;
+
+ private:
+  std::uint64_t max_in_flight_per_node_;
   // Per-node row totals: the silent-row skip check. Destination draws go
   // through DemandModel::sample_dst, so no N^2 CDF copy is kept here.
   std::vector<double> row_sums_;
-  Rng rng_;
+};
+
+class SaturationSource : public ClosedLoopSource {
+ public:
+  SaturationSource(const DemandModel* tm, SaturationConfig config);
+
+  void pump(SlottedNetwork& network) override;
 };
 
 // Flow-granular saturation: each node keeps `concurrency` open *flows*
@@ -54,14 +73,12 @@ class SaturationSource {
 // several transfers. This is the "real-world traffic" flavor of
 // Fig. 2(f): bursty per-pair demand at the cell timescale, the matrix
 // only in aggregate.
-class FlowSaturationSource {
+class FlowSaturationSource : public ClosedLoopSource {
  public:
   FlowSaturationSource(const DemandModel* tm, const FlowSizeDist* sizes,
                        SaturationConfig config, int concurrency = 8);
 
-  void pump(SlottedNetwork& network);
-  double measure(SlottedNetwork& network, Slot warmup_slots,
-                 Slot measure_slots);
+  void pump(SlottedNetwork& network) override;
 
  private:
   struct OpenFlow {
@@ -69,15 +86,11 @@ class FlowSaturationSource {
     std::uint64_t cells_left = 0;
   };
 
-  const DemandModel* tm_;
   const FlowSizeDist* sizes_;
-  SaturationConfig config_;
   int concurrency_;
-  std::vector<double> row_sums_;
   // concurrency_ open flows per node, row-major.
   std::vector<OpenFlow> open_;
   std::vector<int> cursor_;
-  Rng rng_;
 };
 
 }  // namespace sorn

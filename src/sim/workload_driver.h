@@ -1,9 +1,12 @@
-// Flow workload driver: feeds an arrival stream (Poisson, incast waves,
-// collective phases, …) into the slotted network and runs it to a time
-// horizon, collecting FCTs. Open-loop by default — arrivals inject all
-// their cells at once; attach a Transport (set_transport) to run closed
-// loop, with arrivals opening windowed flows that release cells as acks
-// come back.
+// Workload driver: the one loop that advances a workload's slots. Each
+// slot runs one body (slot hook, retransmission check, that slot's
+// injections, transport pump, step()) under one of two plans: run_until
+// injects an arrival stream's flows (Poisson, incast waves, collective
+// phases, …) up to a horizon, then drains, collecting FCTs; measure pumps
+// a closed-loop source (sim/saturation.h) through a warmup, resets the
+// metrics and runs the measured slots. Arrivals inject all their cells at
+// once by default; attach a Transport (set_transport) to run them closed
+// loop, opening windowed flows that release cells as acks come back.
 #pragma once
 
 #include <cstdint>
@@ -15,36 +18,31 @@
 
 namespace sorn {
 
+class ClosedLoopSource;
+
 class WorkloadDriver {
  public:
   // Maps an arrival to a flow class for split FCT percentiles.
   using Classifier = std::function<int(const FlowArrival&)>;
-  // Called once per slot, before that slot's arrivals are injected and
-  // before step(). Fault injectors hook in here (FaultInjector::tick),
-  // keeping all fault RNG between slots.
+  // Called once per slot, before that slot's injections and before
+  // step(). Fault injectors hook in here (FaultInjector::tick), keeping
+  // all fault RNG between slots.
   using SlotHook = std::function<void(SlottedNetwork&, Slot)>;
 
-  // End-host retransmission: when timeout_slots > 0, the driver checks
-  // every check_every slots for flows that made no delivery progress for
-  // timeout_slots * 2^attempts slots and re-admits their missing cells
-  // (SlottedNetwork::retransmit_stalled). The check keeps running through
-  // the drain phase, and the drain also waits on open flows — a flow whose
-  // every queued cell was tail-dropped has nothing in flight but is still
-  // completable by retransmission.
-  struct RetransmitOptions {
-    Slot timeout_slots = 0;  // 0 disables
-    std::uint32_t max_attempts = 8;
-    // 0 = timeout_slots / 4 (at least 1).
-    Slot check_every = 0;
-    // Backoff jitter amplitude (SlottedNetwork::RetransmitPolicy).
-    double jitter_frac = 0.0;
-  };
-
-  // arrivals must outlive the driver.
+  // The source must outlive the driver. A driver built on arrivals runs
+  // run_until; one built on a closed-loop source runs measure.
   explicit WorkloadDriver(ArrivalStream* arrivals,
                           Classifier classifier = nullptr);
+  explicit WorkloadDriver(ClosedLoopSource* source);
 
-  void set_retransmit(RetransmitOptions options);
+  // End-host retransmission: when policy.timeout_slots > 0, the driver
+  // calls SlottedNetwork::retransmit_stalled(policy) every check_every
+  // slots (0 = timeout_slots / 4, at least 1). The check keeps running
+  // through the drain phase, and the drain also waits on open flows — a
+  // flow whose every queued cell was tail-dropped has nothing in flight
+  // but is still completable by retransmission.
+  void set_retransmit(SlottedNetwork::RetransmitPolicy policy,
+                      Slot check_every = 0);
   void set_slot_hook(SlotHook hook) { slot_hook_ = std::move(hook); }
 
   // Attach a closed-loop transport (borrowed; must outlive the driver).
@@ -77,21 +75,30 @@ class WorkloadDriver {
   void run_until(SlottedNetwork& network, Picoseconds horizon,
                  Slot drain_slots = 0);
 
+  // Run `warmup_slots`, reset_metrics(), then `measure_slots`; returns
+  // delivered cells per node per lane per measured slot (the throughput r).
+  double measure(SlottedNetwork& network, Slot warmup_slots,
+                 Slot measure_slots);
+
   std::uint64_t flows_injected() const { return flows_injected_; }
 
  private:
-  // Hook + retransmission work for one slot; called before network.step().
-  void before_step(SlottedNetwork& network);
+  // The per-slot body; `inject` is false in the drain phase.
+  void run_slot(SlottedNetwork& network, bool inject);
+  // Inject every flow that arrives before the end of this slot.
+  void inject_arrivals(SlottedNetwork& network);
 
-  ArrivalStream* arrivals_;
+  ArrivalStream* arrivals_ = nullptr;
+  ClosedLoopSource* source_ = nullptr;
   Classifier classifier_;
   SlotHook slot_hook_;
   Transport* transport_ = nullptr;
-  RetransmitOptions retransmit_{};
+  SlottedNetwork::RetransmitPolicy retransmit_{};
   Slot retransmit_every_ = 0;
   std::uint64_t size_cap_ = 0;
   const Router* bulk_router_ = nullptr;
   std::uint64_t bulk_cutoff_ = 0;
+  Picoseconds horizon_ = 0;
   FlowArrival pending_{};
   bool has_pending_ = false;
   std::uint64_t flows_injected_ = 0;

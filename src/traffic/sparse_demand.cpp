@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.h"
+#include "util/upper_bound.h"
 
 namespace sorn {
 
@@ -342,12 +343,12 @@ std::pair<NodeId, NodeId> SparseDemand::sample_pair(Rng& rng) const {
   SORN_ASSERT(total_ > 0.0, "cannot sample from an empty matrix");
   ensure_cdfs();
   const double u = rng.next_double() * total_;
-  const auto it = std::upper_bound(pair_cdf_.begin(), pair_cdf_.end(), u);
-  if (it == pair_cdf_.end()) {
+  const std::size_t m = upper_bound_index(pair_cdf_.data(), pair_cdf_.size(),
+                                          u);
+  if (m == pair_cdf_.size()) {
     // Dense clamp: u >= total lands on the last linear index (n-1, n-1).
     return {n_ - 1, n_ - 1};
   }
-  const auto m = static_cast<std::size_t>(it - pair_cdf_.begin());
   const auto row_it =
       std::upper_bound(row_ptr_.begin(), row_ptr_.end(), m);
   const auto row = static_cast<NodeId>(row_it - row_ptr_.begin() - 1);
@@ -358,15 +359,11 @@ NodeId SparseDemand::sample_dst(NodeId src, Rng& rng) const {
   ensure_cdfs();
   const double row_total = row_sums_[static_cast<std::size_t>(src)];
   const double u = rng.next_double() * row_total;
-  const auto begin = row_cdf_.begin() +
-                     static_cast<std::ptrdiff_t>(
-                         row_ptr_[static_cast<std::size_t>(src)]);
-  const auto end = row_cdf_.begin() +
-                   static_cast<std::ptrdiff_t>(
-                       row_ptr_[static_cast<std::size_t>(src) + 1]);
-  const auto it = std::upper_bound(begin, end, u);
-  if (it == end) return n_ - 1;  // dense clamp: column n-1
-  return cols_[static_cast<std::size_t>(it - row_cdf_.begin())];
+  const std::size_t begin = row_ptr_[static_cast<std::size_t>(src)];
+  const std::size_t len = row_ptr_[static_cast<std::size_t>(src) + 1] - begin;
+  const std::size_t k = upper_bound_index(row_cdf_.data() + begin, len, u);
+  if (k == len) return n_ - 1;  // dense clamp: column n-1
+  return cols_[begin + k];
 }
 
 std::unique_ptr<DemandModel> SparseDemand::clone() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.h"
+#include "util/upper_bound.h"
 
 namespace sorn {
 
@@ -111,8 +112,7 @@ std::pair<NodeId, NodeId> TrafficMatrix::sample_pair(Rng& rng) const {
   const double total_demand = cdf_.back();
   SORN_ASSERT(total_demand > 0.0, "cannot sample from an empty matrix");
   const double u = rng.next_double() * total_demand;
-  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-  auto k = static_cast<std::size_t>(it - cdf_.begin());
+  auto k = upper_bound_index(cdf_.data(), cdf_.size(), u);
   if (k >= demand_.size()) k = demand_.size() - 1;
   return {static_cast<NodeId>(k / static_cast<std::size_t>(n_)),
           static_cast<NodeId>(k % static_cast<std::size_t>(n_))};
@@ -130,15 +130,11 @@ NodeId TrafficMatrix::sample_dst(NodeId src, Rng& rng) const {
     }
     row_cdf_valid_ = true;
   }
-  const auto begin = row_cdf_.begin() + static_cast<std::ptrdiff_t>(
-                                            index(src, 0));
-  const auto end = begin + n_;
-  const double row_total = *(end - 1);
-  const double u = rng.next_double() * row_total;
-  const auto it = std::upper_bound(begin, end, u);
-  auto j = static_cast<NodeId>(it - begin);
-  if (j >= n_) j = n_ - 1;
-  return j;
+  const double* row = row_cdf_.data() + index(src, 0);
+  const auto n = static_cast<std::size_t>(n_);
+  const double u = rng.next_double() * row[n - 1];
+  const std::size_t j = upper_bound_index(row, n, u);
+  return static_cast<NodeId>(j < n ? j : n - 1);
 }
 
 std::unique_ptr<DemandModel> TrafficMatrix::clone() const {

@@ -234,7 +234,8 @@ TEST(ExperimentTest, MalformedExperimentsAreErrors) {
            R"( "mean_hops": [1, 3]}}]})"},
       {"", "[1, 2]"},
       {"", "{"},
-      // Windows: two integer slots 0 <= from < to, on a flow-driver point.
+      // Windows: two integer slots 0 <= from < to, on an arrival-driven
+      // point: a closed-loop one resets its counters at warmup_slots.
       {"window must be",
        std::string("{") + base + R"(, "points": [{"window": [900, 900]}]})"},
       {"window must be",
@@ -243,7 +244,7 @@ TEST(ExperimentTest, MalformedExperimentsAreErrors) {
        std::string("{") + base + R"(, "points": [{"window": [0, 900.5]}]})"},
       {"window must be",
        std::string("{") + base + R"(, "points": [{"window": [0]}]})"},
-      {"flow-driver",
+      {"resets its counters at warmup_slots",
        std::string("{") + base +
            R"(, "points": [{"set": {"workload": "saturation"},)"
            R"( "window": [0, 900]}]})"},

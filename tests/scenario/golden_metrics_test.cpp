@@ -9,11 +9,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "control/control_plane.h"
+#include "fault/fault_injector.h"
 #include "scenario/scenario_runner.h"
 #include "sim/saturation.h"
 #include "traffic/patterns.h"
@@ -251,6 +254,66 @@ TEST(GoldenMetricsTest, WebSearchDctcpRunMatchesPinnedArtifacts) {
   EXPECT_GT(m.retransmitted_cells(), 0u);
   EXPECT_EQ(run.metrics, "7ebc2dd84da72e47");
   EXPECT_EQ(run.trace, "72ea96630a1cd238");
+}
+
+// ---- Closed-loop workloads run the one slot loop ----
+//
+// WorkloadDriver advances a saturation run's warmup and measured slots
+// with the body every workload's slots get, so the user slot hook, the
+// fault injector and the control loop all tick there.
+
+TEST(GoldenMetricsTest, SlotHookRunsOnEveryClosedLoopSlot) {
+  for (const WorkloadKind workload :
+       {WorkloadKind::kSaturation, WorkloadKind::kFlowSaturation}) {
+    ScenarioConfig cfg = pinned_config("sorn");
+    cfg.workload = workload;
+    cfg.warmup_slots = 300;
+    cfg.measure_slots = 500;
+    std::string error;
+    const auto runner = ScenarioRunner::create(cfg, &error);
+    ASSERT_NE(runner, nullptr) << error;
+    std::vector<Slot> seen;
+    runner->set_slot_hook([&seen](SlottedNetwork& net, Slot slot) {
+      EXPECT_EQ(slot, net.now());
+      seen.push_back(slot);
+    });
+    ASSERT_TRUE(runner->run(&error)) << error;
+    std::vector<Slot> every_slot(800);
+    std::iota(every_slot.begin(), every_slot.end(), Slot{0});
+    EXPECT_EQ(seen, every_slot);
+  }
+}
+
+// A saturation run under a node, circuit and gray fault script and the
+// control loop on a noisy estimate, checking every slot's invariants
+// across the warmup's metrics reset. CI runs the same scenario through
+// sorn_tool twice and compares the artifacts.
+TEST(GoldenMetricsTest, FaultedControlledSaturationMatchesPinnedArtifacts) {
+  ScenarioConfig cfg;
+  std::string error;
+  ASSERT_TRUE(ScenarioConfig::from_json(
+      R"({"design": "sorn", "nodes": 64, "cliques": 8, "locality": 0.6,
+          "workload": "saturation", "warmup_slots": 600,
+          "measure_slots": 900, "epoch_slots": 300, "estimate_noise": 0.5,
+          "sample_every": 25, "check_invariants": true,
+          "fault_script": "200 fail-node 5\n200 fail-circuit 9 20\n400 degrade-circuit 12 40 0.3\n400 throttle-circuit 33 2 0.5\n700 heal-node 5\n900 heal-circuit 9 20\n1000 restore-circuit 12 40\n1000 restore-circuit 33 2\n"})",
+      &cfg, &error))
+      << error;
+  const DigestedRun first = run_digested(cfg, "faulted_saturation");
+  const DigestedRun second = run_digested(cfg, "faulted_saturation");
+  ASSERT_NE(first.runner, nullptr);
+  ASSERT_NE(second.runner, nullptr);
+  const InvariantChecker* checker = first.runner->invariant_checker();
+  ASSERT_NE(checker, nullptr);
+  EXPECT_TRUE(checker->ok());
+  EXPECT_EQ(checker->slots_checked(), 1500u);
+  EXPECT_EQ(first.runner->injector()->faults_applied(), 8u);
+  EXPECT_GT(first.runner->control()->replans(), 0u);
+  EXPECT_GT(first.runner->saturation_r(), 0.0);
+  EXPECT_EQ(first.metrics, second.metrics);
+  EXPECT_EQ(first.trace, second.trace);
+  EXPECT_EQ(first.metrics, "4f95e29b31e72fd3");
+  EXPECT_EQ(first.trace, "d3d884745c51ab55");
 }
 
 }  // namespace

@@ -241,9 +241,9 @@ Artifacts run_faulted_workload() {
   WorkloadDriver driver(&arrivals);
   driver.set_slot_hook(
       [&injector](SlottedNetwork& n, Slot) { injector.tick(n); });
-  WorkloadDriver::RetransmitOptions ropts;
-  ropts.timeout_slots = 64;
-  driver.set_retransmit(ropts);
+  SlottedNetwork::RetransmitPolicy policy;
+  policy.timeout_slots = 64;
+  driver.set_retransmit(policy);
   driver.run_until(sim, 2500 * sim.config().slot_duration, 2000);
 
   EXPECT_GT(injector.faults_applied(), 0u)

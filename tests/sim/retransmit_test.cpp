@@ -227,8 +227,8 @@ TEST(RetransmitTest, OperaSplitFaultBlastRetransmitsBulkViaBulkPaths) {
   FlowArrivals arrivals(&tm, &sizes, node_bw, /*load=*/0.2, Rng(11));
   WorkloadDriver driver(&arrivals);
   driver.set_bulk_router(&bulk, /*cutoff_bytes=*/1);
-  driver.set_retransmit({/*timeout_slots=*/32, /*max_attempts=*/8,
-                         /*check_every=*/8});
+  driver.set_retransmit({/*timeout_slots=*/32, /*max_attempts=*/8},
+                        /*check_every=*/8);
   // Fault blast: node 5 dies early and heals late, so flows toward it
   // stall long enough for at least one retransmission round.
   driver.set_slot_hook([](SlottedNetwork& n, Slot now) {

@@ -80,6 +80,24 @@ TEST(SaturationTest, SornBeatsVlbUnderLocality) {
   EXPECT_GT(r, 0.25);
 }
 
+// Each sending node offers 2 x lanes cells a slot, so r, delivered per
+// node per lane per slot, holds at any lane count. Two cells a node at
+// every lane count capped r at 2/lanes: 0.125 at 16 lanes.
+TEST(SaturationTest, InjectionKeepsUpWithTheLanes) {
+  const auto cliques = CliqueAssignment::contiguous(64, 8);
+  const CircuitSchedule s = ScheduleBuilder::sorn(cliques, Rational{9, 2});
+  const SornRouter router(&s, &cliques, LbMode::kRandom);
+  const TrafficMatrix tm = patterns::locality_mix(cliques, 0.56);
+  auto r_at = [&](int lanes) {
+    NetworkConfig c = sim_config();
+    c.lanes = lanes;
+    SlottedNetwork net(&s, &router, c);
+    SaturationSource source(&tm, SaturationConfig{});
+    return source.measure(net, 2000, 4000);
+  };
+  EXPECT_NEAR(r_at(16), r_at(1), 0.05);
+}
+
 TEST(SaturationTest, PumpRespectsInFlightCap) {
   const CircuitSchedule s = ScheduleBuilder::round_robin(8);
   const VlbRouter router(&s, LbMode::kRandom);

@@ -62,8 +62,8 @@ Artifacts run_gray_blast(std::uint64_t max_queue_cells,
                           sim.config().slot_duration, Rng(21));
   WorkloadDriver driver(&arrivals);
   driver.set_transport(&transport);
-  driver.set_retransmit({/*timeout_slots=*/128, /*max_attempts=*/8,
-                         /*check_every=*/16});
+  driver.set_retransmit({/*timeout_slots=*/128, /*max_attempts=*/8},
+                        /*check_every=*/16);
   driver.set_slot_hook([](SlottedNetwork& n, Slot now) {
     if (now == 300) {
       n.degrade_circuit(1, 2, /*loss_p=*/0.5);
